@@ -16,12 +16,14 @@ and the tension magnitude at abscissa x is ``mu * a * cosh(x / a)``.
 Two solvers live here.  ``solve_catenary`` recovers the curve through both
 endpoints with a prescribed arc length; ``max_length`` finds the longest
 cable whose vertex sits exactly ``sag_limit`` below the lower attachment
-point.  Both reduce to bracketed bisection on ``a`` using the identities
+point.  Both solve for ``a`` using the identities
 
     sqrt(L^2 - H^2) = 2 a sinh(p / (2a))
     x_A = a atanh(H / L) - p / 2
 
-which follow from the sum-to-product forms of the endpoint equations.
+which follow from the sum-to-product forms of the endpoint equations:
+``solve_catenary`` by Newton's method on u = p / (2a), ``max_length`` by a
+bracketed false-position search polished by Newton steps.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ EPS_P = 1e-6
 
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 1e6
-_MAX_BISECT = 200
+_MAX_NEWTON = 100
+_NEWTON_RTOL = 4e-16
 _RESIDUAL_RTOL = 1e-9
 
 
@@ -164,40 +167,61 @@ def min_length(p_droid, p_anchor) -> float:
     return math.hypot(dx, dz)
 
 
-def _arc_gap(a: float, p: float) -> float:
-    """2 a sinh(p / (2a)), guarded against overflow at small a."""
-    try:
-        return 2.0 * a * math.sinh(0.5 * p / a)
-    except OverflowError:
-        return math.inf
+def _log_sinhc(u: float) -> tuple[float, float]:
+    """log(sinh(u) / u) and its derivative coth(u) - 1/u, for u > 0.
+
+    Both lose every digit to cancellation as u -> 0, so small arguments
+    use Taylor series (sinh(u)/u - 1 in powers of u^2, and the Bernoulli
+    series of coth(u) - 1/u); large ones avoid overflowing sinh.
+    """
+    if u < 0.5:
+        w = u * u
+        excess = w * (1.0 / 6.0 + w * (1.0 / 120.0 + w * (
+            1.0 / 5040.0 + w * (1.0 / 362880.0 + w * (
+                1.0 / 39916800.0 + w * (1.0 / 6227020800.0
+                                        + w / 1307674368000.0))))))
+        slope = u * (1.0 / 3.0 - w * (1.0 / 45.0 - w * (
+            2.0 / 945.0 - w * (1.0 / 4725.0 - w * (
+                2.0 / 93555.0 - w * 1382.0 / 638512875.0)))))
+        return math.log1p(excess), slope
+    if u > 20.0:
+        return u - math.log(2.0 * u) + math.log1p(-math.exp(-2.0 * u)), \
+            1.0 / math.tanh(u) - 1.0 / u
+    return math.log(math.sinh(u) / u), 1.0 / math.tanh(u) - 1.0 / u
 
 
 def _solve_scale(p: float, rhs: float) -> float:
-    """Root of 2 a sinh(p/(2a)) = rhs for rhs > p, by bracketed bisection.
+    """Root of 2 a sinh(p/(2a)) = rhs for rhs > p, by Newton's method.
 
-    The left-hand side decreases monotonically from infinity to p as ``a``
-    grows, so the root is unique.  The lower bracket is shrunk with p so the
-    sign condition holds even for near-vertical spans.
+    With u = p/(2a) the equation reads log(sinh(u)/u) = log1p((rhs - p)/p).
+    The left-hand side is convex and increasing in u, so from any start
+    Newton lands at or right of the root after one step and then decreases
+    monotonically onto it; the loop ends when a step no longer moves u
+    down by more than rounding noise.  The target goes through log1p so
+    that excess lengths down to rounding level keep their digits.  A root
+    above the scale bracket's upper end counts as the taut limit and
+    raises NoConvergence.
     """
-    lo = min(_BRACKET_LO, 1e-4 * p)
-    hi = _BRACKET_HI
-    if _arc_gap(hi, p) - rhs > 0.0:
+    target = math.log1p((rhs - p) / p)
+    if not target > 0.0 or \
+            2.0 * _BRACKET_HI * math.sinh(0.5 * p / _BRACKET_HI) > rhs:
         raise NoConvergence(
             "catenary scale above bracket (cable is at the taut limit); "
             f"p={p!r}, excess length {rhs - p!r}")
-    if not _arc_gap(lo, p) - rhs > 0.0:
-        raise NoConvergence(f"catenary scale bracket lost at a={lo!r} for p={p!r}")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    # leading terms of log(sinh(u)/u): u^2/6 for small u, u - log(2u) large
+    u = math.sqrt(6.0 * target) if target < 1.0 \
+        else target + math.log(2.0 * target) + 1.0
+    for iteration in range(_MAX_NEWTON):
+        value, slope = _log_sinhc(u)
+        step = (value - target) / slope
+        # past the first step every step is downhill; one within rounding
+        # noise of log(sinh(u)/u) means u has settled
+        if iteration > 0 and not step > _NEWTON_RTOL * u:
             break
-        if _arc_gap(mid, p) - rhs > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12:
-            break
-    return 0.5 * (lo + hi)
+        u -= step
+    else:
+        raise NoConvergence(f"catenary scale Newton did not settle for p={p!r}")
+    return 0.5 * p / u
 
 
 def solve_catenary(cfg: PlanarConfiguration, length: float,
@@ -225,7 +249,7 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
     x_b = x_a + cfg.p
 
     # Residuals of the endpoint equations, in sum-to-product form to avoid
-    # cancellation.  These certify the bisection result.
+    # cancellation.  These certify the Newton result.
     half_sum = 0.5 * (x_a + x_b) / a
     sinh_half_gap = math.sinh(0.5 * cfg.p / a)
     h_res = 2.0 * a * math.sinh(half_sum) * sinh_half_gap - cfg.H

@@ -40,12 +40,7 @@ from .optimizer import (
     optimize,
 )
 from .scenario import Scenario, load_document, load_scenario, parse_scenario
-from .simulation import (
-    TELEMETRY_COLUMNS,
-    TelemetryLog,
-    simulate_pickup,
-    simulate_retrieval,
-)
+from .simulation import TELEMETRY_COLUMNS, simulate_pickup, simulate_retrieval
 from .trajectory import Trajectory
 
 EXIT_OK = 0
@@ -71,6 +66,18 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_matrix(path: Path, header, matrix: np.ndarray) -> None:
+    """_write_csv for a float matrix, one row format per line.
+
+    ``'%.9g' % x`` and ``format(x, '.9g')`` spell every float the same way,
+    so the bytes match _write_csv's.
+    """
+    line = ",".join(["%.9g"] * matrix.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        handle.writelines(line % tuple(row) for row in matrix.tolist())
 
 
 def write_trajectory_artifact(path: Path, traj: Trajectory) -> None:
@@ -121,12 +128,12 @@ def _plan_outputs(out: Path, sc: Scenario, traj: Trajectory, dense_kappa: int):
     pos = traj.evaluate_batch(ts, 0)
     vel = traj.evaluate_batch(ts, 1)
     acc = traj.evaluate_batch(ts, 2)
-    _write_csv(out / f"{sc.name}_trajectory.csv",
-               ("t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az"),
-               np.column_stack([ts, pos, vel, acc]).tolist())
-    _write_csv(out / f"{sc.name}_corridor.csv",
-               ("t", "L_min", "L_now", "L_max"),
-               np.column_stack([ts, l_min, l_now, l_max]).tolist())
+    _write_matrix(out / f"{sc.name}_trajectory.csv",
+                  ("t", "x", "y", "z", "vx", "vy", "vz", "ax", "ay", "az"),
+                  np.column_stack([ts, pos, vel, acc]))
+    _write_matrix(out / f"{sc.name}_corridor.csv",
+                  ("t", "L_min", "L_now", "L_max"),
+                  np.column_stack([ts, l_min, l_now, l_max]))
     write_trajectory_artifact(out / f"{sc.name}_coefficients.csv", traj)
     worst = np.maximum(l_min ** 2 - l_now ** 2, l_now ** 2 - l_max ** 2)
     return max(float(np.max(worst)), 0.0)
@@ -172,13 +179,6 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _telemetry_rows(log: TelemetryLog):
-    return np.column_stack([
-        log.time, log.position, log.velocity, log.acceleration,
-        log.l_min, log.l_now, log.l_max, log.tension, log.thrust,
-    ]).tolist()
-
-
 def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     out = Path(args.out)
@@ -190,8 +190,8 @@ def cmd_simulate(args) -> int:
             else out / f"{sc.name}_coefficients.csv"
         traj = read_trajectory_artifact(artifact)
         log = simulate_pickup(traj, sc.planning, sc.drone, sc.timestep)
-        _write_csv(out / f"{sc.name}_telemetry.csv", TELEMETRY_COLUMNS,
-                   _telemetry_rows(log))
+        _write_matrix(out / f"{sc.name}_telemetry.csv", TELEMETRY_COLUMNS,
+                      log.as_matrix())
         planned = traj.evaluate_batch(
             np.clip(log.time, 0.0, traj.duration), 0)
         tracking = float(np.max(np.linalg.norm(log.position - planned,
@@ -222,8 +222,8 @@ def cmd_simulate(args) -> int:
         rlog = simulate_retrieval(
             sc.planning.anchor_position, winch, mass, sc.planning.cable,
             sc.drone, sc.timestep, stow_length=stow)
-        _write_csv(out / f"{sc.name}_retrieval.csv", TELEMETRY_COLUMNS,
-                   _telemetry_rows(rlog))
+        _write_matrix(out / f"{sc.name}_retrieval.csv", TELEMETRY_COLUMNS,
+                      rlog.as_matrix())
         print(f"retrieve {sc.name}: {rlog.time[-1]:.3f} s to reach "
               f"stow length {stow:g} m")
         print(f"  peak tether tension  {float(np.max(rlog.tension)):.6g} N")

@@ -16,8 +16,9 @@ Gradients are exact: each sampled penalty contributes to the coefficient
 array through the basis row at its sample, and to the duration both through
 the moving sample times and through the matrix of the trajectory
 construction (see trajectory.propagate_gradients).  The corridor's upper
-bound is a root find, so its positional derivative is taken by central
-differences around the solve.
+bound is a root find; its positional derivative comes from implicit
+differentiation of the root condition at the solved scale
+(cable.sag_length_gradient_batch).
 """
 
 from __future__ import annotations
@@ -341,8 +342,9 @@ def cable_penalty(traj: Trajectory, scenario: PlanningScenario,
     """Hinges keeping the released length inside the feasible corridor.
 
     Gradient with respect to the droid position flows through both corridor
-    edges; the upper edge's derivative is a central difference around the
-    sag-limited catenary solve.  The released length follows the winch
+    edges; the upper edge's derivative differentiates the sag-limited
+    catenary solve implicitly (cable.sag_length_gradient_batch).  The
+    released length follows the winch
     schedule, so the sampled times' dependence on T contributes as well.
     """
     limits = scenario.limits

@@ -17,6 +17,11 @@ bookkeeping stays consistent across regime switches.
 Controllers are differential-flatness feedforward plus PD position
 feedback; the feedforward inverts desired acceleration, jerk, and the
 measured tether force into thrust, attitude, and body rates.
+
+The physics lives in three scalar kernels (cable forces, flatness
+inversion, one integration step) that work on floats and tuples, so the
+per-step loops pay no array overhead.  The public ``tether_force``,
+``flat_to_inputs`` and ``step`` are array adapters over the same kernels.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .cable import (
     CableProperties,
@@ -47,6 +51,10 @@ TETHER_STIFFNESS = 5e3
 VERTICAL_EPS = 1e-4
 
 DEFAULT_TIMESTEP = 1e-3
+
+# Below this squared rotation angle per step the exponential map's
+# coefficients use their Taylor series; the first dropped term is O(1e-18).
+_SMALL_ANGLE_SQ = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,42 @@ class TetherForce:
     tension: float
 
 
+def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
+                  length: float, payout_rate: float, props: CableProperties,
+                  stiffness: float, damping: float):
+    """Scalar core of tether_force, in the x-z plane.
+
+    ``dx``, ``dz`` run from the droid-side end to the anchor and ``dvx``,
+    ``dvz`` are the anchor's velocity relative to that end.  Returns
+    ``(droid_x, droid_z, anchor_x, anchor_z, tension, taut)``; the end
+    forces have no y component in any regime.
+    """
+    mu = props.weight_per_length
+    chord = math.hypot(dx, dz)
+
+    if length > chord:
+        if abs(dx) < VERTICAL_EPS:
+            # doubled strand: each end carries the piece hanging from it
+            droid_strand = min(max(0.5 * (length - dz), 0.0), length)
+            return (0.0, -mu * droid_strand, 0.0,
+                    -mu * (length - droid_strand), mu * droid_strand, False)
+        sol = solve_catenary(PlanarConfiguration(abs(dx), dz), length, props)
+        horizontal = math.copysign(sol.vertex_tension, dx)
+        vertical = sol.vertex_tension * math.sinh(sol.x_a / sol.scale)
+        return (horizontal, vertical, -horizontal, -vertical - mu * length,
+                tension_at(sol, sol.x_a), False)
+
+    ux = dx / chord
+    uz = dz / chord
+    stretch_rate = -payout_rate + (ux * dvx + uz * dvz)
+    pull = max(stiffness * (chord - length) + damping * stretch_rate, 0.0)
+    half_weight = -0.5 * mu * length
+    droid_x = pull * ux
+    droid_z = pull * uz + half_weight
+    return (droid_x, droid_z, -droid_x, -pull * uz + half_weight,
+            math.sqrt(droid_x * droid_x + droid_z * droid_z), True)
+
+
 def tether_force(attach, anchor, length: float, props: CableProperties,
                  attach_velocity=None, anchor_velocity=None,
                  payout_rate: float = 0.0,
@@ -131,45 +175,52 @@ def tether_force(attach, anchor, length: float, props: CableProperties,
     """
     attach = np.asarray(attach, dtype=float).reshape(3)
     anchor = np.asarray(anchor, dtype=float).reshape(3)
-    mu = props.weight_per_length
-    dx = anchor[0] - attach[0]
-    dz = anchor[2] - attach[2]
-    p = abs(dx)
-    chord = math.hypot(dx, dz)
+    va = np.zeros(3) if attach_velocity is None \
+        else np.asarray(attach_velocity, dtype=float).reshape(3)
+    vb = np.zeros(3) if anchor_velocity is None \
+        else np.asarray(anchor_velocity, dtype=float).reshape(3)
+    droid_x, droid_z, anchor_x, anchor_z, tension, taut = _cable_forces(
+        float(anchor[0] - attach[0]), float(anchor[2] - attach[2]),
+        float(vb[0] - va[0]), float(vb[2] - va[2]), float(length),
+        float(payout_rate), props, stiffness, damping)
+    return TetherForce(on_droid=np.array([droid_x, 0.0, droid_z]),
+                       on_anchor=np.array([anchor_x, 0.0, anchor_z]),
+                       taut=taut, tension=tension)
 
-    if length > chord and p < VERTICAL_EPS:
-        # doubled strand: each end carries the piece hanging from it
-        droid_strand = min(max(0.5 * (length - dz), 0.0), length)
-        on_droid = np.array([0.0, 0.0, -mu * droid_strand])
-        on_anchor = np.array([0.0, 0.0, -mu * (length - droid_strand)])
-        return TetherForce(on_droid=on_droid, on_anchor=on_anchor,
-                           taut=False, tension=mu * droid_strand)
 
-    if length > chord:
-        cfg = PlanarConfiguration.from_points(attach, anchor)
-        sol = solve_catenary(cfg, length, props)
-        vertical = sol.vertex_tension * math.sinh(sol.x_a / sol.scale)
-        on_droid = np.array([math.copysign(sol.vertex_tension, dx), 0.0,
-                             vertical])
-        on_anchor = -on_droid + np.array([0.0, 0.0, -mu * length])
-        return TetherForce(on_droid=on_droid, on_anchor=on_anchor,
-                           taut=False, tension=tension_at(sol, sol.x_a))
+def _flat_inputs(acc, jerk, heading, yaw_rate: float, pull,
+                 mass: float, gravity: float):
+    """Scalar core of flat_to_inputs.
 
-    direction = np.array([dx, 0.0, dz]) / chord
-    stretch = chord - length
-    stretch_rate = -payout_rate
-    if attach_velocity is not None or anchor_velocity is not None:
-        va = np.zeros(3) if attach_velocity is None \
-            else np.asarray(attach_velocity, dtype=float)
-        vb = np.zeros(3) if anchor_velocity is None \
-            else np.asarray(anchor_velocity, dtype=float)
-        stretch_rate += float(direction @ (vb - va))
-    pull = max(stiffness * stretch + damping * stretch_rate, 0.0)
-    half_weight = np.array([0.0, 0.0, -0.5 * mu * length])
-    on_droid = pull * direction + half_weight
-    on_anchor = -pull * direction + half_weight
-    return TetherForce(on_droid=on_droid, on_anchor=on_anchor, taut=True,
-                       tension=float(np.linalg.norm(on_droid)))
+    ``acc``, ``jerk`` and ``pull`` are 3-tuples and ``heading`` is
+    (cos yaw, sin yaw).  Returns ``(thrust, rotation, rates)`` with the
+    rotation as a row-major 9-tuple whose columns are the body axes.
+    """
+    hx = mass * acc[0] - pull[0]
+    hy = mass * acc[1] - pull[1]
+    hz = mass * (acc[2] + gravity) - pull[2]
+    thrust = math.sqrt(hx * hx + hy * hy + hz * hz)
+    if thrust < 1e-6:
+        raise DegenerateThrust(
+            "net rotor force vanishes; attitude is undefined")
+    zx, zy, zz = hx / thrust, hy / thrust, hz / thrust
+    cos_yaw, sin_yaw = heading
+    # y_b = z_b x heading, with heading = (cos yaw, sin yaw, 0)
+    yx, yy, yz = -zz * sin_yaw, zz * cos_yaw, zx * sin_yaw - zy * cos_yaw
+    norm = math.sqrt(yx * yx + yy * yy + yz * yz)
+    if norm < 1e-9:
+        raise DegenerateThrust("thrust axis is parallel to the heading")
+    yx, yy, yz = yx / norm, yy / norm, yz / norm
+    # x_b = y_b x z_b
+    xx = yy * zz - yz * zy
+    xy = yz * zx - yx * zz
+    xz = yx * zy - yy * zx
+
+    jx, jy, jz = mass * jerk[0], mass * jerk[1], mass * jerk[2]
+    roll_rate = -(yx * jx + yy * jy + yz * jz) / thrust
+    pitch_rate = (xx * jx + xy * jy + xz * jz) / thrust
+    return (thrust, (xx, yx, zx, xy, yy, zy, xz, yz, zz),
+            (roll_rate, pitch_rate, yaw_rate * zz))
 
 
 def flat_to_inputs(acceleration, jerk, yaw: float, yaw_rate: float,
@@ -182,29 +233,65 @@ def flat_to_inputs(acceleration, jerk, yaw: float, yaw_rate: float,
     rate, approximated by the mass-scaled jerk (the cable force variation
     is dropped, consistent with the quasi-static cable model).
     """
-    acceleration = np.asarray(acceleration, dtype=float).reshape(3)
-    jerk = np.asarray(jerk, dtype=float).reshape(3)
-    pull = np.asarray(tether_on_droid, dtype=float).reshape(3)
-    h = params.mass * (acceleration - params.gravity_vector) - pull
-    thrust = float(np.linalg.norm(h))
-    if thrust < 1e-6:
-        raise DegenerateThrust(
-            "net rotor force vanishes; attitude is undefined")
-    zb = h / thrust
-    heading = np.array([math.cos(yaw), math.sin(yaw), 0.0])
-    yb_raw = np.cross(zb, heading)
-    norm = float(np.linalg.norm(yb_raw))
-    if norm < 1e-9:
-        raise DegenerateThrust("thrust axis is parallel to the heading")
-    yb = yb_raw / norm
-    xb = np.cross(yb, zb)
-    rotation = np.column_stack([xb, yb, zb])
+    thrust, rotation, rates = _flat_inputs(
+        np.asarray(acceleration, dtype=float).reshape(3).tolist(),
+        np.asarray(jerk, dtype=float).reshape(3).tolist(),
+        (math.cos(yaw), math.sin(yaw)), float(yaw_rate),
+        np.asarray(tether_on_droid, dtype=float).reshape(3).tolist(),
+        params.mass, params.gravity)
+    return thrust, np.reshape(rotation, (3, 3)), np.array(rates)
 
-    h_dot = params.mass * jerk
-    roll_rate = -float(yb @ h_dot) / thrust
-    pitch_rate = float(xb @ h_dot) / thrust
-    climb_rate = yaw_rate * float(zb[2])
-    return thrust, rotation, np.array([roll_rate, pitch_rate, climb_rate])
+
+def _advance(pos, vel, rot, thrust: float, rates, force,
+             mass: float, gravity: float, dt: float):
+    """Scalar core of step.
+
+    Semi-implicit Euler for the translation, then R exp([w]x dt) by
+    Rodrigues' formula for the attitude.  Vectors are 3-tuples and ``rot``
+    a row-major 9-tuple; returns ``(position, velocity, rotation,
+    acceleration)`` in the same forms.
+    """
+    ax = (thrust * rot[2] + force[0]) / mass
+    ay = (thrust * rot[5] + force[1]) / mass
+    az = (thrust * rot[8] + force[2] - mass * gravity) / mass
+    vx = vel[0] + ax * dt
+    vy = vel[1] + ay * dt
+    vz = vel[2] + az * dt
+    position = (pos[0] + vx * dt, pos[1] + vy * dt, pos[2] + vz * dt)
+
+    # exp([phi]x) = I + A [phi]x + B [phi]x^2, with
+    # A = sin(theta)/theta and B = (1 - cos(theta))/theta^2
+    px, py, pz = rates[0] * dt, rates[1] * dt, rates[2] * dt
+    theta_sq = px * px + py * py + pz * pz
+    if theta_sq < _SMALL_ANGLE_SQ:
+        a = 1.0 - theta_sq / 6.0
+        b = 0.5 - theta_sq / 24.0
+    else:
+        theta = math.sqrt(theta_sq)
+        half = 0.5 * theta
+        a = math.sin(theta) / theta
+        b = 0.5 * (math.sin(half) / half) ** 2
+    e00 = 1.0 - b * (py * py + pz * pz)
+    e11 = 1.0 - b * (px * px + pz * pz)
+    e22 = 1.0 - b * (px * px + py * py)
+    bxy, bxz, byz = b * px * py, b * px * pz, b * py * pz
+    apx, apy, apz = a * px, a * py, a * pz
+    e01, e10 = bxy - apz, bxy + apz
+    e02, e20 = bxz + apy, bxz - apy
+    e12, e21 = byz - apx, byz + apx
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = rot
+    rotation = (
+        r00 * e00 + r01 * e10 + r02 * e20,
+        r00 * e01 + r01 * e11 + r02 * e21,
+        r00 * e02 + r01 * e12 + r02 * e22,
+        r10 * e00 + r11 * e10 + r12 * e20,
+        r10 * e01 + r11 * e11 + r12 * e21,
+        r10 * e02 + r11 * e12 + r12 * e22,
+        r20 * e00 + r21 * e10 + r22 * e20,
+        r20 * e01 + r21 * e11 + r22 * e21,
+        r20 * e02 + r21 * e12 + r22 * e22,
+    )
+    return position, (vx, vy, vz), rotation, (ax, ay, az)
 
 
 def step(state: RigidBodyState, thrust: float, body_rates,
@@ -217,15 +304,14 @@ def step(state: RigidBodyState, thrust: float, body_rates,
     keeps the rotation orthonormal for arbitrarily many steps.
     """
     body_rates = np.asarray(body_rates, dtype=float).reshape(3)
-    force = thrust * state.rotation[:, 2] \
-        + np.asarray(external_force, dtype=float).reshape(3) \
-        + params.mass * params.gravity_vector
-    acceleration = force / params.mass
-    velocity = state.velocity + acceleration * dt
-    position = state.position + velocity * dt
-    rotation = state.rotation @ Rotation.from_rotvec(body_rates * dt).as_matrix()
+    position, velocity, rotation, acceleration = _advance(
+        state.position.tolist(), state.velocity.tolist(),
+        state.rotation.ravel().tolist(), float(thrust), body_rates.tolist(),
+        np.asarray(external_force, dtype=float).reshape(3).tolist(),
+        params.mass, params.gravity, dt)
     return RigidBodyState(position=position, velocity=velocity,
-                          rotation=rotation, body_rates=body_rates), acceleration
+                          rotation=rotation, body_rates=body_rates), \
+        np.array(acceleration)
 
 
 TELEMETRY_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz",
@@ -264,21 +350,22 @@ class TelemetryLog:
 
 
 def _finish_log(rows, anchor_trace, props: CableProperties,
-                attachment_offset: float,
                 check_lower: bool = True) -> TelemetryLog:
-    arrays = {k: np.asarray(v) for k, v in rows.items()}
-    attach = arrays["position"] + np.array([0.0, 0.0, attachment_offset])
+    """Telemetry from per-step rows of (t, position, velocity,
+    acceleration, l_now, tension, thrust), plus the corridor post-check."""
+    rows = np.array(rows)
+    position = rows[:, 1:4]
+    attach = position + np.array([0.0, 0.0, props.attachment_offset])
     l_min, l_max = corridor_bounds_batch(attach, anchor_trace, props)
-    l_now = arrays["l_now"]
+    l_now = rows[:, 10]
     worst = l_now ** 2 - l_max ** 2
     if check_lower:
         worst = np.maximum(worst, l_min ** 2 - l_now ** 2)
     violation = max(float(np.max(worst)), 0.0) if worst.size else 0.0
     return TelemetryLog(
-        time=arrays["time"], position=arrays["position"],
-        velocity=arrays["velocity"], acceleration=arrays["acceleration"],
-        l_min=l_min, l_now=l_now, l_max=l_max,
-        tension=arrays["tension"], thrust=arrays["thrust"],
+        time=rows[:, 0], position=position, velocity=rows[:, 4:7],
+        acceleration=rows[:, 7:10], l_min=l_min, l_now=l_now, l_max=l_max,
+        tension=rows[:, 11], thrust=rows[:, 12],
         corridor_ok=violation < VIOLATION_TOL,
         corridor_violation=violation)
 
@@ -294,45 +381,42 @@ def simulate_pickup(traj: Trajectory, scenario,
     """
     props = scenario.cable
     anchor = np.asarray(scenario.anchor_position, dtype=float)
-    offset = np.array([0.0, 0.0, props.attachment_offset])
-    damping = 2.0 * math.sqrt(TETHER_STIFFNESS * params.mass)
-    yaw = scenario.yaw
+    anchor_x, anchor_z = float(anchor[0]), float(anchor[2])
+    offset = props.attachment_offset
+    mass, gravity, kp, kd = params.mass, params.gravity, params.kp, params.kd
+    damping = 2.0 * math.sqrt(TETHER_STIFFNESS * mass)
+    heading = (math.cos(scenario.yaw), math.sin(scenario.yaw))
 
     n_steps = max(int(round(traj.duration / dt)), 1)
     ts = np.minimum(np.arange(n_steps + 1) * dt, traj.duration)
-    refs = [traj.evaluate_batch(ts, order) for order in range(4)]
-    lengths = scenario.winch.length_at(ts)
-    rates = scenario.winch.rate_at(ts)
+    ref_pos, ref_vel, ref_acc, ref_jerk = (
+        traj.evaluate_batch(ts, order).tolist() for order in range(4))
+    lengths = scenario.winch.length_at(ts).tolist()
+    rates = scenario.winch.rate_at(ts).tolist()
 
-    rows = {k: [] for k in ("time", "position", "velocity", "acceleration",
-                            "l_now", "tension", "thrust")}
-    state = RigidBodyState.at_rest(refs[0][0])
-    state.velocity = refs[1][0].copy()
-    initialized = False
-    for i in range(n_steps + 1):
-        l_now = float(lengths[i])
-        tether = tether_force(state.position + offset, anchor, l_now, props,
-                              attach_velocity=state.velocity,
-                              payout_rate=float(rates[i]), damping=damping)
-        command = refs[2][i] \
-            + params.kp * (refs[0][i] - state.position) \
-            + params.kd * (refs[1][i] - state.velocity)
-        thrust, attitude, body_rates = flat_to_inputs(
-            command, refs[3][i], yaw, 0.0, tether.on_droid, params)
-        if not initialized:
-            state.rotation = attitude
-            initialized = True
-        new_state, acceleration = step(state, thrust, body_rates,
-                                       tether.on_droid, params, dt)
-        rows["time"].append(float(ts[i]))
-        rows["position"].append(state.position)
-        rows["velocity"].append(state.velocity)
-        rows["acceleration"].append(acceleration)
-        rows["l_now"].append(l_now)
-        rows["tension"].append(tether.tension)
-        rows["thrust"].append(thrust)
-        state = new_state
-    return _finish_log(rows, anchor, props, props.attachment_offset)
+    pos, vel, rot = ref_pos[0], ref_vel[0], None
+    rows = []
+    for i, t in enumerate(ts.tolist()):
+        px, py, pz = pos
+        vx, vy, vz = vel
+        l_now = lengths[i]
+        droid_x, droid_z, _, _, tension, _ = _cable_forces(
+            anchor_x - px, anchor_z - (pz + offset), -vx, -vz, l_now,
+            rates[i], props, TETHER_STIFFNESS, damping)
+        pull = (droid_x, 0.0, droid_z)
+        rp, rv, ra = ref_pos[i], ref_vel[i], ref_acc[i]
+        command = (ra[0] + kp * (rp[0] - px) + kd * (rv[0] - vx),
+                   ra[1] + kp * (rp[1] - py) + kd * (rv[1] - vy),
+                   ra[2] + kp * (rp[2] - pz) + kd * (rv[2] - vz))
+        thrust, attitude, body_rates = _flat_inputs(
+            command, ref_jerk[i], heading, 0.0, pull, mass, gravity)
+        if rot is None:
+            rot = attitude
+        pos, vel, rot, acc = _advance(pos, vel, rot, thrust, body_rates,
+                                      pull, mass, gravity, dt)
+        rows.append((t, px, py, pz, vx, vy, vz, *acc, l_now, tension,
+                     thrust))
+    return _finish_log(rows, anchor, props)
 
 
 def simulate_retrieval(droid_position, winch: WinchSchedule,
@@ -352,53 +436,55 @@ def simulate_retrieval(droid_position, winch: WinchSchedule,
         raise ValidationError("attach mass must be positive")
     if winch.initial_length <= stow_length:
         raise ValidationError("winch starts at or below the stow length")
-    hold = np.asarray(droid_position, dtype=float).reshape(3)
-    offset = np.array([0.0, 0.0, props.attachment_offset])
+    hold_x, hold_y, hold_z = np.asarray(droid_position, dtype=float) \
+        .reshape(3).tolist()
+    offset = props.attachment_offset
+    mass, gravity, kp, kd = params.mass, params.gravity, params.kp, params.kd
     damping = 2.0 * math.sqrt(TETHER_STIFFNESS * attach_mass)
-    g_vec = params.gravity_vector
+    heading = (1.0, 0.0)
+    no_jerk = (0.0, 0.0, 0.0)
 
-    state = RigidBodyState.at_rest(hold)
-    carrier = hold + offset - np.array([0.0, 0.0, winch.initial_length])
-    carrier_velocity = np.zeros(3)
-
-    rows = {k: [] for k in ("time", "position", "velocity", "acceleration",
-                            "l_now", "tension", "thrust")}
-    anchor_trace = []
-    initialized = False
     n_steps = int(round(max_time / dt))
-    for i in range(n_steps + 1):
-        t = i * dt
-        l_now = float(winch.length_at(t))
-        rate = float(winch.rate_at(t))
-        tether = tether_force(state.position + offset, carrier, l_now, props,
-                              attach_velocity=state.velocity,
-                              anchor_velocity=carrier_velocity,
-                              payout_rate=rate, damping=damping)
-        command = params.kp * (hold - state.position) \
-            - params.kd * state.velocity
-        thrust, attitude, body_rates = flat_to_inputs(
-            command, np.zeros(3), 0.0, 0.0, tether.on_droid, params)
-        if not initialized:
-            state.rotation = attitude
-            initialized = True
-        new_state, acceleration = step(state, thrust, body_rates,
-                                       tether.on_droid, params, dt)
-        carrier_accel = tether.on_anchor / attach_mass + g_vec
-        carrier_velocity = carrier_velocity + carrier_accel * dt
-        carrier = carrier + carrier_velocity * dt
+    ts = np.arange(n_steps + 1) * dt
+    lengths = winch.length_at(ts).tolist()
+    rates = winch.rate_at(ts).tolist()
 
-        rows["time"].append(t)
-        rows["position"].append(state.position)
-        rows["velocity"].append(state.velocity)
-        rows["acceleration"].append(acceleration)
-        rows["l_now"].append(l_now)
-        rows["tension"].append(tether.tension)
-        rows["thrust"].append(thrust)
-        anchor_trace.append(carrier)
-        state = new_state
+    pos, vel, rot = (hold_x, hold_y, hold_z), (0.0, 0.0, 0.0), None
+    # the carrier only moves in x-z: the cable's end forces have no y part
+    carrier_x, carrier_y = hold_x, hold_y
+    carrier_z = hold_z + offset - winch.initial_length
+    carrier_vx = carrier_vz = 0.0
+    rows = []
+    anchor_trace = []
+    for i, t in enumerate(ts.tolist()):
+        px, py, pz = pos
+        vx, vy, vz = vel
+        l_now = lengths[i]
+        droid_x, droid_z, anchor_fx, anchor_fz, tension, _ = _cable_forces(
+            carrier_x - px, carrier_z - (pz + offset), carrier_vx - vx,
+            carrier_vz - vz, l_now, rates[i], props, TETHER_STIFFNESS,
+            damping)
+        pull = (droid_x, 0.0, droid_z)
+        command = (kp * (hold_x - px) - kd * vx,
+                   kp * (hold_y - py) - kd * vy,
+                   kp * (hold_z - pz) - kd * vz)
+        thrust, attitude, body_rates = _flat_inputs(
+            command, no_jerk, heading, 0.0, pull, mass, gravity)
+        if rot is None:
+            rot = attitude
+        pos, vel, rot, acc = _advance(pos, vel, rot, thrust, body_rates,
+                                      pull, mass, gravity, dt)
+        carrier_vx = carrier_vx + anchor_fx / attach_mass * dt
+        carrier_vz = carrier_vz + (anchor_fz / attach_mass - gravity) * dt
+        carrier_x = carrier_x + carrier_vx * dt
+        carrier_z = carrier_z + carrier_vz * dt
+
+        rows.append((t, px, py, pz, vx, vy, vz, *acc, l_now, tension,
+                     thrust))
+        anchor_trace.append((carrier_x, carrier_y, carrier_z))
         if l_now <= stow_length:
             break
     # taut carrying sits below the slack corridor on purpose, so only the
     # sag-limited upper bound is meaningful here
-    return _finish_log(rows, np.asarray(anchor_trace), props,
-                       props.attachment_offset, check_lower=False)
+    return _finish_log(rows, np.array(anchor_trace), props,
+                       check_lower=False)

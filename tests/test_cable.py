@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from tetherpick.cable import (
+    EPS_P,
     CableBounds,
     CableProperties,
     CableState,
@@ -28,6 +31,7 @@ from tetherpick.cable import (
     sample_shape,
     solve_catenary,
     tension_at,
+    _solve_scale,
 )
 from tetherpick.errors import LengthTooShort, NoConvergence, OutOfDomain
 
@@ -409,3 +413,87 @@ class TestBatchedHelpers:
             np.array([0.0]), np.array([2.0]), PROPS)
         assert dl_dp[0] == 0.0
         assert dl_dh[0] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The Newton scale solve against the bracketed bisection it replaced, kept
+# here verbatim as a reference.
+
+_REF_BRACKET_LO = 1e-6
+_REF_BRACKET_HI = 1e6
+
+
+def _reference_arc_gap(a, p):
+    try:
+        return 2.0 * a * math.sinh(0.5 * p / a)
+    except OverflowError:
+        return math.inf
+
+
+def reference_solve_scale(p, rhs):
+    lo = min(_REF_BRACKET_LO, 1e-4 * p)
+    hi = _REF_BRACKET_HI
+    if _reference_arc_gap(hi, p) - rhs > 0.0:
+        raise NoConvergence("catenary scale above bracket")
+    if not _reference_arc_gap(lo, p) - rhs > 0.0:
+        raise NoConvergence("catenary scale bracket lost")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if _reference_arc_gap(mid, p) - rhs > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
+def reference_resolution(p, rhs, a):
+    """How far the bisection's answer may sit from the true root.
+
+    It stops on a 1e-12 bracket, and it cannot rank scales whose computed
+    2 a sinh(p/(2a)) lies within its rounding error of rhs: that error is
+    about (4 + 2u) ulps of rhs with u = p/(2a), and the band it spans in a
+    is that error over |d/da 2 a sinh(p/(2a))| = 2 (u cosh u - sinh u).
+    """
+    u = 0.5 * p / a
+    if u < 0.1:
+        slope = 2.0 * u ** 3 / 3.0 * (1.0 + u * u / 10.0)
+    else:
+        slope = 2.0 * (u * math.cosh(u) - math.sinh(u))
+    return 1e-12 + (4.0 + 2.0 * u) * math.ulp(rhs) / slope
+
+
+class TestNewtonScale:
+    @settings(max_examples=2000, deadline=None)
+    @given(p=st.floats(EPS_P, 10.0), H=st.floats(-3.0, 3.0),
+           ratio=st.floats(1e-12, 3.0))
+    def test_matches_bisection_wherever_it_succeeds(self, p, H, ratio):
+        chord = math.hypot(p, H)
+        length = chord + ratio * chord
+        rhs = math.sqrt(length * length - H * H)
+        try:
+            expected = reference_solve_scale(p, rhs)
+        except NoConvergence:
+            return
+        scale = _solve_scale(p, rhs)
+        tolerance = 1e-9 * expected + reference_resolution(p, rhs, expected)
+        assert abs(scale - expected) <= tolerance
+        # and it solves the equation at least as well as the bisection
+        assert abs(_reference_arc_gap(scale, p) - rhs) <= \
+            abs(_reference_arc_gap(expected, p) - rhs) + 4.0 * math.ulp(rhs)
+
+    def test_well_conditioned_spans_match_to_1e9(self):
+        # excess lengths of a millimetre and up leave the bisection's
+        # rounding band far below 1e-9 of the scale
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            p = float(rng.uniform(1e-2, 10.0))
+            H = float(rng.uniform(-3.0, 3.0))
+            chord = math.hypot(p, H)
+            length = chord * (1.0 + float(rng.uniform(1e-3, 3.0)))
+            rhs = math.sqrt(length * length - H * H)
+            expected = reference_solve_scale(p, rhs)
+            assert _solve_scale(p, rhs) == pytest.approx(expected, rel=1e-9)

@@ -1,14 +1,19 @@
 """End-to-end harness tests driving the CLI in process."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tetherpick.cli import (
     COEFFICIENT_HEADER,
     _apply_override,
     _parse_grid,
+    _write_csv,
+    _write_matrix,
     read_trajectory_artifact,
     run,
     write_trajectory_artifact,
@@ -291,3 +296,35 @@ class TestCheckVerb:
     def test_reads_kappa_from_scenario(self, fast_scenario, capsys):
         assert run(["check", "--scenario", str(fast_scenario)]) == 0
         assert "loads and validates" in capsys.readouterr().out
+
+
+EDGE_FLOATS = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324,
+               2.2250738585072014e-308, -1.5e-310, 1e300, -1e300,
+               1.7976931348623157e308, 1.0, -3.0, 1e16, 123456789.0,
+               0.1, 1.0 / 3.0, 2.0 ** 53, 123456789.5, 1e-5]
+
+
+def _matrix_and_csv_bytes(tmp_path, matrix):
+    header = tuple(f"c{i}" for i in range(matrix.shape[1]))
+    _write_matrix(tmp_path / "matrix.csv", header, matrix)
+    _write_csv(tmp_path / "rows.csv", header, matrix.tolist())
+    return ((tmp_path / "matrix.csv").read_bytes(),
+            (tmp_path / "rows.csv").read_bytes())
+
+
+def test_matrix_writer_bytes_equal_row_writer_on_edge_floats(tmp_path):
+    values = np.array(EDGE_FLOATS)
+    matrix = np.stack([np.roll(values, k) for k in range(values.size)])
+    written, expected = _matrix_and_csv_bytes(tmp_path, matrix)
+    assert written == expected
+    assert b"-0," in written and b"inf" in written and b"nan" in written
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.integers(1, 8).flatmap(lambda width: st.lists(
+    st.lists(st.floats(width=64), min_size=width, max_size=width),
+    min_size=1, max_size=6)))
+def test_matrix_writer_bytes_equal_row_writer_on_any_floats(tmp_path, rows):
+    written, expected = _matrix_and_csv_bytes(tmp_path, np.array(rows))
+    assert written == expected

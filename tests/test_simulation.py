@@ -4,10 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.spatial.transform import Rotation
 
-from tetherpick.cable import CableProperties, PlanarConfiguration, solve_catenary
-from tetherpick.errors import DegenerateThrust, ValidationError
+from tetherpick.cable import (
+    CableProperties,
+    PlanarConfiguration,
+    solve_catenary,
+    tension_at,
+)
+from tetherpick.errors import DegenerateThrust, NoConvergence, ValidationError
 from tetherpick.optimizer import (
     Limits,
     PenaltyWeights,
@@ -20,6 +28,7 @@ from tetherpick.simulation import (
     RigidBodyState,
     TelemetryLog,
     TETHER_STIFFNESS,
+    VERTICAL_EPS,
     TetherForce,
     WinchState,
     flat_to_inputs,
@@ -387,3 +396,171 @@ class TestPendulumPhysics:
                            rtol=1e-10, atol=1e-12)
         error = np.abs(theta_sim - oracle.y[0])
         assert float(np.max(error)) < 0.05 * theta0
+
+
+# ---------------------------------------------------------------------------
+# The scalar kernels against array references.  The references below are the
+# numpy/scipy formulations the kernels replaced; the kernels may differ from
+# them only by rounding, so every comparison allows 1e-12 relative to the
+# scale of the quantity (times the attitude's conditioning where a direction
+# is normalised).
+
+REL = 1e-12
+
+
+def reference_tether_force(attach, anchor, length, props, attach_velocity,
+                           anchor_velocity, payout_rate, stiffness, damping):
+    attach = np.asarray(attach, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    mu = props.weight_per_length
+    dx = anchor[0] - attach[0]
+    dz = anchor[2] - attach[2]
+    chord = math.hypot(dx, dz)
+    if length > chord and abs(dx) < VERTICAL_EPS:
+        droid_strand = min(max(0.5 * (length - dz), 0.0), length)
+        return (np.array([0.0, 0.0, -mu * droid_strand]),
+                np.array([0.0, 0.0, -mu * (length - droid_strand)]),
+                mu * droid_strand, False)
+    if length > chord:
+        sol = solve_catenary(PlanarConfiguration.from_points(attach, anchor),
+                             length, props)
+        vertical = sol.vertex_tension * math.sinh(sol.x_a / sol.scale)
+        on_droid = np.array([math.copysign(sol.vertex_tension, dx), 0.0,
+                             vertical])
+        return (on_droid, -on_droid + np.array([0.0, 0.0, -mu * length]),
+                tension_at(sol, sol.x_a), False)
+    direction = np.array([dx, 0.0, dz]) / chord
+    stretch_rate = -payout_rate + float(
+        direction @ (np.asarray(anchor_velocity, dtype=float)
+                     - np.asarray(attach_velocity, dtype=float)))
+    pull = max(stiffness * (chord - length) + damping * stretch_rate, 0.0)
+    half_weight = np.array([0.0, 0.0, -0.5 * mu * length])
+    on_droid = pull * direction + half_weight
+    return (on_droid, -pull * direction + half_weight,
+            float(np.linalg.norm(on_droid)), True)
+
+
+def reference_flat_to_inputs(acceleration, jerk, yaw, yaw_rate, pull, params):
+    h = params.mass * (np.asarray(acceleration) - params.gravity_vector) \
+        - np.asarray(pull)
+    thrust = float(np.linalg.norm(h))
+    if thrust < 1e-6:
+        raise DegenerateThrust("net rotor force vanishes")
+    zb = h / thrust
+    yb_raw = np.cross(zb, [math.cos(yaw), math.sin(yaw), 0.0])
+    norm = float(np.linalg.norm(yb_raw))
+    if norm < 1e-9:
+        raise DegenerateThrust("thrust axis is parallel to the heading")
+    yb = yb_raw / norm
+    xb = np.cross(yb, zb)
+    h_dot = params.mass * np.asarray(jerk)
+    rates = np.array([-float(yb @ h_dot) / thrust, float(xb @ h_dot) / thrust,
+                      yaw_rate * float(zb[2])])
+    return thrust, np.column_stack([xb, yb, zb]), rates, norm
+
+
+def vectors(bound):
+    return st.lists(st.floats(-bound, bound), min_size=3, max_size=3)
+
+
+class TestScalarKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(acc=vectors(30.0), jerk=vectors(100.0), yaw=st.floats(-4.0, 4.0),
+           yaw_rate=st.floats(-3.0, 3.0), pull=vectors(20.0),
+           mass=st.floats(0.1, 5.0))
+    def test_flat_to_inputs_matches_cross_product_reference(
+            self, acc, jerk, yaw, yaw_rate, pull, mass):
+        params = DroneParams(mass=mass)
+        try:
+            ref = reference_flat_to_inputs(acc, jerk, yaw, yaw_rate, pull,
+                                           params)
+        except DegenerateThrust:
+            with pytest.raises(DegenerateThrust):
+                flat_to_inputs(acc, jerk, yaw, yaw_rate, pull, params)
+            return
+        thrust_ref, rotation_ref, rates_ref, norm = ref
+        thrust, rotation, rates = flat_to_inputs(acc, jerk, yaw, yaw_rate,
+                                                 pull, params)
+        assert abs(thrust - thrust_ref) <= REL * thrust_ref
+        # normalising z_b x heading amplifies rounding by 1 / |z_b x heading|
+        condition = 1.0 / norm
+        np.testing.assert_allclose(rotation, rotation_ref, rtol=0.0,
+                                   atol=REL * condition)
+        rate_scale = mass * float(np.linalg.norm(jerk)) / thrust_ref \
+            * condition + abs(yaw_rate)
+        np.testing.assert_allclose(rates, rates_ref, rtol=0.0,
+                                   atol=REL * rate_scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quaternion=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+           .filter(lambda q: sum(x * x for x in q) > 1e-3),
+           rates=st.one_of(vectors(20.0), vectors(1e-3)),
+           dt=st.floats(1e-4, 2e-2))
+    def test_attitude_step_matches_rotvec_reference(self, quaternion, rates,
+                                                    dt):
+        start = Rotation.from_quat(quaternion).as_matrix()
+        state = RigidBodyState(position=[0.0, 0.0, 0.0],
+                               velocity=[0.0, 0.0, 0.0], rotation=start,
+                               body_rates=[0.0, 0.0, 0.0])
+        new, _ = step(state, 3.0, rates, [0.1, -0.2, 0.3], DroneParams(), dt)
+        expected = start @ Rotation.from_rotvec(np.asarray(rates) * dt) \
+            .as_matrix()
+        np.testing.assert_allclose(new.rotation, expected, rtol=0.0,
+                                   atol=REL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(attach=vectors(3.0), offset=vectors(3.0),
+           ratio=st.floats(0.5, 2.0), regime=st.sampled_from(
+               ("taut", "slack", "vertical")),
+           attach_velocity=vectors(2.0), anchor_velocity=vectors(2.0),
+           payout_rate=st.floats(-1.0, 1.0), damping=st.floats(0.0, 200.0))
+    def test_tether_force_matches_array_reference(
+            self, attach, offset, ratio, regime, attach_velocity,
+            anchor_velocity, payout_rate, damping):
+        if regime == "vertical":
+            offset[0] = offset[0] * 1e-5
+        anchor = np.add(attach, offset)
+        chord = math.hypot(offset[0], offset[2])
+        assume(chord > 1e-3)
+        length = chord * (min(ratio, 1.0) if regime == "taut"
+                          else max(ratio, 1.0 + 1e-9))
+        args = (attach, anchor, length, PROPS, attach_velocity,
+                anchor_velocity, payout_rate, TETHER_STIFFNESS, damping)
+        try:
+            on_droid, on_anchor, tension, taut = reference_tether_force(*args)
+        except NoConvergence:
+            with pytest.raises(NoConvergence):
+                tether_force(*args[:4], attach_velocity=attach_velocity,
+                             anchor_velocity=anchor_velocity,
+                             payout_rate=payout_rate, damping=damping)
+            return
+        out = tether_force(*args[:4], attach_velocity=attach_velocity,
+                           anchor_velocity=anchor_velocity,
+                           payout_rate=payout_rate, damping=damping)
+        assert out.taut == taut
+        # spring and damper may cancel, so scale by the terms, not the sum
+        closing = float(np.linalg.norm(np.subtract(anchor_velocity,
+                                                   attach_velocity)))
+        scale = MU * length + float(np.linalg.norm(on_droid)) + (
+            TETHER_STIFFNESS * abs(chord - length)
+            + damping * (abs(payout_rate) + closing) if taut else 0.0)
+        np.testing.assert_allclose(out.on_droid, on_droid, rtol=0.0,
+                                   atol=REL * scale)
+        np.testing.assert_allclose(out.on_anchor, on_anchor, rtol=0.0,
+                                   atol=REL * scale)
+        assert abs(out.tension - tension) <= REL * scale
+
+    @settings(max_examples=50, deadline=None)
+    @given(initial=st.floats(0.0, 10.0), speed=st.floats(-1.0, 1.0),
+           capacity=st.floats(0.5, 20.0), dt=st.floats(1e-4, 1e-2))
+    def test_winch_arrays_equal_per_step_evaluation(self, initial, speed,
+                                                    capacity, dt):
+        # the simulators evaluate the schedule once on i * dt; each entry
+        # must be the very float the per-step call would give
+        winch = WinchSchedule(initial, speed, capacity)
+        ts = np.arange(2001) * dt
+        lengths = winch.length_at(ts).tolist()
+        rates = winch.rate_at(ts).tolist()
+        for i in range(ts.size):
+            assert lengths[i] == float(winch.length_at(i * dt))
+            assert rates[i] == float(winch.rate_at(i * dt))
