@@ -46,6 +46,9 @@ _MAX_NEWTON = 100
 _NEWTON_RTOL = 4e-16
 _RESIDUAL_RTOL = 1e-9
 
+# selects the low end (row 0) of a stacked (low, high) bracket
+_LOW_END = np.array([[True], [False]])
+
 
 class CableState(enum.Enum):
     """Whether the vertex of the solved curve lies between the endpoints."""
@@ -288,14 +291,16 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
     chord_ruled = np.zeros(p.shape, dtype=bool)
 
     vertical = p < EPS_P
-    out[vertical] = habs[vertical] + sag_limit
+    if vertical.any():
+        out[vertical] = habs[vertical] + sag_limit
+    solve = ~vertical
 
-    level_zero_sag = (~vertical) & (sag_limit == 0.0) & (habs == 0.0)
-    out[level_zero_sag] = p[level_zero_sag]
-    chord_ruled[level_zero_sag] = True
-
-    solve = ~(vertical | level_zero_sag)
-    if not np.any(solve):
+    if sag_limit == 0.0:
+        level_zero_sag = solve & (habs == 0.0)
+        out[level_zero_sag] = p[level_zero_sag]
+        chord_ruled[level_zero_sag] = True
+        solve &= ~level_zero_sag
+    if not solve.any():
         return out, scale, chord_ruled
 
     ps = p[solve]
@@ -310,15 +315,16 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
     # the asinh damps f's overflow plateau at small scales into a gentle
     # log slope so secants stay informative, and the log abscissa makes one
     # absolute tolerance cover the whole bracket.  g decreases through the
-    # root, and a periodic check forces a bisection for any row whose
-    # bracket has not at least halved over the last four rounds.
+    # root; a row whose secant falls outside its bracket bisects instead.
+    half_ps = 0.5 * ps
+
     def g_of(b: np.ndarray) -> np.ndarray:
+        # callers ignore overflow and invalid values around this
         a = np.exp(b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_a = -np.arccosh(1.0 + sag_limit / a)
-            mid = u_a + 0.5 * ps / a
-            f = 2.0 * a * np.sinh(mid) * np.sinh(0.5 * ps / a) - hs
-            return np.clip(np.arcsinh(f), -720.0, 720.0)
+        half_gap = half_ps / a
+        mid = half_gap - np.arccosh(1.0 + sag_limit / a)
+        f = 2.0 * a * np.sinh(mid) * np.sinh(half_gap) - hs
+        return np.minimum(np.maximum(np.arcsinh(f), -720.0), 720.0)
 
     # Seed a tight bracket from two closed-form regimes.  Shallow spans:
     # both endpoint offsets are quadratic in their half-spans, giving
@@ -329,85 +335,91 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
     # either way, almost always straddles the root; rows where a sign check
     # disagrees fall back to the matching half of the wide bracket.
     with np.errstate(divide="ignore", invalid="ignore"):
-        a_sh = ps ** 2 / (math.sqrt(2.0 * sag_limit)
-                          + np.sqrt(2.0 * (sag_limit + hs))) ** 2
-        ratio = np.log(4.0 * sag_limit * hs / ps ** 2)
+        p_sq = ps ** 2
+        a_sh = p_sq / (math.sqrt(2.0 * sag_limit)
+                       + np.sqrt(2.0 * (sag_limit + hs))) ** 2
+        ratio = np.log(4.0 * sag_limit * hs / p_sq)
     deep = ratio > 2.0
-    tau = np.where(deep, np.maximum(ratio, 3.0), 3.0)
-    for _ in range(3):
-        tau = np.where(deep, ratio + 2.0 * np.log(tau), tau)
-    a_dp = np.where(deep, ps / tau, a_sh)
-    lo_c = np.clip(np.minimum(a_sh, a_dp) / 4.0, wide_lo, _BRACKET_HI)
-    hi_c = np.clip(4.0 * np.maximum(a_sh, a_dp), wide_lo, _BRACKET_HI)
+    low = high = a_sh
+    if deep.any():
+        tau = np.where(deep, np.maximum(ratio, 3.0), 3.0)
+        for _ in range(3):
+            tau = np.where(deep, ratio + 2.0 * np.log(tau), tau)
+        a_dp = np.where(deep, ps / tau, a_sh)
+        low, high = np.minimum(a_sh, a_dp), np.maximum(a_sh, a_dp)
+    lo_c = np.clip(low / 4.0, wide_lo, _BRACKET_HI)
+    hi_c = np.clip(4.0 * high, wide_lo, _BRACKET_HI)
 
     lo_cb = np.log(lo_c)
     hi_cb = np.log(hi_c)
     wide_lob = np.log(wide_lo)
     wide_hib = np.full_like(ps, math.log(_BRACKET_HI))
-    g1 = g_of(lo_cb)
-    g2 = g_of(hi_cb)
-    g_wide = g_of(wide_hib)
-    # f blows up positive at the wide lower endpoint, so its g is the cap
-    left = g1 <= 0.0
-    right = (~left) & (g2 >= 0.0)
-    lo_b = np.where(left, wide_lob, np.where(right, hi_cb, lo_cb))
-    g_lo = np.where(left, 720.0, np.where(right, g2, g1))
-    hi_b = np.where(left, lo_cb, np.where(right, wide_hib, hi_cb))
-    g_hi = np.where(left, g1, np.where(right, g_wide, g2))
-    # rows whose root lies beyond the wide bracket (near-zero sag and |H|)
-    # collapse onto it; the chord clamp below supplies the answer
-    beyond = g_hi > 0.0
-    lo_b = np.where(beyond, hi_b, lo_b)
-    g_lo = np.where(beyond, g_hi, g_lo)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g1, g2, g_wide = g_of(np.array([lo_cb, hi_cb, wide_hib]))
+        # f blows up positive at the wide lower endpoint, so its g is the cap
+        left = g1 <= 0.0
+        right = (~left) & (g2 >= 0.0)
+        lo_b = np.where(left, wide_lob, np.where(right, hi_cb, lo_cb))
+        g_lo = np.where(left, 720.0, np.where(right, g2, g1))
+        hi_b = np.where(left, lo_cb, np.where(right, wide_hib, hi_cb))
+        g_hi = np.where(left, g1, np.where(right, g_wide, g2))
+        # rows whose root lies beyond the wide bracket (near-zero sag and
+        # |H|) collapse onto it; the chord clamp below supplies the answer
+        beyond = g_hi > 0.0
+        lo_b = np.where(beyond, hi_b, lo_b)
+        g_lo = np.where(beyond, g_hi, g_lo)
 
-    side = np.zeros(ps.shape, dtype=int)
-    best_b = 0.5 * (lo_b + hi_b)
-    # the bracketed phase only needs to land within ~1e-6 of the root; the
-    # Newton polish below is quadratic from there and reaches rounding
-    # accuracy in two steps, skipping the bracket's slow endgame
-    done = (hi_b - lo_b) <= 1e-6
-    for _ in range(iterations):
-        if np.all(done):
-            break
-        with np.errstate(invalid="ignore", divide="ignore"):
-            b = (lo_b * g_hi - hi_b * g_lo) / (g_hi - g_lo)
-        secant_ok = np.isfinite(b) & (b > lo_b) & (b < hi_b)
-        b = np.where(secant_ok, b, 0.5 * (lo_b + hi_b))
-        g_b = g_of(b)
-        step_small = np.abs(b - best_b) <= 1e-6
-        best_b = np.where(done, best_b, b)
-        replaces_lo = g_b > 0.0
-        # Illinois anti-stall: halve the retained endpoint's value whenever
-        # the same side is replaced twice in a row, so the stale end cannot
-        # pin the bracket open
-        g_hi = np.where(replaces_lo & (side == 1), 0.5 * g_hi, g_hi)
-        g_lo = np.where(~replaces_lo & (side == -1), 0.5 * g_lo, g_lo)
-        lo_b = np.where(replaces_lo, b, lo_b)
-        g_lo = np.where(replaces_lo, g_b, g_lo)
-        hi_b = np.where(~replaces_lo, b, hi_b)
-        g_hi = np.where(~replaces_lo, g_b, g_hi)
-        side = np.where(replaces_lo, 1, -1)
-        done = done | step_small | (hi_b - lo_b <= 1e-6)
-    for _ in range(2):
-        a_n = np.exp(best_b)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        # Row 0 of ends/g_ends is the low end of each bracket, row 1 the
+        # high end; ``last`` marks the end the previous round replaced
+        # (neither before the first).
+        ends = np.array([lo_b, hi_b])
+        g_ends = np.array([g_lo, g_hi])
+        last = np.zeros(ends.shape, dtype=bool)
+        best_b = 0.5 * (lo_b + hi_b)
+        # the bracketed phase only needs to land within ~1e-6 of the root;
+        # the Newton polish below is quadratic from there and reaches
+        # rounding accuracy in two steps, skipping the bracket's slow endgame
+        done = (hi_b - lo_b) <= 1e-6
+        for _ in range(iterations):
+            if done.all():
+                break
+            cross = ends * g_ends[::-1]
+            b = (cross[0] - cross[1]) / (g_ends[1] - g_ends[0])
+            # NaN and infinite secants fail the strict bracket test too
+            b = np.where((b > ends[0]) & (b < ends[1]), b,
+                         0.5 * (ends[0] + ends[1]))
+            g_b = g_of(b)
+            step_small = np.abs(b - best_b) <= 1e-6
+            best_b = np.where(done, best_b, b)
+            # g decreases through the root: g_b > 0 replaces the low end
+            replaced = (g_b > 0.0) == _LOW_END
+            # Illinois anti-stall: halve the retained end's value whenever
+            # the same end is replaced twice in a row, so the stale end
+            # cannot pin the bracket open
+            g_ends = np.where(replaced, g_b,
+                              np.where(last[::-1], 0.5 * g_ends, g_ends))
+            ends = np.where(replaced, b, ends)
+            last = replaced
+            done = done | step_small | (ends[1] - ends[0] <= 1e-6)
+        for _ in range(2):
+            a_n = np.exp(best_b)
             y = sag_limit / a_n
-            q = 0.5 * ps / a_n
+            q = half_ps / a_n
             m = q - np.arccosh(1.0 + y)
-            f = 2.0 * a_n * np.sinh(m) * np.sinh(q) - hs
+            sm, sq = np.sinh(m), np.sinh(q)
+            f = 2.0 * a_n * sm * sq - hs
             q_a = -q / a_n
             m_a = q_a + np.sqrt(y / (2.0 + y)) / a_n
-            f_a = 2.0 * (np.sinh(m) * np.sinh(q)
-                         + a_n * (np.cosh(m) * m_a * np.sinh(q)
-                                  + np.sinh(m) * np.cosh(q) * q_a))
+            f_a = 2.0 * (sm * sq + a_n * (np.cosh(m) * m_a * sq
+                                          + sm * np.cosh(q) * q_a))
             step = f / (f_a * a_n)
-        best_b = np.where(np.isfinite(step), best_b - step, best_b)
+            best_b = np.where(np.isfinite(step), best_b - step, best_b)
     # the root never leaves the bracket, so neither may the polish
-    a = np.exp(np.clip(best_b, lo_b, hi_b))
+    a = np.exp(best_b.clip(ends[0], ends[1]))
     with np.errstate(over="ignore"):
         u_a = -np.arccosh(1.0 + sag_limit / a)
-        mid = u_a + 0.5 * ps / a
-        length = 2.0 * a * np.cosh(mid) * np.sinh(0.5 * ps / a)
+        mid = u_a + half_ps / a
+        length = 2.0 * a * np.cosh(mid) * np.sinh(half_ps / a)
     chord = np.hypot(ps, hs)
     scale[solve] = a
     out[solve] = np.maximum(length, chord)

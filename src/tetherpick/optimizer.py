@@ -34,7 +34,7 @@ from .errors import ValidationError
 from .trajectory import (
     BoundaryState,
     Trajectory,
-    basis_rows,
+    basis_rows_upto,
     construct,
     jerk_energy,
     jerk_energy_gradient,
@@ -235,7 +235,7 @@ class _Samples:
         tau = ts - seg * dt
         self.ts = ts
         self.seg = seg
-        self.basis = [basis_rows(tau, o) for o in range(5)]
+        self.basis = basis_rows_upto(tau, 4)
         coeffs = traj.coefficients[seg]
         self.deriv = [np.einsum("sk,skx->sx", self.basis[o], coeffs)
                       for o in range(5)]
@@ -250,32 +250,53 @@ class _Samples:
 
     def ddt_from_motion(self, order, gvec):
         """Direct dT contribution of an order-``order`` sampled penalty."""
-        return float(np.sum(np.sum(gvec * self.deriv[order + 1], axis=1)
-                            * self.tau_motion))
+        return float(np.add.reduce(
+            np.add.reduce(gvec * self.deriv[order + 1], axis=1)
+            * self.tau_motion))
 
 
-def _norm_window_term(samples: _Samples, order: int, low_sq, high_sq,
-                      offset=None):
-    """Cubic hinges on |derivative - offset|^2 against a squared window."""
-    d = samples.deriv[order]
-    if offset is not None:
-        d = d - offset
-    nsq = np.sum(d * d, axis=1)
-    slope = np.zeros_like(nsq)
-    value = 0.0
-    if high_sq is not None:
-        over = nsq - high_sq
-        value += float(np.sum(_hinge(over)))
-        slope += _hinge_slope(over)
-    if low_sq is not None:
-        under = low_sq - nsq
-        value += float(np.sum(_hinge(under)))
-        slope -= _hinge_slope(under)
-    gvec = 2.0 * d * slope[:, None]
-    grad_c = np.zeros_like(samples.traj.coefficients)
-    samples.accumulate(grad_c, order, gvec)
-    grad_ddt = samples.ddt_from_motion(order, gvec)
-    return value, grad_c, grad_ddt
+def _window_terms(samples: _Samples, terms):
+    """Cubic hinges on |derivative - offset|^2 against squared windows.
+
+    ``terms`` lists (order, low_sq, high_sq, offset) with ``low_sq`` and
+    ``offset`` optional; returns one (value, grad_c, grad_ddt) per term.
+    The terms share their elementwise work, but every sum runs per term on
+    a contiguous slice, so a term's numbers do not depend on its company.
+    """
+    orders = [order for order, _, _, _ in terms]
+    d = np.array([samples.deriv[order] if offset is None
+                  else samples.deriv[order] - offset
+                  for order, _, _, offset in terms])
+    dd = d * d
+    nsq = np.array([np.add.reduce(dd[i], axis=1) for i in range(len(terms))])
+    over = nsq - np.array([[high_sq] for _, _, high_sq, _ in terms])
+    hinge_over = _hinge(over)
+    slope = _hinge_slope(over)
+    values = []
+    for i, (_, low_sq, _, _) in enumerate(terms):
+        value = 0.0
+        value += float(np.add.reduce(hinge_over[i]))
+        if low_sq is not None:
+            under = low_sq - nsq[i]
+            value += float(np.add.reduce(_hinge(under)))
+            slope[i] -= _hinge_slope(under)
+        values.append(value)
+    gvec = 2.0 * d * slope[:, :, None]
+
+    # each sample's (basis x gvec) outer product, added to its segment's
+    # coefficients in sample order
+    count = len(terms)
+    basis = np.array([samples.basis[order] for order in orders])
+    outer = basis[:, :, :, None] * gvec[:, :, None, :]
+    grad_c = np.zeros((count,) + samples.traj.coefficients.shape)
+    for i in range(count):
+        np.add.at(grad_c[i], samples.seg, outer[i])
+
+    moving = gvec * np.array([samples.deriv[order + 1] for order in orders])
+    return [(values[i], grad_c[i],
+             float(np.add.reduce(np.add.reduce(moving[i], axis=1)
+                                 * samples.tau_motion)))
+            for i in range(count)]
 
 
 def smoothness_cost(traj: Trajectory):
@@ -291,8 +312,10 @@ def feasibility_penalty(traj: Trajectory, limits: Limits, kappa: int | None = No
     value = 0.0
     grad_c = np.zeros_like(traj.coefficients)
     grad_ddt = 0.0
-    for order, bound in ((1, limits.v_max), (2, limits.a_max), (3, limits.j_max)):
-        v, gc, gd = _norm_window_term(samples, order, None, bound * bound)
+    for v, gc, gd in _window_terms(
+            samples, [(order, None, bound * bound, None) for order, bound in
+                      ((1, limits.v_max), (2, limits.a_max),
+                       (3, limits.j_max))]):
         value += v
         grad_c += gc
         grad_ddt += gd
@@ -304,22 +327,26 @@ def thrust_penalty(traj: Trajectory, limits: Limits, kappa: int | None = None,
     """Two-sided hinge on the net thrust-acceleration magnitude."""
     samples = _Samples(traj, kappa if kappa is not None else limits.samples)
     g_vec = np.array([0.0, 0.0, -gravity])
-    value, grad_c, grad_ddt = _norm_window_term(
-        samples, 2, limits.tau_min ** 2, limits.tau_max ** 2, offset=g_vec)
+    [(value, grad_c, grad_ddt)] = _window_terms(
+        samples, [(2, limits.tau_min ** 2, limits.tau_max ** 2, g_vec)])
     return value, (grad_c, grad_ddt)
 
 
 def obstacle_penalty(traj: Trajectory, obstacles, margin: float,
-                     kappa: int):
-    """Hinge on clearance from every half-space obstacle at every sample."""
-    samples = _Samples(traj, kappa)
+                     kappa: int, samples: _Samples | None = None):
+    """Hinge on clearance from every half-space obstacle at every sample.
+
+    ``samples``, when given, must have been taken on ``traj`` at ``kappa``.
+    """
+    if samples is None:
+        samples = _Samples(traj, kappa)
     pos = samples.deriv[0]
     value = 0.0
     gvec = np.zeros_like(pos)
     for plane in obstacles:
         dist = (pos - plane.point) @ plane.normal
         short = margin - dist
-        value += float(np.sum(_hinge(short)))
+        value += float(np.add.reduce(_hinge(short)))
         gvec -= np.outer(_hinge_slope(short), plane.normal)
     grad_c = np.zeros_like(traj.coefficients)
     samples.accumulate(grad_c, 0, gvec)
@@ -338,7 +365,7 @@ def _corridor_arrays(positions, ts, scenario, margin: float):
 
 
 def cable_penalty(traj: Trajectory, scenario: PlanningScenario,
-                  kappa: int | None = None):
+                  kappa: int | None = None, samples: _Samples | None = None):
     """Hinges keeping the released length inside the feasible corridor.
 
     Gradient with respect to the droid position flows through both corridor
@@ -346,16 +373,20 @@ def cable_penalty(traj: Trajectory, scenario: PlanningScenario,
     catenary solve implicitly (cable.sag_length_gradient_batch).  The
     released length follows the winch
     schedule, so the sampled times' dependence on T contributes as well.
+    ``samples``, when given, must have been taken on ``traj`` at the same
+    kappa.
     """
     limits = scenario.limits
-    samples = _Samples(traj, kappa if kappa is not None else limits.samples)
+    if samples is None:
+        samples = _Samples(traj,
+                           kappa if kappa is not None else limits.samples)
     pos = samples.deriv[0]
     l_min_eff, l_max_eff, l_now, rate, attach = _corridor_arrays(
         pos, samples.ts, scenario, limits.corridor_margin)
 
     under = l_min_eff ** 2 - l_now ** 2
     over = l_now ** 2 - l_max_eff ** 2
-    value = float(np.sum(_hinge(under)) + np.sum(_hinge(over)))
+    value = float(np.add.reduce(_hinge(under)) + np.add.reduce(_hinge(over)))
     slope_under = _hinge_slope(under)
     slope_over = _hinge_slope(over)
 
@@ -368,7 +399,7 @@ def cable_penalty(traj: Trajectory, scenario: PlanningScenario,
     dlmin_dp[:, 0] = np.where(l_min_raw > 1e-12, dx / safe, 0.0)
     dlmin_dp[:, 2] = np.where(l_min_raw > 1e-12, dz / safe, 0.0)
 
-    # d l_max / d position via differences around the root find
+    # d l_max / d position by implicit differentiation of the root find
     h_gap = scenario.anchor_position[2] - attach[:, 2]
     dl_dph, dl_dh = sag_length_gradient_batch(np.abs(dx), h_gap, scenario.cable)
     dlmax_dp = np.zeros_like(pos)
@@ -382,7 +413,7 @@ def cable_penalty(traj: Trajectory, scenario: PlanningScenario,
     grad_ddt = samples.ddt_from_motion(0, gvec)
     # the winch schedule is a function of absolute time, which scales with T
     lnow_sens = 2.0 * l_now * rate * (slope_over - slope_under)
-    grad_ddt += float(np.sum(lnow_sens * samples.time_motion))
+    grad_ddt += float(np.add.reduce(lnow_sens * samples.time_motion))
     return value, (grad_c, grad_ddt)
 
 
@@ -410,19 +441,21 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario,
             grad_c = grad_c + weight * gc
             grad_ddt += weight * gd
 
-    add("velocity", weights.velocity,
-        _norm_window_term(samples, 1, None, limits.v_max ** 2))
-    add("acceleration", weights.accel_jerk,
-        _norm_window_term(samples, 2, None, limits.a_max ** 2))
-    add("jerk", weights.accel_jerk,
-        _norm_window_term(samples, 3, None, limits.j_max ** 2))
-    add("thrust", weights.thrust,
-        _norm_window_term(samples, 2, limits.tau_min ** 2, limits.tau_max ** 2,
-                          offset=scenario.gravity_vector))
+    velocity, acceleration, jerk, thrust = _window_terms(samples, [
+        (1, None, limits.v_max ** 2, None),
+        (2, None, limits.a_max ** 2, None),
+        (3, None, limits.j_max ** 2, None),
+        (2, limits.tau_min ** 2, limits.tau_max ** 2,
+         scenario.gravity_vector)])
+    add("velocity", weights.velocity, velocity)
+    add("acceleration", weights.accel_jerk, acceleration)
+    add("jerk", weights.accel_jerk, jerk)
+    add("thrust", weights.thrust, thrust)
 
     if scenario.obstacles and weights.obstacle != 0.0:
         value, (gc, gd) = obstacle_penalty(traj, scenario.obstacles,
-                                           limits.obstacle_margin, kappa)
+                                           limits.obstacle_margin, kappa,
+                                           samples=samples)
         parts["obstacle"] = weights.obstacle * value
         grad_c = grad_c + weights.obstacle * gc
         grad_ddt += weights.obstacle * gd
@@ -430,7 +463,8 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario,
         parts["obstacle"] = 0.0
 
     if weights.cable != 0.0:
-        value, (gc, gd) = cable_penalty(traj, scenario, kappa)
+        value, (gc, gd) = cable_penalty(traj, scenario, kappa,
+                                        samples=samples)
         parts["cable"] = weights.cable * value
         grad_c = grad_c + weights.cable * gc
         grad_ddt += weights.cable * gd

@@ -17,11 +17,13 @@ matrix, which is how the planner backpropagates its sampled penalties.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import OutOfDomain, SingularSystem
 
@@ -46,19 +48,34 @@ def basis_row(tau: float, order: int) -> np.ndarray:
     return row
 
 
+def _powers(taus: np.ndarray, count: int) -> np.ndarray:
+    """powers[..., j] = taus ** j for j < count."""
+    return np.stack([taus ** j for j in range(count)], axis=-1)
+
+
+def _rows_from_powers(powers: np.ndarray, order: int) -> np.ndarray:
+    rows = np.zeros(powers.shape[:-1] + (NCOEF,))
+    rows[..., order:] = FALLING[order, order:] * powers[..., :NCOEF - order]
+    return rows
+
+
 def basis_rows(taus: np.ndarray, order: int) -> np.ndarray:
     """Stacked basis rows for a vector of in-segment times."""
     taus = np.asarray(taus, dtype=float)
-    rows = np.zeros(taus.shape + (NCOEF,))
-    if order < NCOEF:
-        for k in range(order, NCOEF):
-            rows[..., k] = FALLING[order, k] * taus ** (k - order)
-    return rows
+    if order >= NCOEF:
+        return np.zeros(taus.shape + (NCOEF,))
+    return _rows_from_powers(_powers(taus, NCOEF - order), order)
+
+
+def basis_rows_upto(taus: np.ndarray, max_order: int) -> list[np.ndarray]:
+    """basis_rows(taus, o) for o = 0..max_order, sharing the powers of taus."""
+    powers = _powers(np.asarray(taus, dtype=float), NCOEF)
+    return [_rows_from_powers(powers, o) for o in range(max_order + 1)]
 
 
 def _as_vec3(value, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float).reshape(3)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -148,55 +165,112 @@ class Trajectory:
         return np.einsum("nk,nkx->nx", rows, self.coefficients[seg])
 
 
-def _system_triplets(n_seg: int, dt: float):
-    """Nonzero entries of the coefficient system plus its dT-dependent rows.
+class _Pattern(NamedTuple):
+    src: np.ndarray
+    eval_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    # (n_lower, n_upper, band_row, column) of each nonzero in LAPACK's
+    # banded layout, for the system and for its transpose
+    normal: tuple
+    transposed: tuple
 
-    Returns (triplets, eval_rows) where triplets is a list of (row, col,
-    value) and eval_rows lists (row, segment, order) for every row that
-    evaluates a basis at tau = dT; those are the only entries that move when
-    dT changes, and d(entry)/d(dT) is the order+1 basis row.
+
+@functools.lru_cache(maxsize=None)
+def _system_pattern(n_seg: int) -> _Pattern:
+    """Sparsity pattern of the coefficient system for ``n_seg`` segments.
+
+    Nonzero j takes its value from slot src[j] of the table built by
+    _system_values.  eval_rows holds (row, segment, order) arrays for every
+    row that evaluates a basis at tau = dT; those are the only entries that
+    move when dT changes, and d(entry)/d(dT) is the order+1 basis row.
     """
-    triplets = []
+    rows, cols, src = [], [], []
     eval_rows = []
+
+    def put(row, col, slot):
+        rows.append(row)
+        cols.append(col)
+        src.append(slot)
+
+    # slots: basis_row(dT, o)[k] at o*NCOEF + k for o <= CONTINUITY_ORDER,
+    # then the constants of _SYSTEM_CONSTANTS
+    const = (CONTINUITY_ORDER + 1) * NCOEF
     for o in range(4):
-        triplets.append((o, o, float(FALLING[o, o])))
+        put(o, o, const + o)
     row = 4
     for i in range(1, n_seg):
         left = NCOEF * (i - 1)
         right = NCOEF * i
-        b0 = basis_row(dt, 0)
-        triplets += [(row, left + k, b0[k]) for k in range(NCOEF)]
+        for k in range(NCOEF):
+            put(row, left + k, k)
         eval_rows.append((row, i - 1, 0))
         row += 1
-        triplets.append((row, right, 1.0))
+        put(row, right, const + 4)
         row += 1
         for o in range(1, CONTINUITY_ORDER + 1):
-            bo = basis_row(dt, o)
-            triplets += [(row, left + k, bo[k]) for k in range(o, NCOEF)]
-            triplets.append((row, right + o, -float(FALLING[o, o])))
+            for k in range(o, NCOEF):
+                put(row, left + k, o * NCOEF + k)
+            put(row, right + o, const + 4 + o)
             eval_rows.append((row, i - 1, o))
             row += 1
     last = NCOEF * (n_seg - 1)
     for o in range(2):
-        bo = basis_row(dt, o)
-        triplets += [(row, last + k, bo[k]) for k in range(o, NCOEF)]
+        for k in range(o, NCOEF):
+            put(row, last + k, o * NCOEF + k)
         eval_rows.append((row, n_seg - 1, o))
         row += 1
-    return triplets, eval_rows
+    rows, cols = np.array(rows), np.array(cols)
+    lower = int(np.max(rows - cols))
+    upper = int(np.max(cols - rows))
+    # LAPACK keeps A[i, j] at band row n_lower + n_upper + i - j, below
+    # n_lower rows of fill-in space
+    pattern = _Pattern(
+        src=np.array(src),
+        eval_rows=tuple(np.array(column) for column in zip(*eval_rows)),
+        normal=(lower, upper, lower + upper + rows - cols, cols),
+        transposed=(upper, lower, lower + upper + cols - rows, rows))
+    # the cache hands these arrays to every caller
+    for array in (pattern.src, *pattern.eval_rows, *pattern.normal[2:],
+                  *pattern.transposed[2:]):
+        array.flags.writeable = False
+    return pattern
 
 
-def _banded_from_triplets(triplets, size: int, transpose: bool = False):
-    lower = max(r - c for r, c, _ in triplets)
-    upper = max(c - r for r, c, _ in triplets)
-    if transpose:
-        ab = np.zeros((lower + upper + 1, size))
-        for r, c, v in triplets:
-            ab[lower + c - r, r] = v
-        return (upper, lower), ab
-    ab = np.zeros((lower + upper + 1, size))
-    for r, c, v in triplets:
-        ab[upper + r - c, c] = v
-    return (lower, upper), ab
+# FALLING[o, o] for the start rows, the joint's right-limit position, and
+# the negated right-hand continuity entries
+_SYSTEM_CONSTANTS = np.array(
+    [float(FALLING[o, o]) for o in range(4)] + [1.0]
+    + [-float(FALLING[o, o]) for o in range(1, CONTINUITY_ORDER + 1)])
+
+_GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
+
+
+def _system_values(dt: float) -> np.ndarray:
+    """Value table indexed by _system_pattern's ``src``."""
+    basis = [basis_row(dt, o) for o in range(CONTINUITY_ORDER + 1)]
+    return np.concatenate(basis + [_SYSTEM_CONSTANTS])
+
+
+def _solve_system(n_seg: int, dt: float, rhs: np.ndarray,
+                  transpose: bool = False) -> np.ndarray:
+    """Solve the coefficient system, or its transpose, for (size, 3) rhs.
+
+    Fills LAPACK's banded layout directly and makes the dgbsv call that
+    scipy.linalg.solve_banded would make, with the same errors: ValueError
+    for a non-finite right-hand side, LinAlgError for a singular matrix.
+    """
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    pat = _system_pattern(n_seg)
+    n_lower, n_upper, band_row, column = \
+        pat.transposed if transpose else pat.normal
+    ab = np.zeros((2 * n_lower + n_upper + 1, NCOEF * n_seg))
+    ab[band_row, column] = _system_values(dt)[pat.src]
+    _, _, x, info = _GBSV(n_lower, n_upper, ab, rhs, overwrite_ab=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of gbsv")
+    return x
 
 
 def construct(waypoints, total_duration: float, start: BoundaryState,
@@ -213,7 +287,7 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
     dt = total_duration / n_seg
     goal_position = _as_vec3(goal_position, "goal_position")
     goal_velocity = _as_vec3(goal_velocity, "goal_velocity")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("waypoints must be finite")
 
     size = NCOEF * n_seg
@@ -222,23 +296,19 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
     rhs[1] = start.velocity
     rhs[2] = start.acceleration
     rhs[3] = start.jerk
-    row = 4
-    for i in range(1, n_seg):
-        rhs[row] = q[i - 1]
-        rhs[row + 1] = q[i - 1]
-        row += NCOEF
+    # each joint's left- and right-limit position rows
+    rhs[4:size - 2:NCOEF] = q
+    rhs[5:size - 2:NCOEF] = q
     rhs[-2] = goal_position
     rhs[-1] = goal_velocity
 
-    triplets, _ = _system_triplets(n_seg, dt)
-    bands, ab = _banded_from_triplets(triplets, size)
     try:
-        sol = solve_banded(bands, ab, rhs)
+        sol = _solve_system(n_seg, dt, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     except ValueError as exc:
         raise SingularSystem(str(exc)) from exc
-    if not np.all(np.isfinite(sol)):
+    if not np.isfinite(sol).all():
         raise SingularSystem("coefficient solve produced non-finite values")
     return Trajectory(coefficients=sol.reshape(n_seg, NCOEF, 3),
                       segment_duration=dt)
@@ -262,31 +332,36 @@ def propagate_gradients(traj: Trajectory, dj_dcoef: np.ndarray,
     size = NCOEF * n_seg
     grad_flat = np.asarray(dj_dcoef, dtype=float).reshape(size, 3)
 
-    triplets, eval_rows = _system_triplets(n_seg, dt)
-    bands_t, ab_t = _banded_from_triplets(triplets, size, transpose=True)
-    lam = solve_banded(bands_t, ab_t, grad_flat)
+    lam = _solve_system(n_seg, dt, grad_flat, transpose=True)
 
-    dj_dq = np.zeros((n_seg - 1, 3))
-    for i in range(1, n_seg):
-        r = 4 + NCOEF * (i - 1)
-        dj_dq[i - 1] = lam[r] + lam[r + 1]
+    # each waypoint feeds the left- and right-limit position rows of its joint
+    joint = 4 + NCOEF * np.arange(n_seg - 1)
+    dj_dq = lam[joint] + lam[joint + 1]
 
     # The matrix moves with dT only in rows that evaluate a basis at tau=dT,
     # and row-wise d(M)/d(dT) c = basis(dT, order+1) @ c_segment.
+    rows, segs, orders = _system_pattern(n_seg).eval_rows
+    moved = np.array([basis_row(dt, o)
+                      for o in range(1, CONTINUITY_ORDER + 2)])
     mprime_c = np.zeros((size, 3))
-    for r, seg, order in eval_rows:
-        mprime_c[r] = basis_row(dt, order + 1) @ traj.coefficients[seg]
-    chain = float(np.sum(lam * mprime_c))
+    mprime_c[rows] = np.matmul(moved[orders][:, None, :],
+                               traj.coefficients[segs])[:, 0, :]
+    chain = float(np.add.reduce(lam * mprime_c, axis=None))
     return dj_dq, (dj_ddt - chain) / n_seg
+
+
+# entry (m, n) of the jerk Gram matrix for m, n >= 3 is
+# FALLING[3, m] * FALLING[3, n] * dT**k / k with k = m + n - 5
+_JERK_PRODUCTS = np.outer(FALLING[3, 3:], FALLING[3, 3:])
+_JERK_EXPONENTS = np.add.outer(np.arange(3, NCOEF), np.arange(3, NCOEF)) - 5
 
 
 def _jerk_gram(dt: float) -> np.ndarray:
     """Gram matrix of third-derivative basis products over one segment."""
+    powers = np.array([dt ** k for k in range(_JERK_EXPONENTS.max() + 1)])
     g = np.zeros((NCOEF, NCOEF))
-    for m in range(3, NCOEF):
-        for n in range(3, NCOEF):
-            g[m, n] = (FALLING[3, m] * FALLING[3, n]
-                       * dt ** (m + n - 5) / (m + n - 5))
+    g[3:, 3:] = (_JERK_PRODUCTS * powers[_JERK_EXPONENTS]
+                 / _JERK_EXPONENTS)
     return g
 
 
@@ -303,4 +378,4 @@ def jerk_energy_gradient(traj: Trajectory):
     grad_c = 2.0 * np.einsum("km,smx->skx", g, traj.coefficients)
     end_jerk = np.einsum("k,skx->sx", basis_row(traj.segment_duration, 3),
                          traj.coefficients)
-    return grad_c, float(np.sum(end_jerk * end_jerk))
+    return grad_c, float(np.add.reduce(end_jerk * end_jerk, axis=None))

@@ -31,6 +31,7 @@ from tetherpick.cable import (
     sample_shape,
     solve_catenary,
     tension_at,
+    _sag_solve_batch,
     _solve_scale,
 )
 from tetherpick.errors import LengthTooShort, NoConvergence, OutOfDomain
@@ -497,3 +498,135 @@ class TestNewtonScale:
             rhs = math.sqrt(length * length - H * H)
             expected = reference_solve_scale(p, rhs)
             assert _solve_scale(p, rhs) == pytest.approx(expected, rel=1e-9)
+
+
+# The sag-limited batch solve as it stood before its bracket ends were
+# stacked into one array, kept here verbatim (comments aside) as the
+# reference: the planner is chaotic in these bits, so the rewrite must
+# reproduce them exactly, not to a tolerance.
+
+def reference_sag_solve_batch(p, H, sag_limit, iterations=100):
+    p = np.asarray(p, dtype=float)
+    H = np.asarray(H, dtype=float)
+    habs = np.abs(H)
+    out = np.full(p.shape, np.nan)
+    scale = np.full(p.shape, np.nan)
+    chord_ruled = np.zeros(p.shape, dtype=bool)
+
+    vertical = p < EPS_P
+    out[vertical] = habs[vertical] + sag_limit
+
+    level_zero_sag = (~vertical) & (sag_limit == 0.0) & (habs == 0.0)
+    out[level_zero_sag] = p[level_zero_sag]
+    chord_ruled[level_zero_sag] = True
+
+    solve = ~(vertical | level_zero_sag)
+    if not np.any(solve):
+        return out, scale, chord_ruled
+
+    ps = p[solve]
+    hs = habs[solve]
+    wide_lo = np.minimum(_REF_BRACKET_LO, 1e-4 * ps)
+
+    def g_of(b: np.ndarray) -> np.ndarray:
+        a = np.exp(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            u_a = -np.arccosh(1.0 + sag_limit / a)
+            mid = u_a + 0.5 * ps / a
+            f = 2.0 * a * np.sinh(mid) * np.sinh(0.5 * ps / a) - hs
+            return np.clip(np.arcsinh(f), -720.0, 720.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_sh = ps ** 2 / (math.sqrt(2.0 * sag_limit)
+                          + np.sqrt(2.0 * (sag_limit + hs))) ** 2
+        ratio = np.log(4.0 * sag_limit * hs / ps ** 2)
+    deep = ratio > 2.0
+    tau = np.where(deep, np.maximum(ratio, 3.0), 3.0)
+    for _ in range(3):
+        tau = np.where(deep, ratio + 2.0 * np.log(tau), tau)
+    a_dp = np.where(deep, ps / tau, a_sh)
+    lo_c = np.clip(np.minimum(a_sh, a_dp) / 4.0, wide_lo, _REF_BRACKET_HI)
+    hi_c = np.clip(4.0 * np.maximum(a_sh, a_dp), wide_lo, _REF_BRACKET_HI)
+
+    lo_cb = np.log(lo_c)
+    hi_cb = np.log(hi_c)
+    wide_lob = np.log(wide_lo)
+    wide_hib = np.full_like(ps, math.log(_REF_BRACKET_HI))
+    g1 = g_of(lo_cb)
+    g2 = g_of(hi_cb)
+    g_wide = g_of(wide_hib)
+    left = g1 <= 0.0
+    right = (~left) & (g2 >= 0.0)
+    lo_b = np.where(left, wide_lob, np.where(right, hi_cb, lo_cb))
+    g_lo = np.where(left, 720.0, np.where(right, g2, g1))
+    hi_b = np.where(left, lo_cb, np.where(right, wide_hib, hi_cb))
+    g_hi = np.where(left, g1, np.where(right, g_wide, g2))
+    beyond = g_hi > 0.0
+    lo_b = np.where(beyond, hi_b, lo_b)
+    g_lo = np.where(beyond, g_hi, g_lo)
+
+    side = np.zeros(ps.shape, dtype=int)
+    best_b = 0.5 * (lo_b + hi_b)
+    done = (hi_b - lo_b) <= 1e-6
+    for _ in range(iterations):
+        if np.all(done):
+            break
+        with np.errstate(invalid="ignore", divide="ignore"):
+            b = (lo_b * g_hi - hi_b * g_lo) / (g_hi - g_lo)
+        secant_ok = np.isfinite(b) & (b > lo_b) & (b < hi_b)
+        b = np.where(secant_ok, b, 0.5 * (lo_b + hi_b))
+        g_b = g_of(b)
+        step_small = np.abs(b - best_b) <= 1e-6
+        best_b = np.where(done, best_b, b)
+        replaces_lo = g_b > 0.0
+        g_hi = np.where(replaces_lo & (side == 1), 0.5 * g_hi, g_hi)
+        g_lo = np.where(~replaces_lo & (side == -1), 0.5 * g_lo, g_lo)
+        lo_b = np.where(replaces_lo, b, lo_b)
+        g_lo = np.where(replaces_lo, g_b, g_lo)
+        hi_b = np.where(~replaces_lo, b, hi_b)
+        g_hi = np.where(~replaces_lo, g_b, g_hi)
+        side = np.where(replaces_lo, 1, -1)
+        done = done | step_small | (hi_b - lo_b <= 1e-6)
+    for _ in range(2):
+        a_n = np.exp(best_b)
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            y = sag_limit / a_n
+            q = 0.5 * ps / a_n
+            m = q - np.arccosh(1.0 + y)
+            f = 2.0 * a_n * np.sinh(m) * np.sinh(q) - hs
+            q_a = -q / a_n
+            m_a = q_a + np.sqrt(y / (2.0 + y)) / a_n
+            f_a = 2.0 * (np.sinh(m) * np.sinh(q)
+                         + a_n * (np.cosh(m) * m_a * np.sinh(q)
+                                  + np.sinh(m) * np.cosh(q) * q_a))
+            step = f / (f_a * a_n)
+        best_b = np.where(np.isfinite(step), best_b - step, best_b)
+    a = np.exp(np.clip(best_b, lo_b, hi_b))
+    with np.errstate(over="ignore"):
+        u_a = -np.arccosh(1.0 + sag_limit / a)
+        mid = u_a + 0.5 * ps / a
+        length = 2.0 * a * np.cosh(mid) * np.sinh(0.5 * ps / a)
+    chord = np.hypot(ps, hs)
+    scale[solve] = a
+    out[solve] = np.maximum(length, chord)
+    chord_ruled[solve] = chord >= length
+    return out, scale, chord_ruled
+
+
+ROW = st.tuples(
+    st.one_of(st.floats(0.0, 2e-6), st.floats(1e-6, 1e-3), st.floats(1e-3, 10.0)),
+    st.one_of(st.just(0.0), st.floats(-5.0, 5.0), st.floats(-1e-4, 1e-4)))
+
+
+class TestSagSolveBatch:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(ROW, min_size=1, max_size=40),
+           sag=st.sampled_from([0.0, 1e-6, 0.01, 0.1, 1.0, 3.0]))
+    def test_matches_reference_bit_for_bit(self, rows, sag):
+        p = np.array([row[0] for row in rows])
+        H = np.array([row[1] for row in rows])
+        with np.errstate(over="ignore"):
+            expected = reference_sag_solve_batch(p, H, sag)
+        for got, want in zip(_sag_solve_batch(p, H, sag), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

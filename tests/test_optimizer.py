@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetherpick.cable import CableProperties
 from tetherpick.errors import ValidationError
@@ -15,6 +17,8 @@ from tetherpick.optimizer import (
     PenaltyWeights,
     PlanningScenario,
     WinchSchedule,
+    _Samples,
+    _window_terms,
     cable_penalty,
     corridor_profile,
     corridor_violation,
@@ -226,6 +230,61 @@ def random_waypoints(scenario, rng):
     line = scenario.start_state.position + fractions * (
         scenario.goal_position - scenario.start_state.position)
     return line + 0.5 * rng.standard_normal(line.shape)
+
+
+def reference_window_term(samples, order, low_sq, high_sq, offset=None):
+    """One window hinge term, one term at a time, as the planner computed
+    it before the terms were batched; the planner is chaotic in these bits,
+    so the batched form must reproduce them exactly."""
+    d = samples.deriv[order]
+    if offset is not None:
+        d = d - offset
+    nsq = np.sum(d * d, axis=1)
+    slope = np.zeros_like(nsq)
+    value = 0.0
+    if high_sq is not None:
+        over = nsq - high_sq
+        value += float(np.sum(np.maximum(over, 0.0) ** 3))
+        slope += 3.0 * np.maximum(over, 0.0) ** 2
+    if low_sq is not None:
+        under = low_sq - nsq
+        value += float(np.sum(np.maximum(under, 0.0) ** 3))
+        slope -= 3.0 * np.maximum(under, 0.0) ** 2
+    gvec = 2.0 * d * slope[:, None]
+    grad_c = np.zeros_like(samples.traj.coefficients)
+    np.add.at(grad_c, samples.seg,
+              samples.basis[order][:, :, None] * gvec[:, None, :])
+    grad_ddt = float(np.sum(np.sum(gvec * samples.deriv[order + 1], axis=1)
+                            * samples.tau_motion))
+    return value, grad_c, grad_ddt
+
+
+class TestWindowTerms:
+    @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
+           duration=st.floats(0.5, 8.0))
+    @settings(max_examples=40, deadline=None)
+    def test_batched_terms_match_reference_bit_for_bit(self, seed, kappa,
+                                                       duration):
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng)
+        traj = construct(random_waypoints(scenario, rng), duration,
+                         scenario.start_state, scenario.goal_position,
+                         scenario.goal_velocity)
+        samples = _Samples(traj, kappa)
+        lim = scenario.limits
+        terms = [(1, None, lim.v_max ** 2, None),
+                 (2, None, lim.a_max ** 2, None),
+                 (3, None, lim.j_max ** 2, None),
+                 (2, lim.tau_min ** 2, lim.tau_max ** 2,
+                  scenario.gravity_vector)]
+        batched = _window_terms(samples, terms)
+        for term, (value, grad_c, grad_ddt) in zip(terms, batched):
+            want = reference_window_term(samples, *term)
+            [alone] = _window_terms(samples, [term])
+            for got in ((value, grad_c, grad_ddt), alone):
+                assert repr(got[0]) == repr(want[0])
+                assert got[1].tobytes() == want[1].tobytes()
+                assert repr(got[2]) == repr(want[2])
 
 
 class TestGradients:

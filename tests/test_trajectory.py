@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 from scipy.optimize import minimize
 
 from tetherpick.errors import OutOfDomain, SingularSystem
@@ -17,7 +20,12 @@ from tetherpick.trajectory import (
     BoundaryState,
     FlatOutput,
     Trajectory,
+    FALLING,
+    _jerk_gram,
+    _solve_system,
     basis_row,
+    basis_rows,
+    basis_rows_upto,
     construct,
     jerk_energy,
     jerk_energy_gradient,
@@ -35,6 +43,14 @@ def brow(tau, order, ncoef=6):
 
 def dense_construct(waypoints, total_time, start, goal_pos, goal_vel):
     """Brute-force oracle: stack every constraint row, solve dense."""
+    mat, rhs, n, dt = dense_system(waypoints, total_time, start, goal_pos,
+                                   goal_vel)
+    coeffs = np.linalg.solve(mat, rhs)
+    return coeffs.reshape(n, 6, 3), dt
+
+
+def dense_system(waypoints, total_time, start, goal_pos, goal_vel):
+    """(matrix, rhs, segments, dT) with every constraint row stacked."""
     q = np.asarray(waypoints, dtype=float).reshape(-1, 3)
     n = q.shape[0] + 1
     dt = total_time / n
@@ -62,8 +78,17 @@ def dense_construct(waypoints, total_time, start, goal_pos, goal_vel):
     row += 1
     mat[row, -6:] = brow(dt, 1)
     rhs[row] = np.asarray(goal_vel, dtype=float)
-    coeffs = np.linalg.solve(mat, rhs)
-    return coeffs.reshape(n, 6, 3), dt
+    return mat, rhs, n, dt
+
+
+def to_banded(mat):
+    """((lower, upper), ab) for scipy.linalg.solve_banded; zeros as +0.0."""
+    rows, cols = np.nonzero(mat)
+    lower, upper = int(np.max(rows - cols)), int(np.max(cols - rows))
+    ab = np.zeros((lower + upper + 1, mat.shape[1]))
+    for i, j in zip(rows, cols):
+        ab[upper + i - j, j] = mat[i, j]
+    return (lower, upper), ab
 
 
 def random_problem(rng, max_segments=6, min_dt=0.0):
@@ -198,6 +223,93 @@ class TestConstruct:
         start = BoundaryState.at_rest([0, 0, 0])
         with pytest.raises(ValueError):
             construct([[np.nan, 0, 0]], 2.0, start, [1, 0, 0], [0, 0, 0])
+
+
+class TestBandedSolve:
+    """The planner fills LAPACK's band layout itself and calls dgbsv
+    directly; it must agree bit for bit with scipy's solve_banded on the
+    oracle's matrix, for the system and for its transpose."""
+
+    @given(segments=st.integers(1, 10), per_segment=st.floats(0.05, 5.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_solve_banded_bit_for_bit(self, segments,
+                                                    per_segment, seed):
+        rng = np.random.default_rng(seed)
+        start = BoundaryState(position=rng.normal(size=3),
+                              velocity=rng.normal(size=3),
+                              acceleration=rng.normal(size=3),
+                              jerk=rng.normal(size=3))
+        problem = (rng.normal(size=(segments - 1, 3)),
+                   segments * per_segment, start, rng.normal(size=3),
+                   rng.normal(size=3))
+        mat, rhs, n, dt = dense_system(*problem)
+
+        bands, ab = to_banded(mat)
+        expected = solve_banded(bands, ab, rhs)
+        got = construct(*problem).coefficients.reshape(-1, 3)
+        assert got.tobytes() == expected.tobytes()
+
+        grad = rng.normal(size=rhs.shape)
+        bands_t, ab_t = to_banded(mat.T)
+        lam = solve_banded(bands_t, ab_t, grad)
+        assert _solve_system(n, dt, grad, transpose=True).tobytes() \
+            == lam.tobytes()
+
+        # the adjoint's remaining loops, row by row as they were written
+        traj = construct(*problem)
+        want_dq = np.zeros((n - 1, 3))
+        for i in range(1, n):
+            r = 4 + 6 * (i - 1)
+            want_dq[i - 1] = lam[r] + lam[r + 1]
+        moved = np.zeros((6 * n, 3))
+        for i in range(1, n):
+            r = 4 + 6 * (i - 1)
+            moved[r] = basis_row(dt, 1) @ traj.coefficients[i - 1]
+            for o in range(1, 5):
+                moved[r + 1 + o] = \
+                    basis_row(dt, o + 1) @ traj.coefficients[i - 1]
+        for o in range(2):
+            moved[6 * n - 2 + o] = basis_row(dt, o + 1) @ traj.coefficients[-1]
+        want_dt = (0.3 - float(np.sum(lam * moved))) / n
+        dq, d_t = propagate_gradients(traj, grad.reshape(n, 6, 3), 0.3)
+        assert dq.tobytes() == want_dq.tobytes()
+        assert repr(d_t) == repr(want_dt)
+
+    def test_non_finite_rhs_rejected_like_scipy(self):
+        rhs = np.zeros((12, 3))
+        rhs[3, 1] = np.nan
+        with pytest.raises(ValueError):
+            _solve_system(2, 0.5, rhs, transpose=True)
+
+
+class TestBasisRows:
+    @given(taus=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_powers_match_the_column_loop(self, taus):
+        taus = np.array(taus)
+        for order, rows in enumerate(basis_rows_upto(taus, 5)):
+            want = np.zeros(taus.shape + (6,))
+            for k in range(order, 6):
+                want[..., k] = FALLING[order, k] * taus ** (k - order)
+            assert rows.tobytes() == want.tobytes()
+            assert basis_rows(taus, order).tobytes() == want.tobytes()
+
+    def test_orders_beyond_degree_are_zero(self):
+        assert np.array_equal(basis_rows(np.array([0.5, 2.0]), 6),
+                              np.zeros((2, 6)))
+
+
+class TestJerkGram:
+    @given(dt=st.floats(1e-3, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_entry_loop(self, dt):
+        want = np.zeros((6, 6))
+        for m in range(3, 6):
+            for k in range(3, 6):
+                want[m, k] = (FALLING[3, m] * FALLING[3, k]
+                              * dt ** (m + k - 5) / (m + k - 5))
+        assert _jerk_gram(dt).tobytes() == want.tobytes()
 
 
 class TestEvaluate:
