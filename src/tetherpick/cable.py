@@ -356,49 +356,53 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
     wide_hib = np.full_like(ps, math.log(_BRACKET_HI))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         g1, g2, g_wide = g_of(np.array([lo_cb, hi_cb, wide_hib]))
+        # Row 0 of ends/g_ends is the low end of each bracket, row 1 the
+        # high end.  The arrays are updated in place with np.copyto, which
+        # costs about half of an np.where on arrays this small.
+        ends = np.array([lo_cb, hi_cb])
+        g_ends = np.array([g1, g2])
         # f blows up positive at the wide lower endpoint, so its g is the cap
         left = g1 <= 0.0
         right = (~left) & (g2 >= 0.0)
-        lo_b = np.where(left, wide_lob, np.where(right, hi_cb, lo_cb))
-        g_lo = np.where(left, 720.0, np.where(right, g2, g1))
-        hi_b = np.where(left, lo_cb, np.where(right, wide_hib, hi_cb))
-        g_hi = np.where(left, g1, np.where(right, g_wide, g2))
+        np.copyto(ends, np.array([hi_cb, wide_hib]), where=right)
+        np.copyto(g_ends, np.array([g2, g_wide]), where=right)
+        np.copyto(ends, np.array([wide_lob, lo_cb]), where=left)
+        np.copyto(g_ends[0], 720.0, where=left)
+        np.copyto(g_ends[1], g1, where=left)
         # rows whose root lies beyond the wide bracket (near-zero sag and
         # |H|) collapse onto it; the chord clamp below supplies the answer
-        beyond = g_hi > 0.0
-        lo_b = np.where(beyond, hi_b, lo_b)
-        g_lo = np.where(beyond, g_hi, g_lo)
+        beyond = g_ends[1] > 0.0
+        np.copyto(ends[0], ends[1], where=beyond)
+        np.copyto(g_ends[0], g_ends[1], where=beyond)
 
-        # Row 0 of ends/g_ends is the low end of each bracket, row 1 the
-        # high end; ``last`` marks the end the previous round replaced
-        # (neither before the first).
-        ends = np.array([lo_b, hi_b])
-        g_ends = np.array([g_lo, g_hi])
+        # ``last`` marks the end the previous round replaced (neither
+        # before the first)
         last = np.zeros(ends.shape, dtype=bool)
-        best_b = 0.5 * (lo_b + hi_b)
+        best_b = 0.5 * (ends[0] + ends[1])
         # the bracketed phase only needs to land within ~1e-6 of the root;
         # the Newton polish below is quadratic from there and reaches
         # rounding accuracy in two steps, skipping the bracket's slow endgame
-        done = (hi_b - lo_b) <= 1e-6
+        done = (ends[1] - ends[0]) <= 1e-6
         for _ in range(iterations):
-            if done.all():
+            if np.count_nonzero(done) == done.size:
                 break
             cross = ends * g_ends[::-1]
-            b = (cross[0] - cross[1]) / (g_ends[1] - g_ends[0])
-            # NaN and infinite secants fail the strict bracket test too
-            b = np.where((b > ends[0]) & (b < ends[1]), b,
-                         0.5 * (ends[0] + ends[1]))
+            secant = (cross[0] - cross[1]) / (g_ends[1] - g_ends[0])
+            # rows whose secant leaves the bracket bisect; NaN and infinite
+            # secants fail the strict test too
+            b = 0.5 * (ends[0] + ends[1])
+            np.copyto(b, secant, where=(secant > ends[0]) & (secant < ends[1]))
             g_b = g_of(b)
             step_small = np.abs(b - best_b) <= 1e-6
-            best_b = np.where(done, best_b, b)
+            np.copyto(best_b, b, where=~done)
             # g decreases through the root: g_b > 0 replaces the low end
             replaced = (g_b > 0.0) == _LOW_END
             # Illinois anti-stall: halve the retained end's value whenever
             # the same end is replaced twice in a row, so the stale end
             # cannot pin the bracket open
-            g_ends = np.where(replaced, g_b,
-                              np.where(last[::-1], 0.5 * g_ends, g_ends))
-            ends = np.where(replaced, b, ends)
+            np.copyto(g_ends, 0.5 * g_ends, where=last[::-1])
+            np.copyto(g_ends, g_b, where=replaced)
+            np.copyto(ends, b, where=replaced)
             last = replaced
             done = done | step_small | (ends[1] - ends[0] <= 1e-6)
         for _ in range(2):
@@ -413,7 +417,7 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
             f_a = 2.0 * (sm * sq + a_n * (np.cosh(m) * m_a * sq
                                           + sm * np.cosh(q) * q_a))
             step = f / (f_a * a_n)
-            best_b = np.where(np.isfinite(step), best_b - step, best_b)
+            np.copyto(best_b, best_b - step, where=np.isfinite(step))
     # the root never leaves the bracket, so neither may the polish
     a = np.exp(best_b.clip(ends[0], ends[1]))
     with np.errstate(over="ignore"):
@@ -541,14 +545,14 @@ def sag_length_gradient_batch(p: np.ndarray, H: np.ndarray,
         m_a = q_a + np.sqrt(y / (2.0 + y)) / a
         f_a = 2.0 * (sm * sq + a * (cm * m_a * sq + sm * cq * q_a))
         l_a = 2.0 * (cm * sq + a * (sm * m_a * sq + cm * cq * q_a))
-        dl_dp = np.cosh(m + q) - l_a * np.sinh(m + q) / f_a
-        dl_dh = l_a / f_a
+        dl_dp = np.asarray(np.cosh(m + q) - l_a * np.sinh(m + q) / f_a)
+        dl_dh = np.asarray(l_a / f_a)
         chord = np.hypot(p, hs)
-        dl_dp = np.where(chord_ruled, p / chord, dl_dp)
-        dl_dh = np.where(chord_ruled, hs / chord, dl_dh)
+        np.copyto(dl_dp, p / chord, where=chord_ruled)
+        np.copyto(dl_dh, hs / chord, where=chord_ruled)
     near_vertical = p < max(10.0 * step, EPS_P)
-    dl_dp = np.where(near_vertical, 0.0, dl_dp)
-    dl_dh = np.where(near_vertical, 1.0, dl_dh)
+    np.copyto(dl_dp, 0.0, where=near_vertical)
+    np.copyto(dl_dh, 1.0, where=near_vertical)
     return dl_dp, np.sign(H) * dl_dh
 
 

@@ -214,12 +214,18 @@ def sample_times(t0: float, t_end: float, kappa: int) -> np.ndarray:
     return np.linspace(t0, t_end, kappa + 1)
 
 
+def _hinge_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic hinge max(x, 0)^3 and its slope, from one clamp."""
+    clamped = np.maximum(x, 0.0)
+    return clamped ** 3, 3.0 * clamped ** 2
+
+
 def _hinge(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) ** 3
+    return _hinge_parts(x)[0]
 
 
 def _hinge_slope(x: np.ndarray) -> np.ndarray:
-    return 3.0 * np.maximum(x, 0.0) ** 2
+    return _hinge_parts(x)[1]
 
 
 class _Samples:
@@ -240,8 +246,8 @@ class _Samples:
         self.deriv = [np.einsum("sk,skx->sx", self.basis[o], coeffs)
                       for o in range(5)]
         # d tau_i / d dT and d t_i / d dT for the moving sample grid
-        self.tau_motion = ts * n / total - seg
         self.time_motion = ts * n / total
+        self.tau_motion = self.time_motion - seg
 
     def accumulate(self, grad_c, order, gvec):
         """Add each sample's (basis x gvec) outer product to its segment."""
@@ -270,16 +276,16 @@ def _window_terms(samples: _Samples, terms):
     dd = d * d
     nsq = np.array([np.add.reduce(dd[i], axis=1) for i in range(len(terms))])
     over = nsq - np.array([[high_sq] for _, _, high_sq, _ in terms])
-    hinge_over = _hinge(over)
-    slope = _hinge_slope(over)
+    hinge_over, slope = _hinge_parts(over)
     values = []
     for i, (_, low_sq, _, _) in enumerate(terms):
         value = 0.0
         value += float(np.add.reduce(hinge_over[i]))
         if low_sq is not None:
             under = low_sq - nsq[i]
-            value += float(np.add.reduce(_hinge(under)))
-            slope[i] -= _hinge_slope(under)
+            hinge_under, slope_under = _hinge_parts(under)
+            value += float(np.add.reduce(hinge_under))
+            slope[i] -= slope_under
         values.append(value)
     gvec = 2.0 * d * slope[:, :, None]
 
@@ -346,8 +352,9 @@ def obstacle_penalty(traj: Trajectory, obstacles, margin: float,
     for plane in obstacles:
         dist = (pos - plane.point) @ plane.normal
         short = margin - dist
-        value += float(np.add.reduce(_hinge(short)))
-        gvec -= np.outer(_hinge_slope(short), plane.normal)
+        hinge, slope = _hinge_parts(short)
+        value += float(np.add.reduce(hinge))
+        gvec -= np.outer(slope, plane.normal)
     grad_c = np.zeros_like(traj.coefficients)
     samples.accumulate(grad_c, 0, gvec)
     grad_ddt = samples.ddt_from_motion(0, gvec)
@@ -386,18 +393,20 @@ def cable_penalty(traj: Trajectory, scenario: PlanningScenario,
 
     under = l_min_eff ** 2 - l_now ** 2
     over = l_now ** 2 - l_max_eff ** 2
-    value = float(np.add.reduce(_hinge(under)) + np.add.reduce(_hinge(over)))
-    slope_under = _hinge_slope(under)
-    slope_over = _hinge_slope(over)
+    hinge_under, slope_under = _hinge_parts(under)
+    hinge_over, slope_over = _hinge_parts(over)
+    value = float(np.add.reduce(hinge_under) + np.add.reduce(hinge_over))
 
     # d l_min / d position: unit chord direction in the x-z plane
     dx = attach[:, 0] - scenario.anchor_position[0]
     dz = attach[:, 2] - scenario.anchor_position[2]
     l_min_raw = np.hypot(dx, dz)
-    safe = np.where(l_min_raw > 1e-12, l_min_raw, 1.0)
+    apart = l_min_raw > 1e-12
+    safe = np.ones_like(l_min_raw)
+    np.copyto(safe, l_min_raw, where=apart)
     dlmin_dp = np.zeros_like(pos)
-    dlmin_dp[:, 0] = np.where(l_min_raw > 1e-12, dx / safe, 0.0)
-    dlmin_dp[:, 2] = np.where(l_min_raw > 1e-12, dz / safe, 0.0)
+    np.copyto(dlmin_dp[:, 0], dx / safe, where=apart)
+    np.copyto(dlmin_dp[:, 2], dz / safe, where=apart)
 
     # d l_max / d position by implicit differentiation of the root find
     h_gap = scenario.anchor_position[2] - attach[:, 2]

@@ -50,7 +50,8 @@ def basis_row(tau: float, order: int) -> np.ndarray:
 
 def _powers(taus: np.ndarray, count: int) -> np.ndarray:
     """powers[..., j] = taus ** j for j < count."""
-    return np.stack([taus ** j for j in range(count)], axis=-1)
+    stacked = np.array([taus ** j for j in range(count)])
+    return stacked.transpose(tuple(range(1, stacked.ndim)) + (0,))
 
 
 def _rows_from_powers(powers: np.ndarray, order: int) -> np.ndarray:
