@@ -266,24 +266,23 @@ def _window_terms(samples: _Samples, terms):
 
     ``terms`` lists (order, low_sq, high_sq, offset) with ``low_sq`` and
     ``offset`` optional; returns one (value, grad_c, grad_ddt) per term.
-    The terms share their elementwise work, but every sum runs per term on
-    a contiguous slice, so a term's numbers do not depend on its company.
+    Term i owns row i of every array here and each sum runs along that
+    row alone, so a term's numbers do not depend on its company.
     """
     orders = [order for order, _, _, _ in terms]
     d = np.array([samples.deriv[order] if offset is None
                   else samples.deriv[order] - offset
                   for order, _, _, offset in terms])
-    dd = d * d
-    nsq = np.array([np.add.reduce(dd[i], axis=1) for i in range(len(terms))])
+    nsq = np.add.reduce(d * d, axis=2)
     over = nsq - np.array([[high_sq] for _, _, high_sq, _ in terms])
     hinge_over, slope = _hinge_parts(over)
+    sums = np.add.reduce(hinge_over, axis=1)
     values = []
     for i, (_, low_sq, _, _) in enumerate(terms):
         value = 0.0
-        value += float(np.add.reduce(hinge_over[i]))
+        value += float(sums[i])
         if low_sq is not None:
-            under = low_sq - nsq[i]
-            hinge_under, slope_under = _hinge_parts(under)
+            hinge_under, slope_under = _hinge_parts(low_sq - nsq[i])
             value += float(np.add.reduce(hinge_under))
             slope[i] -= slope_under
         values.append(value)
@@ -299,10 +298,9 @@ def _window_terms(samples: _Samples, terms):
         np.add.at(grad_c[i], samples.seg, outer[i])
 
     moving = gvec * np.array([samples.deriv[order + 1] for order in orders])
-    return [(values[i], grad_c[i],
-             float(np.add.reduce(np.add.reduce(moving[i], axis=1)
-                                 * samples.tau_motion)))
-            for i in range(count)]
+    grad_ddt = np.add.reduce(np.add.reduce(moving, axis=2)
+                             * samples.tau_motion, axis=1)
+    return [(values[i], grad_c[i], float(grad_ddt[i])) for i in range(count)]
 
 
 def smoothness_cost(traj: Trajectory):

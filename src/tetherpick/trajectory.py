@@ -48,6 +48,18 @@ def basis_row(tau: float, order: int) -> np.ndarray:
     return row
 
 
+# _BASIS_EXPONENTS[o, k] = max(k - o, 0): the power of tau that basis order
+# o pairs with FALLING[o, k], which is zero wherever k < o
+_BASIS_EXPONENTS = np.maximum(
+    np.arange(NCOEF)[None, :] - np.arange(NCOEF + 2)[:, None], 0)
+
+
+def _basis_table(tau: float, first: int, last: int) -> np.ndarray:
+    """Rows basis_row(tau, o) for first <= o <= last, from one power list."""
+    powers = np.array([tau ** j for j in range(NCOEF - first)])
+    return FALLING[first:last + 1] * powers[_BASIS_EXPONENTS[first:last + 1]]
+
+
 def _powers(taus: np.ndarray, count: int) -> np.ndarray:
     """powers[..., j] = taus ** j for j < count."""
     stacked = np.array([taus ** j for j in range(count)])
@@ -247,8 +259,8 @@ _GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
 
 def _system_values(dt: float) -> np.ndarray:
     """Value table indexed by _system_pattern's ``src``."""
-    basis = [basis_row(dt, o) for o in range(CONTINUITY_ORDER + 1)]
-    return np.concatenate(basis + [_SYSTEM_CONSTANTS])
+    basis = _basis_table(dt, 0, CONTINUITY_ORDER)
+    return np.concatenate([basis.ravel(), _SYSTEM_CONSTANTS])
 
 
 def _solve_system(n_seg: int, dt: float, rhs: np.ndarray,
@@ -342,8 +354,7 @@ def propagate_gradients(traj: Trajectory, dj_dcoef: np.ndarray,
     # The matrix moves with dT only in rows that evaluate a basis at tau=dT,
     # and row-wise d(M)/d(dT) c = basis(dT, order+1) @ c_segment.
     rows, segs, orders = _system_pattern(n_seg).eval_rows
-    moved = np.array([basis_row(dt, o)
-                      for o in range(1, CONTINUITY_ORDER + 2)])
+    moved = _basis_table(dt, 1, CONTINUITY_ORDER + 1)
     mprime_c = np.zeros((size, 3))
     mprime_c[rows] = np.matmul(moved[orders][:, None, :],
                                traj.coefficients[segs])[:, 0, :]

@@ -21,6 +21,7 @@ from tetherpick.trajectory import (
     FlatOutput,
     Trajectory,
     FALLING,
+    _basis_table,
     _jerk_gram,
     _solve_system,
     basis_row,
@@ -294,6 +295,14 @@ class TestBasisRows:
                 want[..., k] = FALLING[order, k] * taus ** (k - order)
             assert rows.tobytes() == want.tobytes()
             assert basis_rows(taus, order).tobytes() == want.tobytes()
+
+    @given(tau=st.floats(-50.0, 50.0))
+    @settings(max_examples=100, deadline=None)
+    def test_table_rows_match_basis_row(self, tau):
+        for first, last in ((0, 4), (1, 5)):
+            table = _basis_table(tau, first, last)
+            for row, order in zip(table, range(first, last + 1)):
+                assert row.tobytes() == basis_row(tau, order).tobytes()
 
     def test_orders_beyond_degree_are_zero(self):
         assert np.array_equal(basis_rows(np.array([0.5, 2.0]), 6),
