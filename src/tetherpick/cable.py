@@ -158,11 +158,6 @@ class CableBounds:
         return min(self.l_now - self.l_min, self.l_max - self.l_now)
 
 
-def chord_length(cfg: PlanarConfiguration) -> float:
-    """Straight-line distance between the attachment points."""
-    return cfg.chord
-
-
 def min_length(p_droid, p_anchor) -> float:
     """Shortest admissible cable: the x-z plane distance between endpoints."""
     dx = float(p_droid[0]) - float(p_anchor[0])
@@ -252,13 +247,16 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
     x_b = x_a + cfg.p
 
     # Residuals of the endpoint equations, in sum-to-product form to avoid
-    # cancellation.  These certify the Newton result.
+    # cancellation.  These certify the Newton result.  Both inherit the
+    # rounding of H / L and of L^2 - H^2 magnified by L^2 / (L^2 - H^2),
+    # which is large on near-vertical spans, so the bound grows with it.
     half_sum = 0.5 * (x_a + x_b) / a
     sinh_half_gap = math.sinh(0.5 * cfg.p / a)
     h_res = 2.0 * a * math.sinh(half_sum) * sinh_half_gap - cfg.H
     l_res = 2.0 * a * math.cosh(half_sum) * sinh_half_gap - length
-    if abs(h_res) > _RESIDUAL_RTOL * max(1.0, abs(cfg.H)) or \
-            abs(l_res) > _RESIDUAL_RTOL * max(1.0, length):
+    tol = _RESIDUAL_RTOL * (length / rhs) ** 2
+    if abs(h_res) > tol * max(1.0, abs(cfg.H)) or \
+            abs(l_res) > tol * max(1.0, length):
         raise NoConvergence(
             f"catenary residuals too large: dH={h_res!r}, dL={l_res!r}")
 
@@ -453,12 +451,6 @@ def _sag_solve_cached(p: np.ndarray, H: np.ndarray,
     return hit
 
 
-def _sag_length_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
-                      iterations: int = 100) -> np.ndarray:
-    """Lengths only; see _sag_solve_batch."""
-    return _sag_solve_batch(p, H, sag_limit, iterations)[0]
-
-
 def max_length(cfg: PlanarConfiguration, props: CableProperties) -> float:
     """Longest cable whose sag stays within ``props.sag_limit``.
 
@@ -466,8 +458,8 @@ def max_length(cfg: PlanarConfiguration, props: CableProperties) -> float:
     attachment point.  For p < EPS_P the scale is unidentifiable and the
     degenerate vertical rule |H| + sag_limit applies.
     """
-    result = float(_sag_length_batch(np.array([cfg.p]), np.array([cfg.H]),
-                                     props.sag_limit)[0])
+    result = float(_sag_solve_batch(np.array([cfg.p]), np.array([cfg.H]),
+                                    props.sag_limit)[0][0])
     if not math.isfinite(result):
         raise NoConvergence(f"sag-limited length solve failed for {cfg!r}")
     return result

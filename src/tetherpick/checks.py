@@ -18,8 +18,7 @@ from .optimizer import (
     PenaltyWeights,
     PlanningScenario,
     WinchSchedule,
-    _hinge,
-    _hinge_slope,
+    _hinge_parts,
     total_cost,
 )
 from .trajectory import BoundaryState, construct
@@ -77,14 +76,12 @@ def check_corridor_order(rng: np.random.Generator,
 def check_hinge_continuity() -> CheckResult:
     """The cubic hinge and its slope vanish smoothly at the boundary."""
     eps = 1e-5
+    hinge, slope = _hinge_parts(np.array([1.0, 2.0, 0.2, -eps, eps]))
     worst = max(
-        abs(_hinge(np.array([1.0]))[0] - 1.0),
-        abs(_hinge(np.array([2.0]))[0] - 8.0),
-        abs(_hinge(np.array([0.2]))[0] - 0.008),
-        float(_hinge(np.array([-eps]))[0]),
-        float(_hinge_slope(np.array([-eps]))[0]),
-        float(_hinge(np.array([eps]))[0]),          # ~1e-15, C0
-        float(_hinge_slope(np.array([eps]))[0]),    # ~1e-10, C1
+        abs(hinge[0] - 1.0), abs(hinge[1] - 8.0), abs(hinge[2] - 0.008),
+        float(hinge[3]), float(slope[3]),
+        float(hinge[4]),    # ~1e-15, C0
+        float(slope[4]),    # ~1e-10, C1
     )
     return _result("hinge continuity", worst, 1e-9, "deviation")
 

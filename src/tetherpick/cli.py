@@ -334,6 +334,8 @@ def _sweep_worker(task):
 def cmd_sweep(args) -> int:
     if not args.grid:
         raise ParseError("sweep requires at least one --grid path=values")
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     document = load_document(args.scenario)
     sc = load_scenario(args.scenario)  # validate the template up front
     axes = [_parse_grid(spec) for spec in args.grid]
@@ -344,8 +346,9 @@ def cmd_sweep(args) -> int:
          args.dense_check_factor)
         for combo in combos
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:
         results = [_sweep_worker(task) for task in tasks]

@@ -23,11 +23,13 @@ differentiation of the root condition at the solved scale
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import _lbfgsb, minimize
 
 from .cable import CableProperties, corridor_bounds_batch, sag_length_gradient_batch
 from .errors import ValidationError
@@ -47,6 +49,40 @@ MIN_DURATION = 0.1
 
 # A plan counts as feasible when no sampled hinge argument exceeds this.
 VIOLATION_TOL = 1e-3
+
+
+def _blas_thread_controls(library: str):
+    """(getter, setter) of scipy's OpenBLAS thread count, or None.
+
+    dlsym on the handle of ``library``, a scipy extension, also searches
+    the BLAS it links; a build without the symbols yields None.
+    """
+    try:
+        lib = ctypes.CDLL(library)
+        return (lib.scipy_openblas_get_num_threads,
+                lib.scipy_openblas_set_num_threads)
+    except (OSError, AttributeError):
+        return None
+
+
+# L-BFGS-B calls LAPACK every iteration, which wakes an OpenBLAS worker
+# thread that then spins between iterations: a second core per planner.
+_BLAS_THREADS = _blas_thread_controls(_lbfgsb.__file__)
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Pin scipy's BLAS to one thread, then restore the caller's count."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get_threads, set_threads = _BLAS_THREADS
+    caller_threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(caller_threads)
 
 
 @dataclass(frozen=True)
@@ -218,14 +254,6 @@ def _hinge_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cubic hinge max(x, 0)^3 and its slope, from one clamp."""
     clamped = np.maximum(x, 0.0)
     return clamped ** 3, 3.0 * clamped ** 2
-
-
-def _hinge(x: np.ndarray) -> np.ndarray:
-    return _hinge_parts(x)[0]
-
-
-def _hinge_slope(x: np.ndarray) -> np.ndarray:
-    return _hinge_parts(x)[1]
 
 
 class _Samples:
@@ -649,10 +677,11 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
     if optimize_time:
         x0[-1] = _softplus_inverse(duration0 - MIN_DURATION)
 
-    result = minimize(objective, x0, jac=True, method="L-BFGS-B",
-                      callback=record,
-                      options={"maxiter": max_iterations, "maxcor": 8,
-                               "ftol": 1e-12, "gtol": 1e-6})
+    with _single_blas_thread():
+        result = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                          callback=record,
+                          options={"maxiter": max_iterations, "maxcor": 8,
+                                   "ftol": 1e-12, "gtol": 1e-6})
 
     traj = build(result.x)
     breakdown = total_cost(traj, scenario)[0]

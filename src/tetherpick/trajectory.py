@@ -327,10 +327,6 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
                       segment_duration=dt)
 
 
-def total_duration(traj: Trajectory) -> float:
-    return traj.duration
-
-
 def propagate_gradients(traj: Trajectory, dj_dcoef: np.ndarray,
                         dj_ddt: float = 0.0):
     """Pull a coefficient-space gradient back onto waypoints and duration.

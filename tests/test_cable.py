@@ -8,6 +8,7 @@ residuals below 1e-15 before freezing.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,6 @@ from tetherpick.cable import (
     CatenarySolution,
     PlanarConfiguration,
     cable_bounds,
-    chord_length,
     corridor_bounds_batch,
     max_length,
     min_length,
@@ -72,9 +72,9 @@ def raw_residuals(sol, cfg):
 
 class TestChordAndMinLength:
     def test_chord_examples(self):
-        assert chord_length(PlanarConfiguration(2, 0)) == 2.0
-        assert chord_length(PlanarConfiguration(0, 3)) == 3.0
-        assert chord_length(PlanarConfiguration(2, 1)) == pytest.approx(math.sqrt(5), rel=1e-12)
+        assert PlanarConfiguration(2, 0).chord == 2.0
+        assert PlanarConfiguration(0, 3).chord == 3.0
+        assert PlanarConfiguration(2, 1).chord == pytest.approx(math.sqrt(5), rel=1e-12)
 
     def test_min_length_axis_aligned(self):
         assert min_length((2, 0, 0), (0, 0, 0)) == 2.0
@@ -485,6 +485,29 @@ class TestNewtonScale:
         # and it solves the equation at least as well as the bisection
         assert abs(_reference_arc_gap(scale, p) - rhs) <= \
             abs(_reference_arc_gap(expected, p) - rhs) + 4.0 * math.ulp(rhs)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(p=st.floats(1e-4, 2.5e-2), H=st.floats(-3.0, 3.0),
+           log_excess=st.floats(-12.0, 0.0))
+    def test_near_vertical_slack_spans_certify(self, p, H, log_excess):
+        """An exact scale passes the residual check on near-vertical spans.
+
+        The residuals carry the rounding of H / L and of L^2 - H^2,
+        magnified by L^2 / (L^2 - H^2).  "Exact" means within 1e-12 of a
+        40-digit root of the equation the scale solve is given.
+        """
+        cfg = PlanarConfiguration(p, H)
+        length = cfg.chord + 10.0 ** log_excess
+        rhs = math.sqrt(length * length - H * H)
+        scale = _solve_scale(p, rhs)
+        with mpmath.workdps(40):
+            target = mpmath.log(mpmath.mpf(rhs) / p)
+            u = mpmath.findroot(
+                lambda u: mpmath.log(mpmath.sinh(u) / u) - target,
+                mpmath.mpf(0.5 * p / scale))
+            exact = abs(scale / (0.5 * p / u) - 1) <= 1e-12
+        if exact:
+            solve_catenary(cfg, length, PROPS)
 
     def test_well_conditioned_spans_match_to_1e9(self):
         # excess lengths of a millimetre and up leave the bisection's

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tetherpick import cli
 from tetherpick.cli import (
     COEFFICIENT_HEADER,
     _apply_override,
@@ -236,6 +237,44 @@ class TestSweep:
     def test_requires_a_grid(self, fast_scenario, tmp_path):
         assert run(["sweep", "--scenario", str(fast_scenario),
                     "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, fast_scenario, tmp_path,
+                                             capsys, jobs):
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--scenario", str(fast_scenario),
+                    "--out", str(out), "--jobs", jobs,
+                    "--grid", "scenario.goal_position_m[2]=0.25"]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs, points, workers",
+                             [(8, 2, 2), (2, 3, 2), (4, 1, None)])
+    def test_pool_is_sized_by_jobs_and_points(self, fast_scenario, tmp_path,
+                                              monkeypatch, jobs, points,
+                                              workers):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        values = ",".join(str(0.25 * (i + 1)) for i in range(points))
+        assert run(["sweep", "--scenario", str(fast_scenario),
+                    "--out", str(tmp_path), "--jobs", str(jobs),
+                    "--grid", f"scenario.goal_position_m[2]={values}"]) == 0
+        assert pools == ([] if workers is None else [workers])
+        assert len(read_rows(tmp_path / "hop_sweep.csv")) == points + 1
 
     def test_parallel_matches_serial_except_wall_time(self, fast_scenario,
                                                       tmp_path):

@@ -1,12 +1,16 @@
 """Tests for the penalty objective and the planner loop."""
 
+import _ctypes
+import ctypes
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import _lbfgsb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetherpick import optimizer
 from tetherpick.cable import CableProperties
 from tetherpick.errors import ValidationError
 from tetherpick.optimizer import (
@@ -506,6 +510,78 @@ class TestOptimize:
         # the goal chord is 5 m; the schedule must have released at least
         # that much, which takes (5 - 3.7) / 0.2 = 6.5 seconds
         assert result.trajectory.duration > 6.0
+
+
+_SCIPY_BLAS = ctypes.CDLL(_lbfgsb.__file__)
+
+
+@pytest.mark.skipif(
+    not hasattr(_SCIPY_BLAS, "scipy_openblas_get_num_threads"),
+    reason="this scipy build does not export its OpenBLAS thread controls")
+class TestBlasThreads:
+    CALLER_THREADS = 3
+
+    @pytest.fixture(autouse=True)
+    def caller_threads(self):
+        before = _SCIPY_BLAS.scipy_openblas_get_num_threads()
+        _SCIPY_BLAS.scipy_openblas_set_num_threads(self.CALLER_THREADS)
+        yield
+        _SCIPY_BLAS.scipy_openblas_set_num_threads(before)
+
+    @staticmethod
+    def spy_on_objective(monkeypatch, fail_at=None):
+        """Record scipy's BLAS thread count at every objective call."""
+        seen = []
+        real_minimize = optimizer.minimize
+
+        def minimize(fun, *args, **kwargs):
+            def spy(x):
+                seen.append(_SCIPY_BLAS.scipy_openblas_get_num_threads())
+                if len(seen) == fail_at:
+                    raise RuntimeError("objective failed")
+                return fun(x)
+            return real_minimize(spy, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "minimize", minimize)
+        return seen
+
+    def test_objective_runs_on_one_thread_and_caller_count_returns(
+            self, monkeypatch):
+        seen = self.spy_on_objective(monkeypatch)
+        optimize(make_scenario(), max_iterations=5)
+        assert seen and set(seen) == {1}
+        assert _SCIPY_BLAS.scipy_openblas_get_num_threads() \
+            == self.CALLER_THREADS
+
+    def test_caller_count_returns_when_the_objective_raises(
+            self, monkeypatch):
+        seen = self.spy_on_objective(monkeypatch, fail_at=3)
+        with pytest.raises(RuntimeError, match="objective failed"):
+            optimize(make_scenario(), max_iterations=5)
+        assert seen == [1, 1, 1]
+        assert _SCIPY_BLAS.scipy_openblas_get_num_threads() \
+            == self.CALLER_THREADS
+
+    def test_pin_leaves_the_plan_bit_identical(self, monkeypatch):
+        scenario = make_scenario(winch=WinchSchedule(3.7, 0.1))
+        pinned = optimize(scenario, max_iterations=30)
+        monkeypatch.setattr(optimizer, "_BLAS_THREADS", None)
+        free = optimize(scenario, max_iterations=30)
+        assert pinned.trajectory.coefficients.tobytes() \
+            == free.trajectory.coefficients.tobytes()
+        assert pinned.trajectory.duration == free.trajectory.duration
+        assert pinned.iterations == free.iterations
+        assert pinned.breakdown == free.breakdown
+        assert pinned.history == free.history
+
+    def test_build_without_the_symbols_runs_unpinned(self, monkeypatch):
+        controls = optimizer._blas_thread_controls(_ctypes.__file__)
+        assert controls is None
+        monkeypatch.setattr(optimizer, "_BLAS_THREADS", controls)
+        seen = self.spy_on_objective(monkeypatch)
+        result = optimize(make_scenario(), max_iterations=5)
+        assert result.iterations > 0
+        assert seen and set(seen) == {self.CALLER_THREADS}
 
 
 class TestHingeSmoothness:

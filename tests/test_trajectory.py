@@ -31,7 +31,6 @@ from tetherpick.trajectory import (
     jerk_energy,
     jerk_energy_gradient,
     propagate_gradients,
-    total_duration,
 )
 
 
@@ -346,12 +345,12 @@ class TestEvaluate:
 
     def test_total_duration(self):
         traj = Trajectory(coefficients=np.zeros((4, 6, 3)), segment_duration=0.5)
-        assert total_duration(traj) == 2.0
+        assert traj.duration == 2.0
         traj = Trajectory(coefficients=np.zeros((1, 6, 3)), segment_duration=3.0)
-        assert total_duration(traj) == 3.0
+        assert traj.duration == 3.0
         built = construct(np.zeros((8, 3)), 2.7, BoundaryState.at_rest([0, 0, 0]),
                           [0, 0, 0], [0, 0, 0])
-        assert total_duration(built) == pytest.approx(2.7, abs=1e-12)
+        assert built.duration == pytest.approx(2.7, abs=1e-12)
 
 
 class TestJerkEnergy:
