@@ -45,6 +45,10 @@ _BRACKET_HI = 1e6
 _MAX_NEWTON = 100
 _NEWTON_RTOL = 4e-16
 _RESIDUAL_RTOL = 1e-9
+# Below this horizontal separation the sag-limited length's gradient is
+# the vertical rule's.  10 * EPS_P rounds to one ulp below 1e-5, and plan
+# bytes depend on that exact edge.
+_GRADIENT_VERTICAL_P = 10.0 * EPS_P
 
 # selects the low end (row 0) of a stacked (low, high) bracket
 _LOW_END = np.array([[True], [False]])
@@ -241,7 +245,7 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
         raise NoConvergence(
             "horizontal separation below EPS_P: catenary scale unidentifiable")
 
-    rhs = math.sqrt(length * length - cfg.H * cfg.H)
+    rhs = math.sqrt((length - cfg.H) * (length + cfg.H))
     a = _solve_scale(cfg.p, rhs)
     x_a = a * math.atanh(cfg.H / length) - 0.5 * cfg.p
     x_b = x_a + cfg.p
@@ -429,28 +433,6 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
     return out, scale, chord_ruled
 
 
-_solve_memo: dict[tuple[bytes, bytes, float],
-                  tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _sag_solve_cached(p: np.ndarray, H: np.ndarray,
-                      sag_limit: float
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-slot memo over the batch solve.
-
-    The corridor bounds and their gradient are evaluated back to back on
-    identical inputs once per objective evaluation; remembering the last
-    solve halves the planner's cable cost.
-    """
-    key = (p.tobytes(), H.tobytes(), float(sag_limit))
-    hit = _solve_memo.get(key)
-    if hit is None:
-        hit = _sag_solve_batch(p, H, sag_limit)
-        _solve_memo.clear()
-        _solve_memo[key] = hit
-    return hit
-
-
 def max_length(cfg: PlanarConfiguration, props: CableProperties) -> float:
     """Longest cable whose sag stays within ``props.sag_limit``.
 
@@ -487,41 +469,58 @@ def cable_bounds(p_droid, p_anchor, l_now: float,
                        l_now=float(l_now))
 
 
+def _planar_offsets(attach: np.ndarray,
+                    anchor) -> tuple[np.ndarray, np.ndarray]:
+    """(dx, dz) from the anchor to each of a batch of attachment points."""
+    attach = np.asarray(attach, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    anchor_x = anchor[0] if anchor.ndim == 1 else anchor[:, 0]
+    anchor_z = anchor[2] if anchor.ndim == 1 else anchor[:, 2]
+    return attach[:, 0] - anchor_x, attach[:, 2] - anchor_z
+
+
 def corridor_bounds_batch(attach: np.ndarray, anchor,
                           props: CableProperties) -> tuple[np.ndarray, np.ndarray]:
     """(l_min, l_max) arrays for a batch of attachment points.
 
     ``attach`` has shape (n, 3); ``anchor`` is a single world position or a
-    matching (n, 3) batch of positions.  Used by the planner penalty, the
-    dense corridor re-check, and telemetry post-processing, so all of them
-    see bitwise-identical bounds.
+    matching (n, 3) batch of positions.  Used by the planner's seed, the
+    dense corridor re-check, the self-checks and telemetry post-processing;
+    the planner penalty gets the same bounds, bit for bit, together with
+    their gradient from corridor_bounds_and_gradient.
     """
-    attach = np.asarray(attach, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    anchor_x = anchor[0] if anchor.ndim == 1 else anchor[:, 0]
-    anchor_z = anchor[2] if anchor.ndim == 1 else anchor[:, 2]
-    dx = attach[:, 0] - anchor_x
-    dz = attach[:, 2] - anchor_z
+    dx, dz = _planar_offsets(attach, anchor)
     l_min = np.hypot(dx, dz)
-    l_max = _sag_solve_cached(np.abs(dx), -dz, props.sag_limit)[0]
+    l_max = _sag_solve_batch(np.abs(dx), -dz, props.sag_limit)[0]
     return l_min, np.maximum(l_max, l_min)
 
 
-def sag_length_gradient_batch(p: np.ndarray, H: np.ndarray,
-                              props: CableProperties,
-                              step: float = 1e-6) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient of the sag-limited length in (p, H).
+def corridor_bounds_and_gradient(attach: np.ndarray, anchor,
+                                 props: CableProperties):
+    """(l_min, l_max, dl_min/d attach, dl_max/d attach) from one root find.
 
-    Differentiates the root condition implicitly at the solved scale, so
-    the gradient is exact at the returned length and costs no extra root
-    finds.  Rows decided by the taut-chord clamp follow the chord's
-    gradient.  Near the degenerate vertical configuration the analytic
-    limit of the |H| + sag rule applies; ``step`` only sets how wide that
-    guard band is, mirroring the finite-difference interface it replaced.
+    The bounds equal corridor_bounds_batch's bit for bit; the gradients are
+    (n, 3) arrays over the attachment point's world coordinates (the y
+    column stays zero).  l_min's gradient is the unit chord direction in
+    the x-z plane.  l_max's differentiates the root condition implicitly
+    at the solved scale, so it is exact at the returned length; rows
+    decided by the taut-chord clamp follow the chord's gradient, and near
+    the degenerate vertical configuration the analytic limit of the
+    |H| + sag rule applies.
     """
-    p = np.asarray(p, dtype=float)
-    H = np.asarray(H, dtype=float)
-    _, a, chord_ruled = _sag_solve_cached(p, H, props.sag_limit)
+    dx, dz = _planar_offsets(attach, anchor)
+    p = np.abs(dx)
+    H = -dz
+    l_min = np.hypot(dx, dz)
+    length, a, chord_ruled = _sag_solve_batch(p, H, props.sag_limit)
+
+    apart = l_min > 1e-12
+    safe = np.ones_like(l_min)
+    np.copyto(safe, l_min, where=apart)
+    dlmin = np.zeros(dx.shape + (3,))
+    np.copyto(dlmin[:, 0], dx / safe, where=apart)
+    np.copyto(dlmin[:, 2], dz / safe, where=apart)
+
     hs = np.abs(H)
     # Implicit differentiation of f(a, p, h) = 2 a sinh(m) sinh(q) - h = 0
     # with q = p/(2a) and m = q - acosh(1 + sag/a), around the solved a.
@@ -542,10 +541,14 @@ def sag_length_gradient_batch(p: np.ndarray, H: np.ndarray,
         chord = np.hypot(p, hs)
         np.copyto(dl_dp, p / chord, where=chord_ruled)
         np.copyto(dl_dh, hs / chord, where=chord_ruled)
-    near_vertical = p < max(10.0 * step, EPS_P)
+    near_vertical = p < _GRADIENT_VERTICAL_P
     np.copyto(dl_dp, 0.0, where=near_vertical)
     np.copyto(dl_dh, 1.0, where=near_vertical)
-    return dl_dp, np.sign(H) * dl_dh
+    dlmax = np.zeros_like(dlmin)
+    dlmax[:, 0] = dl_dp * np.sign(dx)
+    # H grows as the attachment point sinks
+    dlmax[:, 2] = -(np.sign(H) * dl_dh)
+    return l_min, np.maximum(length, l_min), dlmin, dlmax
 
 
 def sample_shape(sol: CatenarySolution, n: int, world_a=None) -> np.ndarray:

@@ -37,6 +37,7 @@ from .optimizer import (
     VIOLATION_TOL,
     WinchSchedule,
     corridor_profile,
+    corridor_violation,
     optimize,
 )
 from .scenario import Scenario, load_document, load_scenario, parse_scenario
@@ -135,8 +136,7 @@ def _plan_outputs(out: Path, sc: Scenario, traj: Trajectory, dense_kappa: int):
                   ("t", "L_min", "L_now", "L_max"),
                   np.column_stack([ts, l_min, l_now, l_max]))
     write_trajectory_artifact(out / f"{sc.name}_coefficients.csv", traj)
-    worst = np.maximum(l_min ** 2 - l_now ** 2, l_now ** 2 - l_max ** 2)
-    return max(float(np.max(worst)), 0.0)
+    return corridor_violation(l_min, l_now, l_max)
 
 
 def cmd_plan(args) -> int:

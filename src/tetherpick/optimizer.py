@@ -12,13 +12,15 @@ max(violation, 0)^3 sampled at kappa+1 equally spaced times.  Cubic hinges
 are C2, so a limited-memory quasi-Newton method with Wolfe line search
 handles them well.
 
-Gradients are exact: each sampled penalty contributes to the coefficient
-array through the basis row at its sample, and to the duration both through
-the moving sample times and through the matrix of the trajectory
-construction (see trajectory.propagate_gradients).  The corridor's upper
-bound is a root find; its positional derivative comes from implicit
-differentiation of the root condition at the solved scale
-(cable.sag_length_gradient_batch).
+``total_cost`` is one pass: it samples the trajectory once (``_Samples``),
+runs the corridor's root find once, and returns the weighted breakdown,
+the exact gradient and the worst raw hinge argument of each term from the
+same arrays.  Each sampled penalty contributes to the coefficient array
+through the basis row at its sample, and to the duration both through the
+moving sample times and through the matrix of the trajectory construction
+(see trajectory.propagate_gradients).  The corridor's upper bound is a root
+find; its positional derivative comes from implicit differentiation of the
+root condition at the solved scale (cable.corridor_bounds_and_gradient).
 """
 
 from __future__ import annotations
@@ -31,7 +33,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import _lbfgsb, minimize
 
-from .cable import CableProperties, corridor_bounds_batch, sag_length_gradient_batch
+from .cable import (
+    CableProperties,
+    corridor_bounds_and_gradient,
+    corridor_bounds_batch,
+)
 from .errors import ValidationError
 from .trajectory import (
     BoundaryState,
@@ -293,9 +299,10 @@ def _window_terms(samples: _Samples, terms):
     """Cubic hinges on |derivative - offset|^2 against squared windows.
 
     ``terms`` lists (order, low_sq, high_sq, offset) with ``low_sq`` and
-    ``offset`` optional; returns one (value, grad_c, grad_ddt) per term.
-    Term i owns row i of every array here and each sum runs along that
-    row alone, so a term's numbers do not depend on its company.
+    ``offset`` optional; returns one (value, grad_c, grad_ddt, worst) per
+    term, ``worst`` being its largest raw hinge argument.  Term i owns
+    row i of every array here and each sum runs along that row alone, so a
+    term's numbers do not depend on its company.
     """
     orders = [order for order, _, _, _ in terms]
     d = np.array([samples.deriv[order] if offset is None
@@ -305,75 +312,40 @@ def _window_terms(samples: _Samples, terms):
     over = nsq - np.array([[high_sq] for _, _, high_sq, _ in terms])
     hinge_over, slope = _hinge_parts(over)
     sums = np.add.reduce(hinge_over, axis=1)
+    worst = np.max(over, axis=1)
     values = []
     for i, (_, low_sq, _, _) in enumerate(terms):
         value = 0.0
         value += float(sums[i])
         if low_sq is not None:
-            hinge_under, slope_under = _hinge_parts(low_sq - nsq[i])
+            under = low_sq - nsq[i]
+            hinge_under, slope_under = _hinge_parts(under)
             value += float(np.add.reduce(hinge_under))
             slope[i] -= slope_under
+            worst[i] = np.max(np.maximum(under, over[i]))
         values.append(value)
     gvec = 2.0 * d * slope[:, :, None]
 
-    # each sample's (basis x gvec) outer product, added to its segment's
-    # coefficients in sample order
     count = len(terms)
-    basis = np.array([samples.basis[order] for order in orders])
-    outer = basis[:, :, :, None] * gvec[:, :, None, :]
     grad_c = np.zeros((count,) + samples.traj.coefficients.shape)
-    for i in range(count):
-        np.add.at(grad_c[i], samples.seg, outer[i])
+    for i, order in enumerate(orders):
+        samples.accumulate(grad_c[i], order, gvec[i])
 
     moving = gvec * np.array([samples.deriv[order + 1] for order in orders])
     grad_ddt = np.add.reduce(np.add.reduce(moving, axis=2)
                              * samples.tau_motion, axis=1)
-    return [(values[i], grad_c[i], float(grad_ddt[i])) for i in range(count)]
+    return [(values[i], grad_c[i], float(grad_ddt[i]), float(worst[i]))
+            for i in range(count)]
 
 
-def smoothness_cost(traj: Trajectory):
-    """Exact squared-jerk integral and its (coefficients, dT) gradient."""
-    value = jerk_energy(traj)
-    grad_c, grad_ddt = jerk_energy_gradient(traj)
-    return value, (grad_c, grad_ddt)
-
-
-def feasibility_penalty(traj: Trajectory, limits: Limits, kappa: int | None = None):
-    """Velocity + acceleration + jerk hinge penalties (unweighted sum)."""
-    samples = _Samples(traj, kappa if kappa is not None else limits.samples)
-    value = 0.0
-    grad_c = np.zeros_like(traj.coefficients)
-    grad_ddt = 0.0
-    for v, gc, gd in _window_terms(
-            samples, [(order, None, bound * bound, None) for order, bound in
-                      ((1, limits.v_max), (2, limits.a_max),
-                       (3, limits.j_max))]):
-        value += v
-        grad_c += gc
-        grad_ddt += gd
-    return value, (grad_c, grad_ddt)
-
-
-def thrust_penalty(traj: Trajectory, limits: Limits, kappa: int | None = None,
-                   gravity: float = 9.81):
-    """Two-sided hinge on the net thrust-acceleration magnitude."""
-    samples = _Samples(traj, kappa if kappa is not None else limits.samples)
-    g_vec = np.array([0.0, 0.0, -gravity])
-    [(value, grad_c, grad_ddt)] = _window_terms(
-        samples, [(2, limits.tau_min ** 2, limits.tau_max ** 2, g_vec)])
-    return value, (grad_c, grad_ddt)
-
-
-def obstacle_penalty(traj: Trajectory, obstacles, margin: float,
-                     kappa: int, samples: _Samples | None = None):
+def _obstacle_penalty(samples: _Samples, obstacles, margin: float):
     """Hinge on clearance from every half-space obstacle at every sample.
 
-    ``samples``, when given, must have been taken on ``traj`` at ``kappa``.
+    Returns (value, grad_c, grad_ddt, worst shortfall in meters).
     """
-    if samples is None:
-        samples = _Samples(traj, kappa)
     pos = samples.deriv[0]
     value = 0.0
+    worst = -math.inf
     gvec = np.zeros_like(pos)
     for plane in obstacles:
         dist = (pos - plane.point) @ plane.normal
@@ -381,41 +353,34 @@ def obstacle_penalty(traj: Trajectory, obstacles, margin: float,
         hinge, slope = _hinge_parts(short)
         value += float(np.add.reduce(hinge))
         gvec -= np.outer(slope, plane.normal)
-    grad_c = np.zeros_like(traj.coefficients)
+        worst = max(worst, float(np.max(short)))
+    grad_c = np.zeros_like(samples.traj.coefficients)
     samples.accumulate(grad_c, 0, gvec)
     grad_ddt = samples.ddt_from_motion(0, gvec)
-    return value, (grad_c, grad_ddt)
+    return value, grad_c, grad_ddt, worst
 
 
-def _corridor_arrays(positions, ts, scenario, margin: float):
-    """(l_min_eff, l_max_eff, l_now, rate, attach) at the given samples."""
-    cable = scenario.cable
-    attach = positions + np.array([0.0, 0.0, cable.attachment_offset])
-    l_min, l_max = corridor_bounds_batch(attach, scenario.anchor_position, cable)
-    l_now = scenario.winch.length_at(ts)
-    rate = scenario.winch.rate_at(ts)
-    return l_min + margin, l_max - margin, l_now, rate, attach
+def _attach_points(positions, cable: CableProperties):
+    """Cable attachment points of droid reference positions."""
+    return positions + np.array([0.0, 0.0, cable.attachment_offset])
 
 
-def cable_penalty(traj: Trajectory, scenario: PlanningScenario,
-                  kappa: int | None = None, samples: _Samples | None = None):
+def _cable_penalty(samples: _Samples, scenario: PlanningScenario):
     """Hinges keeping the released length inside the feasible corridor.
 
     Gradient with respect to the droid position flows through both corridor
-    edges; the upper edge's derivative differentiates the sag-limited
-    catenary solve implicitly (cable.sag_length_gradient_batch).  The
-    released length follows the winch
-    schedule, so the sampled times' dependence on T contributes as well.
-    ``samples``, when given, must have been taken on ``traj`` at the same
-    kappa.
+    edges (cable.corridor_bounds_and_gradient).  The released length follows
+    the winch schedule, so the sampled times' dependence on T contributes as
+    well.  Returns (value, grad_c, grad_ddt, worst squared-length excess).
     """
-    limits = scenario.limits
-    if samples is None:
-        samples = _Samples(traj,
-                           kappa if kappa is not None else limits.samples)
-    pos = samples.deriv[0]
-    l_min_eff, l_max_eff, l_now, rate, attach = _corridor_arrays(
-        pos, samples.ts, scenario, limits.corridor_margin)
+    margin = scenario.limits.corridor_margin
+    l_min, l_max, dlmin_dp, dlmax_dp = corridor_bounds_and_gradient(
+        _attach_points(samples.deriv[0], scenario.cable),
+        scenario.anchor_position, scenario.cable)
+    l_min_eff = l_min + margin
+    l_max_eff = l_max - margin
+    l_now = scenario.winch.length_at(samples.ts)
+    rate = scenario.winch.rate_at(samples.ts)
 
     under = l_min_eff ** 2 - l_now ** 2
     over = l_now ** 2 - l_max_eff ** 2
@@ -423,147 +388,78 @@ def cable_penalty(traj: Trajectory, scenario: PlanningScenario,
     hinge_over, slope_over = _hinge_parts(over)
     value = float(np.add.reduce(hinge_under) + np.add.reduce(hinge_over))
 
-    # d l_min / d position: unit chord direction in the x-z plane
-    dx = attach[:, 0] - scenario.anchor_position[0]
-    dz = attach[:, 2] - scenario.anchor_position[2]
-    l_min_raw = np.hypot(dx, dz)
-    apart = l_min_raw > 1e-12
-    safe = np.ones_like(l_min_raw)
-    np.copyto(safe, l_min_raw, where=apart)
-    dlmin_dp = np.zeros_like(pos)
-    np.copyto(dlmin_dp[:, 0], dx / safe, where=apart)
-    np.copyto(dlmin_dp[:, 2], dz / safe, where=apart)
-
-    # d l_max / d position by implicit differentiation of the root find
-    h_gap = scenario.anchor_position[2] - attach[:, 2]
-    dl_dph, dl_dh = sag_length_gradient_batch(np.abs(dx), h_gap, scenario.cable)
-    dlmax_dp = np.zeros_like(pos)
-    dlmax_dp[:, 0] = dl_dph * np.sign(dx)
-    dlmax_dp[:, 2] = -dl_dh
-
     gvec = (2.0 * l_min_eff * slope_under)[:, None] * dlmin_dp \
         - (2.0 * l_max_eff * slope_over)[:, None] * dlmax_dp
-    grad_c = np.zeros_like(traj.coefficients)
+    grad_c = np.zeros_like(samples.traj.coefficients)
     samples.accumulate(grad_c, 0, gvec)
     grad_ddt = samples.ddt_from_motion(0, gvec)
     # the winch schedule is a function of absolute time, which scales with T
     lnow_sens = 2.0 * l_now * rate * (slope_over - slope_under)
     grad_ddt += float(np.add.reduce(lnow_sens * samples.time_motion))
-    return value, (grad_c, grad_ddt)
+    return value, grad_c, grad_ddt, float(np.max(np.maximum(under, over)))
 
 
-def total_cost(traj: Trajectory, scenario: PlanningScenario,
-               weights: PenaltyWeights | None = None,
-               limits: Limits | None = None):
-    """Full objective: (CostBreakdown, dJ/dq, dJ/dT)."""
-    weights = weights if weights is not None else scenario.weights
-    limits = limits if limits is not None else scenario.limits
-    kappa = limits.samples
+def total_cost(traj: Trajectory, scenario: PlanningScenario):
+    """One evaluation of the full objective.
 
-    smooth, (grad_c, grad_ddt) = smoothness_cost(traj)
-    n_seg = traj.segment_count
+    Returns (CostBreakdown, dJ/dq, dJ/dT, worst).  ``worst`` maps each
+    penalty term to its largest raw hinge argument over the samples,
+    floored at 0, and to 0 when the scenario gives the term no weight.
+    Units match each hinge: squared speed/acceleration/jerk/thrust for the
+    windowed terms, meters for obstacles, squared meters for the corridor.
+    """
+    weights = scenario.weights
+    limits = scenario.limits
+
+    smooth = jerk_energy(traj)
+    grad_c, grad_ddt = jerk_energy_gradient(traj)
     time_cost = limits.time_weight * traj.duration
-    grad_ddt += limits.time_weight * n_seg
+    grad_ddt += limits.time_weight * traj.segment_count
 
-    samples = _Samples(traj, kappa)
-    parts = {}
+    samples = _Samples(traj, limits.samples)
+    terms = list(zip(
+        ("velocity", "acceleration", "jerk", "thrust"),
+        (weights.velocity, weights.accel_jerk, weights.accel_jerk,
+         weights.thrust),
+        _window_terms(samples, [
+            (1, None, limits.v_max ** 2, None),
+            (2, None, limits.a_max ** 2, None),
+            (3, None, limits.j_max ** 2, None),
+            (2, limits.tau_min ** 2, limits.tau_max ** 2,
+             scenario.gravity_vector)])))
+    parts = {"obstacle": 0.0, "cable": 0.0}
+    worst = {"obstacle": 0.0, "cable": 0.0}
+    if scenario.obstacles and weights.obstacle != 0.0:
+        terms.append(("obstacle", weights.obstacle, _obstacle_penalty(
+            samples, scenario.obstacles, limits.obstacle_margin)))
+    if weights.cable != 0.0:
+        terms.append(("cable", weights.cable,
+                      _cable_penalty(samples, scenario)))
 
-    def add(name, weight, term):
-        value, gc, gd = term
+    for name, weight, (value, gc, gd, peak) in terms:
         parts[name] = weight * value
-        nonlocal grad_c, grad_ddt
+        worst[name] = max(peak, 0.0) if weight > 0.0 else 0.0
         if weight != 0.0:
             grad_c = grad_c + weight * gc
             grad_ddt += weight * gd
 
-    velocity, acceleration, jerk, thrust = _window_terms(samples, [
-        (1, None, limits.v_max ** 2, None),
-        (2, None, limits.a_max ** 2, None),
-        (3, None, limits.j_max ** 2, None),
-        (2, limits.tau_min ** 2, limits.tau_max ** 2,
-         scenario.gravity_vector)])
-    add("velocity", weights.velocity, velocity)
-    add("acceleration", weights.accel_jerk, acceleration)
-    add("jerk", weights.accel_jerk, jerk)
-    add("thrust", weights.thrust, thrust)
-
-    if scenario.obstacles and weights.obstacle != 0.0:
-        value, (gc, gd) = obstacle_penalty(traj, scenario.obstacles,
-                                           limits.obstacle_margin, kappa,
-                                           samples=samples)
-        parts["obstacle"] = weights.obstacle * value
-        grad_c = grad_c + weights.obstacle * gc
-        grad_ddt += weights.obstacle * gd
-    else:
-        parts["obstacle"] = 0.0
-
-    if weights.cable != 0.0:
-        value, (gc, gd) = cable_penalty(traj, scenario, kappa,
-                                        samples=samples)
-        parts["cable"] = weights.cable * value
-        grad_c = grad_c + weights.cable * gc
-        grad_ddt += weights.cable * gd
-    else:
-        parts["cable"] = 0.0
-
     breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
     dj_dq, dj_dt = propagate_gradients(traj, grad_c, grad_ddt)
-    return breakdown, dj_dq, dj_dt
-
-
-def hinge_violations(traj: Trajectory, scenario: PlanningScenario,
-                     kappa: int | None = None) -> dict:
-    """Worst raw hinge argument per penalty term (0 when satisfied).
-
-    Units match each hinge: squared speed/acceleration/jerk/thrust for the
-    windowed terms, meters for obstacles, squared meters for the corridor.
-    """
-    limits = scenario.limits
-    samples = _Samples(traj, kappa if kappa is not None else limits.samples)
-
-    def norm_sq(order, offset=None):
-        d = samples.deriv[order]
-        if offset is not None:
-            d = d - offset
-        return np.sum(d * d, axis=1)
-
-    out = {
-        "velocity": float(np.max(norm_sq(1) - limits.v_max ** 2)),
-        "acceleration": float(np.max(norm_sq(2) - limits.a_max ** 2)),
-        "jerk": float(np.max(norm_sq(3) - limits.j_max ** 2)),
-    }
-    tau_sq = norm_sq(2, offset=scenario.gravity_vector)
-    out["thrust"] = float(np.max(np.maximum(limits.tau_min ** 2 - tau_sq,
-                                            tau_sq - limits.tau_max ** 2)))
-    if scenario.obstacles:
-        worst = -math.inf
-        pos = samples.deriv[0]
-        for plane in scenario.obstacles:
-            dist = (pos - plane.point) @ plane.normal
-            worst = max(worst, float(np.max(limits.obstacle_margin - dist)))
-        out["obstacle"] = worst
-    else:
-        out["obstacle"] = 0.0
-    l_min_eff, l_max_eff, l_now, _, _ = _corridor_arrays(
-        samples.deriv[0], samples.ts, scenario, limits.corridor_margin)
-    out["cable"] = float(np.max(np.maximum(l_min_eff ** 2 - l_now ** 2,
-                                           l_now ** 2 - l_max_eff ** 2)))
-    return {k: max(v, 0.0) for k, v in out.items()}
+    return breakdown, dj_dq, dj_dt, worst
 
 
 def corridor_profile(traj: Trajectory, scenario: PlanningScenario,
                      kappa: int):
     """(t, l_min, l_now, l_max) sampled along the plan, margin-free."""
     ts = sample_times(0.0, traj.duration, kappa)
-    pos = traj.evaluate_batch(ts, 0)
-    l_min, l_max, l_now, _, _ = _corridor_arrays(pos, ts, scenario, 0.0)
-    return ts, l_min, l_now, l_max
+    l_min, l_max = corridor_bounds_batch(
+        _attach_points(traj.evaluate_batch(ts, 0), scenario.cable),
+        scenario.anchor_position, scenario.cable)
+    return ts, l_min, scenario.winch.length_at(ts), l_max
 
 
-def corridor_violation(traj: Trajectory, scenario: PlanningScenario,
-                       kappa: int) -> float:
-    """Worst squared-length corridor violation on a margin-free check."""
-    _, l_min, l_now, l_max = corridor_profile(traj, scenario, kappa)
+def corridor_violation(l_min, l_now, l_max) -> float:
+    """Worst squared-length excess of l_now outside [l_min, l_max], or 0."""
     worst = np.maximum(l_min ** 2 - l_now ** 2, l_now ** 2 - l_max ** 2)
     return max(float(np.max(worst)), 0.0)
 
@@ -652,25 +548,28 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
 
     def objective(x):
         traj = build(x)
-        breakdown, dj_dq, dj_dt = total_cost(traj, scenario)
+        breakdown, dj_dq, dj_dt, worst = total_cost(traj, scenario)
         grad = np.empty(x.shape)
         grad[:3 * n_wp] = dj_dq.ravel()
         if optimize_time:
             grad[-1] = dj_dt * _sigmoid(float(x[-1]))
-        key = x.tobytes()
-        cache[key] = breakdown
+        cache[x.tobytes()] = breakdown, worst
         if len(cache) > 8:
             cache.pop(next(iter(cache)))
         return breakdown.total, grad
 
+    def summary(x):
+        """(breakdown, worst hinge arguments) at x; recent ones are kept."""
+        hit = cache.get(x.tobytes())
+        if hit is None:
+            breakdown, _, _, worst = total_cost(build(x), scenario)
+            hit = breakdown, worst
+        return hit
+
     history = []
 
     def record(xk):
-        breakdown = cache.get(xk.tobytes())
-        if breakdown is None:
-            traj = build(xk)
-            breakdown = total_cost(traj, scenario)[0]
-        history.append(breakdown)
+        history.append(summary(xk)[0])
 
     x0 = np.empty(3 * n_wp + (1 if optimize_time else 0))
     x0[:3 * n_wp] = waypoints0.ravel()
@@ -684,22 +583,14 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
                                    "ftol": 1e-12, "gtol": 1e-6})
 
     traj = build(result.x)
-    breakdown = total_cost(traj, scenario)[0]
+    breakdown, violations = summary(result.x)
     if result.status == 0:
         status = "converged"
     elif result.status == 1:
         status = "max_iterations"
     else:
         status = "line_search_failure"
-    violations = hinge_violations(traj, scenario)
-    weight_of = {"velocity": scenario.weights.velocity,
-                 "acceleration": scenario.weights.accel_jerk,
-                 "jerk": scenario.weights.accel_jerk,
-                 "thrust": scenario.weights.thrust,
-                 "obstacle": scenario.weights.obstacle,
-                 "cable": scenario.weights.cable}
-    worst = max((v for k, v in violations.items() if weight_of[k] > 0.0),
-                default=0.0)
+    worst = max(violations.values())
     return OptimizeResult(trajectory=traj, breakdown=breakdown,
                           iterations=int(result.nit), status=status,
                           penalties_ok=worst < VIOLATION_TOL,

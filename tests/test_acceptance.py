@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from test_optimizer import make_traj, make_scenario
+from test_optimizer import make_traj, make_scenario, only
 from test_trajectory import dense_construct, planner_like_problem
 
 from tetherpick.cable import (
@@ -27,9 +27,6 @@ from tetherpick.optimizer import (
     PlanningScenario,
     PenaltyWeights,
     WinchSchedule,
-    cable_penalty,
-    feasibility_penalty,
-    obstacle_penalty,
     optimize,
     total_cost,
 )
@@ -130,7 +127,7 @@ def test_objective_gradients_match_central_differences():
         def cost_at(q, t):
             traj = construct(q, t, scenario.start_state,
                              scenario.goal_position, scenario.goal_velocity)
-            return total_cost(traj, scenario)
+            return total_cost(traj, scenario)[:3]
 
         breakdown, grad_q, grad_t = cost_at(waypoints, duration)
         value = breakdown.total
@@ -158,22 +155,30 @@ def test_objective_gradients_match_central_differences():
 
 
 def test_hinge_penalty_unit_identities():
-    """The three hand-computable single-sample penalties: 1, 8, 0.008."""
+    """The three hand-computable single-sample penalties: 1, 8, 0.008,
+    each read from total_cost's breakdown with only its own weight, 1."""
     traj = make_traj([{1: [2.0, 1.0, 0.0], 2: [-1.0, -0.5, 0.0]}], 1.0)
-    value, _ = feasibility_penalty(traj, Limits(), kappa=4)
-    assert value == pytest.approx(1.0, abs=1e-12)
+    scenario = make_scenario(limits=Limits(samples=4),
+                             weights=only(velocity=1.0))
+    breakdown = total_cost(traj, scenario)[0]
+    assert breakdown.velocity == pytest.approx(1.0, abs=1e-12)
 
     traj = make_traj([{1: [0.0, 0.0, -1.44], 2: [0.0, 0.0, 0.96]}], 1.0)
     scenario = make_scenario(anchor_position=[0.0, 0.0, 2.0],
                              winch=WinchSchedule(math.sqrt(6.41), 0.0),
+                             limits=Limits(samples=2),
+                             weights=only(cable=1.0),
                              segment_count=1)
-    value, _ = cable_penalty(traj, scenario, kappa=2)
-    assert value == pytest.approx(8.0, abs=1e-12)
+    breakdown = total_cost(traj, scenario)[0]
+    assert breakdown.cable == pytest.approx(8.0, abs=1e-12)
 
     traj = make_traj([{0: [0.0, 0.0, 0.1], 1: [0.0, 0.0, 3.0]}], 1.0)
     plane = ObstaclePlane(point=[0, 0, 0], normal=[0, 0, 1])
-    value, _ = obstacle_penalty(traj, (plane,), 0.3, kappa=2)
-    assert value == pytest.approx(0.008, abs=1e-12)
+    scenario = make_scenario(obstacles=(plane,),
+                             limits=Limits(samples=2, obstacle_margin=0.3),
+                             weights=only(obstacle=1.0))
+    breakdown = total_cost(traj, scenario)[0]
+    assert breakdown.obstacle == pytest.approx(0.008, abs=1e-12)
 
 
 def test_trajectory_construction_matches_dense_oracle():

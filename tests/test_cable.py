@@ -24,10 +24,10 @@ from tetherpick.cable import (
     CatenarySolution,
     PlanarConfiguration,
     cable_bounds,
+    corridor_bounds_and_gradient,
     corridor_bounds_batch,
     max_length,
     min_length,
-    sag_length_gradient_batch,
     sample_shape,
     solve_catenary,
     tension_at,
@@ -153,6 +153,23 @@ class TestSolveCatenary:
     def test_degenerate_vertical_raises(self):
         with pytest.raises(NoConvergence):
             solve_catenary(PlanarConfiguration(0, 2), 2.5, PROPS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(1.5e-4, 1.9e-4), H=st.floats(-3.0, 3.0),
+           log_excess=st.floats(-10.0, math.log10(5e-8)))
+    def test_near_vertical_scale_matches_exact_root(self, p, H, log_excess):
+        """L^2 - H^2 formed as (L - H)(L + H) keeps the scale's digits on
+        near-vertical slack spans, where L * L - H * H cancels."""
+        length = math.hypot(p, H) + 10.0 ** log_excess
+        sol = solve_catenary(PlanarConfiguration(p, H), length, PROPS)
+        with mpmath.workdps(50):
+            rhs = mpmath.sqrt(mpmath.mpf(length) ** 2 - mpmath.mpf(H) ** 2)
+            target = mpmath.log(rhs / p)
+            u = mpmath.findroot(
+                lambda u: mpmath.log(mpmath.sinh(u) / u) - target,
+                mpmath.mpf(0.5 * p / sol.scale))
+            error = abs(sol.scale / (0.5 * p / u) - 1)
+        assert error <= 1e-10
 
     def test_ultra_taut_beyond_bracket_raises(self):
         # Excess length so small the scale root would exceed the bracket.
@@ -395,13 +412,27 @@ class TestBatchedHelpers:
             np.array([[0.0, 0.0, 0.0]]), (0.0, 0.0, 2.0), PROPS)
         assert np.all(l_max >= l_min)
 
+    @staticmethod
+    def planar_gradient(p, H):
+        """(l_min, l_max, dl_max/dp, dl_max/dH, dl_min/d attach) with the
+        anchor at the origin and the attachment point at (p, 0, -H)."""
+        attach = np.column_stack([p, np.zeros_like(p), -H])
+        l_min, l_max, dlmin, dlmax = corridor_bounds_and_gradient(
+            attach, np.zeros(3), PROPS)
+        # H grows as the attachment point sinks
+        return l_min, l_max, dlmax[:, 0], -dlmax[:, 2], dlmin
+
     def test_gradient_matches_direct_differences(self):
         rng = np.random.default_rng(3)
         p = rng.uniform(0.5, 5.0, size=12)
         H = rng.uniform(-3.0, 3.0, size=12)
-        dl_dp, dl_dh = sag_length_gradient_batch(p, H, PROPS)
+        l_min, l_max, dl_dp, dl_dh, dlmin = self.planar_gradient(p, H)
+        np.testing.assert_allclose(dlmin, np.column_stack(
+            [p, np.zeros_like(p), -H]) / l_min[:, None], rtol=1e-15)
         eps = 1e-5
         for i in range(p.size):
+            assert l_max[i] == pytest.approx(
+                max_length(PlanarConfiguration(p[i], H[i]), PROPS), rel=1e-10)
             up = max_length(PlanarConfiguration(p[i] + eps, H[i]), PROPS)
             dn = max_length(PlanarConfiguration(p[i] - eps, H[i]), PROPS)
             assert dl_dp[i] == pytest.approx((up - dn) / (2 * eps), abs=2e-4)
@@ -410,10 +441,39 @@ class TestBatchedHelpers:
             assert dl_dh[i] == pytest.approx((up - dn) / (2 * eps), abs=2e-4)
 
     def test_gradient_degenerate_vertical(self):
-        dl_dp, dl_dh = sag_length_gradient_batch(
-            np.array([0.0]), np.array([2.0]), PROPS)
+        l_min, l_max, dl_dp, dl_dh, dlmin = self.planar_gradient(
+            np.array([0.0]), np.array([2.0]))
+        assert l_min[0] == 2.0 and l_max[0] == 2.1
         assert dl_dp[0] == 0.0
         assert dl_dh[0] == 1.0
+        assert dlmin[0].tolist() == [0.0, 0.0, -1.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 1e-5), st.floats(1e-5, 5.0)),
+        st.one_of(st.just(0.0), st.floats(-3.0, 3.0)),
+        st.booleans()), min_size=1, max_size=40),
+        anchor=st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0),
+                         st.floats(0.0, 4.0)),
+        sag=st.sampled_from([0.0, 0.05, 0.1, 1.0]))
+    def test_gradient_entry_gives_the_corridor_bit_for_bit(self, rows, anchor,
+                                                           sag):
+        """Vertical (p below 10 * EPS_P), level (H = 0) and general rows."""
+        props = CableProperties(sag_limit=sag)
+        anchor = np.array(anchor)
+        attach = np.array([[anchor[0] + (p if right else -p), 0.3,
+                            anchor[2] - H] for p, H, right in rows])
+        want_min, want_max = corridor_bounds_batch(attach, anchor, props)
+        l_min, l_max, _, dlmax = corridor_bounds_and_gradient(attach, anchor,
+                                                              props)
+        assert l_min.tobytes() == want_min.tobytes()
+        assert l_max.tobytes() == want_max.tobytes()
+        p = np.abs(attach[:, 0] - anchor[0])
+        # 10 * EPS_P rounds to 9.999999999999999e-06, one ulp below 1e-5
+        vertical = p < 10.0 * EPS_P
+        assert np.all(dlmax[vertical, 0] == 0.0)
+        assert np.all(np.abs(dlmax[vertical, 2]) <= 1.0)
+        assert np.all(dlmax[:, 1] == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from scipy.optimize import _lbfgsb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetherpick import optimizer
+from tetherpick import cable, optimizer
 from tetherpick.cable import CableProperties
 from tetherpick.errors import ValidationError
 from tetherpick.optimizer import (
@@ -23,20 +23,14 @@ from tetherpick.optimizer import (
     WinchSchedule,
     _Samples,
     _window_terms,
-    cable_penalty,
     corridor_profile,
     corridor_violation,
-    feasibility_penalty,
-    hinge_violations,
     initial_guess,
-    obstacle_penalty,
     optimize,
     sample_times,
-    smoothness_cost,
-    thrust_penalty,
     total_cost,
 )
-from tetherpick.trajectory import BoundaryState, Trajectory, construct
+from tetherpick.trajectory import BoundaryState, Trajectory, construct, jerk_energy
 
 
 def make_traj(coeffs, dt):
@@ -62,6 +56,18 @@ def make_scenario(**kw):
     )
     defaults.update(kw)
     return PlanningScenario(**defaults)
+
+
+def only(**weights):
+    """PenaltyWeights with every weight 0 except the ones named."""
+    zero = dict.fromkeys(("velocity", "accel_jerk", "thrust", "cable",
+                          "obstacle"), 0.0)
+    return PenaltyWeights(**{**zero, **weights})
+
+
+def dense_violation(traj, scenario, kappa):
+    """Margin-free corridor violation of a plan, as the CLI checks it."""
+    return corridor_violation(*corridor_profile(traj, scenario, kappa)[1:])
 
 
 class TestTypes:
@@ -123,8 +129,10 @@ class TestHingeIdentities:
         # v(t) = (2, 1, 0) * (1 - t): only the t = 0 sample exceeds v_max = 2,
         # with |v|^2 - v_max^2 = 5 - 4 = 1 and contribution 1^3.
         traj = make_traj([{1: [2.0, 1.0, 0.0], 2: [-1.0, -0.5, 0.0]}], 1.0)
-        value, _ = feasibility_penalty(traj, Limits(), kappa=4)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        scenario = make_scenario(limits=Limits(samples=4),
+                                 weights=only(velocity=1.0))
+        breakdown = total_cost(traj, scenario)[0]
+        assert breakdown.velocity == pytest.approx(1.0, abs=1e-12)
 
     def test_cable_hinge_exact_eight(self):
         # Droid starts directly below the anchor (p = 0, gap 2 m), so the
@@ -136,31 +144,49 @@ class TestHingeIdentities:
             [{1: [0.0, 0.0, -1.44], 2: [0.0, 0.0, 0.96]}], 1.0)
         scenario = make_scenario(anchor_position=[0.0, 0.0, 2.0],
                                  winch=WinchSchedule(math.sqrt(6.41), 0.0),
+                                 limits=Limits(samples=2),
+                                 weights=only(cable=1.0),
                                  segment_count=1)
-        value, _ = cable_penalty(traj, scenario, kappa=2)
-        assert value == pytest.approx(8.0, abs=1e-12)
+        breakdown = total_cost(traj, scenario)[0]
+        assert breakdown.cable == pytest.approx(8.0, abs=1e-12)
 
     def test_obstacle_hinge_exact(self):
         # distance 0.1 against margin 0.3 at the first sample only
         traj = make_traj([{0: [0.0, 0.0, 0.1], 1: [0.0, 0.0, 3.0]}], 1.0)
         plane = ObstaclePlane(point=[0, 0, 0], normal=[0, 0, 1])
-        value, _ = obstacle_penalty(traj, (plane,), 0.3, kappa=2)
-        assert value == pytest.approx(0.2 ** 3, abs=1e-12)
+        scenario = make_scenario(obstacles=(plane,),
+                                 limits=Limits(samples=2, obstacle_margin=0.3),
+                                 weights=only(obstacle=1.0))
+        breakdown = total_cost(traj, scenario)[0]
+        assert breakdown.obstacle == pytest.approx(0.2 ** 3, abs=1e-12)
 
     def test_thrust_free_fall_and_hover(self):
         g_half = np.array([0.0, 0.0, -9.81]) / 2.0
         falling = make_traj([{2: g_half}], 1.0)
-        value, _ = thrust_penalty(falling, Limits(), kappa=2)
-        assert value == pytest.approx(3 * (2.0 ** 2) ** 3, abs=1e-12)
+        scenario = make_scenario(limits=Limits(samples=2),
+                                 weights=only(thrust=1.0))
+        breakdown = total_cost(falling, scenario)[0]
+        assert breakdown.thrust == pytest.approx(3 * (2.0 ** 2) ** 3,
+                                                 abs=1e-12)
         hover = make_traj([{0: [1.0, 0.0, 1.0]}], 1.0)
-        value, _ = thrust_penalty(hover, Limits(), kappa=2)
-        assert value == 0.0
+        assert total_cost(hover, scenario)[0].thrust == 0.0
 
     def test_inactive_hinges_contribute_zero(self):
-        traj = make_traj([{1: [0.1, 0.0, 0.0]}], 1.0)
-        value, (grad_c, grad_dt) = feasibility_penalty(traj, Limits(), kappa=8)
-        assert value == 0.0
-        assert not grad_c.any() and grad_dt == 0.0
+        # three slow segments: the feasibility hinges leave the value, the
+        # gradient and the worst hinge report exactly as without them
+        traj = make_traj([{1: [0.1, 0.0, 0.0]}] * 3, 1.0)
+        weighed = make_scenario(limits=Limits(samples=8),
+                                weights=only(velocity=1.0, accel_jerk=1.0))
+        unweighed = make_scenario(limits=Limits(samples=8), weights=only())
+        breakdown, dj_dq, dj_dt, worst = total_cost(traj, weighed)
+        base, base_dq, base_dt, _ = total_cost(traj, unweighed)
+        assert breakdown.velocity == breakdown.acceleration \
+            == breakdown.jerk == 0.0
+        assert worst["velocity"] == worst["acceleration"] \
+            == worst["jerk"] == 0.0
+        assert breakdown == base
+        assert dj_dq.shape == (2, 3)
+        assert dj_dq.tobytes() == base_dq.tobytes() and dj_dt == base_dt
 
 
 class TestBreakdown:
@@ -177,8 +203,8 @@ class TestBreakdown:
         traj = construct([[0.5, 0.2, 0.1], [1.0, -0.2, 0.3], [1.5, 0.1, 0.2]],
                          2.0, scenario.start_state, scenario.goal_position,
                          scenario.goal_velocity)
-        breakdown, _, _ = total_cost(traj, scenario)
-        smooth, _ = smoothness_cost(traj)
+        breakdown = total_cost(traj, scenario)[0]
+        smooth = jerk_energy(traj)
         assert breakdown.velocity == 0.0 and breakdown.cable == 0.0
         assert breakdown.total == pytest.approx(
             smooth + scenario.limits.time_weight * traj.duration, rel=1e-12)
@@ -192,8 +218,8 @@ class TestBreakdown:
         traj = construct([[0.5, 0.0, 0.4], [1.0, 0.3, 0.0], [1.5, 0.0, 0.1]],
                          2.0, base.start_state, base.goal_position,
                          base.goal_velocity)
-        b0, _, _ = total_cost(traj, base)
-        b1, _, _ = total_cost(traj, scaled)
+        b0 = total_cost(traj, base)[0]
+        b1 = total_cost(traj, scaled)[0]
         assert b0.velocity > 0.0
         assert b1.velocity == pytest.approx(1e4 * b0.velocity, rel=1e-12)
 
@@ -250,17 +276,19 @@ def reference_window_term(samples, order, low_sq, high_sq, offset=None):
         over = nsq - high_sq
         value += float(np.sum(np.maximum(over, 0.0) ** 3))
         slope += 3.0 * np.maximum(over, 0.0) ** 2
+        worst = float(np.max(over))
     if low_sq is not None:
         under = low_sq - nsq
         value += float(np.sum(np.maximum(under, 0.0) ** 3))
         slope -= 3.0 * np.maximum(under, 0.0) ** 2
+        worst = float(np.max(np.maximum(under, over)))
     gvec = 2.0 * d * slope[:, None]
     grad_c = np.zeros_like(samples.traj.coefficients)
     np.add.at(grad_c, samples.seg,
               samples.basis[order][:, :, None] * gvec[:, None, :])
     grad_ddt = float(np.sum(np.sum(gvec * samples.deriv[order + 1], axis=1)
                             * samples.tau_motion))
-    return value, grad_c, grad_ddt
+    return value, grad_c, grad_ddt, worst
 
 
 class TestWindowTerms:
@@ -282,13 +310,14 @@ class TestWindowTerms:
                  (2, lim.tau_min ** 2, lim.tau_max ** 2,
                   scenario.gravity_vector)]
         batched = _window_terms(samples, terms)
-        for term, (value, grad_c, grad_ddt) in zip(terms, batched):
+        for term, together in zip(terms, batched):
             want = reference_window_term(samples, *term)
             [alone] = _window_terms(samples, [term])
-            for got in ((value, grad_c, grad_ddt), alone):
+            for got in (together, alone):
                 assert repr(got[0]) == repr(want[0])
                 assert got[1].tobytes() == want[1].tobytes()
                 assert repr(got[2]) == repr(want[2])
+                assert repr(got[3]) == repr(want[3])
 
 
 class TestGradients:
@@ -304,7 +333,8 @@ class TestGradients:
         waypoints = random_waypoints(scenario, rng)
         duration = float(rng.uniform(2.0, 4.0))
 
-        breakdown, dj_dq, dj_dt = self.evaluate(scenario, waypoints, duration)
+        breakdown, dj_dq, dj_dt, _ = self.evaluate(scenario, waypoints,
+                                                   duration)
         penalty_total = breakdown.total - breakdown.smoothness - breakdown.time
         assert penalty_total > 0.0, "scenario draw produced no active hinge"
 
@@ -337,7 +367,7 @@ class TestGradients:
         )
         waypoints = random_waypoints(scenario, rng)
         duration = 3.0
-        _, _, dj_dt = self.evaluate(scenario, waypoints, duration)
+        dj_dt = self.evaluate(scenario, waypoints, duration)[2]
         step = 1e-6
         plus = self.evaluate(scenario, waypoints, duration + step)[0]
         minus = self.evaluate(scenario, waypoints, duration - step)[0]
@@ -357,17 +387,18 @@ class TestViolationsAndCorridor:
         waypoints = np.tile(start, (3, 1))
         traj = construct(waypoints, 3.0, scenario.start_state,
                          scenario.goal_position, scenario.goal_velocity)
-        violations = hinge_violations(traj, scenario)
+        violations = total_cost(traj, scenario)[3]
         assert set(violations) == {"velocity", "acceleration", "jerk",
                                    "thrust", "obstacle", "cable"}
         assert all(v == 0.0 for v in violations.values())
-        assert corridor_violation(traj, scenario, 320) == 0.0
+        assert dense_violation(traj, scenario, 320) == 0.0
 
     def test_violating_speed_is_measured(self):
         traj = make_traj([{1: [3.0, 0.0, 0.0]}], 1.0)
         scenario = make_scenario(segment_count=1,
-                                 winch=WinchSchedule(3.2, 0.0))
-        violations = hinge_violations(traj, scenario, kappa=4)
+                                 winch=WinchSchedule(3.2, 0.0),
+                                 limits=Limits(samples=4))
+        violations = total_cost(traj, scenario)[3]
         assert violations["velocity"] == pytest.approx(9.0 - 4.0, rel=1e-12)
 
     def test_corridor_profile_and_violation(self):
@@ -379,7 +410,7 @@ class TestViolationsAndCorridor:
         assert ts.size == 5
         np.testing.assert_allclose(l_min, math.hypot(2.0, 1.0), rtol=1e-12)
         np.testing.assert_allclose(l_now, 10.0)
-        worst = corridor_violation(traj, scenario, 4)
+        worst = corridor_violation(l_min, l_now, l_max)
         assert worst == pytest.approx(100.0 - float(l_max[0]) ** 2, rel=1e-9)
 
     def test_margin_tightens_planning_hinges_only(self):
@@ -393,10 +424,44 @@ class TestViolationsAndCorridor:
                               segment_count=1,
                               limits=Limits(corridor_margin=0.05))
         traj = make_traj([{0: [2.0, 0.0, 1.0]}], 1.0)
-        assert corridor_violation(traj, scenario, 8) == 0.0
-        assert hinge_violations(traj, scenario)["cable"] == pytest.approx(0.0,
-                                                                          abs=1e-9)
-        assert hinge_violations(traj, tight)["cable"] > 0.0
+        assert dense_violation(traj, scenario, 8) == 0.0
+        assert total_cost(traj, scenario)[3]["cable"] == pytest.approx(
+            0.0, abs=1e-9)
+        assert total_cost(traj, tight)[3]["cable"] > 0.0
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("cable_weight, solves", [(1e5, 1), (0.0, 0)])
+    def test_one_sag_solve_per_evaluation(self, monkeypatch, cable_weight,
+                                          solves):
+        calls = []
+        real_solve = cable._sag_solve_batch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cable, "_sag_solve_batch", counted)
+        scenario = random_scenario(np.random.default_rng(5))
+        scenario = make_scenario(
+            anchor_position=scenario.anchor_position,
+            winch=scenario.winch, obstacles=scenario.obstacles,
+            limits=scenario.limits,
+            weights=PenaltyWeights(cable=cable_weight))
+        traj = construct(random_waypoints(scenario, np.random.default_rng(6)),
+                         3.0, scenario.start_state, scenario.goal_position,
+                         scenario.goal_velocity)
+        total_cost(traj, scenario)
+        assert len(calls) == solves
+
+    def test_optimize_reports_its_final_evaluation(self):
+        scenario = random_scenario(np.random.default_rng(11))
+        result = optimize(scenario, max_iterations=15)
+        breakdown, _, _, worst = total_cost(result.trajectory, scenario)
+        assert result.breakdown == breakdown
+        assert result.max_violation == max(worst.values())
+        assert result.penalties_ok == (result.max_violation
+                                       < optimizer.VIOLATION_TOL)
 
 
 class TestInitialGuess:
@@ -506,7 +571,7 @@ class TestOptimize:
         )
         result = optimize(scenario)
         assert result.penalties_ok, f"violations {result.max_violation}"
-        assert corridor_violation(result.trajectory, scenario, 320) < 1e-3
+        assert dense_violation(result.trajectory, scenario, 320) < 1e-3
         # the goal chord is 5 m; the schedule must have released at least
         # that much, which takes (5 - 3.7) / 0.2 = 6.5 seconds
         assert result.trajectory.duration > 6.0
@@ -588,12 +653,13 @@ class TestHingeSmoothness:
     def test_penalty_is_c2_across_activation(self):
         # sweep a trajectory family through hinge activation and check the
         # second difference of the penalty stays continuous
-        limits = Limits(v_max=1.0)
+        scenario = make_scenario(limits=Limits(v_max=1.0, samples=2),
+                                 weights=only(velocity=1.0))
         scales = np.linspace(0.9, 1.1, 81)
         values = []
         for s in scales:
             traj = make_traj([{1: [float(s), 0.0, 0.0]}], 1.0)
-            values.append(feasibility_penalty(traj, limits, kappa=2)[0])
+            values.append(total_cost(traj, scenario)[0].velocity)
         values = np.array(values)
         h = scales[1] - scales[0]
         second = np.diff(values, 2) / h ** 2
