@@ -14,16 +14,17 @@ along the cable and equals ``mu * a`` with ``mu`` the weight per unit length,
 and the tension magnitude at abscissa x is ``mu * a * cosh(x / a)``.
 
 Two solvers live here.  ``solve_catenary`` recovers the curve through both
-endpoints with a prescribed arc length; ``max_length`` finds the longest
-cable whose vertex sits exactly ``sag_limit`` below the lower attachment
-point.  Both solve for ``a`` using the identities
+endpoints with a prescribed arc length.  It solves for ``a`` by Newton's
+method on u = p / (2a), using the identities
 
     sqrt(L^2 - H^2) = 2 a sinh(p / (2a))
     x_A = a atanh(H / L) - p / 2
 
-which follow from the sum-to-product forms of the endpoint equations:
-``solve_catenary`` by Newton's method on u = p / (2a), ``max_length`` by a
-bracketed false-position search polished by Newton steps.
+which follow from the sum-to-product forms of the endpoint equations.
+``max_length`` finds the longest cable whose vertex sits exactly
+``sag_limit`` below the lower attachment point.  With the vertex depth
+pinned, both the span and the length are explicit in ``a``, so Newton's
+method on the logarithm of the span recovers ``a`` and the length follows.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import LengthTooShort, NoConvergence, OutOfDomain
 # the degenerate vertical rules apply.
 EPS_P = 1e-6
 
-_BRACKET_LO = 1e-6
 _BRACKET_HI = 1e6
 _MAX_NEWTON = 100
 _NEWTON_RTOL = 4e-16
@@ -49,9 +49,10 @@ _RESIDUAL_RTOL = 1e-9
 # the vertical rule's.  10 * EPS_P rounds to one ulp below 1e-5, and plan
 # bytes depend on that exact edge.
 _GRADIENT_VERTICAL_P = 10.0 * EPS_P
-
-# selects the low end (row 0) of a stacked (low, high) bracket
-_LOW_END = np.array([[True], [False]])
+# Newton rounds of the sag-limited solve: from its seed every row settles
+# to within a few ulps of log(scale) in 5.
+_SAG_ROUNDS = 5
+_TINY = np.finfo(float).tiny
 
 
 class CableState(enum.Enum):
@@ -270,8 +271,7 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
                             x_a=x_a, x_b=x_b, length=length, state=state)
 
 
-def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
-                     iterations: int = 100
+def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized longest-cable solve for many planar configurations.
 
@@ -280,17 +280,19 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
     with p < EPS_P use the degenerate vertical rule |H| + sag_limit.  With
     sag_limit = 0 and H = 0 the answer is the chord.
 
-    Returns ``(length, scale, chord_ruled)``.  ``scale`` is the solved
-    catenary scale, NaN on rows that never entered the root find.
-    ``chord_ruled`` marks rows whose length came from the taut-chord clamp
-    rather than the catenary; the analytic gradient follows the same branch.
+    Returns ``(length, dl_dp, dl_dh)``: the length and its derivatives
+    over p and over |H|.  Rows whose catenary comes out no longer than the
+    chord take the chord and the chord's gradient (the taut-chord clamp);
+    below ``_GRADIENT_VERTICAL_P`` the gradient is the vertical rule's.
+    Every row is computed on its own, so its result does not depend on
+    the rest of the batch.
     """
     p = np.asarray(p, dtype=float)
     H = np.asarray(H, dtype=float)
     habs = np.abs(H)
     out = np.full(p.shape, np.nan)
-    scale = np.full(p.shape, np.nan)
-    chord_ruled = np.zeros(p.shape, dtype=bool)
+    dl_dp = np.zeros(p.shape)
+    dl_dh = np.ones(p.shape)
 
     vertical = p < EPS_P
     if vertical.any():
@@ -300,137 +302,71 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float,
     if sag_limit == 0.0:
         level_zero_sag = solve & (habs == 0.0)
         out[level_zero_sag] = p[level_zero_sag]
-        chord_ruled[level_zero_sag] = True
+        dl_dp[level_zero_sag] = 1.0
+        dl_dh[level_zero_sag] = 0.0
         solve &= ~level_zero_sag
-    if not solve.any():
-        return out, scale, chord_ruled
+    if solve.any():
+        out[solve], dl_dp[solve], dl_dh[solve] = _sag_rows(
+            p[solve], habs[solve], sag_limit)
+    near_vertical = p < _GRADIENT_VERTICAL_P
+    dl_dp[near_vertical] = 0.0
+    dl_dh[near_vertical] = 1.0
+    return out, dl_dp, dl_dh
 
-    ps = p[solve]
-    hs = habs[solve]
-    wide_lo = np.minimum(_BRACKET_LO, 1e-4 * ps)
 
-    # Vertex depth is pinned at sag_limit below the lower endpoint, so only
-    # the vertical-gap equation remains:
-    #   f(a) = 2 a sinh((u_a + u_b)/2) sinh(p/(2a)) - |H| = 0
-    # with u_a = -acosh(1 + sag_limit/a) and u_b = u_a + p/a.  The solve
-    # runs the Illinois variant of false position on g(b) = asinh(f(e^b)):
-    # the asinh damps f's overflow plateau at small scales into a gentle
-    # log slope so secants stay informative, and the log abscissa makes one
-    # absolute tolerance cover the whole bracket.  g decreases through the
-    # root; a row whose secant falls outside its bracket bisects instead.
-    half_ps = 0.5 * ps
+def _sag_rows(p: np.ndarray, habs: np.ndarray, sag_limit: float):
+    """(length, dl/dp, dl/d|H|) of the sag-limited catenary, chord-clamped.
 
-    def g_of(b: np.ndarray) -> np.ndarray:
-        # callers ignore overflow and invalid values around this
+    The vertex sits s = sag_limit below the lower endpoint and
+    k = s + |H| below the upper one, on either side of it, so at scale a
+
+        p(a) = a [acosh(1 + s/a) + acosh(1 + k/a)]
+        l(a) = sqrt(s^2 + 2 a s) + sqrt(k^2 + 2 a k).
+
+    p(a) increases with a, and d log p / d log a lies between 1/2 (large
+    a) and 1 (small a), so Newton's method on log p(e^b) = log p in
+    b = log a takes well-scaled steps.  Needs p >= EPS_P and k > 0.
+    """
+    # row 0 holds s, row 1 holds k
+    depths = np.array([np.full_like(p, sag_limit), sag_limit + habs])
+    log_p = np.log(p)
+    # Seed at the large-a asymptote: acosh(1 + w) <= sqrt(2 w) gives the
+    # lower bound a = p^2 / (sqrt(2 s) + sqrt(2 k))^2 of the root.
+    b = 2.0 * (log_p - np.log(np.sqrt(2.0 * depths).sum(axis=0)))
+    b_hi = math.log(_BRACKET_HI)
+    for rounds_left in range(_SAG_ROUNDS, -1, -1):
+        # A scale above the bracket counts as the taut limit: the row
+        # parks there and the chord clamp below supplies its answer.
+        np.minimum(b, b_hi, out=b)
         a = np.exp(b)
-        half_gap = half_ps / a
-        mid = half_gap - np.arccosh(1.0 + sag_limit / a)
-        f = 2.0 * a * np.sinh(mid) * np.sinh(half_gap) - hs
-        return np.minimum(np.maximum(np.arcsinh(f), -720.0), 720.0)
+        w = depths / a
+        w2 = w + 2.0
+        # acosh(1 + w) through log1p keeps the digits of small w;
+        # sqrt(w / (w + 2)) = -a d/da acosh(1 + depth / a) is 0 at w = 0
+        acosh_w = np.log1p(w + np.sqrt(w * w2))
+        slope_w = np.sqrt(w / w2)
+        span = acosh_w[0] + acosh_w[1]
+        l_a = slope_w[0] + slope_w[1]
+        if not rounds_left:
+            break
+        # d log p / d b = 1 - l_a / span; the floor keeps a parked row
+        # stepping up when both depth ratios underflow to 0
+        floored = np.maximum(span, _TINY)
+        b -= (b + np.log(floored) - log_p) * floored / (floored - l_a)
 
-    # Seed a tight bracket from two closed-form regimes.  Shallow spans:
-    # both endpoint offsets are quadratic in their half-spans, giving
-    # a = p^2 / (sqrt(2 sag) + sqrt(2 (sag + |H|)))^2.  Deep, nearly
-    # vertical spans: with tau = p/a, the balance reduces to
-    # tau - 2 ln tau = ln(4 sag |H| / p^2), a contraction solvable by a few
-    # fixed-point sweeps.  The envelope of the two guesses, widened by 4x
-    # either way, almost always straddles the root; rows where a sign check
-    # disagrees fall back to the matching half of the wide bracket.
+    length = np.sqrt(depths * (depths + 2.0 * a)).sum(axis=0)
+    # Closed-form gradient at the solved scale.  l_a = dl/da and
+    # p_a = dp/da = span - l_a, so dl/dp = l_a / p_a and, with s fixed,
+    # dl/dk = (dl/dk at fixed a) - l_a (dp/dk at fixed a) / p_a.
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_sq = ps ** 2
-        a_sh = p_sq / (math.sqrt(2.0 * sag_limit)
-                       + np.sqrt(2.0 * (sag_limit + hs))) ** 2
-        ratio = np.log(4.0 * sag_limit * hs / p_sq)
-    deep = ratio > 2.0
-    low = high = a_sh
-    if deep.any():
-        tau = np.where(deep, np.maximum(ratio, 3.0), 3.0)
-        for _ in range(3):
-            tau = np.where(deep, ratio + 2.0 * np.log(tau), tau)
-        a_dp = np.where(deep, ps / tau, a_sh)
-        low, high = np.minimum(a_sh, a_dp), np.maximum(a_sh, a_dp)
-    lo_c = np.clip(low / 4.0, wide_lo, _BRACKET_HI)
-    hi_c = np.clip(4.0 * high, wide_lo, _BRACKET_HI)
-
-    lo_cb = np.log(lo_c)
-    hi_cb = np.log(hi_c)
-    wide_lob = np.log(wide_lo)
-    wide_hib = np.full_like(ps, math.log(_BRACKET_HI))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g1, g2, g_wide = g_of(np.array([lo_cb, hi_cb, wide_hib]))
-        # Row 0 of ends/g_ends is the low end of each bracket, row 1 the
-        # high end.  The arrays are updated in place with np.copyto, which
-        # costs about half of an np.where on arrays this small.
-        ends = np.array([lo_cb, hi_cb])
-        g_ends = np.array([g1, g2])
-        # f blows up positive at the wide lower endpoint, so its g is the cap
-        left = g1 <= 0.0
-        right = (~left) & (g2 >= 0.0)
-        np.copyto(ends, np.array([hi_cb, wide_hib]), where=right)
-        np.copyto(g_ends, np.array([g2, g_wide]), where=right)
-        np.copyto(ends, np.array([wide_lob, lo_cb]), where=left)
-        np.copyto(g_ends[0], 720.0, where=left)
-        np.copyto(g_ends[1], g1, where=left)
-        # rows whose root lies beyond the wide bracket (near-zero sag and
-        # |H|) collapse onto it; the chord clamp below supplies the answer
-        beyond = g_ends[1] > 0.0
-        np.copyto(ends[0], ends[1], where=beyond)
-        np.copyto(g_ends[0], g_ends[1], where=beyond)
-
-        # ``last`` marks the end the previous round replaced (neither
-        # before the first)
-        last = np.zeros(ends.shape, dtype=bool)
-        best_b = 0.5 * (ends[0] + ends[1])
-        # the bracketed phase only needs to land within ~1e-6 of the root;
-        # the Newton polish below is quadratic from there and reaches
-        # rounding accuracy in two steps, skipping the bracket's slow endgame
-        done = (ends[1] - ends[0]) <= 1e-6
-        for _ in range(iterations):
-            if np.count_nonzero(done) == done.size:
-                break
-            cross = ends * g_ends[::-1]
-            secant = (cross[0] - cross[1]) / (g_ends[1] - g_ends[0])
-            # rows whose secant leaves the bracket bisect; NaN and infinite
-            # secants fail the strict test too
-            b = 0.5 * (ends[0] + ends[1])
-            np.copyto(b, secant, where=(secant > ends[0]) & (secant < ends[1]))
-            g_b = g_of(b)
-            step_small = np.abs(b - best_b) <= 1e-6
-            np.copyto(best_b, b, where=~done)
-            # g decreases through the root: g_b > 0 replaces the low end
-            replaced = (g_b > 0.0) == _LOW_END
-            # Illinois anti-stall: halve the retained end's value whenever
-            # the same end is replaced twice in a row, so the stale end
-            # cannot pin the bracket open
-            np.copyto(g_ends, 0.5 * g_ends, where=last[::-1])
-            np.copyto(g_ends, g_b, where=replaced)
-            np.copyto(ends, b, where=replaced)
-            last = replaced
-            done = done | step_small | (ends[1] - ends[0] <= 1e-6)
-        for _ in range(2):
-            a_n = np.exp(best_b)
-            y = sag_limit / a_n
-            q = half_ps / a_n
-            m = q - np.arccosh(1.0 + y)
-            sm, sq = np.sinh(m), np.sinh(q)
-            f = 2.0 * a_n * sm * sq - hs
-            q_a = -q / a_n
-            m_a = q_a + np.sqrt(y / (2.0 + y)) / a_n
-            f_a = 2.0 * (sm * sq + a_n * (np.cosh(m) * m_a * sq
-                                          + sm * np.cosh(q) * q_a))
-            step = f / (f_a * a_n)
-            np.copyto(best_b, best_b - step, where=np.isfinite(step))
-    # the root never leaves the bracket, so neither may the polish
-    a = np.exp(best_b.clip(ends[0], ends[1]))
-    with np.errstate(over="ignore"):
-        u_a = -np.arccosh(1.0 + sag_limit / a)
-        mid = u_a + half_ps / a
-        length = 2.0 * a * np.cosh(mid) * np.sinh(half_ps / a)
-    chord = np.hypot(ps, hs)
-    scale[solve] = a
-    out[solve] = np.maximum(length, chord)
-    chord_ruled[solve] = chord >= length
-    return out, scale, chord_ruled
+        dl_dp = l_a / (span - l_a)
+        dl_dh = (1.0 + w[1] - dl_dp) / np.sqrt(w[1] * w2[1])
+    chord = np.hypot(p, habs)
+    taut = chord >= length
+    np.copyto(length, chord, where=taut)
+    np.copyto(dl_dp, p / chord, where=taut)
+    np.copyto(dl_dh, habs / chord, where=taut)
+    return length, dl_dp, dl_dh
 
 
 def max_length(cfg: PlanarConfiguration, props: CableProperties) -> float:
@@ -502,17 +438,14 @@ def corridor_bounds_and_gradient(attach: np.ndarray, anchor,
     The bounds equal corridor_bounds_batch's bit for bit; the gradients are
     (n, 3) arrays over the attachment point's world coordinates (the y
     column stays zero).  l_min's gradient is the unit chord direction in
-    the x-z plane.  l_max's differentiates the root condition implicitly
-    at the solved scale, so it is exact at the returned length; rows
-    decided by the taut-chord clamp follow the chord's gradient, and near
-    the degenerate vertical configuration the analytic limit of the
-    |H| + sag rule applies.
+    the x-z plane; l_max's is the sag-limited solve's closed form, the
+    chord's on rows decided by the taut-chord clamp and the |H| + sag
+    rule's near the degenerate vertical configuration.
     """
     dx, dz = _planar_offsets(attach, anchor)
-    p = np.abs(dx)
     H = -dz
     l_min = np.hypot(dx, dz)
-    length, a, chord_ruled = _sag_solve_batch(p, H, props.sag_limit)
+    length, dl_dp, dl_dh = _sag_solve_batch(np.abs(dx), H, props.sag_limit)
 
     apart = l_min > 1e-12
     safe = np.ones_like(l_min)
@@ -521,48 +454,8 @@ def corridor_bounds_and_gradient(attach: np.ndarray, anchor,
     np.copyto(dlmin[:, 0], dx / safe, where=apart)
     np.copyto(dlmin[:, 2], dz / safe, where=apart)
 
-    hs = np.abs(H)
-    # Implicit differentiation of f(a, p, h) = 2 a sinh(m) sinh(q) - h = 0
-    # with q = p/(2a) and m = q - acosh(1 + sag/a), around the solved a.
-    # The length is l = 2 a cosh(m) sinh(q); the sum-angle identities
-    # collapse the explicit partials to df/dp = sinh(m+q), dl/dp = cosh(m+q).
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        q = 0.5 * p / a
-        y = props.sag_limit / a
-        m = q - np.arccosh(1.0 + y)
-        sq, cq = np.sinh(q), np.cosh(q)
-        sm, cm = np.sinh(m), np.cosh(m)
-        q_a = -q / a
-        m_a = q_a + np.sqrt(y / (2.0 + y)) / a
-        f_a = 2.0 * (sm * sq + a * (cm * m_a * sq + sm * cq * q_a))
-        l_a = 2.0 * (cm * sq + a * (sm * m_a * sq + cm * cq * q_a))
-        dl_dp = np.asarray(np.cosh(m + q) - l_a * np.sinh(m + q) / f_a)
-        dl_dh = np.asarray(l_a / f_a)
-        chord = np.hypot(p, hs)
-        np.copyto(dl_dp, p / chord, where=chord_ruled)
-        np.copyto(dl_dh, hs / chord, where=chord_ruled)
-    near_vertical = p < _GRADIENT_VERTICAL_P
-    np.copyto(dl_dp, 0.0, where=near_vertical)
-    np.copyto(dl_dh, 1.0, where=near_vertical)
     dlmax = np.zeros_like(dlmin)
     dlmax[:, 0] = dl_dp * np.sign(dx)
     # H grows as the attachment point sinks
     dlmax[:, 2] = -(np.sign(H) * dl_dh)
     return l_min, np.maximum(length, l_min), dlmin, dlmax
-
-
-def sample_shape(sol: CatenarySolution, n: int, world_a=None) -> np.ndarray:
-    """Sample n points along the solved curve, endpoint A to endpoint B.
-
-    Returns an (n, 2) array of (x, z) pairs in the vertex-origin frame.  If
-    ``world_a`` is given as the planar world position of endpoint A, the
-    samples are translated so the first point lands on it.
-    """
-    if n < 2:
-        raise ValueError("need at least two samples")
-    xs = np.linspace(sol.x_a, sol.x_b, n)
-    zs = sol.scale * (np.cosh(xs / sol.scale) - 1.0)
-    pts = np.column_stack([xs, zs])
-    if world_a is not None:
-        pts = pts - pts[0] + np.asarray(world_a, dtype=float)
-    return pts

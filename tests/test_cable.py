@@ -7,6 +7,7 @@ residuals below 1e-15 before freezing.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -28,7 +29,6 @@ from tetherpick.cable import (
     corridor_bounds_batch,
     max_length,
     min_length,
-    sample_shape,
     solve_catenary,
     tension_at,
     _sag_solve_batch,
@@ -362,40 +362,6 @@ class TestCableBounds:
         assert CableBounds(1.0, 2.0, 2.2).margin == pytest.approx(-0.2)
 
 
-class TestSampleShape:
-    def test_two_samples_are_endpoints(self):
-        sol = solve_catenary(PlanarConfiguration(2, 1), 2.4, PROPS)
-        pts = sample_shape(sol, 2)
-        assert pts.shape == (2, 2)
-        np.testing.assert_allclose(pts[0, 0], sol.x_a, rtol=1e-12)
-        np.testing.assert_allclose(pts[1, 0], sol.x_b, rtol=1e-12)
-        for x, z in pts:
-            assert z == pytest.approx(sol.scale * (math.cosh(x / sol.scale) - 1.0), rel=1e-12)
-
-    def test_symmetric_midpoint_is_vertex(self):
-        sol = solve_catenary(PlanarConfiguration(2, 0), 2.5, PROPS)
-        pts = sample_shape(sol, 3)
-        assert pts[1, 0] == pytest.approx(0.0, abs=1e-12)
-        assert pts[1, 1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_refinement_converges_to_arc_length(self):
-        sol = solve_catenary(PlanarConfiguration(2, 1), 2.4, PROPS)
-        pts = sample_shape(sol, 10_000)
-        seg = np.diff(pts, axis=0)
-        poly_len = float(np.sum(np.hypot(seg[:, 0], seg[:, 1])))
-        assert poly_len == pytest.approx(sol.length, rel=1e-5)
-
-    def test_world_translation(self):
-        sol = solve_catenary(PlanarConfiguration(2, 0), 2.5, PROPS)
-        pts = sample_shape(sol, 5, world_a=(10.0, 3.0))
-        np.testing.assert_allclose(pts[0], [10.0, 3.0], rtol=1e-12)
-
-    def test_rejects_single_sample(self):
-        sol = solve_catenary(PlanarConfiguration(2, 0), 2.5, PROPS)
-        with pytest.raises(ValueError):
-            sample_shape(sol, 1)
-
-
 class TestBatchedHelpers:
     def test_batch_matches_scalar_solves(self):
         rng = np.random.default_rng(11)
@@ -583,133 +549,100 @@ class TestNewtonScale:
             assert _solve_scale(p, rhs) == pytest.approx(expected, rel=1e-9)
 
 
-# The sag-limited batch solve as it stood before its bracket ends were
-# stacked into one array, kept here verbatim (comments aside) as the
-# reference: the planner is chaotic in these bits, so the rewrite must
-# reproduce them exactly, not to a tolerance.
+def exact_sag_length(p, H, sag):
+    """40-digit sag-limited length: the root of the span equation
+    a [acosh(1 + s/a) + acosh(1 + k/a)] = p, with s = sag and k = sag + |H|,
+    found in b = log a, then sqrt(s^2 + 2as) + sqrt(k^2 + 2ak)."""
+    with mpmath.workdps(40):
+        p, s = mpmath.mpf(p), mpmath.mpf(sag)
+        k = s + abs(mpmath.mpf(H))
 
-def reference_sag_solve_batch(p, H, sag_limit, iterations=100):
-    p = np.asarray(p, dtype=float)
-    H = np.asarray(H, dtype=float)
-    habs = np.abs(H)
-    out = np.full(p.shape, np.nan)
-    scale = np.full(p.shape, np.nan)
-    chord_ruled = np.zeros(p.shape, dtype=bool)
+        def log_span_gap(b):
+            a = mpmath.exp(b)
+            return mpmath.log(a * (mpmath.acosh(1 + s / a)
+                                   + mpmath.acosh(1 + k / a))) - mpmath.log(p)
 
-    vertical = p < EPS_P
-    out[vertical] = habs[vertical] + sag_limit
-
-    level_zero_sag = (~vertical) & (sag_limit == 0.0) & (habs == 0.0)
-    out[level_zero_sag] = p[level_zero_sag]
-    chord_ruled[level_zero_sag] = True
-
-    solve = ~(vertical | level_zero_sag)
-    if not np.any(solve):
-        return out, scale, chord_ruled
-
-    ps = p[solve]
-    hs = habs[solve]
-    wide_lo = np.minimum(_REF_BRACKET_LO, 1e-4 * ps)
-
-    def g_of(b: np.ndarray) -> np.ndarray:
-        a = np.exp(b)
-        with np.errstate(over="ignore", invalid="ignore"):
-            u_a = -np.arccosh(1.0 + sag_limit / a)
-            mid = u_a + 0.5 * ps / a
-            f = 2.0 * a * np.sinh(mid) * np.sinh(0.5 * ps / a) - hs
-            return np.clip(np.arcsinh(f), -720.0, 720.0)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_sh = ps ** 2 / (math.sqrt(2.0 * sag_limit)
-                          + np.sqrt(2.0 * (sag_limit + hs))) ** 2
-        ratio = np.log(4.0 * sag_limit * hs / ps ** 2)
-    deep = ratio > 2.0
-    tau = np.where(deep, np.maximum(ratio, 3.0), 3.0)
-    for _ in range(3):
-        tau = np.where(deep, ratio + 2.0 * np.log(tau), tau)
-    a_dp = np.where(deep, ps / tau, a_sh)
-    lo_c = np.clip(np.minimum(a_sh, a_dp) / 4.0, wide_lo, _REF_BRACKET_HI)
-    hi_c = np.clip(4.0 * np.maximum(a_sh, a_dp), wide_lo, _REF_BRACKET_HI)
-
-    lo_cb = np.log(lo_c)
-    hi_cb = np.log(hi_c)
-    wide_lob = np.log(wide_lo)
-    wide_hib = np.full_like(ps, math.log(_REF_BRACKET_HI))
-    g1 = g_of(lo_cb)
-    g2 = g_of(hi_cb)
-    g_wide = g_of(wide_hib)
-    left = g1 <= 0.0
-    right = (~left) & (g2 >= 0.0)
-    lo_b = np.where(left, wide_lob, np.where(right, hi_cb, lo_cb))
-    g_lo = np.where(left, 720.0, np.where(right, g2, g1))
-    hi_b = np.where(left, lo_cb, np.where(right, wide_hib, hi_cb))
-    g_hi = np.where(left, g1, np.where(right, g_wide, g2))
-    beyond = g_hi > 0.0
-    lo_b = np.where(beyond, hi_b, lo_b)
-    g_lo = np.where(beyond, g_hi, g_lo)
-
-    side = np.zeros(ps.shape, dtype=int)
-    best_b = 0.5 * (lo_b + hi_b)
-    done = (hi_b - lo_b) <= 1e-6
-    for _ in range(iterations):
-        if np.all(done):
-            break
-        with np.errstate(invalid="ignore", divide="ignore"):
-            b = (lo_b * g_hi - hi_b * g_lo) / (g_hi - g_lo)
-        secant_ok = np.isfinite(b) & (b > lo_b) & (b < hi_b)
-        b = np.where(secant_ok, b, 0.5 * (lo_b + hi_b))
-        g_b = g_of(b)
-        step_small = np.abs(b - best_b) <= 1e-6
-        best_b = np.where(done, best_b, b)
-        replaces_lo = g_b > 0.0
-        g_hi = np.where(replaces_lo & (side == 1), 0.5 * g_hi, g_hi)
-        g_lo = np.where(~replaces_lo & (side == -1), 0.5 * g_lo, g_lo)
-        lo_b = np.where(replaces_lo, b, lo_b)
-        g_lo = np.where(replaces_lo, g_b, g_lo)
-        hi_b = np.where(~replaces_lo, b, hi_b)
-        g_hi = np.where(~replaces_lo, g_b, g_hi)
-        side = np.where(replaces_lo, 1, -1)
-        done = done | step_small | (hi_b - lo_b <= 1e-6)
-    for _ in range(2):
-        a_n = np.exp(best_b)
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            y = sag_limit / a_n
-            q = 0.5 * ps / a_n
-            m = q - np.arccosh(1.0 + y)
-            f = 2.0 * a_n * np.sinh(m) * np.sinh(q) - hs
-            q_a = -q / a_n
-            m_a = q_a + np.sqrt(y / (2.0 + y)) / a_n
-            f_a = 2.0 * (np.sinh(m) * np.sinh(q)
-                         + a_n * (np.cosh(m) * m_a * np.sinh(q)
-                                  + np.sinh(m) * np.cosh(q) * q_a))
-            step = f / (f_a * a_n)
-        best_b = np.where(np.isfinite(step), best_b - step, best_b)
-    a = np.exp(np.clip(best_b, lo_b, hi_b))
-    with np.errstate(over="ignore"):
-        u_a = -np.arccosh(1.0 + sag_limit / a)
-        mid = u_a + 0.5 * ps / a
-        length = 2.0 * a * np.cosh(mid) * np.sinh(0.5 * ps / a)
-    chord = np.hypot(ps, hs)
-    scale[solve] = a
-    out[solve] = np.maximum(length, chord)
-    chord_ruled[solve] = chord >= length
-    return out, scale, chord_ruled
+        a = mpmath.exp(mpmath.findroot(log_span_gap, mpmath.mpf(0)))
+        return mpmath.sqrt(s * s + 2 * a * s) + mpmath.sqrt(k * k + 2 * a * k)
 
 
 ROW = st.tuples(
     st.one_of(st.floats(0.0, 2e-6), st.floats(1e-6, 1e-3), st.floats(1e-3, 10.0)),
     st.one_of(st.just(0.0), st.floats(-5.0, 5.0), st.floats(-1e-4, 1e-4)))
 
+# zero, subnormal, tiny and ordinary magnitudes
+TINY_TO_LARGE = st.one_of(
+    st.just(0.0), st.just(5e-324),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0, 1e-290), st.floats(0.0, 1e-6), st.floats(0.0, 10.0))
+
 
 class TestSagSolveBatch:
     @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(1e-4, 10.0), H=st.floats(-3.0, 3.0),
+           sag=st.floats(1e-3, 1.0))
+    def test_length_matches_a_40_digit_root(self, p, H, sag):
+        """Within 2e-15 relative; the bracketed solve this replaced was off
+        by up to 1.8e-14 on such rows."""
+        length = _sag_solve_batch(np.array([p]), np.array([H]), sag)[0][0]
+        assert length > math.hypot(p, H)
+        assert abs(length / exact_sag_length(p, H, sag) - 1) <= 2e-15
+
+    @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(ROW, min_size=1, max_size=40),
            sag=st.sampled_from([0.0, 1e-6, 0.01, 0.1, 1.0, 3.0]))
-    def test_matches_reference_bit_for_bit(self, rows, sag):
+    def test_each_row_equals_its_solo_solve_bit_for_bit(self, rows, sag):
         p = np.array([row[0] for row in rows])
         H = np.array([row[1] for row in rows])
-        with np.errstate(over="ignore"):
-            expected = reference_sag_solve_batch(p, H, sag)
-        for got, want in zip(_sag_solve_batch(p, H, sag), expected):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        batch = _sag_solve_batch(p, H, sag)
+        for i in range(p.size):
+            solo = _sag_solve_batch(p[i:i + 1], H[i:i + 1], sag)
+            for got, want in zip(batch, solo):
+                assert got[i:i + 1].tobytes() == want.tobytes()
+
+    @settings(max_examples=1000, deadline=None)
+    @given(p=st.one_of(st.just(EPS_P), st.floats(EPS_P, 1e-5),
+                       st.floats(EPS_P, 100.0)),
+           H=TINY_TO_LARGE, sag=TINY_TO_LARGE, below=st.booleans())
+    def test_edge_rows_give_a_finite_length_and_gradient(self, p, H, sag,
+                                                         below):
+        """Zero and subnormal sag and |H|: no warning, a finite length at
+        least the chord, a finite gradient, and the chord's gradient
+        wherever the taut-chord clamp decides the length."""
+        H = -H if below else H
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            length, dl_dp, dl_dh = _sag_solve_batch(np.array([p]),
+                                                    np.array([H]), sag)
+        chord = math.hypot(p, H)
+        assert math.isfinite(length[0]) and length[0] >= chord
+        assert math.isfinite(dl_dp[0]) and math.isfinite(dl_dh[0])
+        if p < 10.0 * EPS_P:
+            assert (dl_dp[0], dl_dh[0]) == (0.0, 1.0)
+        elif length[0] == chord:
+            assert (dl_dp[0], dl_dh[0]) == (p / chord, abs(H) / chord)
+
+    @pytest.mark.parametrize("p, H, sag", [
+        (1e-6, 5e-324, 0.0), (1.0, 1e-300, 0.0), (1.0, 1e-300, 1e-300)])
+    def test_scale_beyond_the_bracket_takes_the_chord(self, p, H, sag):
+        # the root scale here exceeds 1e6 or even overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            length, dl_dp, dl_dh = _sag_solve_batch(np.array([p]),
+                                                    np.array([H]), sag)
+        assert length[0] == math.hypot(p, H)
+        assert math.isfinite(dl_dp[0]) and math.isfinite(dl_dh[0])
+
+    def test_zero_sag_and_vertical_rules(self):
+        p = np.array([2.0, 2.0, 0.0, 5e-7])
+        H = np.array([0.0, 1.5, 3.0, -2.0])
+        length, dl_dp, dl_dh = _sag_solve_batch(p, H, 0.0)
+        # level zero-sag rows are the chord; a sloped zero-sag row hangs
+        # with its vertex at the lower end and is longer than the chord
+        assert length[0] == 2.0 and (dl_dp[0], dl_dh[0]) == (1.0, 0.0)
+        assert length[1] > 2.5
+        assert abs(length[1] / exact_sag_length(2.0, 1.5, 0.0) - 1) <= 2e-15
+        # below EPS_P the vertical rule |H| + sag applies
+        assert length[2:].tolist() == [3.0, 2.0]
+        assert dl_dp[2:].tolist() == [0.0, 0.0]
+        assert dl_dh[2:].tolist() == [1.0, 1.0]

@@ -6,13 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import _lbfgsb
+from scipy.optimize import OptimizeResult as scipy_result, _lbfgsb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetherpick import cable, optimizer
 from tetherpick.cable import CableProperties
 from tetherpick.errors import ValidationError
+from tetherpick.scenario import load_document, parse_scenario
 from tetherpick.optimizer import (
     CostBreakdown,
     Limits,
@@ -575,6 +576,102 @@ class TestOptimize:
         # the goal chord is 5 m; the schedule must have released at least
         # that much, which takes (5 - 3.7) / 0.2 = 6.5 seconds
         assert result.trajectory.duration > 6.0
+
+
+class TestFalseStopGuard:
+    """A status-0 stop with a large gradient restarts L-BFGS-B."""
+
+    @staticmethod
+    def scripted_minimize(monkeypatch, legs):
+        """Replace minimize by one that plays back (status, nit, max |jac|)
+        legs, each ending at J = 100 one step of 0.01 past its start, and
+        records every call's start and options."""
+        calls = []
+        legs = iter(legs)
+
+        def minimize(fun, x0, **kwargs):
+            calls.append((x0.copy(), kwargs["options"]))
+            status, nit, jac = next(legs)
+            x = x0 + 0.01
+            return scipy_result(x=x, fun=100.0, jac=np.full(x.shape, jac),
+                                status=status, nit=nit, message="scripted")
+
+        monkeypatch.setattr(optimizer, "minimize", minimize)
+        return calls
+
+    @pytest.mark.parametrize("legs, iterations, status", [
+        # false stops restart until a genuine one
+        ([(0, 40, 1e5), (0, 25, 1e5), (0, 10, 1e-3)], 75, "converged"),
+        # the shared budget runs out
+        ([(0, 40, 1e5), (0, 40, 1e5), (0, 20, 1e5)], 100, "max_iterations"),
+        ([(0, 40, 1e5), (1, 60, 1e5)], 100, "max_iterations"),
+        # a leg that cannot take a step ends the loop
+        ([(0, 30, 1e5), (0, 0, 1e5)], 30, "line_search_failure"),
+        ([(0, 30, 1e5), (2, 3, 1e5)], 33, "line_search_failure"),
+    ])
+    def test_restarts_share_the_iteration_budget(self, monkeypatch, legs,
+                                                 iterations, status):
+        calls = self.scripted_minimize(monkeypatch, legs)
+        result = optimize(make_scenario(), max_iterations=100)
+        assert len(calls) == len(legs)
+        assert result.iterations == iterations
+        assert result.status == status
+        budget = 100
+        for (_, options), (_, nit, _) in zip(calls, legs):
+            assert options["maxiter"] == budget
+            budget -= nit
+        # each leg starts where the previous one stopped
+        for (start, _), (previous, _) in zip(calls[1:], calls):
+            np.testing.assert_array_equal(start, previous + 0.01)
+
+    def test_small_gradient_stop_is_converged(self, monkeypatch):
+        # 0.5 is within 1e-2 of J = 100
+        calls = self.scripted_minimize(monkeypatch, [(0, 12, 0.5)])
+        result = optimize(make_scenario(), max_iterations=100)
+        assert len(calls) == 1
+        assert (result.iterations, result.status) == (12, "converged")
+
+    @pytest.mark.parametrize("segments, max_iterations, status", [
+        (6, 30, "max_iterations"), (1, 500, "converged")])
+    def test_unguarded_run_is_one_plain_leg(self, monkeypatch, segments,
+                                            max_iterations, status):
+        """Where the guard does not fire, optimize is one L-BFGS-B call
+        with the planner's options, and reports that call's result."""
+        legs = []
+        real_minimize = optimizer.minimize
+
+        def minimize(*args, **kwargs):
+            legs.append((kwargs["options"], real_minimize(*args, **kwargs)))
+            return legs[-1][1]
+
+        monkeypatch.setattr(optimizer, "minimize", minimize)
+        scenario = make_scenario(
+            segment_count=segments,
+            weights=PenaltyWeights(cable=0.0, obstacle=0.0))
+        result = optimize(scenario, max_iterations=max_iterations)
+        assert len(legs) == 1
+        options, leg = legs[0]
+        assert options == {"maxiter": max_iterations, "maxcor": 8,
+                           "ftol": 1e-12, "gtol": 1e-6}
+        assert result.iterations == leg.nit == len(result.history)
+        assert result.breakdown.total == leg.fun
+        assert result.trajectory.coefficients.tobytes() == construct(
+            leg.x[:-1].reshape(-1, 3), result.trajectory.duration,
+            scenario.start_state, scenario.goal_position,
+            scenario.goal_velocity).coefficients.tobytes()
+        assert result.status == status
+
+    def test_known_false_stop_no_longer_reports_converged(
+            self, shipped_scenario_dir):
+        """pickup_level with its goal at z = 2 m and a 0.05 m sag limit
+        stopped on ftol with failing hinges."""
+        document = load_document(shipped_scenario_dir / "pickup_level.yaml")
+        document["scenario"]["goal_position_m"][2] = 2.0
+        document["cable"]["sag_limit_m"] = 0.05
+        scenario = parse_scenario(document).planning
+        result = optimize(scenario)
+        assert result.iterations <= 500
+        assert result.status != "converged" or result.penalties_ok
 
 
 _SCIPY_BLAS = ctypes.CDLL(_lbfgsb.__file__)
