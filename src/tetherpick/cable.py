@@ -153,15 +153,6 @@ class CableBounds:
     l_max: float
     l_now: float
 
-    @property
-    def satisfied(self) -> bool:
-        return self.l_min <= self.l_now <= self.l_max
-
-    @property
-    def margin(self) -> float:
-        """Distance of l_now from the nearest corridor edge (negative if outside)."""
-        return min(self.l_now - self.l_min, self.l_max - self.l_now)
-
 
 def min_length(p_droid, p_anchor) -> float:
     """Shortest admissible cable: the x-z plane distance between endpoints."""

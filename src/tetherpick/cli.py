@@ -109,17 +109,27 @@ def read_trajectory_artifact(path: Path) -> Trajectory:
     try:
         n = int(body[0][9])
         dt = float(body[0][8])
-        coeffs = np.full((n, 6, 3), np.nan)
+        if n < 1 or not 0.0 < dt < np.inf:
+            raise ParseError(f"{path} needs N >= 1 and a finite dT > 0")
+        coeffs = np.zeros((n, 6, 3))
+        seen = set()
         for row in body:
             seg = int(row[0])
             axis = _AXES.index(row[1])
             if int(row[9]) != n or float(row[8]) != dt:
                 raise ParseError(f"{path} mixes segment counts or durations")
+            if not 0 <= seg < n:
+                raise ParseError(f"{path} has segment {seg} outside [0, {n})")
+            if (seg, axis) in seen:
+                raise ParseError(f"{path} repeats segment {seg} axis {row[1]}")
+            seen.add((seg, axis))
             coeffs[seg, :, axis] = [float(v) for v in row[2:8]]
     except (ValueError, IndexError):
         raise ParseError(f"{path} has malformed coefficient rows") from None
-    if np.any(np.isnan(coeffs)):
+    if len(seen) < 3 * n:
         raise ParseError(f"{path} is missing segment/axis rows")
+    if not np.isfinite(coeffs).all():
+        raise ParseError(f"{path} has non-finite coefficients")
     return Trajectory(coefficients=coeffs, segment_duration=dt)
 
 
@@ -337,7 +347,8 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     document = load_document(args.scenario)
-    sc = load_scenario(args.scenario)  # validate the template up front
+    # validate the template up front
+    sc = parse_scenario(document, name_fallback=Path(args.scenario).stem)
     axes = [_parse_grid(spec) for spec in args.grid]
     combos = list(itertools.product(*(values for _, values in axes)))
     paths = [path for path, _ in axes]

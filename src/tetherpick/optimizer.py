@@ -155,10 +155,6 @@ class ObstaclePlane:
         object.__setattr__(self, "point", point)
         object.__setattr__(self, "normal", normal / norm)
 
-    def signed_distance(self, position) -> float:
-        return float((np.asarray(position, dtype=float) - self.point)
-                     @ self.normal)
-
 
 @dataclass(frozen=True)
 class WinchSchedule:
@@ -237,13 +233,6 @@ class CostBreakdown:
     def total(self) -> float:
         return (self.smoothness + self.time + self.velocity + self.acceleration
                 + self.jerk + self.thrust + self.obstacle + self.cable)
-
-    def as_dict(self) -> dict:
-        return {"smoothness": self.smoothness, "time": self.time,
-                "velocity": self.velocity, "acceleration": self.acceleration,
-                "jerk": self.jerk, "thrust": self.thrust,
-                "obstacle": self.obstacle, "cable": self.cable,
-                "total": self.total}
 
 
 @dataclass

@@ -20,8 +20,8 @@ measured tether force into thrust, attitude, and body rates.
 
 The physics lives in three scalar kernels (cable forces, flatness
 inversion, one integration step) that work on floats and tuples, so the
-per-step loops pay no array overhead.  The public ``tether_force``,
-``flat_to_inputs`` and ``step`` are array adapters over the same kernels.
+per-step loops pay no array overhead.  The public ``tether_force`` and
+``flat_to_inputs`` are array adapters over the first two.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .cable import (
     tension_at,
 )
 from .errors import DegenerateThrust, ValidationError
-from .optimizer import VIOLATION_TOL, WinchSchedule
+from .optimizer import VIOLATION_TOL, WinchSchedule, corridor_violation
 from .trajectory import Trajectory
 
 # Surrogate spring for the taut regime.  Stiff enough that the sag under a
@@ -73,48 +73,6 @@ class DroneParams:
             raise ValidationError("gravity must be positive")
         if self.kp < 0 or self.kd < 0:
             raise ValidationError("gains must be nonnegative")
-
-    @property
-    def gravity_vector(self) -> np.ndarray:
-        return np.array([0.0, 0.0, -self.gravity])
-
-
-@dataclass
-class RigidBodyState:
-    position: np.ndarray
-    velocity: np.ndarray
-    rotation: np.ndarray
-    body_rates: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.position = np.asarray(self.position, dtype=float).reshape(3)
-        self.velocity = np.asarray(self.velocity, dtype=float).reshape(3)
-        self.rotation = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        self.body_rates = np.asarray(self.body_rates, dtype=float).reshape(3)
-
-    @classmethod
-    def at_rest(cls, position) -> "RigidBodyState":
-        return cls(position=position, velocity=np.zeros(3),
-                   rotation=np.eye(3), body_rates=np.zeros(3))
-
-
-@dataclass
-class WinchState:
-    """Integrated winch: released length plus its signed rate."""
-
-    released_length: float
-    payout_speed: float = 0.0
-    capacity: float = math.inf
-
-    def __post_init__(self) -> None:
-        if self.released_length < 0:
-            raise ValidationError("released_length must be nonnegative")
-        if not self.capacity > 0:
-            raise ValidationError("winch capacity must be positive")
-
-    def advance(self, dt: float) -> None:
-        raw = self.released_length + self.payout_speed * dt
-        self.released_length = min(max(raw, 0.0), self.capacity)
 
 
 @dataclass(frozen=True)
@@ -244,7 +202,7 @@ def flat_to_inputs(acceleration, jerk, yaw: float, yaw_rate: float,
 
 def _advance(pos, vel, rot, thrust: float, rates, force,
              mass: float, gravity: float, dt: float):
-    """Scalar core of step.
+    """One integration step, with the rotor force along the body z-axis.
 
     Semi-implicit Euler for the translation, then R exp([w]x dt) by
     Rodrigues' formula for the attitude.  Vectors are 3-tuples and ``rot``
@@ -294,26 +252,6 @@ def _advance(pos, vel, rot, thrust: float, rates, force,
     return position, (vx, vy, vz), rotation, (ax, ay, az)
 
 
-def step(state: RigidBodyState, thrust: float, body_rates,
-         external_force, params: DroneParams,
-         dt: float = DEFAULT_TIMESTEP) -> tuple[RigidBodyState, np.ndarray]:
-    """One semi-implicit Euler step; returns (new state, acceleration).
-
-    The rotor force acts along the current body z-axis; attitude then
-    advances on the rotation group with the commanded body rates, which
-    keeps the rotation orthonormal for arbitrarily many steps.
-    """
-    body_rates = np.asarray(body_rates, dtype=float).reshape(3)
-    position, velocity, rotation, acceleration = _advance(
-        state.position.tolist(), state.velocity.tolist(),
-        state.rotation.ravel().tolist(), float(thrust), body_rates.tolist(),
-        np.asarray(external_force, dtype=float).reshape(3).tolist(),
-        params.mass, params.gravity, dt)
-    return RigidBodyState(position=position, velocity=velocity,
-                          rotation=rotation, body_rates=body_rates), \
-        np.array(acceleration)
-
-
 TELEMETRY_COLUMNS = ("t", "x", "y", "z", "vx", "vy", "vz",
                      "ax", "ay", "az", "l_min", "l_now", "l_max",
                      "tension", "thrust")
@@ -335,18 +273,10 @@ class TelemetryLog:
     corridor_ok: bool = True
     corridor_violation: float = 0.0
 
-    @property
-    def columns(self) -> tuple:
-        return TELEMETRY_COLUMNS
-
     def as_matrix(self) -> np.ndarray:
         return np.column_stack([
             self.time, self.position, self.velocity, self.acceleration,
             self.l_min, self.l_now, self.l_max, self.tension, self.thrust])
-
-    @property
-    def duration(self) -> float:
-        return float(self.time[-1]) if self.time.size else 0.0
 
 
 def _finish_log(rows, anchor_trace, props: CableProperties,
@@ -358,10 +288,8 @@ def _finish_log(rows, anchor_trace, props: CableProperties,
     attach = position + np.array([0.0, 0.0, props.attachment_offset])
     l_min, l_max = corridor_bounds_batch(attach, anchor_trace, props)
     l_now = rows[:, 10]
-    worst = l_now ** 2 - l_max ** 2
-    if check_lower:
-        worst = np.maximum(worst, l_min ** 2 - l_now ** 2)
-    violation = max(float(np.max(worst)), 0.0) if worst.size else 0.0
+    violation = corridor_violation(l_min if check_lower else 0.0, l_now,
+                                   l_max)
     return TelemetryLog(
         time=rows[:, 0], position=position, velocity=rows[:, 4:7],
         acceleration=rows[:, 7:10], l_min=l_min, l_now=l_now, l_max=l_max,

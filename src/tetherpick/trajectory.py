@@ -39,23 +39,16 @@ for _o in range(NCOEF + 2):
             FALLING[_o, _k] = math.factorial(_k) // math.factorial(_k - _o)
 
 
-def basis_row(tau: float, order: int) -> np.ndarray:
-    """Row vector b with b[k] = d^order/dtau^order tau^k."""
-    row = np.zeros(NCOEF)
-    if order < NCOEF:
-        for k in range(order, NCOEF):
-            row[k] = FALLING[order, k] * tau ** (k - order)
-    return row
-
-
 # _BASIS_EXPONENTS[o, k] = max(k - o, 0): the power of tau that basis order
 # o pairs with FALLING[o, k], which is zero wherever k < o
 _BASIS_EXPONENTS = np.maximum(
     np.arange(NCOEF)[None, :] - np.arange(NCOEF + 2)[:, None], 0)
 
 
+# Scalar tau takes Python's float ** and arrays of taus numpy's array **;
+# the two round differently for some taus, so they stay separate paths.
 def _basis_table(tau: float, first: int, last: int) -> np.ndarray:
-    """Rows basis_row(tau, o) for first <= o <= last, from one power list."""
+    """Rows b with b[k] = d^o/dtau^o tau^k for first <= o <= last."""
     powers = np.array([tau ** j for j in range(NCOEF - first)])
     return FALLING[first:last + 1] * powers[_BASIS_EXPONENTS[first:last + 1]]
 
@@ -72,16 +65,8 @@ def _rows_from_powers(powers: np.ndarray, order: int) -> np.ndarray:
     return rows
 
 
-def basis_rows(taus: np.ndarray, order: int) -> np.ndarray:
-    """Stacked basis rows for a vector of in-segment times."""
-    taus = np.asarray(taus, dtype=float)
-    if order >= NCOEF:
-        return np.zeros(taus.shape + (NCOEF,))
-    return _rows_from_powers(_powers(taus, NCOEF - order), order)
-
-
 def basis_rows_upto(taus: np.ndarray, max_order: int) -> list[np.ndarray]:
-    """basis_rows(taus, o) for o = 0..max_order, sharing the powers of taus."""
+    """Basis rows of orders 0..max_order at in-segment times taus."""
     powers = _powers(np.asarray(taus, dtype=float), NCOEF)
     return [_rows_from_powers(powers, o) for o in range(max_order + 1)]
 
@@ -116,19 +101,6 @@ class BoundaryState:
 
 
 @dataclass(frozen=True)
-class FlatOutput:
-    """Flat output of the end droid: position plus yaw."""
-
-    position: np.ndarray
-    yaw: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "position", _as_vec3(self.position, "position"))
-        if not (-math.pi < self.yaw <= math.pi):
-            raise ValueError("yaw must lie in (-pi, pi]")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Piecewise quintic with shape (segments, 6 coefficients, 3 axes)."""
 
@@ -143,28 +115,9 @@ class Trajectory:
     def duration(self) -> float:
         return self.segment_count * self.segment_duration
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        total = self.duration
-        tol = 1e-9 * max(1.0, total)
-        if t < -tol or t > total + tol:
-            raise OutOfDomain(f"time {t!r} outside [0, {total!r}]")
-        t = min(max(t, 0.0), total)
-        seg = min(int(t / self.segment_duration), self.segment_count - 1)
-        return seg, t - seg * self.segment_duration
-
-    def evaluate(self, t: float, order: int = 0) -> np.ndarray:
-        """Order-th time derivative at t; right limit at joints."""
-        seg, tau = self._locate(float(t))
-        return basis_row(tau, order) @ self.coefficients[seg]
-
-    def evaluate_segment(self, seg: int, tau: float, order: int = 0) -> np.ndarray:
-        """Evaluate one segment's polynomial directly (for one-sided limits)."""
-        if not 0 <= seg < self.segment_count:
-            raise OutOfDomain(f"segment {seg} out of range")
-        return basis_row(tau, order) @ self.coefficients[seg]
-
     def evaluate_batch(self, ts: np.ndarray, order: int = 0) -> np.ndarray:
-        """Vectorized evaluate; ts shape (n,) -> result shape (n, 3)."""
+        """Order-th time derivative at ts, shape (n,) -> (n, 3); right
+        limit at joints."""
         ts = np.asarray(ts, dtype=float)
         total = self.duration
         tol = 1e-9 * max(1.0, total)
@@ -174,7 +127,8 @@ class Trajectory:
         seg = np.minimum((clipped / self.segment_duration).astype(int),
                          self.segment_count - 1)
         taus = clipped - seg * self.segment_duration
-        rows = basis_rows(taus, order)
+        # every order past the degree has the all-zero rows of order NCOEF
+        rows = _rows_from_powers(_powers(taus, NCOEF), min(order, NCOEF))
         return np.einsum("nk,nkx->nx", rows, self.coefficients[seg])
 
 
@@ -204,8 +158,8 @@ def _system_pattern(n_seg: int) -> _Pattern:
         cols.append(col)
         src.append(slot)
 
-    # slots: basis_row(dT, o)[k] at o*NCOEF + k for o <= CONTINUITY_ORDER,
-    # then the constants of _SYSTEM_CONSTANTS
+    # slots: entry (o, k) of the basis table at dT at o*NCOEF + k for
+    # o <= CONTINUITY_ORDER, then the constants of _SYSTEM_CONSTANTS
     const = (CONTINUITY_ORDER + 1) * NCOEF
     for o in range(4):
         put(o, o, const + o)
@@ -384,6 +338,7 @@ def jerk_energy_gradient(traj: Trajectory):
     """(dJ/dcoefficients, direct dJ/ddT) for the squared-jerk integral."""
     g = _jerk_gram(traj.segment_duration)
     grad_c = 2.0 * np.einsum("km,smx->skx", g, traj.coefficients)
-    end_jerk = np.einsum("k,skx->sx", basis_row(traj.segment_duration, 3),
+    end_jerk = np.einsum("k,skx->sx",
+                         _basis_table(traj.segment_duration, 3, 3)[0],
                          traj.coefficients)
     return grad_c, float(np.add.reduce(end_jerk * end_jerk, axis=None))

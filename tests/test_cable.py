@@ -19,7 +19,6 @@ from scipy.optimize import brentq
 
 from tetherpick.cable import (
     EPS_P,
-    CableBounds,
     CableProperties,
     CableState,
     CatenarySolution,
@@ -344,22 +343,13 @@ class TestCableBounds:
         bounds = cable_bounds((2, 0, 0), (0, 0, 2.5), 3.3, PROPS)
         assert bounds.l_min == pytest.approx(math.sqrt(10.25), rel=1e-12)
         assert bounds.l_max == pytest.approx(MAXLEN_P2_H2P5_D0P1, rel=1e-10)
-        assert bounds.satisfied
+        assert bounds.l_min <= bounds.l_now <= bounds.l_max
 
     def test_directly_below_anchor(self):
         bounds = cable_bounds((0, 0, 0), (0, 0, 2), 2.05, PROPS)
         assert bounds.l_min == pytest.approx(2.0, abs=1e-12)
         assert bounds.l_max == pytest.approx(2.1, abs=1e-12)
-        assert bounds.satisfied
-
-    def test_over_taut_violation(self):
-        bounds = cable_bounds((3, 0, 0), (0, 0, 0), 2.9, PROPS)
-        assert not bounds.satisfied
-        assert bounds.margin < 0
-
-    def test_margin_sign(self):
-        assert CableBounds(1.0, 2.0, 1.5).margin == pytest.approx(0.5)
-        assert CableBounds(1.0, 2.0, 2.2).margin == pytest.approx(-0.2)
+        assert bounds.l_min <= bounds.l_now <= bounds.l_max
 
 
 class TestBatchedHelpers:

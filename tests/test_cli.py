@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tetherpick import cli
+from tetherpick import cli, scenario
 from tetherpick.cli import (
     COEFFICIENT_HEADER,
     _apply_override,
@@ -168,6 +168,51 @@ class TestTrajectoryArtifact:
         with pytest.raises(ParseError, match="missing segment/axis"):
             read_trajectory_artifact(path)
 
+    def edited_artifact(self, tmp_path, edit):
+        """An artifact of make_traj whose body rows went through ``edit``."""
+        path = tmp_path / "traj.csv"
+        write_trajectory_artifact(path, self.make_traj())
+        header, *body = read_rows(path)
+        rows = [header, *edit(body)]
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        return path
+
+    def test_segment_outside_range_rejected(self, tmp_path):
+        # an extra segment -1 would overwrite the last segment's row
+        path = self.edited_artifact(
+            tmp_path, lambda body: body + [["-1", *body[-1][1:]]])
+        with pytest.raises(ParseError, match=r"segment -1 outside \[0, 3\)"):
+            read_trajectory_artifact(path)
+
+    def test_duplicate_rows_rejected(self, tmp_path):
+        path = self.edited_artifact(tmp_path, lambda body: body + [body[4]])
+        with pytest.raises(ParseError, match="repeats segment 1 axis y"):
+            read_trajectory_artifact(path)
+
+    def test_segment_count_below_one_rejected(self, tmp_path):
+        path = self.edited_artifact(
+            tmp_path, lambda body: [[*row[:9], "0"] for row in body])
+        with pytest.raises(ParseError, match="N >= 1"):
+            read_trajectory_artifact(path)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, value):
+        path = self.edited_artifact(
+            tmp_path, lambda body: [body[0][:4] + [value] + body[0][5:],
+                                    *body[1:]])
+        with pytest.raises(ParseError, match="non-finite coefficients"):
+            read_trajectory_artifact(path)
+
+    @pytest.mark.parametrize("dt", ["0", "inf", "-0.5", "nan"])
+    def test_bad_segment_duration_exits_two(self, fast_scenario, tmp_path,
+                                            capsys, dt):
+        path = self.edited_artifact(
+            tmp_path, lambda body: [[*row[:8], dt, row[9]] for row in body])
+        code = run(["simulate", "--scenario", str(fast_scenario),
+                    "--trajectory", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "finite dT > 0" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_flies_the_planned_artifact(self, fast_scenario, planned_dir,
@@ -233,6 +278,24 @@ class TestSweep:
         good = dict(zip(header, rows[2]))
         assert bad["success"] == "0" and "sag" in bad["error"]
         assert good["success"] == "1" and good["error"] == ""
+
+    def test_reads_the_scenario_file_once(self, fast_scenario, tmp_path,
+                                          monkeypatch):
+        reads = []
+        real = scenario.load_document
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(scenario, "load_document", counting)
+        monkeypatch.setattr(cli, "load_document", counting)
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--scenario", str(fast_scenario),
+                    "--out", str(out), "--grid", "cable.sag_limit_m=-0.1"]) \
+            == 0
+        assert reads == [str(fast_scenario)]
+        assert (out / "hop_sweep.csv").exists()
 
     def test_requires_a_grid(self, fast_scenario, tmp_path):
         assert run(["sweep", "--scenario", str(fast_scenario),

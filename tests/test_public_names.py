@@ -1,0 +1,78 @@
+"""Every public module-level name in the package has a non-test user.
+
+A public ``def``, ``class`` or constant at module level must be exported in
+``tetherpick.__all__``, imported by another module of the package with
+``from .<module> import``, or loaded by name in its own module.  A name
+that meets none of these is called only from tests, and is dead weight.
+"""
+
+import ast
+from pathlib import Path
+
+import tetherpick
+
+PACKAGE = Path(tetherpick.__file__).resolve().parent
+
+
+def _public_definitions(tree):
+    """Names bound by module-level def, class and assignment statements."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [target.id for target in node.targets
+                     if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) \
+                and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _relative_imports(tree):
+    """(module, name) for each ``from .<module> import name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module:
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def _loaded_names(tree):
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def unused_public_names(package=PACKAGE, exported=tetherpick.__all__):
+    """Sorted 'module.name' strings of public names no module uses."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    imported = {pair for tree in trees.values()
+                for pair in _relative_imports(tree)}
+    unused = []
+    for module, tree in trees.items():
+        loaded = _loaded_names(tree)
+        for name in _public_definitions(tree):
+            if name in exported or (module, name) in imported \
+                    or name in loaded:
+                continue
+            unused.append(f"{module}.{name}")
+    return sorted(unused)
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    assert unused_public_names() == []
+
+
+def test_scan_flags_a_name_nothing_uses(tmp_path):
+    (tmp_path / "core.py").write_text(
+        "LIMIT = 3\n\n"
+        "def used():\n    return LIMIT\n\n"
+        "def exported():\n    return used()\n\n"
+        "def imported():\n    pass\n\n"
+        "class Orphan:\n    pass\n\n"
+        "def _private():\n    pass\n")
+    (tmp_path / "other.py").write_text("from .core import imported\n")
+    assert unused_public_names(tmp_path, ["exported"]) == ["core.Orphan"]

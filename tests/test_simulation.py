@@ -25,22 +25,36 @@ from tetherpick.optimizer import (
 )
 from tetherpick.simulation import (
     DroneParams,
-    RigidBodyState,
     TelemetryLog,
+    TELEMETRY_COLUMNS,
     TETHER_STIFFNESS,
     VERTICAL_EPS,
     TetherForce,
-    WinchState,
+    _advance,
     flat_to_inputs,
     simulate_pickup,
     simulate_retrieval,
-    step,
     tether_force,
 )
 from tetherpick.trajectory import BoundaryState
 
 PROPS = CableProperties()
 MU = PROPS.weight_per_length
+IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+ZERO3 = (0.0, 0.0, 0.0)
+
+
+def gravity_vector(params):
+    return np.array([0.0, 0.0, -params.gravity])
+
+
+def advance(pos, vel, rot, thrust, rates, force, params, dt=1e-3):
+    """_advance with any 3x3 rotation; returns arrays, the rotation 3x3."""
+    position, velocity, rotation, acceleration = _advance(
+        pos, vel, np.ravel(rot).tolist(), thrust, rates, force,
+        params.mass, params.gravity, dt)
+    return (np.array(position), np.array(velocity),
+            np.reshape(rotation, (3, 3)), np.array(acceleration))
 
 
 class TestTetherForce:
@@ -165,63 +179,54 @@ class TestFlatToInputs:
     def test_free_fall_is_degenerate(self):
         params = DroneParams()
         with pytest.raises(DegenerateThrust):
-            flat_to_inputs(params.gravity_vector, np.zeros(3), 0.0, 0.0,
+            flat_to_inputs(gravity_vector(params), np.zeros(3), 0.0, 0.0,
                            np.zeros(3), params)
 
 
 class TestStep:
     def test_free_fall_velocity_increment(self):
         params = DroneParams()
-        state = RigidBodyState.at_rest([0.0, 0.0, 10.0])
-        new, accel = step(state, 0.0, np.zeros(3), np.zeros(3), params, 1e-3)
-        np.testing.assert_allclose(accel, params.gravity_vector, rtol=1e-15)
-        assert new.velocity[2] == pytest.approx(-params.gravity * 1e-3,
-                                                rel=1e-15)
-        assert new.position[2] == pytest.approx(
+        position, velocity, _, accel = advance(
+            (0.0, 0.0, 10.0), ZERO3, IDENTITY, 0.0, ZERO3, ZERO3, params)
+        np.testing.assert_allclose(accel, gravity_vector(params), rtol=1e-15)
+        assert velocity[2] == pytest.approx(-params.gravity * 1e-3, rel=1e-15)
+        assert position[2] == pytest.approx(
             10.0 - params.gravity * 1e-6, rel=1e-12)
 
     def test_hover_is_an_exact_fixed_point(self):
         params = DroneParams()
-        state = RigidBodyState.at_rest([1.0, 2.0, 3.0])
+        start = (1.0, 2.0, 3.0)
         thrust = params.mass * params.gravity
-        new, accel = step(state, thrust, np.zeros(3), np.zeros(3), params)
+        position, _, _, accel = advance(start, ZERO3, IDENTITY, thrust, ZERO3,
+                                        ZERO3, params)
         np.testing.assert_array_equal(accel, 0.0)
-        np.testing.assert_array_equal(new.position, state.position)
+        np.testing.assert_array_equal(position, start)
 
     def test_constant_acceleration_closed_form(self):
         params = DroneParams(mass=1.0)
-        state = RigidBodyState.at_rest([0.0, 0.0, 0.0])
-        push = np.array([0.5, 0.0, 0.0]) - params.gravity_vector
+        push = tuple(np.array([0.5, 0.0, 0.0]) - gravity_vector(params))
         dt = 1e-3
         n = 1000
+        pos, vel, rot = ZERO3, ZERO3, IDENTITY
         for _ in range(n):
-            state, _ = step(state, 0.0, np.zeros(3), push, params, dt)
+            pos, vel, rot, _ = _advance(pos, vel, rot, 0.0, ZERO3, push,
+                                        params.mass, params.gravity, dt)
         # semi-implicit Euler: p_n = a dt^2 n(n+1)/2
         expected = 0.5 * dt * dt * n * (n + 1) / 2
-        assert state.position[0] == pytest.approx(expected, rel=1e-9)
+        assert pos[0] == pytest.approx(expected, rel=1e-9)
 
     def test_rotation_stays_orthonormal(self):
         params = DroneParams()
-        state = RigidBodyState.at_rest([0.0, 0.0, 0.0])
-        rates = np.array([0.3, -0.2, 0.1])
+        rates = (0.3, -0.2, 0.1)
         thrust = params.mass * params.gravity
+        pos, vel, rot = ZERO3, ZERO3, IDENTITY
         for _ in range(20000):
-            state, _ = step(state, thrust, rates, np.zeros(3), params)
-        gram = state.rotation.T @ state.rotation
+            pos, vel, rot, _ = _advance(pos, vel, rot, thrust, rates, ZERO3,
+                                        params.mass, params.gravity, 1e-3)
+        rotation = np.reshape(rot, (3, 3))
+        gram = rotation.T @ rotation
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
-        assert np.linalg.det(state.rotation) == pytest.approx(1.0, abs=1e-10)
-
-
-class TestWinchState:
-    def test_advance_clamps(self):
-        winch = WinchState(0.3, -0.5, capacity=2.0)
-        winch.advance(1.0)
-        assert winch.released_length == 0.0
-        grow = WinchState(1.9, 0.5, capacity=2.0)
-        grow.advance(1.0)
-        assert grow.released_length == 2.0
-        with pytest.raises(ValidationError):
-            WinchState(-0.1)
+        assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +269,7 @@ class TestSimulatePickup:
         log = simulate_pickup(traj, scenario, DroneParams())
         assert log.corridor_ok, f"violation {log.corridor_violation}"
         assert log.as_matrix().shape == (log.time.size, 15)
-        assert log.columns[0] == "t" and len(log.columns) == 15
+        assert TELEMETRY_COLUMNS[0] == "t" and len(TELEMETRY_COLUMNS) == 15
         assert np.all(np.diff(log.time) > 0)
         # released length follows the schedule
         np.testing.assert_allclose(
@@ -273,7 +278,7 @@ class TestSimulatePickup:
     def test_duration_matches_plan(self, planned):
         scenario, traj = planned
         log = simulate_pickup(traj, scenario, DroneParams())
-        assert log.duration == pytest.approx(traj.duration, abs=2e-3)
+        assert log.time[-1] == pytest.approx(traj.duration, abs=2e-3)
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +290,7 @@ def retrieval_log():
 class TestSimulateRetrieval:
     def test_completes_on_schedule(self, retrieval_log):
         # 2 m of cable at 0.2 m/s, down to the 0.2 m stow length
-        assert retrieval_log.duration == pytest.approx(10.0, abs=2e-3)
+        assert retrieval_log.time[-1] == pytest.approx(10.0, abs=2e-3)
 
     def test_tension_reads_hanging_weight(self, retrieval_log):
         log = retrieval_log
@@ -441,7 +446,7 @@ def reference_tether_force(attach, anchor, length, props, attach_velocity,
 
 
 def reference_flat_to_inputs(acceleration, jerk, yaw, yaw_rate, pull, params):
-    h = params.mass * (np.asarray(acceleration) - params.gravity_vector) \
+    h = params.mass * (np.asarray(acceleration) - gravity_vector(params)) \
         - np.asarray(pull)
     thrust = float(np.linalg.norm(h))
     if thrust < 1e-6:
@@ -501,14 +506,11 @@ class TestScalarKernels:
     def test_attitude_step_matches_rotvec_reference(self, quaternion, rates,
                                                     dt):
         start = Rotation.from_quat(quaternion).as_matrix()
-        state = RigidBodyState(position=[0.0, 0.0, 0.0],
-                               velocity=[0.0, 0.0, 0.0], rotation=start,
-                               body_rates=[0.0, 0.0, 0.0])
-        new, _ = step(state, 3.0, rates, [0.1, -0.2, 0.3], DroneParams(), dt)
+        _, _, rotation, _ = advance(ZERO3, ZERO3, start, 3.0, rates,
+                                    (0.1, -0.2, 0.3), DroneParams(), dt)
         expected = start @ Rotation.from_rotvec(np.asarray(rates) * dt) \
             .as_matrix()
-        np.testing.assert_allclose(new.rotation, expected, rtol=0.0,
-                                   atol=REL)
+        np.testing.assert_allclose(rotation, expected, rtol=0.0, atol=REL)
 
     @settings(max_examples=300, deadline=None)
     @given(attach=vectors(3.0), offset=vectors(3.0),

@@ -18,20 +18,36 @@ from scipy.optimize import minimize
 from tetherpick.errors import OutOfDomain, SingularSystem
 from tetherpick.trajectory import (
     BoundaryState,
-    FlatOutput,
     Trajectory,
     FALLING,
+    NCOEF,
     _basis_table,
     _jerk_gram,
     _solve_system,
-    basis_row,
-    basis_rows,
     basis_rows_upto,
     construct,
     jerk_energy,
     jerk_energy_gradient,
     propagate_gradients,
 )
+
+
+def basis_row(tau, order):
+    """Row b with b[k] = d^order/dtau^order tau^k, one entry at a time.
+
+    The bit-for-bit reference for the library's basis tables: each entry
+    is FALLING times a Python scalar power, exactly as they compute it.
+    """
+    row = np.zeros(NCOEF)
+    if order < NCOEF:
+        for k in range(order, NCOEF):
+            row[k] = FALLING[order, k] * tau ** (k - order)
+    return row
+
+
+def evaluate_segment(traj, seg, tau, order=0):
+    """One segment's polynomial at tau, for one-sided limits at joints."""
+    return basis_row(tau, order) @ traj.coefficients[seg]
 
 
 def brow(tau, order, ncoef=6):
@@ -136,7 +152,7 @@ class TestConstruct:
 
     def test_rest_to_rest_midpoint(self):
         traj = rest_to_rest()
-        mid = traj.evaluate(1.0)
+        mid = traj.evaluate_batch([1.0])[0]
         assert mid[0] == pytest.approx(3.0 / 16.0, rel=1e-12)
         np.testing.assert_allclose(mid[1:], 0.0, atol=1e-14)
 
@@ -144,17 +160,19 @@ class TestConstruct:
         rng = np.random.default_rng(42)
         wp, total_time, start, gp, gv = random_problem(rng)
         traj = construct(wp, total_time, start, gp, gv)
-        np.testing.assert_allclose(traj.evaluate(0.0, 0), start.position, atol=1e-12)
-        np.testing.assert_allclose(traj.evaluate(0.0, 1), start.velocity, atol=1e-12)
-        np.testing.assert_allclose(traj.evaluate(0.0, 2), start.acceleration, atol=1e-12)
-        np.testing.assert_allclose(traj.evaluate(0.0, 3), start.jerk, atol=1e-12)
+        for order, want in enumerate((start.position, start.velocity,
+                                      start.acceleration, start.jerk)):
+            np.testing.assert_allclose(traj.evaluate_batch([0.0], order)[0],
+                                       want, atol=1e-12)
 
     def test_terminal_constraints(self):
         rng = np.random.default_rng(43)
         wp, total_time, start, gp, gv = random_problem(rng)
         traj = construct(wp, total_time, start, gp, gv)
-        np.testing.assert_allclose(traj.evaluate(total_time, 0), gp, atol=1e-11)
-        np.testing.assert_allclose(traj.evaluate(total_time, 1), gv, atol=1e-11)
+        np.testing.assert_allclose(traj.evaluate_batch([total_time], 0)[0],
+                                   gp, atol=1e-11)
+        np.testing.assert_allclose(traj.evaluate_batch([total_time], 1)[0],
+                                   gv, atol=1e-11)
 
     def test_matches_dense_oracle(self):
         # instances shaped like real plans: waypoints jittered around a
@@ -183,7 +201,8 @@ class TestConstruct:
         traj = construct(wp, total_time, start, gp, gv)
         dt = traj.segment_duration
         for i, q in enumerate(np.asarray(wp).reshape(-1, 3), start=1):
-            np.testing.assert_allclose(traj.evaluate(i * dt), q, atol=1e-9)
+            np.testing.assert_allclose(traj.evaluate_batch([i * dt])[0], q,
+                                       atol=1e-9)
 
     def test_joint_continuity_orders_0_to_4(self):
         rng = np.random.default_rng(8)
@@ -194,8 +213,8 @@ class TestConstruct:
         dt = traj.segment_duration
         for i in range(1, traj.segment_count):
             for order in range(5):
-                left = traj.evaluate_segment(i - 1, dt, order)
-                right = traj.evaluate_segment(i, 0.0, order)
+                left = evaluate_segment(traj, i - 1, dt, order)
+                right = evaluate_segment(traj, i, 0.0, order)
                 assert np.max(np.abs(left - right)) < 1e-10
 
     def test_linear_in_waypoints_with_zero_boundaries(self):
@@ -293,7 +312,6 @@ class TestBasisRows:
             for k in range(order, 6):
                 want[..., k] = FALLING[order, k] * taus ** (k - order)
             assert rows.tobytes() == want.tobytes()
-            assert basis_rows(taus, order).tobytes() == want.tobytes()
 
     @given(tau=st.floats(-50.0, 50.0))
     @settings(max_examples=100, deadline=None)
@@ -304,7 +322,7 @@ class TestBasisRows:
                 assert row.tobytes() == basis_row(tau, order).tobytes()
 
     def test_orders_beyond_degree_are_zero(self):
-        assert np.array_equal(basis_rows(np.array([0.5, 2.0]), 6),
+        assert np.array_equal(basis_rows_upto(np.array([0.5, 2.0]), 6)[6],
                               np.zeros((2, 6)))
 
 
@@ -324,24 +342,29 @@ class TestEvaluate:
     def test_out_of_domain(self):
         traj = rest_to_rest()
         with pytest.raises(OutOfDomain):
-            traj.evaluate(-0.5)
+            traj.evaluate_batch([-0.5])
         with pytest.raises(OutOfDomain):
-            traj.evaluate(2.5)
+            traj.evaluate_batch([2.5])
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         wp, total_time, start, gp, gv = random_problem(rng, max_segments=4)
         traj = construct(wp, total_time, start, gp, gv)
         ts = np.linspace(0.0, total_time, 37)
+        dt = traj.segment_duration
         for order in range(5):
             batch = traj.evaluate_batch(ts, order)
             for j, t in enumerate(ts):
-                np.testing.assert_allclose(batch[j], traj.evaluate(t, order),
-                                           atol=1e-12)
+                seg = min(int(t / dt), traj.segment_count - 1)
+                np.testing.assert_allclose(
+                    batch[j], evaluate_segment(traj, seg, t - seg * dt, order),
+                    atol=1e-12)
 
     def test_order_beyond_degree_is_zero(self):
         traj = rest_to_rest()
-        np.testing.assert_allclose(traj.evaluate(1.0, 6), 0.0, atol=1e-15)
+        for order in (6, 7, 9):
+            np.testing.assert_allclose(traj.evaluate_batch([1.0], order), 0.0,
+                                       atol=1e-15)
 
     def test_total_duration(self):
         traj = Trajectory(coefficients=np.zeros((4, 6, 3)), segment_duration=0.5)
@@ -514,8 +537,8 @@ def midpoint_cost_and_gradients(traj):
     t_mid = 0.5 * n_seg * dt
     seg = min(int(t_mid / dt), n_seg - 1)
     tau = t_mid - seg * dt
-    p = traj.evaluate_segment(seg, tau, 0)
-    v = traj.evaluate_segment(seg, tau, 1)
+    p = evaluate_segment(traj, seg, tau, 0)
+    v = evaluate_segment(traj, seg, tau, 1)
     cost = float(p @ p)
     dj_dc = np.zeros_like(traj.coefficients)
     dj_dc[seg] = np.outer(basis_row(tau, 0), 2.0 * p)
@@ -605,8 +628,8 @@ class TestPropagateGradients:
                     t = frac * n * dt
                     seg = min(int(t / dt), n - 1)
                     tau = t - seg * dt
-                    d = traj.evaluate_segment(seg, tau, order)
-                    d_next = traj.evaluate_segment(seg, tau, order + 1)
+                    d = evaluate_segment(traj, seg, tau, order)
+                    d_next = evaluate_segment(traj, seg, tau, order + 1)
                     total += float(d @ d)
                     dj_dc[seg] += np.outer(basis_row(tau, order), 2.0 * d)
                     dj_ddt += float(2.0 * (d @ d_next) * (frac * n - seg))
@@ -630,11 +653,3 @@ class TestPropagateGradients:
                     - cost_terms(construct(wp_arr, total_time - h, start, gp, gv))[0]) / (2 * h)
             assert dj_dtime == pytest.approx(fd_t, rel=1e-4, abs=1e-5)
 
-
-class TestFlatOutput:
-    def test_yaw_range(self):
-        FlatOutput(position=[0, 0, 0], yaw=math.pi)
-        with pytest.raises(ValueError):
-            FlatOutput(position=[0, 0, 0], yaw=-math.pi)
-        with pytest.raises(ValueError):
-            FlatOutput(position=[0, 0, 0], yaw=4.0)
