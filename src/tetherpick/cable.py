@@ -268,8 +268,9 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
 
     For each (p, H) pair, finds the catenary through both endpoints whose
     vertex lies exactly ``sag_limit`` below the lower endpoint.  Entries
-    with p < EPS_P use the degenerate vertical rule |H| + sag_limit.  With
-    sag_limit = 0 and H = 0 the answer is the chord.
+    with p < EPS_P use the degenerate vertical rule |H| + 2 sag_limit, the
+    catenary's limit as p -> 0 (a bight hanging sag_limit below the lower
+    end).  With sag_limit = 0 and H = 0 the answer is the chord.
 
     Returns ``(length, dl_dp, dl_dh)``: the length and its derivatives
     over p and over |H|.  Rows whose catenary comes out no longer than the
@@ -287,7 +288,7 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
 
     vertical = p < EPS_P
     if vertical.any():
-        out[vertical] = habs[vertical] + sag_limit
+        out[vertical] = habs[vertical] + 2.0 * sag_limit
     solve = ~vertical
 
     if sag_limit == 0.0:
@@ -365,7 +366,8 @@ def max_length(cfg: PlanarConfiguration, props: CableProperties) -> float:
 
     The limiting curve has its vertex exactly ``sag_limit`` below the lower
     attachment point.  For p < EPS_P the scale is unidentifiable and the
-    degenerate vertical rule |H| + sag_limit applies.
+    degenerate vertical rule |H| + 2 sag_limit, the catenary's p -> 0
+    limit, applies.
     """
     result = float(_sag_solve_batch(np.array([cfg.p]), np.array([cfg.H]),
                                     props.sag_limit)[0][0])
@@ -396,44 +398,33 @@ def cable_bounds(p_droid, p_anchor, l_now: float,
                        l_now=float(l_now))
 
 
-def _planar_offsets(attach: np.ndarray,
-                    anchor) -> tuple[np.ndarray, np.ndarray]:
-    """(dx, dz) from the anchor to each of a batch of attachment points."""
-    attach = np.asarray(attach, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    anchor_x = anchor[0] if anchor.ndim == 1 else anchor[:, 0]
-    anchor_z = anchor[2] if anchor.ndim == 1 else anchor[:, 2]
-    return attach[:, 0] - anchor_x, attach[:, 2] - anchor_z
-
-
 def corridor_bounds_batch(attach: np.ndarray, anchor,
                           props: CableProperties) -> tuple[np.ndarray, np.ndarray]:
     """(l_min, l_max) arrays for a batch of attachment points.
 
     ``attach`` has shape (n, 3); ``anchor`` is a single world position or a
     matching (n, 3) batch of positions.  Used by the planner's seed, the
-    dense corridor re-check, the self-checks and telemetry post-processing;
-    the planner penalty gets the same bounds, bit for bit, together with
-    their gradient from corridor_bounds_and_gradient.
+    dense corridor re-check, the self-checks and telemetry post-processing:
+    the first two outputs of corridor_bounds_and_gradient, which the
+    planner penalty calls for the bounds and their gradient together.
     """
-    dx, dz = _planar_offsets(attach, anchor)
-    l_min = np.hypot(dx, dz)
-    l_max = _sag_solve_batch(np.abs(dx), -dz, props.sag_limit)[0]
-    return l_min, np.maximum(l_max, l_min)
+    return corridor_bounds_and_gradient(attach, anchor, props)[:2]
 
 
 def corridor_bounds_and_gradient(attach: np.ndarray, anchor,
                                  props: CableProperties):
     """(l_min, l_max, dl_min/d attach, dl_max/d attach) from one root find.
 
-    The bounds equal corridor_bounds_batch's bit for bit; the gradients are
-    (n, 3) arrays over the attachment point's world coordinates (the y
-    column stays zero).  l_min's gradient is the unit chord direction in
-    the x-z plane; l_max's is the sag-limited solve's closed form, the
-    chord's on rows decided by the taut-chord clamp and the |H| + sag
-    rule's near the degenerate vertical configuration.
+    The gradients are (n, 3) arrays over the attachment point's world
+    coordinates (the y column stays zero).  l_min's gradient is the unit
+    chord direction in the x-z plane; l_max's is the sag-limited solve's
+    closed form, the chord's on rows decided by the taut-chord clamp and
+    the vertical rule's near the degenerate vertical configuration.
     """
-    dx, dz = _planar_offsets(attach, anchor)
+    attach = np.asarray(attach, dtype=float)
+    anchor = np.asarray(anchor, dtype=float)
+    dx = attach[:, 0] - (anchor[0] if anchor.ndim == 1 else anchor[:, 0])
+    dz = attach[:, 2] - (anchor[2] if anchor.ndim == 1 else anchor[:, 2])
     H = -dz
     l_min = np.hypot(dx, dz)
     length, dl_dp, dl_dh = _sag_solve_batch(np.abs(dx), H, props.sag_limit)

@@ -20,8 +20,7 @@ measured tether force into thrust, attitude, and body rates.
 
 The physics lives in three scalar kernels (cable forces, flatness
 inversion, one integration step) that work on floats and tuples, so the
-per-step loops pay no array overhead.  The public ``tether_force`` and
-``flat_to_inputs`` are array adapters over the first two.
+per-step loops pay no array overhead.
 """
 
 from __future__ import annotations
@@ -75,23 +74,19 @@ class DroneParams:
             raise ValidationError("gains must be nonnegative")
 
 
-@dataclass(frozen=True)
-class TetherForce:
-    on_droid: np.ndarray
-    on_anchor: np.ndarray
-    taut: bool
-    tension: float
-
-
 def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
                   length: float, payout_rate: float, props: CableProperties,
-                  stiffness: float, damping: float):
-    """Scalar core of tether_force, in the x-z plane.
+                  damping: float):
+    """Cable end forces for the current endpoint placement and length, in
+    the x-z plane.
 
     ``dx``, ``dz`` run from the droid-side end to the anchor and ``dvx``,
-    ``dvz`` are the anchor's velocity relative to that end.  Returns
-    ``(droid_x, droid_z, anchor_x, anchor_z, tension, taut)``; the end
-    forces have no y component in any regime.
+    ``dvz`` are the anchor's velocity relative to that end.  Velocities,
+    the payout rate and ``damping`` only matter in the taut regime, where
+    the tension follows a one-sided ``TETHER_STIFFNESS`` spring on the
+    chord excess plus a damper on its rate.  Returns ``(droid_x, droid_z,
+    anchor_x, anchor_z, tension, taut)``; the end forces have no y
+    component in any regime.
     """
     mu = props.weight_per_length
     chord = math.hypot(dx, dz)
@@ -111,7 +106,8 @@ def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
     ux = dx / chord
     uz = dz / chord
     stretch_rate = -payout_rate + (ux * dvx + uz * dvz)
-    pull = max(stiffness * (chord - length) + damping * stretch_rate, 0.0)
+    pull = max(TETHER_STIFFNESS * (chord - length)
+               + damping * stretch_rate, 0.0)
     half_weight = -0.5 * mu * length
     droid_x = pull * ux
     droid_z = pull * uz + half_weight
@@ -119,36 +115,15 @@ def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
             math.sqrt(droid_x * droid_x + droid_z * droid_z), True)
 
 
-def tether_force(attach, anchor, length: float, props: CableProperties,
-                 attach_velocity=None, anchor_velocity=None,
-                 payout_rate: float = 0.0,
-                 stiffness: float = TETHER_STIFFNESS,
-                 damping: float = 0.0) -> TetherForce:
-    """Cable end forces for the current endpoint placement and length.
-
-    ``attach`` is the droid-side cable end (attachment offset already
-    applied), ``anchor`` the other end.  Velocities, the payout rate, and
-    ``damping`` only matter in the taut regime, where the tension follows a
-    one-sided spring on the chord excess plus a damper on its rate.
-    """
-    attach = np.asarray(attach, dtype=float).reshape(3)
-    anchor = np.asarray(anchor, dtype=float).reshape(3)
-    va = np.zeros(3) if attach_velocity is None \
-        else np.asarray(attach_velocity, dtype=float).reshape(3)
-    vb = np.zeros(3) if anchor_velocity is None \
-        else np.asarray(anchor_velocity, dtype=float).reshape(3)
-    droid_x, droid_z, anchor_x, anchor_z, tension, taut = _cable_forces(
-        float(anchor[0] - attach[0]), float(anchor[2] - attach[2]),
-        float(vb[0] - va[0]), float(vb[2] - va[2]), float(length),
-        float(payout_rate), props, stiffness, damping)
-    return TetherForce(on_droid=np.array([droid_x, 0.0, droid_z]),
-                       on_anchor=np.array([anchor_x, 0.0, anchor_z]),
-                       taut=taut, tension=tension)
-
-
 def _flat_inputs(acc, jerk, heading, yaw_rate: float, pull,
                  mass: float, gravity: float):
-    """Scalar core of flat_to_inputs.
+    """Invert flat outputs into (thrust, attitude, body rates).
+
+    The rotor force must supply the desired acceleration against gravity
+    and the measured cable pull.  Its direction fixes the body z-axis; the
+    yaw angle picks the heading; body rates follow from the force-vector
+    rate, approximated by the mass-scaled jerk (the cable force variation
+    is dropped, consistent with the quasi-static cable model).
 
     ``acc``, ``jerk`` and ``pull`` are 3-tuples and ``heading`` is
     (cos yaw, sin yaw).  Returns ``(thrust, rotation, rates)`` with the
@@ -179,25 +154,6 @@ def _flat_inputs(acc, jerk, heading, yaw_rate: float, pull,
     pitch_rate = (xx * jx + xy * jy + xz * jz) / thrust
     return (thrust, (xx, yx, zx, xy, yy, zy, xz, yz, zz),
             (roll_rate, pitch_rate, yaw_rate * zz))
-
-
-def flat_to_inputs(acceleration, jerk, yaw: float, yaw_rate: float,
-                   tether_on_droid, params: DroneParams):
-    """Invert flat outputs into (thrust, attitude, body rates).
-
-    The rotor force must supply the desired acceleration against gravity
-    and the measured cable pull.  Its direction fixes the body z-axis; the
-    yaw angle picks the heading; body rates follow from the force-vector
-    rate, approximated by the mass-scaled jerk (the cable force variation
-    is dropped, consistent with the quasi-static cable model).
-    """
-    thrust, rotation, rates = _flat_inputs(
-        np.asarray(acceleration, dtype=float).reshape(3).tolist(),
-        np.asarray(jerk, dtype=float).reshape(3).tolist(),
-        (math.cos(yaw), math.sin(yaw)), float(yaw_rate),
-        np.asarray(tether_on_droid, dtype=float).reshape(3).tolist(),
-        params.mass, params.gravity)
-    return thrust, np.reshape(rotation, (3, 3)), np.array(rates)
 
 
 def _advance(pos, vel, rot, thrust: float, rates, force,
@@ -330,7 +286,7 @@ def simulate_pickup(traj: Trajectory, scenario,
         l_now = lengths[i]
         droid_x, droid_z, _, _, tension, _ = _cable_forces(
             anchor_x - px, anchor_z - (pz + offset), -vx, -vz, l_now,
-            rates[i], props, TETHER_STIFFNESS, damping)
+            rates[i], props, damping)
         pull = (droid_x, 0.0, droid_z)
         rp, rv, ra = ref_pos[i], ref_vel[i], ref_acc[i]
         command = (ra[0] + kp * (rp[0] - px) + kd * (rv[0] - vx),
@@ -390,8 +346,7 @@ def simulate_retrieval(droid_position, winch: WinchSchedule,
         l_now = lengths[i]
         droid_x, droid_z, anchor_fx, anchor_fz, tension, _ = _cable_forces(
             carrier_x - px, carrier_z - (pz + offset), carrier_vx - vx,
-            carrier_vz - vz, l_now, rates[i], props, TETHER_STIFFNESS,
-            damping)
+            carrier_vz - vz, l_now, rates[i], props, damping)
         pull = (droid_x, 0.0, droid_z)
         command = (kp * (hold_x - px) - kd * vx,
                    kp * (hold_y - py) - kd * vy,

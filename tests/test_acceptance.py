@@ -166,7 +166,7 @@ def test_hinge_penalty_unit_identities():
 
     traj = make_traj([{1: [0.0, 0.0, -1.44], 2: [0.0, 0.0, 0.96]}], 1.0)
     scenario = make_scenario(anchor_position=[0.0, 0.0, 2.0],
-                             winch=WinchSchedule(math.sqrt(6.41), 0.0),
+                             winch=WinchSchedule(math.sqrt(6.84), 0.0),
                              limits=Limits(samples=2),
                              weights=only(cable=1.0),
                              segment_count=1)

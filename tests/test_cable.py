@@ -240,7 +240,17 @@ class TestSolveCatenary:
 
 class TestMaxLength:
     def test_degenerate_vertical_rule(self):
-        assert max_length(PlanarConfiguration(0, 3), PROPS) == pytest.approx(3.1, rel=1e-12)
+        assert max_length(PlanarConfiguration(0, 3), PROPS) == pytest.approx(3.2, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(H=st.floats(-3.0, 3.0), sag=st.floats(0.0, 3.0))
+    def test_continuous_across_the_vertical_rule(self, H, sag):
+        """At p = EPS_P the vertical rule meets the catenary's p -> 0
+        limit |H| + 2 sag, so l_max does not jump there."""
+        props = CableProperties(sag_limit=sag)
+        below = max_length(PlanarConfiguration(EPS_P * (1 - 1e-9), H), props)
+        above = max_length(PlanarConfiguration(EPS_P * (1 + 1e-9), H), props)
+        assert abs(above - below) <= 2e-6
 
     def test_zero_sag_forces_chord(self):
         props = CableProperties(sag_limit=0.0)
@@ -348,7 +358,7 @@ class TestCableBounds:
     def test_directly_below_anchor(self):
         bounds = cable_bounds((0, 0, 0), (0, 0, 2), 2.05, PROPS)
         assert bounds.l_min == pytest.approx(2.0, abs=1e-12)
-        assert bounds.l_max == pytest.approx(2.1, abs=1e-12)
+        assert bounds.l_max == pytest.approx(2.2, abs=1e-12)
         assert bounds.l_min <= bounds.l_now <= bounds.l_max
 
 
@@ -399,7 +409,7 @@ class TestBatchedHelpers:
     def test_gradient_degenerate_vertical(self):
         l_min, l_max, dl_dp, dl_dh, dlmin = self.planar_gradient(
             np.array([0.0]), np.array([2.0]))
-        assert l_min[0] == 2.0 and l_max[0] == 2.1
+        assert l_min[0] == 2.0 and l_max[0] == 2.2
         assert dl_dp[0] == 0.0
         assert dl_dh[0] == 1.0
         assert dlmin[0].tolist() == [0.0, 0.0, -1.0]
@@ -632,7 +642,7 @@ class TestSagSolveBatch:
         assert length[0] == 2.0 and (dl_dp[0], dl_dh[0]) == (1.0, 0.0)
         assert length[1] > 2.5
         assert abs(length[1] / exact_sag_length(2.0, 1.5, 0.0) - 1) <= 2e-15
-        # below EPS_P the vertical rule |H| + sag applies
+        # below EPS_P the vertical rule |H| + 2 sag applies
         assert length[2:].tolist() == [3.0, 2.0]
         assert dl_dp[2:].tolist() == [0.0, 0.0]
         assert dl_dh[2:].tolist() == [1.0, 1.0]

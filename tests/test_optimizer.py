@@ -137,14 +137,15 @@ class TestHingeIdentities:
 
     def test_cable_hinge_exact_eight(self):
         # Droid starts directly below the anchor (p = 0, gap 2 m), so the
-        # sag-limited bound is exactly 2.1 m.  The released length is
-        # sqrt(6.41), making the squared-length excess exactly 2 at t = 0.
+        # sag-limited bound is exactly 2 + 2 * 0.1 = 2.2 m.  The released
+        # length is sqrt(6.84), making the squared-length excess exactly 2
+        # at t = 0.
         # The droid then descends 0.48 m, which widens the corridor enough
         # to deactivate both hinges at the later samples.
         traj = make_traj(
             [{1: [0.0, 0.0, -1.44], 2: [0.0, 0.0, 0.96]}], 1.0)
         scenario = make_scenario(anchor_position=[0.0, 0.0, 2.0],
-                                 winch=WinchSchedule(math.sqrt(6.41), 0.0),
+                                 winch=WinchSchedule(math.sqrt(6.84), 0.0),
                                  limits=Limits(samples=2),
                                  weights=only(cable=1.0),
                                  segment_count=1)

@@ -1,9 +1,10 @@
 """Every public module-level name in the package has a non-test user.
 
-A public ``def``, ``class`` or constant at module level must be exported in
-``tetherpick.__all__``, imported by another module of the package with
-``from .<module> import``, or loaded by name in its own module.  A name
-that meets none of these is called only from tests, and is dead weight.
+A public ``def``, ``class`` or constant at module level must be imported
+by another module of the package with ``from .<module> import``, or loaded
+by name in its own module.  Being re-exported in ``tetherpick.__all__``
+does not count: ``__init__`` only lists names, so an exported name that
+no other module uses is called only from tests, and is dead weight.
 """
 
 import ast
@@ -45,18 +46,17 @@ def _loaded_names(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
-def unused_public_names(package=PACKAGE, exported=tetherpick.__all__):
+def unused_public_names(package=PACKAGE):
     """Sorted 'module.name' strings of public names no module uses."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(package.glob("*.py"))}
-    imported = {pair for tree in trees.values()
-                for pair in _relative_imports(tree)}
+    imported = {pair for module, tree in trees.items()
+                if module != "__init__" for pair in _relative_imports(tree)}
     unused = []
     for module, tree in trees.items():
         loaded = _loaded_names(tree)
         for name in _public_definitions(tree):
-            if name in exported or (module, name) in imported \
-                    or name in loaded:
+            if (module, name) in imported or name in loaded:
                 continue
             unused.append(f"{module}.{name}")
     return sorted(unused)
@@ -72,7 +72,13 @@ def test_scan_flags_a_name_nothing_uses(tmp_path):
         "def used():\n    return LIMIT\n\n"
         "def exported():\n    return used()\n\n"
         "def imported():\n    pass\n\n"
+        "def exported_only():\n    pass\n\n"
         "class Orphan:\n    pass\n\n"
         "def _private():\n    pass\n")
-    (tmp_path / "other.py").write_text("from .core import imported\n")
-    assert unused_public_names(tmp_path, ["exported"]) == ["core.Orphan"]
+    (tmp_path / "__init__.py").write_text(
+        "from .core import exported, exported_only\n\n"
+        "__all__ = ['exported', 'exported_only']\n")
+    (tmp_path / "other.py").write_text(
+        "from .core import exported, imported\n")
+    assert unused_public_names(tmp_path) == ["core.Orphan",
+                                             "core.exported_only"]

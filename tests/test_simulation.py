@@ -29,12 +29,11 @@ from tetherpick.simulation import (
     TELEMETRY_COLUMNS,
     TETHER_STIFFNESS,
     VERTICAL_EPS,
-    TetherForce,
     _advance,
-    flat_to_inputs,
+    _cable_forces,
+    _flat_inputs,
     simulate_pickup,
     simulate_retrieval,
-    tether_force,
 )
 from tetherpick.trajectory import BoundaryState
 
@@ -59,128 +58,131 @@ def advance(pos, vel, rot, thrust, rates, force, params, dt=1e-3):
 
 class TestTetherForce:
     def test_taut_spring_pull(self):
-        out = tether_force([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], 1.9, PROPS)
-        assert out.taut
+        droid_x, droid_z, anchor_x, anchor_z, tension, taut = _cable_forces(
+            0.0, -2.0, 0.0, 0.0, 1.9, 0.0, PROPS, 0.0)
+        assert taut
         pull = TETHER_STIFFNESS * 0.1
-        np.testing.assert_allclose(out.on_droid,
-                                   [0.0, 0.0, -pull - MU * 1.9 / 2],
-                                   rtol=1e-12)
-        np.testing.assert_allclose(out.on_anchor,
-                                   [0.0, 0.0, pull - MU * 1.9 / 2],
-                                   rtol=1e-12)
-        assert out.tension == pytest.approx(pull + MU * 0.95, rel=1e-9)
+        np.testing.assert_allclose((droid_x, droid_z),
+                                   [0.0, -pull - MU * 1.9 / 2], rtol=1e-12)
+        np.testing.assert_allclose((anchor_x, anchor_z),
+                                   [0.0, pull - MU * 1.9 / 2], rtol=1e-12)
+        assert tension == pytest.approx(pull + MU * 0.95, rel=1e-9)
 
     def test_taut_damping_and_one_sided_clamp(self):
         # closing endpoints at 1 m/s: the damper sees a shrinking chord
-        slow = tether_force([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], 1.999, PROPS,
-                            attach_velocity=[0.0, 0.0, -1.0],
-                            damping=200.0)
+        droid_x, droid_z, _, _, _, taut = _cable_forces(
+            0.0, -2.0, 0.0, 1.0, 1.999, 0.0, PROPS, 200.0)
         pull = TETHER_STIFFNESS * 0.001 - 200.0 * 1.0
         assert pull < 0.0
-        assert slow.taut
-        np.testing.assert_allclose(slow.on_droid,
-                                   [0.0, 0.0, -MU * 1.999 / 2], rtol=1e-12)
+        assert taut
+        np.testing.assert_allclose((droid_x, droid_z),
+                                   [0.0, -MU * 1.999 / 2], rtol=1e-12)
         # separating endpoints add damper tension on top of the spring
-        fast = tether_force([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], 1.9, PROPS,
-                            attach_velocity=[0.0, 0.0, 1.0], damping=200.0)
-        assert fast.tension > TETHER_STIFFNESS * 0.1
+        tension = _cable_forces(0.0, -2.0, 0.0, -1.0, 1.9, 0.0, PROPS,
+                                200.0)[4]
+        assert tension > TETHER_STIFFNESS * 0.1
 
     def test_payout_rate_feeds_the_damper(self):
         # paying out while taut relaxes the stretch at the payout rate
-        out = tether_force([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], 1.9, PROPS,
-                           payout_rate=0.5, damping=100.0)
+        tension = _cable_forces(0.0, -2.0, 0.0, 0.0, 1.9, 0.5, PROPS,
+                                100.0)[4]
         spring_only = TETHER_STIFFNESS * 0.1
-        assert out.tension == pytest.approx(
+        assert tension == pytest.approx(
             spring_only - 100.0 * 0.5 + MU * 0.95, rel=1e-9)
 
     def test_slack_symmetric_span(self):
         sol = solve_catenary(PlanarConfiguration(2.0, 0.0), 2.5, PROPS)
-        out = tether_force([0.0, 0.0, 1.0], [2.0, 0.0, 1.0], 2.5, PROPS)
-        assert not out.taut
+        droid_x, droid_z, _, _, _, taut = _cable_forces(
+            2.0, 0.0, 0.0, 0.0, 2.5, 0.0, PROPS, 0.0)
+        assert not taut
         np.testing.assert_allclose(
-            out.on_droid, [sol.vertex_tension, 0.0, -MU * 1.25], rtol=1e-9)
+            (droid_x, droid_z), [sol.vertex_tension, -MU * 1.25], rtol=1e-9)
         # mirrored anchor flips the horizontal pull
-        mirrored = tether_force([0.0, 0.0, 1.0], [-2.0, 0.0, 1.0], 2.5, PROPS)
+        mirrored = _cable_forces(-2.0, 0.0, 0.0, 0.0, 2.5, 0.0, PROPS, 0.0)
         np.testing.assert_allclose(
-            mirrored.on_droid, [-sol.vertex_tension, 0.0, -MU * 1.25],
-            rtol=1e-9)
+            mirrored[:2], [-sol.vertex_tension, -MU * 1.25], rtol=1e-9)
 
     def test_slack_lower_end_is_pulled_upward(self):
         # droid well below the anchor on a nearly taut cable: the tangent at
         # the droid end points up toward the anchor
         chord = math.hypot(1.0, 2.0)
-        out = tether_force([0.0, 0.0, 0.0], [1.0, 0.0, 2.0], chord + 1e-3,
-                           PROPS)
-        assert not out.taut
-        assert out.on_droid[2] > 0.0
-        assert out.on_droid[0] > 0.0
+        droid_x, droid_z, _, _, _, taut = _cable_forces(
+            1.0, 2.0, 0.0, 0.0, chord + 1e-3, 0.0, PROPS, 0.0)
+        assert not taut
+        assert droid_z > 0.0
+        assert droid_x > 0.0
 
     def test_newton_identity_across_regimes(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             attach = rng.uniform([-2, 0, 0], [2, 0, 3])
             anchor = rng.uniform([-2, 0, 0], [2, 0, 3])
-            chord = math.hypot(anchor[0] - attach[0], anchor[2] - attach[2])
-            length = chord * float(rng.uniform(0.8, 1.6)) + 1e-6
-            out = tether_force(attach, anchor, length, PROPS)
+            dx, dz = anchor[0] - attach[0], anchor[2] - attach[2]
+            length = math.hypot(dx, dz) * float(rng.uniform(0.8, 1.6)) + 1e-6
+            droid_x, droid_z, anchor_x, anchor_z, _, _ = _cable_forces(
+                dx, dz, 0.0, 0.0, length, 0.0, PROPS, 0.0)
             np.testing.assert_allclose(
-                out.on_droid + out.on_anchor, [0.0, 0.0, -MU * length],
+                (droid_x + anchor_x, droid_z + anchor_z), [0.0, -MU * length],
                 atol=1e-9 * max(1.0, MU * length))
 
     def test_vertical_bight_split(self):
-        out = tether_force([0.0, 0.0, 3.0], [0.0, 0.0, 1.0], 4.0, PROPS)
-        assert not out.taut
-        np.testing.assert_allclose(out.on_droid, [0.0, 0.0, -MU * 3.0],
+        droid_x, droid_z, anchor_x, anchor_z, tension, taut = _cable_forces(
+            0.0, -2.0, 0.0, 0.0, 4.0, 0.0, PROPS, 0.0)
+        assert not taut
+        np.testing.assert_allclose((droid_x, droid_z), [0.0, -MU * 3.0],
                                    rtol=1e-12)
-        np.testing.assert_allclose(out.on_anchor, [0.0, 0.0, -MU * 1.0],
+        np.testing.assert_allclose((anchor_x, anchor_z), [0.0, -MU * 1.0],
                                    rtol=1e-12)
-        assert out.tension == pytest.approx(MU * 3.0, rel=1e-12)
+        assert tension == pytest.approx(MU * 3.0, rel=1e-12)
 
 
 class TestFlatToInputs:
     def test_hover_identity(self):
         params = DroneParams()
-        thrust, rotation, rates = flat_to_inputs(
-            np.zeros(3), np.zeros(3), 0.0, 0.0, np.zeros(3), params)
+        thrust, rotation, rates = _flat_inputs(
+            ZERO3, ZERO3, (1.0, 0.0), 0.0, ZERO3, params.mass, params.gravity)
         assert thrust == pytest.approx(params.mass * params.gravity, rel=1e-12)
-        np.testing.assert_allclose(rotation, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(rotation, IDENTITY, atol=1e-12)
         np.testing.assert_allclose(rates, 0.0, atol=1e-12)
 
     def test_tether_pull_increases_thrust(self):
         params = DroneParams()
-        thrust, _, _ = flat_to_inputs(np.zeros(3), np.zeros(3), 0.0, 0.0,
-                                      [0.0, 0.0, -5.0], params)
+        thrust, _, _ = _flat_inputs(ZERO3, ZERO3, (1.0, 0.0), 0.0,
+                                    (0.0, 0.0, -5.0), params.mass,
+                                    params.gravity)
         assert thrust == pytest.approx(params.mass * params.gravity + 5.0,
                                        rel=1e-12)
 
     def test_lateral_acceleration_tilts_body_z(self):
         params = DroneParams()
-        _, rotation, _ = flat_to_inputs([1.0, 0.0, 0.0], np.zeros(3), 0.0,
-                                        0.0, np.zeros(3), params)
+        _, rotation, _ = _flat_inputs((1.0, 0.0, 0.0), ZERO3, (1.0, 0.0),
+                                      0.0, ZERO3, params.mass, params.gravity)
         expected = np.array([1.0, 0.0, params.gravity])
         expected /= np.linalg.norm(expected)
-        np.testing.assert_allclose(rotation[:, 2], expected, rtol=1e-12)
+        # body z is the rotation's third column
+        np.testing.assert_allclose(rotation[2::3], expected, rtol=1e-12)
 
     def test_yaw_sets_heading(self):
-        _, rotation, _ = flat_to_inputs(np.zeros(3), np.zeros(3),
-                                        math.pi / 2, 0.0, np.zeros(3),
-                                        DroneParams())
-        np.testing.assert_allclose(rotation[:, 0], [0.0, 1.0, 0.0],
+        params = DroneParams()
+        heading = (math.cos(math.pi / 2), math.sin(math.pi / 2))
+        _, rotation, _ = _flat_inputs(ZERO3, ZERO3, heading, 0.0, ZERO3,
+                                      params.mass, params.gravity)
+        # body x is the rotation's first column
+        np.testing.assert_allclose(rotation[0::3], [0.0, 1.0, 0.0],
                                    atol=1e-12)
 
     def test_rates_follow_jerk(self):
         params = DroneParams()
-        jerk = np.array([2.0, 0.0, 0.0])
-        _, _, rates = flat_to_inputs(np.zeros(3), jerk, 0.0, 0.0,
-                                     np.zeros(3), params)
+        _, _, rates = _flat_inputs(ZERO3, (2.0, 0.0, 0.0), (1.0, 0.0), 0.0,
+                                   ZERO3, params.mass, params.gravity)
         assert rates[1] == pytest.approx(2.0 / params.gravity, rel=1e-12)
         assert rates[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_free_fall_is_degenerate(self):
         params = DroneParams()
         with pytest.raises(DegenerateThrust):
-            flat_to_inputs(gravity_vector(params), np.zeros(3), 0.0, 0.0,
-                           np.zeros(3), params)
+            _flat_inputs(gravity_vector(params), ZERO3, (1.0, 0.0), 0.0,
+                         ZERO3, params.mass, params.gravity)
 
 
 class TestStep:
@@ -339,10 +341,10 @@ class TestPendulumPhysics:
         for i, t in enumerate(ts):
             length = length_of(t)
             rate = (length_of(t + 1e-6) - length_of(t - 1e-6)) / 2e-6
-            out = tether_force(pivot, position, length, props,
-                               anchor_velocity=velocity, payout_rate=rate,
-                               damping=damping)
-            accel = out.on_anchor / mass + g_vec
+            _, _, anchor_x, anchor_z, _, _ = _cable_forces(
+                position[0] - pivot[0], position[2] - pivot[2], velocity[0],
+                velocity[2], length, rate, props, damping)
+            accel = np.array([anchor_x, 0.0, anchor_z]) / mass + g_vec
             velocity = velocity + accel * dt
             position = position + velocity * dt
             trace[i] = position
@@ -476,20 +478,21 @@ class TestScalarKernels:
     def test_flat_to_inputs_matches_cross_product_reference(
             self, acc, jerk, yaw, yaw_rate, pull, mass):
         params = DroneParams(mass=mass)
+        args = (acc, jerk, (math.cos(yaw), math.sin(yaw)), yaw_rate, pull,
+                params.mass, params.gravity)
         try:
             ref = reference_flat_to_inputs(acc, jerk, yaw, yaw_rate, pull,
                                            params)
         except DegenerateThrust:
             with pytest.raises(DegenerateThrust):
-                flat_to_inputs(acc, jerk, yaw, yaw_rate, pull, params)
+                _flat_inputs(*args)
             return
         thrust_ref, rotation_ref, rates_ref, norm = ref
-        thrust, rotation, rates = flat_to_inputs(acc, jerk, yaw, yaw_rate,
-                                                 pull, params)
+        thrust, rotation, rates = _flat_inputs(*args)
         assert abs(thrust - thrust_ref) <= REL * thrust_ref
         # normalising z_b x heading amplifies rounding by 1 / |z_b x heading|
         condition = 1.0 / norm
-        np.testing.assert_allclose(rotation, rotation_ref, rtol=0.0,
+        np.testing.assert_allclose(rotation, rotation_ref.ravel(), rtol=0.0,
                                    atol=REL * condition)
         # hypot keeps a tiny jerk's scale from underflowing to zero, and
         # below the normal range rounding comes in subnormal steps
@@ -530,29 +533,31 @@ class TestScalarKernels:
                           else max(ratio, 1.0 + 1e-9))
         args = (attach, anchor, length, PROPS, attach_velocity,
                 anchor_velocity, payout_rate, TETHER_STIFFNESS, damping)
+        kernel_args = (anchor[0] - attach[0], anchor[2] - attach[2],
+                       anchor_velocity[0] - attach_velocity[0],
+                       anchor_velocity[2] - attach_velocity[2], length,
+                       payout_rate, PROPS, damping)
         try:
             on_droid, on_anchor, tension, taut = reference_tether_force(*args)
         except NoConvergence:
             with pytest.raises(NoConvergence):
-                tether_force(*args[:4], attach_velocity=attach_velocity,
-                             anchor_velocity=anchor_velocity,
-                             payout_rate=payout_rate, damping=damping)
+                _cable_forces(*kernel_args)
             return
-        out = tether_force(*args[:4], attach_velocity=attach_velocity,
-                           anchor_velocity=anchor_velocity,
-                           payout_rate=payout_rate, damping=damping)
-        assert out.taut == taut
+        droid_x, droid_z, anchor_x, anchor_z, out_tension, out_taut = \
+            _cable_forces(*kernel_args)
+        assert out_taut == taut
         # spring and damper may cancel, so scale by the terms, not the sum
         closing = float(np.linalg.norm(np.subtract(anchor_velocity,
                                                    attach_velocity)))
         scale = MU * length + float(np.linalg.norm(on_droid)) + (
             TETHER_STIFFNESS * abs(chord - length)
             + damping * (abs(payout_rate) + closing) if taut else 0.0)
-        np.testing.assert_allclose(out.on_droid, on_droid, rtol=0.0,
-                                   atol=REL * scale)
-        np.testing.assert_allclose(out.on_anchor, on_anchor, rtol=0.0,
-                                   atol=REL * scale)
-        assert abs(out.tension - tension) <= REL * scale
+        # the kernel's forces are the x and z components
+        np.testing.assert_allclose((droid_x, droid_z), on_droid[::2],
+                                   rtol=0.0, atol=REL * scale)
+        np.testing.assert_allclose((anchor_x, anchor_z), on_anchor[::2],
+                                   rtol=0.0, atol=REL * scale)
+        assert abs(out_tension - tension) <= REL * scale
 
     @settings(max_examples=50, deadline=None)
     @given(initial=st.floats(0.0, 10.0), speed=st.floats(-1.0, 1.0),
