@@ -38,17 +38,15 @@ import numpy as np
 from .errors import LengthTooShort, NoConvergence, OutOfDomain
 
 # Below this horizontal separation the scale parameter is unidentifiable and
-# the degenerate vertical rules apply.
+# the degenerate vertical rules apply: the corridor's |H| + 2 sag and its
+# gradient, and the simulator's doubled strand.  At and above it the
+# catenary is solved.
 EPS_P = 1e-6
 
 _BRACKET_HI = 1e6
 _MAX_NEWTON = 100
 _NEWTON_RTOL = 4e-16
-_RESIDUAL_RTOL = 1e-9
-# Below this horizontal separation the sag-limited length's gradient is
-# the vertical rule's.  10 * EPS_P rounds to one ulp below 1e-5, and plan
-# bytes depend on that exact edge.
-_GRADIENT_VERTICAL_P = 10.0 * EPS_P
+_RESIDUAL_RTOL = 1e-12
 # Newton rounds of the sag-limited solve: from its seed every row settles
 # to within a few ulps of log(scale) in 5.
 _SAG_ROUNDS = 5
@@ -190,8 +188,8 @@ def _solve_scale(p: float, rhs: float) -> float:
     With u = p/(2a) the equation reads log(sinh(u)/u) = log1p((rhs - p)/p).
     The left-hand side is convex and increasing in u, so from any start
     Newton lands at or right of the root after one step and then decreases
-    monotonically onto it; the loop ends when a step no longer moves u
-    down by more than rounding noise.  The target goes through log1p so
+    monotonically onto it; the loop ends after the first step that moves
+    u down by no more than rounding noise.  The target goes through log1p so
     that excess lengths down to rounding level keep their digits.  A root
     above the scale bracket's upper end counts as the taut limit and
     raises NoConvergence.
@@ -208,11 +206,12 @@ def _solve_scale(p: float, rhs: float) -> float:
     for iteration in range(_MAX_NEWTON):
         value, slope = _log_sinhc(u)
         step = (value - target) / slope
+        u -= step
         # past the first step every step is downhill; one within rounding
-        # noise of log(sinh(u)/u) means u has settled
+        # noise of log(sinh(u)/u) means u has settled, and taking it costs
+        # no further evaluation
         if iteration > 0 and not step > _NEWTON_RTOL * u:
             break
-        u -= step
     else:
         raise NoConvergence(f"catenary scale Newton did not settle for p={p!r}")
     return 0.5 * p / u
@@ -225,7 +224,8 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
     Raises LengthTooShort if ``length`` does not exceed the chord (callers
     should treat that as the taut straight-line limit), and NoConvergence if
     the scale cannot be bracketed, which includes the degenerate vertical
-    configuration p < EPS_P where no planar catenary exists.
+    configuration p < EPS_P where no planar catenary exists, or if the
+    scale fails its residual certificate.
     """
     chord = cfg.chord
     if not math.isfinite(length):
@@ -239,22 +239,17 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
 
     rhs = math.sqrt((length - cfg.H) * (length + cfg.H))
     a = _solve_scale(cfg.p, rhs)
+    # Certify the root on the scale equation in u = p / (2a), relative to
+    # its target: both sides keep their relative digits at any slope and
+    # any excess length, and a relative error e in the scale moves the
+    # residual by at least e.
+    target = math.log1p((rhs - cfg.p) / cfg.p)
+    residual = _log_sinhc(0.5 * cfg.p / a)[0] - target
+    if not abs(residual) <= _RESIDUAL_RTOL * target:
+        raise NoConvergence(
+            f"catenary scale residual too large: {residual!r} of {target!r}")
     x_a = a * math.atanh(cfg.H / length) - 0.5 * cfg.p
     x_b = x_a + cfg.p
-
-    # Residuals of the endpoint equations, in sum-to-product form to avoid
-    # cancellation.  These certify the Newton result.  Both inherit the
-    # rounding of H / L and of L^2 - H^2 magnified by L^2 / (L^2 - H^2),
-    # which is large on near-vertical spans, so the bound grows with it.
-    half_sum = 0.5 * (x_a + x_b) / a
-    sinh_half_gap = math.sinh(0.5 * cfg.p / a)
-    h_res = 2.0 * a * math.sinh(half_sum) * sinh_half_gap - cfg.H
-    l_res = 2.0 * a * math.cosh(half_sum) * sinh_half_gap - length
-    tol = _RESIDUAL_RTOL * (length / rhs) ** 2
-    if abs(h_res) > tol * max(1.0, abs(cfg.H)) or \
-            abs(l_res) > tol * max(1.0, length):
-        raise NoConvergence(
-            f"catenary residuals too large: dH={h_res!r}, dL={l_res!r}")
 
     state = CableState.SLACK if (x_a < 0.0 < x_b) else CableState.TAUT
     return CatenarySolution(scale=a,
@@ -270,14 +265,14 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
     vertex lies exactly ``sag_limit`` below the lower endpoint.  Entries
     with p < EPS_P use the degenerate vertical rule |H| + 2 sag_limit, the
     catenary's limit as p -> 0 (a bight hanging sag_limit below the lower
-    end).  With sag_limit = 0 and H = 0 the answer is the chord.
+    end), with gradient (dl/dp, dl/d|H|) = (0, 1).
 
     Returns ``(length, dl_dp, dl_dh)``: the length and its derivatives
     over p and over |H|.  Rows whose catenary comes out no longer than the
-    chord take the chord and the chord's gradient (the taut-chord clamp);
-    below ``_GRADIENT_VERTICAL_P`` the gradient is the vertical rule's.
-    Every row is computed on its own, so its result does not depend on
-    the rest of the batch.
+    chord, such as level rows with sag_limit = 0, take the chord and the
+    chord's gradient (the taut-chord clamp); every other row from EPS_P
+    up takes the closed-form gradient.  Every row is computed on its own,
+    so its result does not depend on the rest of the batch.
     """
     p = np.asarray(p, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -290,19 +285,9 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
     if vertical.any():
         out[vertical] = habs[vertical] + 2.0 * sag_limit
     solve = ~vertical
-
-    if sag_limit == 0.0:
-        level_zero_sag = solve & (habs == 0.0)
-        out[level_zero_sag] = p[level_zero_sag]
-        dl_dp[level_zero_sag] = 1.0
-        dl_dh[level_zero_sag] = 0.0
-        solve &= ~level_zero_sag
     if solve.any():
         out[solve], dl_dp[solve], dl_dh[solve] = _sag_rows(
             p[solve], habs[solve], sag_limit)
-    near_vertical = p < _GRADIENT_VERTICAL_P
-    dl_dp[near_vertical] = 0.0
-    dl_dh[near_vertical] = 1.0
     return out, dl_dp, dl_dh
 
 
@@ -317,14 +302,17 @@ def _sag_rows(p: np.ndarray, habs: np.ndarray, sag_limit: float):
 
     p(a) increases with a, and d log p / d log a lies between 1/2 (large
     a) and 1 (small a), so Newton's method on log p(e^b) = log p in
-    b = log a takes well-scaled steps.  Needs p >= EPS_P and k > 0.
+    b = log a takes well-scaled steps.  Needs p >= EPS_P.  A row with
+    k = 0 (level, zero sag) parks at the bracket and takes the chord.
     """
     # row 0 holds s, row 1 holds k
     depths = np.array([np.full_like(p, sag_limit), sag_limit + habs])
     log_p = np.log(p)
     # Seed at the large-a asymptote: acosh(1 + w) <= sqrt(2 w) gives the
-    # lower bound a = p^2 / (sqrt(2 s) + sqrt(2 k))^2 of the root.
-    b = 2.0 * (log_p - np.log(np.sqrt(2.0 * depths).sum(axis=0)))
+    # lower bound a = p^2 / (sqrt(2 s) + sqrt(2 k))^2 of the root; with
+    # k = 0 it is +inf, which the bracket clamps.
+    with np.errstate(divide="ignore"):
+        b = 2.0 * (log_p - np.log(np.sqrt(2.0 * depths).sum(axis=0)))
     b_hi = math.log(_BRACKET_HI)
     for rounds_left in range(_SAG_ROUNDS, -1, -1):
         # A scale above the bracket counts as the taut limit: the row
@@ -419,7 +407,7 @@ def corridor_bounds_and_gradient(attach: np.ndarray, anchor,
     coordinates (the y column stays zero).  l_min's gradient is the unit
     chord direction in the x-z plane; l_max's is the sag-limited solve's
     closed form, the chord's on rows decided by the taut-chord clamp and
-    the vertical rule's near the degenerate vertical configuration.
+    the vertical rule's below EPS_P.
     """
     attach = np.asarray(attach, dtype=float)
     anchor = np.asarray(anchor, dtype=float)

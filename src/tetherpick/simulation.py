@@ -8,8 +8,9 @@ cable applies forces at both ends from one of three regimes:
 * slack: a catenary solve gives the exact end tensions,
 * taut: a stiff one-sided spring along the chord, with the cable's own
   weight split between the ends,
-* near-vertical slack: the doubled-strand (bight) limit, where each end
-  simply carries the strand hanging from it.
+* vertical slack (horizontal separation below ``cable.EPS_P``, the
+  corridor's vertical threshold too): the doubled-strand (bight) limit,
+  where each end simply carries the strand hanging from it.
 
 In every regime the two end forces sum to the cable weight, so momentum
 bookkeeping stays consistent across regime switches.
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cable import (
+    EPS_P,
     CableProperties,
     PlanarConfiguration,
     corridor_bounds_batch,
@@ -44,10 +46,6 @@ from .trajectory import Trajectory
 # Surrogate spring for the taut regime.  Stiff enough that the sag under a
 # few kilograms is millimetric, soft enough for stable 1 kHz integration.
 TETHER_STIFFNESS = 5e3
-
-# Below this horizontal separation the catenary scale is unidentifiable and
-# the doubled-strand limit applies.
-VERTICAL_EPS = 1e-4
 
 DEFAULT_TIMESTEP = 1e-3
 
@@ -84,15 +82,16 @@ def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
     ``dvz`` are the anchor's velocity relative to that end.  Velocities,
     the payout rate and ``damping`` only matter in the taut regime, where
     the tension follows a one-sided ``TETHER_STIFFNESS`` spring on the
-    chord excess plus a damper on its rate.  Returns ``(droid_x, droid_z,
-    anchor_x, anchor_z, tension, taut)``; the end forces have no y
-    component in any regime.
+    chord excess plus a damper on its rate.  A slack cable is a solved
+    catenary from |dx| = EPS_P up and the doubled strand below it.
+    Returns ``(droid_x, droid_z, anchor_x, anchor_z, tension, taut)``;
+    the end forces have no y component in any regime.
     """
     mu = props.weight_per_length
     chord = math.hypot(dx, dz)
 
     if length > chord:
-        if abs(dx) < VERTICAL_EPS:
+        if abs(dx) < EPS_P:
             # doubled strand: each end carries the piece hanging from it
             droid_strand = min(max(0.5 * (length - dz), 0.0), length)
             return (0.0, -mu * droid_strand, 0.0,

@@ -8,15 +8,17 @@ residuals below 1e-15 before freezing.
 
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from tetherpick import cable
 from tetherpick.cable import (
     EPS_P,
     CableProperties,
@@ -424,7 +426,7 @@ class TestBatchedHelpers:
         sag=st.sampled_from([0.0, 0.05, 0.1, 1.0]))
     def test_gradient_entry_gives_the_corridor_bit_for_bit(self, rows, anchor,
                                                            sag):
-        """Vertical (p below 10 * EPS_P), level (H = 0) and general rows."""
+        """Vertical (p below EPS_P), level (H = 0) and general rows."""
         props = CableProperties(sag_limit=sag)
         anchor = np.array(anchor)
         attach = np.array([[anchor[0] + (p if right else -p), 0.3,
@@ -435,8 +437,7 @@ class TestBatchedHelpers:
         assert l_min.tobytes() == want_min.tobytes()
         assert l_max.tobytes() == want_max.tobytes()
         p = np.abs(attach[:, 0] - anchor[0])
-        # 10 * EPS_P rounds to 9.999999999999999e-06, one ulp below 1e-5
-        vertical = p < 10.0 * EPS_P
+        vertical = p < EPS_P
         assert np.all(dlmax[vertical, 0] == 0.0)
         assert np.all(np.abs(dlmax[vertical, 2]) <= 1.0)
         assert np.all(dlmax[:, 1] == 0.0)
@@ -497,6 +498,9 @@ class TestNewtonScale:
     @settings(max_examples=2000, deadline=None)
     @given(p=st.floats(EPS_P, 10.0), H=st.floats(-3.0, 3.0),
            ratio=st.floats(1e-12, 3.0))
+    # a Newton loop that stopped before its last computed step left this
+    # scale 5 ulps of residual above the bisection's
+    @example(p=1.5, H=2.693424243045574, ratio=1.280124011160086)
     def test_matches_bisection_wherever_it_succeeds(self, p, H, ratio):
         chord = math.hypot(p, H)
         length = chord + ratio * chord
@@ -513,14 +517,14 @@ class TestNewtonScale:
             abs(_reference_arc_gap(expected, p) - rhs) + 4.0 * math.ulp(rhs)
 
     @settings(max_examples=1000, deadline=None)
-    @given(p=st.floats(1e-4, 2.5e-2), H=st.floats(-3.0, 3.0),
+    @given(p=st.floats(EPS_P, 2.5e-2), H=st.floats(-3.0, 3.0),
            log_excess=st.floats(-12.0, 0.0))
     def test_near_vertical_slack_spans_certify(self, p, H, log_excess):
-        """An exact scale passes the residual check on near-vertical spans.
+        """An exact scale passes the residual check on near-vertical spans,
+        down to EPS_P where the simulator's doubled-strand regime begins.
 
-        The residuals carry the rounding of H / L and of L^2 - H^2,
-        magnified by L^2 / (L^2 - H^2).  "Exact" means within 1e-12 of a
-        40-digit root of the equation the scale solve is given.
+        "Exact" means within 1e-12 of a 40-digit root of the equation the
+        scale solve is given.
         """
         cfg = PlanarConfiguration(p, H)
         length = cfg.chord + 10.0 ** log_excess
@@ -534,6 +538,26 @@ class TestNewtonScale:
             exact = abs(scale / (0.5 * p / u) - 1) <= 1e-12
         if exact:
             solve_catenary(cfg, length, PROPS)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(p=st.one_of(st.floats(EPS_P, 1e-4), st.floats(0.3, 5.0)),
+           H=st.floats(-3.0, 3.0), log_excess=st.floats(-9.0, 0.0))
+    def test_a_corrupted_scale_fails_the_certificate(self, p, H, log_excess):
+        """A root off by 1e-6 relative is rejected on every span.
+
+        The scale equation's residual relative to its target moves by at
+        least the scale's relative error, whatever the slope or excess.
+        """
+        cfg = PlanarConfiguration(p, H)
+        length = cfg.chord * (1.0 + 10.0 ** log_excess)
+        solve_catenary(cfg, length, PROPS)
+
+        def corrupted(p, rhs):
+            return _solve_scale(p, rhs) * (1.0 + 1e-6)
+
+        with mock.patch.object(cable, "_solve_scale", corrupted):
+            with pytest.raises(NoConvergence, match="residual"):
+                solve_catenary(cfg, length, PROPS)
 
     def test_well_conditioned_spans_match_to_1e9(self):
         # excess lengths of a millimetre and up leave the bisection's
@@ -549,21 +573,38 @@ class TestNewtonScale:
             assert _solve_scale(p, rhs) == pytest.approx(expected, rel=1e-9)
 
 
-def exact_sag_length(p, H, sag):
-    """40-digit sag-limited length: the root of the span equation
-    a [acosh(1 + s/a) + acosh(1 + k/a)] = p, with s = sag and k = sag + |H|,
+def mp_sag_length(p, habs, s):
+    """Sag-limited length at mpmath's working precision: the root of the
+    span equation a [acosh(1 + s/a) + acosh(1 + k/a)] = p, with k = s + |H|,
     found in b = log a, then sqrt(s^2 + 2as) + sqrt(k^2 + 2ak)."""
+    k = s + habs
+
+    def log_span_gap(b):
+        a = mpmath.exp(b)
+        return mpmath.log(a * (mpmath.acosh(1 + s / a)
+                               + mpmath.acosh(1 + k / a))) - mpmath.log(p)
+
+    a = mpmath.exp(mpmath.findroot(log_span_gap, mpmath.mpf(0)))
+    return mpmath.sqrt(s * s + 2 * a * s) + mpmath.sqrt(k * k + 2 * a * k)
+
+
+def exact_sag_length(p, H, sag):
+    """40-digit sag-limited length."""
     with mpmath.workdps(40):
-        p, s = mpmath.mpf(p), mpmath.mpf(sag)
-        k = s + abs(mpmath.mpf(H))
+        return mp_sag_length(mpmath.mpf(p), abs(mpmath.mpf(H)),
+                             mpmath.mpf(sag))
 
-        def log_span_gap(b):
-            a = mpmath.exp(b)
-            return mpmath.log(a * (mpmath.acosh(1 + s / a)
-                                   + mpmath.acosh(1 + k / a))) - mpmath.log(p)
 
-        a = mpmath.exp(mpmath.findroot(log_span_gap, mpmath.mpf(0)))
-        return mpmath.sqrt(s * s + 2 * a * s) + mpmath.sqrt(k * k + 2 * a * k)
+def exact_sag_gradient(p, habs, sag):
+    """(dl/dp, dl/d|H|) of the sag-limited length by 40-digit central
+    differences, with steps 1e-12 p and 1e-12 m."""
+    with mpmath.workdps(40):
+        p, habs, s = mpmath.mpf(p), mpmath.mpf(habs), mpmath.mpf(sag)
+        dp, dh = p * mpmath.mpf("1e-12"), mpmath.mpf("1e-12")
+        return (float((mp_sag_length(p + dp, habs, s)
+                       - mp_sag_length(p - dp, habs, s)) / (2 * dp)),
+                float((mp_sag_length(p, habs + dh, s)
+                       - mp_sag_length(p, habs - dh, s)) / (2 * dh)))
 
 
 ROW = st.tuples(
@@ -587,6 +628,17 @@ class TestSagSolveBatch:
         length = _sag_solve_batch(np.array([p]), np.array([H]), sag)[0][0]
         assert length > math.hypot(p, H)
         assert abs(length / exact_sag_length(p, H, sag) - 1) <= 2e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.floats(EPS_P, 1e-5), H=st.floats(-3.0, 3.0),
+           sag=st.floats(1e-3, 1.0))
+    def test_gradient_matches_40_digits_down_to_eps_p(self, p, H, sag):
+        """The closed-form gradient holds from EPS_P up; the vertical
+        rule's (0, 1) would miss dl/dp by about 0.06 here."""
+        _, dl_dp, dl_dh = _sag_solve_batch(np.array([p]), np.array([H]), sag)
+        want_dp, want_dh = exact_sag_gradient(p, abs(H), sag)
+        assert abs(dl_dp[0] - want_dp) <= 1e-9
+        assert abs(dl_dh[0] - want_dh) <= 1e-9
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(ROW, min_size=1, max_size=40),
@@ -617,9 +669,7 @@ class TestSagSolveBatch:
         chord = math.hypot(p, H)
         assert math.isfinite(length[0]) and length[0] >= chord
         assert math.isfinite(dl_dp[0]) and math.isfinite(dl_dh[0])
-        if p < 10.0 * EPS_P:
-            assert (dl_dp[0], dl_dh[0]) == (0.0, 1.0)
-        elif length[0] == chord:
+        if length[0] == chord:
             assert (dl_dp[0], dl_dh[0]) == (p / chord, abs(H) / chord)
 
     @pytest.mark.parametrize("p, H, sag", [

@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from scipy.spatial.transform import Rotation
 
 from tetherpick.cable import (
+    EPS_P,
     CableProperties,
     PlanarConfiguration,
     solve_catenary,
@@ -28,7 +29,6 @@ from tetherpick.simulation import (
     TelemetryLog,
     TELEMETRY_COLUMNS,
     TETHER_STIFFNESS,
-    VERTICAL_EPS,
     _advance,
     _cable_forces,
     _flat_inputs,
@@ -124,6 +124,56 @@ class TestTetherForce:
             np.testing.assert_allclose(
                 (droid_x + anchor_x, droid_z + anchor_z), [0.0, -MU * length],
                 atol=1e-9 * max(1.0, MU * length))
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.floats(EPS_P, 1e-4, exclude_min=True, exclude_max=True),
+           right=st.booleans(), H=st.floats(-3.0, 3.0),
+           log_excess=st.floats(-12.0, -1.0))
+    def test_near_vertical_slack_is_the_solved_catenary(self, p, right, H,
+                                                        log_excess):
+        """From EPS_P up a slack span's end forces are the catenary's:
+        the horizontal tension mu a, the vertical component along the
+        tangent at the droid end, and the tension there."""
+        dx = p if right else -p
+        cfg = PlanarConfiguration(p, H)
+        length = cfg.chord * (1.0 + 10.0 ** log_excess)
+        sol = solve_catenary(cfg, length, PROPS)
+        droid_x, droid_z, anchor_x, anchor_z, tension, taut = _cable_forces(
+            dx, H, 0.0, 0.0, length, 0.0, PROPS, 0.0)
+        assert not taut
+        horizontal = MU * sol.scale
+        droid_tension = horizontal * math.cosh(sol.x_a / sol.scale)
+        expected = (math.copysign(horizontal, dx),
+                    horizontal * math.sinh(sol.x_a / sol.scale))
+        scale = MU * length + droid_tension
+        np.testing.assert_allclose((droid_x, droid_z), expected, rtol=0.0,
+                                   atol=1e-12 * scale)
+        np.testing.assert_allclose(
+            (anchor_x, anchor_z), (-expected[0], -expected[1] - MU * length),
+            rtol=0.0, atol=1e-12 * scale)
+        assert tension == pytest.approx(droid_tension, rel=1e-12)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(p=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * EPS_P),
+                       st.floats(0.0, 0.05)),
+           right=st.booleans(), H=st.floats(-3.0, 3.0),
+           log_excess=st.floats(-12.0, -1.0))
+    def test_slack_spans_never_raise_and_carry_the_cable_weight(
+            self, p, right, H, log_excess):
+        """Near-vertical slack spans, catenary and doubled strand alike,
+        give finite end forces that sum to the cable's weight."""
+        chord = math.hypot(p, H)
+        assume(chord > 0.0)
+        length = chord * (1.0 + 10.0 ** log_excess)
+        droid_x, droid_z, anchor_x, anchor_z, tension, _ = _cable_forces(
+            p if right else -p, H, 0.0, 0.0, length, 0.0, PROPS, 0.0)
+        forces = (droid_x, droid_z, anchor_x, anchor_z, tension)
+        assert all(math.isfinite(f) for f in forces)
+        # below the normal range rounding comes in subnormal steps
+        tolerance = 1e-12 * (MU * length + max(abs(f) for f in forces)) \
+            + 4 * math.ulp(0.0)
+        assert abs(droid_x + anchor_x) <= tolerance
+        assert abs(droid_z + anchor_z + MU * length) <= tolerance
 
     def test_vertical_bight_split(self):
         droid_x, droid_z, anchor_x, anchor_z, tension, taut = _cable_forces(
@@ -423,7 +473,7 @@ def reference_tether_force(attach, anchor, length, props, attach_velocity,
     dx = anchor[0] - attach[0]
     dz = anchor[2] - attach[2]
     chord = math.hypot(dx, dz)
-    if length > chord and abs(dx) < VERTICAL_EPS:
+    if length > chord and abs(dx) < EPS_P:
         droid_strand = min(max(0.5 * (length - dz), 0.0), length)
         return (np.array([0.0, 0.0, -mu * droid_strand]),
                 np.array([0.0, 0.0, -mu * (length - droid_strand)]),
