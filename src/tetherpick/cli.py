@@ -21,7 +21,9 @@ deliberate exception).
 import argparse
 import copy
 import csv
+import dataclasses
 import itertools
+import math
 import re
 import sys
 import time
@@ -35,12 +37,19 @@ from .checks import run_checks
 from .errors import ParseError, TetherpickError, ValidationError
 from .optimizer import (
     VIOLATION_TOL,
+    CostBreakdown,
     WinchSchedule,
     corridor_profile,
     corridor_violation,
     optimize,
 )
-from .scenario import Scenario, load_document, load_scenario, parse_scenario
+from .scenario import (
+    RetrievalSpec,
+    Scenario,
+    load_document,
+    load_scenario,
+    parse_scenario,
+)
 from .simulation import TELEMETRY_COLUMNS, simulate_pickup, simulate_retrieval
 from .trajectory import Trajectory
 
@@ -53,6 +62,7 @@ EXIT_CORRIDOR = 4
 COEFFICIENT_HEADER = ("segment", "axis", "c0", "c1", "c2", "c3", "c4", "c5",
                       "dT", "N")
 _AXES = ("x", "y", "z")
+_COST_COLUMNS = (*(f.name for f in dataclasses.fields(CostBreakdown)), "total")
 
 
 def _fmt(value) -> str:
@@ -160,10 +170,7 @@ def cmd_plan(args) -> int:
 
     b = result.breakdown
     summary = [
-        ("smoothness", b.smoothness), ("time", b.time),
-        ("velocity", b.velocity), ("acceleration", b.acceleration),
-        ("jerk", b.jerk), ("thrust", b.thrust), ("obstacle", b.obstacle),
-        ("cable", b.cable), ("total", b.total),
+        *((name, getattr(b, name)) for name in _COST_COLUMNS),
         ("duration_s", traj.duration), ("iterations", result.iterations),
         ("status", result.status), ("penalties_ok", result.penalties_ok),
         ("max_violation", result.max_violation),
@@ -175,7 +182,7 @@ def cmd_plan(args) -> int:
     print(f"plan {sc.name}: total cost {b.total:.6g}, "
           f"duration {traj.duration:.3f} s, {result.iterations} iterations "
           f"({result.status})")
-    for name, value in summary[:9]:
+    for name, value in summary[:len(_COST_COLUMNS)]:
         print(f"  {name:12s} {value:.6g}")
     if not result.penalties_ok:
         print(f"  note: penalties not settled "
@@ -224,7 +231,8 @@ def cmd_simulate(args) -> int:
                 "or --attach-mass")
         mass = args.attach_mass if args.attach_mass is not None \
             else sc.retrieval.attach_mass
-        stow = sc.retrieval.stow_length if sc.retrieval is not None else 0.2
+        stow = sc.retrieval.stow_length if sc.retrieval is not None \
+            else RetrievalSpec.stow_length
         speed = retrieval_winch.payout_speed
         reel = -abs(speed) if speed != 0.0 else -0.2
         winch = WinchSchedule(retrieval_winch.initial_length, reel,
@@ -301,9 +309,8 @@ def _apply_override(document, dotted: str, value) -> None:
 
 
 SWEEP_FIXED_COLUMNS = ("success", "status", "iterations", "duration_s",
-                       "smoothness", "time", "velocity", "acceleration",
-                       "jerk", "thrust", "obstacle", "cable", "total",
-                       "corridor_margin_m", "wall_time_s", "error")
+                       *_COST_COLUMNS, "corridor_margin_m", "wall_time_s",
+                       "error")
 
 
 def _sweep_worker(task):
@@ -323,15 +330,14 @@ def _sweep_worker(task):
         kappa = dense_factor * sc.planning.limits.samples
         _, l_min, l_now, l_max = corridor_profile(traj, sc.planning, kappa)
         margin = float(np.min(np.minimum(l_now - l_min, l_max - l_now)))
-        b = result.breakdown
-        ok = result.penalties_ok and margin >= 0.0
+        # plan's verdict: settled penalties and a clean dense re-check
+        ok = result.penalties_ok \
+            and corridor_violation(l_min, l_now, l_max) < VIOLATION_TOL
         row = {
             "success": int(ok), "status": result.status,
             "iterations": result.iterations, "duration_s": traj.duration,
-            "smoothness": b.smoothness, "time": b.time,
-            "velocity": b.velocity, "acceleration": b.acceleration,
-            "jerk": b.jerk, "thrust": b.thrust, "obstacle": b.obstacle,
-            "cable": b.cable, "total": b.total,
+            **{name: getattr(result.breakdown, name)
+               for name in _COST_COLUMNS},
             "corridor_margin_m": margin, "error": "",
         }
     except TetherpickError as exc:
@@ -346,6 +352,10 @@ def cmd_sweep(args) -> int:
         raise ParseError("sweep requires at least one --grid path=values")
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.fixed_duration is not None \
+            and not 0.0 < args.fixed_duration < math.inf:
+        raise ParseError(f"--fixed-duration must be finite and positive, "
+                         f"got {args.fixed_duration}")
     document = load_document(args.scenario)
     # validate the template up front
     sc = parse_scenario(document, name_fallback=Path(args.scenario).stem)

@@ -523,8 +523,8 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
     """
     waypoints0, duration0 = initial_guess(scenario)
     if fixed_duration is not None:
-        if not fixed_duration > 0:
-            raise ValidationError("fixed duration must be positive")
+        if not 0.0 < fixed_duration < math.inf:
+            raise ValidationError("fixed duration must be finite and positive")
         duration0 = fixed_duration
     n_wp = scenario.segment_count - 1
     optimize_time = fixed_duration is None

@@ -24,7 +24,10 @@ A scenario is a YAML document with nested sections::
 Every physical quantity carries its SI unit in the key name; the single
 exception is the cable's ``unit_weight_g_per_m`` convenience key (grams per
 meter, the way cable stock is labelled), which is converted to kg/m on load
-and is mutually exclusive with ``mass_per_length_kg_per_m``.  Unknown keys
+and is mutually exclusive with ``mass_per_length_kg_per_m``.  Each other
+key maps to one dataclass field (``_KEYS``); a key left out takes that
+field's default, and ``cable.gravity_m_s2`` is the one gravity that both the
+planner and the simulator use.  Every number must be finite.  Unknown keys
 are rejected rather than ignored so a typo cannot silently fall back to a
 default.  Malformed values raise :class:`~tetherpick.errors.ParseError`
 naming the offending field; structurally sound values that violate a domain
@@ -33,9 +36,10 @@ invariant raise :class:`~tetherpick.errors.ValidationError`.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,10 +54,11 @@ from .optimizer import (
     PlanningScenario,
     WinchSchedule,
 )
-from .simulation import DroneParams
+from .simulation import DEFAULT_TIMESTEP, DroneParams
 from .trajectory import BoundaryState
 
 _REQUIRED = object()
+_REST = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -77,12 +82,43 @@ class Scenario:
     name: str
     planning: PlanningScenario
     drone: DroneParams = DroneParams()
-    timestep: float = 1e-3
+    timestep: float = DEFAULT_TIMESTEP
     retrieval: Optional[RetrievalSpec] = None
 
     def __post_init__(self):
         if not self.timestep > 0.0:
             raise ValidationError("sim timestep must be positive")
+
+
+# YAML key -> field, for each dataclass the loader builds with _build.  The
+# cable's unit_weight_g_per_m is converted by _parse_cable on top of this.
+_KEYS = {
+    PlanningScenario: {
+        "goal_position_m": "goal_position",
+        "anchor_position_m": "anchor_position",
+        "segment_count": "segment_count", "yaw_rad": "yaw"},
+    CableProperties: {
+        "mass_per_length_kg_per_m": "mass_per_length",
+        "gravity_m_s2": "gravity", "sag_limit_m": "sag_limit",
+        "attachment_offset_m": "attachment_offset"},
+    WinchSchedule: {
+        "initial_length_m": "initial_length",
+        "payout_speed_m_s": "payout_speed", "capacity_m": "capacity"},
+    Limits: {
+        "v_max_m_s": "v_max", "a_max_m_s2": "a_max", "j_max_m_s3": "j_max",
+        "tau_min_m_s2": "tau_min", "tau_max_m_s2": "tau_max",
+        "samples": "samples", "obstacle_margin_m": "obstacle_margin",
+        "time_weight": "time_weight", "corridor_margin_m": "corridor_margin"},
+    PenaltyWeights: {
+        key: key
+        for key in ("velocity", "accel_jerk", "thrust", "cable", "obstacle")},
+    DroneParams: {
+        "drone_mass_kg": "mass", "position_gain": "kp",
+        "velocity_gain": "kd"},
+    RetrievalSpec: {
+        "attach_mass_kg": "attach_mass", "stow_length_m": "stow_length"},
+    Scenario: {"timestep_s": "timestep"},
+}
 
 
 class _Section:
@@ -101,6 +137,7 @@ class _Section:
         return f"{self.path}.{key}" if self.path else key
 
     def has(self, key: str) -> bool:
+        self.seen.add(key)
         return key in self.mapping
 
     def child(self, key: str) -> "_Section":
@@ -111,39 +148,32 @@ class _Section:
         self.seen.add(key)
         return self.mapping.get(key, default)
 
-    def number(self, key: str, default=_REQUIRED) -> float:
+    def _value(self, key: str, default=_REQUIRED):
         self.seen.add(key)
-        if key not in self.mapping:
-            if default is _REQUIRED:
-                raise ParseError(f"missing required field {self._at(key)}")
-            return default
-        return _as_number(self.mapping[key], self._at(key))
+        if key in self.mapping:
+            return self.mapping[key]
+        if default is _REQUIRED:
+            raise ParseError(f"missing required field {self._at(key)}")
+        return default
 
-    def integer(self, key: str, default=_REQUIRED) -> int:
-        value = self.number(key, default)
+    def number(self, key: str) -> float:
+        return _as_number(self._value(key), self._at(key))
+
+    def integer(self, key: str) -> int:
+        value = self.number(key)
         if value != int(value):
             raise ParseError(f"{self._at(key)} must be an integer")
         return int(value)
 
     def vector(self, key: str, default=_REQUIRED) -> np.ndarray:
-        self.seen.add(key)
-        if key not in self.mapping:
-            if default is _REQUIRED:
-                raise ParseError(f"missing required field {self._at(key)}")
-            return np.asarray(default, dtype=float)
-        value = self.mapping[key]
+        value = self._value(key, default)
         if not isinstance(value, (list, tuple)) or len(value) != 3:
             raise ParseError(f"{self._at(key)} must be a list of 3 numbers")
         return np.array([_as_number(v, f"{self._at(key)}[{i}]")
                          for i, v in enumerate(value)])
 
     def text(self, key: str, default=_REQUIRED) -> str:
-        self.seen.add(key)
-        if key not in self.mapping:
-            if default is _REQUIRED:
-                raise ParseError(f"missing required field {self._at(key)}")
-            return default
-        value = self.mapping[key]
+        value = self._value(key, default)
         if not isinstance(value, str):
             raise ParseError(f"{self._at(key)} must be a string")
         return value
@@ -157,83 +187,51 @@ class _Section:
 
 
 def _as_number(value, where: str) -> float:
+    """The one reader of scenario numbers: finite floats only."""
     # YAML 1.1 reads bare "1e4" as a string, so accept numeric strings too;
     # bools are ints in Python and must not sneak through
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"{where} must be a number")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ParseError(f"{where} must be a number, got {value!r}") \
-                from None
-    raise ParseError(f"{where} must be a number")
+    try:
+        number = float(value)
+    except ValueError:
+        raise ParseError(f"{where} must be a number, got {value!r}") \
+            from None
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{where} must be finite")
+    return number
+
+
+def _build(cls, section: _Section, **given):
+    """``cls`` from ``given`` plus the keys of ``_KEYS[cls]`` in ``section``.
+
+    A key the file leaves out leaves its field at the dataclass default; the
+    key of a field without a default is required.
+    """
+    # annotations are strings here (from __future__ import annotations)
+    readers = {"int": section.integer, "np.ndarray": section.vector}
+    by_name = {f.name: f for f in fields(cls)}
+    for key, name in _KEYS[cls].items():
+        field = by_name[name]
+        if section.has(key) or field.default is MISSING:
+            given[name] = readers.get(field.type, section.number)(key)
+    try:
+        return cls(**given)
+    except ValueError as exc:
+        raise ValidationError(f"{section.path}: {exc}") from None
 
 
 def _parse_cable(section: _Section) -> CableProperties:
-    grams = section.has("unit_weight_g_per_m")
-    kilos = section.has("mass_per_length_kg_per_m")
-    if grams and kilos:
+    if not section.has("unit_weight_g_per_m"):
+        return _build(CableProperties, section)
+    if section.has("mass_per_length_kg_per_m"):
         raise ValidationError(
             "cable: give unit_weight_g_per_m or mass_per_length_kg_per_m, "
             "not both")
-    if grams:
-        mass_per_length = section.number("unit_weight_g_per_m") * 1e-3
-    elif kilos:
-        mass_per_length = section.number("mass_per_length_kg_per_m")
-    else:
-        mass_per_length = 1.4e-4
-    kwargs = dict(
-        mass_per_length=mass_per_length,
-        gravity=section.number("gravity_m_s2", 9.81),
-        sag_limit=section.number("sag_limit_m", 0.1),
-        attachment_offset=section.number("attachment_offset_m", 0.0),
-    )
-    section.finish()
-    try:
-        return CableProperties(**kwargs)
-    except ValueError as exc:
-        raise ValidationError(f"cable: {exc}") from None
-
-
-def _parse_limits(section: _Section) -> Limits:
-    kwargs = dict(
-        v_max=section.number("v_max_m_s", 2.0),
-        a_max=section.number("a_max_m_s2", 6.0),
-        j_max=section.number("j_max_m_s3", 30.0),
-        tau_min=section.number("tau_min_m_s2", 2.0),
-        tau_max=section.number("tau_max_m_s2", 20.0),
-        samples=section.integer("samples", 32),
-        obstacle_margin=section.number("obstacle_margin_m", 0.3),
-        time_weight=section.number("time_weight", 20.0),
-        corridor_margin=section.number("corridor_margin_m", 0.0),
-    )
-    section.finish()
-    return Limits(**kwargs)
-
-
-def _parse_weights(section: _Section) -> PenaltyWeights:
-    kwargs = dict(
-        velocity=section.number("velocity", 1e4),
-        accel_jerk=section.number("accel_jerk", 1e4),
-        thrust=section.number("thrust", 1e4),
-        cable=section.number("cable", 1e5),
-        obstacle=section.number("obstacle", 1e5),
-    )
-    section.finish()
-    return PenaltyWeights(**kwargs)
-
-
-def _parse_winch(section: _Section) -> WinchSchedule:
-    schedule = WinchSchedule(
-        initial_length=section.number("initial_length_m"),
-        payout_speed=section.number("payout_speed_m_s", 0.0),
-        capacity=section.number("capacity_m", float("inf")),
-    )
-    section.finish()
-    return schedule
+    grams = section.number("unit_weight_g_per_m")
+    return _build(CableProperties, section, mass_per_length=grams * 1e-3)
 
 
 def _parse_obstacles(raw, path: str) -> Sequence[ObstaclePlane]:
@@ -253,26 +251,6 @@ def _parse_obstacles(raw, path: str) -> Sequence[ObstaclePlane]:
             raise ValidationError(f"{path}[{i}].normal must be nonzero")
         planes.append(ObstaclePlane(point, normal / norm))
     return tuple(planes)
-
-
-def _parse_sim(section: _Section):
-    drone = DroneParams(
-        mass=section.number("drone_mass_kg", 0.6),
-        gravity=section.number("gravity_m_s2", 9.81),
-        kp=section.number("position_gain", 16.0),
-        kd=section.number("velocity_gain", 8.0),
-    )
-    timestep = section.number("timestep_s", 1e-3)
-    retrieval = None
-    if section.has("retrieval"):
-        sub = section.child("retrieval")
-        retrieval = RetrievalSpec(
-            attach_mass=sub.number("attach_mass_kg"),
-            stow_length=sub.number("stow_length_m", 0.2),
-        )
-        sub.finish()
-    section.finish()
-    return drone, timestep, retrieval
 
 
 def _warn_if_unreachable(planning: PlanningScenario) -> None:
@@ -304,41 +282,34 @@ def parse_scenario(document, name_fallback: str = "scenario") -> Scenario:
     core = root.child("scenario")
     start_state = BoundaryState(
         position=core.vector("start_position_m"),
-        velocity=core.vector("start_velocity_m_s", (0.0, 0.0, 0.0)),
-        acceleration=core.vector("start_acceleration_m_s2", (0.0, 0.0, 0.0)),
-        jerk=core.vector("start_jerk_m_s3", (0.0, 0.0, 0.0)),
+        velocity=core.vector("start_velocity_m_s", _REST),
+        acceleration=core.vector("start_acceleration_m_s2", _REST),
+        jerk=core.vector("start_jerk_m_s3", _REST),
     )
-    goal_position = core.vector("goal_position_m")
-    goal_velocity = core.vector("goal_velocity_m_s", (0.0, 0.0, 0.0))
-    anchor_position = core.vector("anchor_position_m")
-    segment_count = core.integer("segment_count", 6)
-    yaw = core.number("yaw_rad", 0.0)
-    core.finish()
+    goal_velocity = core.vector("goal_velocity_m_s", _REST)
+    cable = root.child("cable")
+    winch = root.child("winch")
+    limits = root.child("limits")
+    weights = root.child("weights")
+    planning = _build(
+        PlanningScenario, core, start_state=start_state,
+        goal_velocity=goal_velocity, cable=_parse_cable(cable),
+        winch=_build(WinchSchedule, winch), limits=_build(Limits, limits),
+        weights=_build(PenaltyWeights, weights),
+        obstacles=_parse_obstacles(root.raw("obstacles"), "obstacles"))
 
-    cable = _parse_cable(root.child("cable"))
-    winch = _parse_winch(root.child("winch"))
-    limits = _parse_limits(root.child("limits"))
-    weights = _parse_weights(root.child("weights"))
-    obstacles = _parse_obstacles(root.raw("obstacles"), "obstacles")
-    drone, timestep, retrieval = _parse_sim(root.child("sim"))
-    root.finish()
-
-    planning = PlanningScenario(
-        start_state=start_state,
-        goal_position=goal_position,
-        goal_velocity=goal_velocity,
-        anchor_position=anchor_position,
-        winch=winch,
-        cable=cable,
-        obstacles=obstacles,
-        limits=limits,
-        weights=weights,
-        segment_count=segment_count,
-        yaw=yaw,
-    )
+    sim = root.child("sim")
+    retrieval = None
+    if sim.has("retrieval"):
+        sub = sim.child("retrieval")
+        retrieval = _build(RetrievalSpec, sub)
+        sub.finish()
+    scenario = _build(Scenario, sim, name=name, planning=planning,
+                      drone=_build(DroneParams, sim), retrieval=retrieval)
+    for section in (core, cable, winch, limits, weights, sim, root):
+        section.finish()
     _warn_if_unreachable(planning)
-    return Scenario(name=name, planning=planning, drone=drone,
-                    timestep=timestep, retrieval=retrieval)
+    return scenario
 
 
 def load_document(path):

@@ -56,18 +56,15 @@ _SMALL_ANGLE_SQ = 1e-8
 
 @dataclass(frozen=True)
 class DroneParams:
-    """Droid mass, gravity, and tracking gains."""
+    """Droid mass and tracking gains; gravity is the cable's."""
 
     mass: float = 0.6
-    gravity: float = 9.81
     kp: float = 16.0
     kd: float = 8.0
 
     def __post_init__(self) -> None:
         if not self.mass > 0:
             raise ValidationError("drone mass must be positive")
-        if not self.gravity > 0:
-            raise ValidationError("gravity must be positive")
         if self.kp < 0 or self.kd < 0:
             raise ValidationError("gains must be nonnegative")
 
@@ -258,15 +255,16 @@ def simulate_pickup(traj: Trajectory, scenario,
                     dt: float = DEFAULT_TIMESTEP) -> TelemetryLog:
     """Fly the planned trajectory against the cable model.
 
-    ``scenario`` provides the anchor, winch schedule, cable properties, and
-    yaw (a PlanningScenario or anything shaped like one).  Feedback gains
+    ``scenario`` provides the anchor, winch schedule, cable properties
+    (gravity included), and yaw (a PlanningScenario or anything shaped like
+    one).  Feedback gains
     live in ``params``; zeroing them gives the open-loop flatness replay.
     """
     props = scenario.cable
     anchor = np.asarray(scenario.anchor_position, dtype=float)
     anchor_x, anchor_z = float(anchor[0]), float(anchor[2])
     offset = props.attachment_offset
-    mass, gravity, kp, kd = params.mass, params.gravity, params.kp, params.kd
+    mass, gravity, kp, kd = params.mass, props.gravity, params.kp, params.kd
     damping = 2.0 * math.sqrt(TETHER_STIFFNESS * mass)
     heading = (math.cos(scenario.yaw), math.sin(scenario.yaw))
 
@@ -315,14 +313,14 @@ def simulate_retrieval(droid_position, winch: WinchSchedule,
     follows its schedule (payout negative when reeling in) and the run ends
     at the first step whose released length is at or below ``stow_length``.
     """
-    if attach_mass <= 0:
-        raise ValidationError("attach mass must be positive")
+    if not 0.0 < attach_mass < math.inf:
+        raise ValidationError("attach mass must be finite and positive")
     if winch.initial_length <= stow_length:
         raise ValidationError("winch starts at or below the stow length")
     hold_x, hold_y, hold_z = np.asarray(droid_position, dtype=float) \
         .reshape(3).tolist()
     offset = props.attachment_offset
-    mass, gravity, kp, kd = params.mass, params.gravity, params.kp, params.kd
+    mass, gravity, kp, kd = params.mass, props.gravity, params.kp, params.kd
     damping = 2.0 * math.sqrt(TETHER_STIFFNESS * attach_mass)
     heading = (1.0, 0.0)
     no_jerk = (0.0, 0.0, 0.0)

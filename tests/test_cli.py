@@ -122,6 +122,31 @@ class TestPlan:
         assert run(["plan", "--scenario", str(path),
                     "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("old, new, key", [
+        ("segment_count: 4", "segment_count: .inf", "scenario.segment_count"),
+        ("start_position_m: [0, 0, 0]", "start_position_m: [.inf, 0, 0]",
+         "scenario.start_position_m[0]"),
+        ("cable: 3.0e7", "cable: .nan", "weights.cable"),
+        ("samples: 16", "samples: 16\n  time_weight: .inf",
+         "limits.time_weight"),
+        ("timestep_s: 0.002", "timestep_s: 0.002\n  gravity_m_s2: 9.81",
+         "sim.gravity_m_s2"),
+    ], ids=["segment_count", "start_position", "weight", "time_weight",
+            "sim_gravity"])
+    def test_rejected_scenario_value_exits_two_naming_the_key(
+            self, tmp_path, capsys, old, new, key):
+        path = tmp_path / "bad.yaml"
+        path.write_text(FAST_SCENARIO.replace(old, new))
+        assert run(["plan", "--scenario", str(path),
+                    "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    def test_non_finite_fixed_duration_exits_two(self, fast_scenario,
+                                                 tmp_path, capsys):
+        assert run(["plan", "--scenario", str(fast_scenario),
+                    "--out", str(tmp_path), "--fixed-duration", "inf"]) == 2
+        assert "fixed duration" in capsys.readouterr().err
+
 
 class TestTrajectoryArtifact:
     def make_traj(self):
@@ -243,6 +268,14 @@ class TestSimulate:
         final_t = float(rows[-1][0])
         assert final_t == pytest.approx((3.7 - 0.6) / 0.2, abs=0.01)
 
+    @pytest.mark.parametrize("mass", ["nan", "inf"])
+    def test_non_finite_attach_mass_exits_two(self, fast_scenario, tmp_path,
+                                              capsys, mass):
+        assert run(["simulate", "--scenario", str(fast_scenario),
+                    "--out", str(tmp_path), "--retrieve-only",
+                    "--attach-mass", mass]) == 2
+        assert "attach mass" in capsys.readouterr().err
+
     def test_retrieval_needs_a_mass(self, tmp_path):
         text = FAST_SCENARIO[:FAST_SCENARIO.index("  retrieval:")]
         path = tmp_path / "no_mass.yaml"
@@ -300,6 +333,15 @@ class TestSweep:
     def test_requires_a_grid(self, fast_scenario, tmp_path):
         assert run(["sweep", "--scenario", str(fast_scenario),
                     "--out", str(tmp_path)]) == 2
+
+    def test_non_finite_fixed_duration_is_a_usage_error(
+            self, fast_scenario, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--scenario", str(fast_scenario),
+                    "--out", str(out), "--fixed-duration", "inf",
+                    "--grid", "scenario.goal_position_m[2]=0.25"]) == 2
+        assert "--fixed-duration" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_a_usage_error(self, fast_scenario, tmp_path,

@@ -1,13 +1,31 @@
 """Scenario file parsing and validation."""
 
 import math
+import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tetherpick.cable import CableProperties
 from tetherpick.errors import ParseError, ValidationError
-from tetherpick.scenario import RetrievalSpec, load_scenario, parse_scenario
+from tetherpick.optimizer import (
+    Limits,
+    PenaltyWeights,
+    PlanningScenario,
+    WinchSchedule,
+)
+from tetherpick.scenario import (
+    _KEYS,
+    RetrievalSpec,
+    Scenario,
+    load_scenario,
+    parse_scenario,
+)
+from tetherpick.simulation import DEFAULT_TIMESTEP, DroneParams
 
 
 def minimal_document(**extra):
@@ -34,14 +52,16 @@ class TestMinimalDocument:
         sc = parse_quiet(minimal_document())
         assert sc.name == "scenario"
         assert sc.planning.segment_count == 6
-        assert sc.planning.cable.mass_per_length == pytest.approx(1.4e-4)
-        assert sc.planning.cable.sag_limit == pytest.approx(0.1)
+        assert sc.planning.yaw == 0.0
+        assert sc.planning.cable == CableProperties()
+        assert sc.planning.winch == WinchSchedule(2.0, 0.2)
+        # no capacity_m means an unbounded winch
         assert sc.planning.winch.capacity == math.inf
-        assert sc.planning.limits.v_max == pytest.approx(2.0)
-        assert sc.planning.weights.cable == pytest.approx(1e5)
+        assert sc.planning.limits == Limits()
+        assert sc.planning.weights == PenaltyWeights()
         assert sc.planning.obstacles == ()
-        assert sc.drone.mass == pytest.approx(0.6)
-        assert sc.timestep == pytest.approx(1e-3)
+        assert sc.drone == DroneParams()
+        assert sc.timestep == DEFAULT_TIMESTEP
         assert sc.retrieval is None
 
     def test_name_fallback_is_overridable(self):
@@ -132,10 +152,14 @@ class TestFullDocument:
 
 class TestRejection:
     def test_missing_required_field_named(self):
-        doc = minimal_document()
-        del doc["scenario"]["anchor_position_m"]
-        with pytest.raises(ParseError, match="scenario.anchor_position_m"):
-            parse_scenario(doc)
+        for field in ("scenario.anchor_position_m", "winch.initial_length_m",
+                      "sim.retrieval.attach_mass_kg"):
+            doc = full_document()
+            path, key = field.rsplit(".", 1)
+            del section_at(doc, path)[key]
+            with pytest.raises(ParseError, match=f"missing required field "
+                                                 f"{re.escape(field)}$"):
+                parse_scenario(doc)
 
     def test_malformed_component_named_with_index(self):
         doc = minimal_document()
@@ -165,6 +189,12 @@ class TestRejection:
         doc = minimal_document()
         doc["scenario"]["goal_positionn_m"] = [1, 2, 3]
         with pytest.raises(ValidationError, match="goal_positionn_m"):
+            parse_scenario(doc)
+
+    def test_gravity_is_the_cables_alone(self):
+        doc = minimal_document(sim={"gravity_m_s2": 9.81})
+        with pytest.raises(ValidationError,
+                           match="unknown key sim.gravity_m_s2"):
             parse_scenario(doc)
 
     def test_unknown_section_rejected(self):
@@ -211,6 +241,75 @@ class TestRejection:
     def test_document_must_be_a_mapping(self):
         with pytest.raises(ParseError, match="document"):
             parse_scenario(["not", "a", "mapping"])
+
+
+# where the loader reads each dataclass's keys
+SECTION_OF = {
+    PlanningScenario: "scenario", CableProperties: "cable",
+    WinchSchedule: "winch", Limits: "limits", PenaltyWeights: "weights",
+    DroneParams: "sim", RetrievalSpec: "sim.retrieval", Scenario: "sim",
+}
+# fields the loader fills from a section, a loader default or the file name
+# rather than from one key of the dataclass's own section
+FILLED_ELSEWHERE = {
+    PlanningScenario: {"start_state", "goal_velocity", "winch", "cable",
+                       "obstacles", "limits", "weights"},
+    Scenario: {"name", "planning", "drone", "retrieval"},
+}
+VECTOR_KEYS = [
+    *(("scenario", key) for key in (
+        "start_position_m", "start_velocity_m_s", "start_acceleration_m_s2",
+        "start_jerk_m_s3", "goal_position_m", "goal_velocity_m_s",
+        "anchor_position_m")),
+    ("obstacles[0]", "point_m"), ("obstacles[0]", "normal"),
+]
+NUMBER_KEYS = [
+    *((SECTION_OF[cls], key) for cls, keys in _KEYS.items() for key in keys
+      if (SECTION_OF[cls], key) not in VECTOR_KEYS),
+    ("cable", "unit_weight_g_per_m"),
+]
+NON_FINITE = [math.nan, math.inf, -math.inf, "nan", "-inf", "1e999", 10 ** 400]
+
+
+def full_document():
+    return minimal_document(
+        obstacles=[{"point_m": [0.0, 0.0, -1.0], "normal": [0.0, 0.0, 1.0]}],
+        sim={"retrieval": {"attach_mass_kg": 2.0}})
+
+
+def section_at(doc, path):
+    for name in path.split("."):
+        if name == "obstacles[0]":
+            doc = doc["obstacles"][0]
+        else:
+            doc = doc.setdefault(name, {})
+    return doc
+
+
+class TestSchema:
+    @pytest.mark.parametrize("cls", list(_KEYS), ids=lambda c: c.__name__)
+    def test_every_field_is_reachable_from_a_key(self, cls):
+        names = {f.name for f in fields(cls)}
+        reached = set(_KEYS[cls].values()) | FILLED_ELSEWHERE.get(cls, set())
+        assert names == reached
+
+    @pytest.mark.parametrize("path, key", NUMBER_KEYS + VECTOR_KEYS)
+    @given(bad=st.sampled_from(NON_FINITE), component=st.integers(0, 2))
+    @settings(max_examples=10, deadline=None)
+    def test_non_finite_numbers_are_rejected_by_key(self, path, key, bad,
+                                                    component):
+        doc = full_document()
+        section = section_at(doc, path)
+        where = f"{path}.{key}"
+        if (path, key) in VECTOR_KEYS:
+            section[key] = [0.0, 0.0, 0.0]
+            section[key][component] = bad
+            where += f"[{component}]"
+        else:
+            section[key] = bad
+        with pytest.raises((ParseError, ValidationError),
+                           match=re.escape(where)):
+            parse_scenario(doc)
 
 
 class TestReachabilityWarning:

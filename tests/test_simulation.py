@@ -41,17 +41,14 @@ PROPS = CableProperties()
 MU = PROPS.weight_per_length
 IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 ZERO3 = (0.0, 0.0, 0.0)
-
-
-def gravity_vector(params):
-    return np.array([0.0, 0.0, -params.gravity])
+GRAVITY = np.array([0.0, 0.0, -PROPS.gravity])
 
 
 def advance(pos, vel, rot, thrust, rates, force, params, dt=1e-3):
     """_advance with any 3x3 rotation; returns arrays, the rotation 3x3."""
     position, velocity, rotation, acceleration = _advance(
         pos, vel, np.ravel(rot).tolist(), thrust, rates, force,
-        params.mass, params.gravity, dt)
+        params.mass, PROPS.gravity, dt)
     return (np.array(position), np.array(velocity),
             np.reshape(rotation, (3, 3)), np.array(acceleration))
 
@@ -190,8 +187,8 @@ class TestFlatToInputs:
     def test_hover_identity(self):
         params = DroneParams()
         thrust, rotation, rates = _flat_inputs(
-            ZERO3, ZERO3, (1.0, 0.0), 0.0, ZERO3, params.mass, params.gravity)
-        assert thrust == pytest.approx(params.mass * params.gravity, rel=1e-12)
+            ZERO3, ZERO3, (1.0, 0.0), 0.0, ZERO3, params.mass, PROPS.gravity)
+        assert thrust == pytest.approx(params.mass * PROPS.gravity, rel=1e-12)
         np.testing.assert_allclose(rotation, IDENTITY, atol=1e-12)
         np.testing.assert_allclose(rates, 0.0, atol=1e-12)
 
@@ -199,15 +196,15 @@ class TestFlatToInputs:
         params = DroneParams()
         thrust, _, _ = _flat_inputs(ZERO3, ZERO3, (1.0, 0.0), 0.0,
                                     (0.0, 0.0, -5.0), params.mass,
-                                    params.gravity)
-        assert thrust == pytest.approx(params.mass * params.gravity + 5.0,
+                                    PROPS.gravity)
+        assert thrust == pytest.approx(params.mass * PROPS.gravity + 5.0,
                                        rel=1e-12)
 
     def test_lateral_acceleration_tilts_body_z(self):
         params = DroneParams()
         _, rotation, _ = _flat_inputs((1.0, 0.0, 0.0), ZERO3, (1.0, 0.0),
-                                      0.0, ZERO3, params.mass, params.gravity)
-        expected = np.array([1.0, 0.0, params.gravity])
+                                      0.0, ZERO3, params.mass, PROPS.gravity)
+        expected = np.array([1.0, 0.0, PROPS.gravity])
         expected /= np.linalg.norm(expected)
         # body z is the rotation's third column
         np.testing.assert_allclose(rotation[2::3], expected, rtol=1e-12)
@@ -216,7 +213,7 @@ class TestFlatToInputs:
         params = DroneParams()
         heading = (math.cos(math.pi / 2), math.sin(math.pi / 2))
         _, rotation, _ = _flat_inputs(ZERO3, ZERO3, heading, 0.0, ZERO3,
-                                      params.mass, params.gravity)
+                                      params.mass, PROPS.gravity)
         # body x is the rotation's first column
         np.testing.assert_allclose(rotation[0::3], [0.0, 1.0, 0.0],
                                    atol=1e-12)
@@ -224,15 +221,15 @@ class TestFlatToInputs:
     def test_rates_follow_jerk(self):
         params = DroneParams()
         _, _, rates = _flat_inputs(ZERO3, (2.0, 0.0, 0.0), (1.0, 0.0), 0.0,
-                                   ZERO3, params.mass, params.gravity)
-        assert rates[1] == pytest.approx(2.0 / params.gravity, rel=1e-12)
+                                   ZERO3, params.mass, PROPS.gravity)
+        assert rates[1] == pytest.approx(2.0 / PROPS.gravity, rel=1e-12)
         assert rates[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_free_fall_is_degenerate(self):
         params = DroneParams()
         with pytest.raises(DegenerateThrust):
-            _flat_inputs(gravity_vector(params), ZERO3, (1.0, 0.0), 0.0,
-                         ZERO3, params.mass, params.gravity)
+            _flat_inputs(GRAVITY, ZERO3, (1.0, 0.0), 0.0,
+                         ZERO3, params.mass, PROPS.gravity)
 
 
 class TestStep:
@@ -240,15 +237,15 @@ class TestStep:
         params = DroneParams()
         position, velocity, _, accel = advance(
             (0.0, 0.0, 10.0), ZERO3, IDENTITY, 0.0, ZERO3, ZERO3, params)
-        np.testing.assert_allclose(accel, gravity_vector(params), rtol=1e-15)
-        assert velocity[2] == pytest.approx(-params.gravity * 1e-3, rel=1e-15)
+        np.testing.assert_allclose(accel, GRAVITY, rtol=1e-15)
+        assert velocity[2] == pytest.approx(-PROPS.gravity * 1e-3, rel=1e-15)
         assert position[2] == pytest.approx(
-            10.0 - params.gravity * 1e-6, rel=1e-12)
+            10.0 - PROPS.gravity * 1e-6, rel=1e-12)
 
     def test_hover_is_an_exact_fixed_point(self):
         params = DroneParams()
         start = (1.0, 2.0, 3.0)
-        thrust = params.mass * params.gravity
+        thrust = params.mass * PROPS.gravity
         position, _, _, accel = advance(start, ZERO3, IDENTITY, thrust, ZERO3,
                                         ZERO3, params)
         np.testing.assert_array_equal(accel, 0.0)
@@ -256,13 +253,13 @@ class TestStep:
 
     def test_constant_acceleration_closed_form(self):
         params = DroneParams(mass=1.0)
-        push = tuple(np.array([0.5, 0.0, 0.0]) - gravity_vector(params))
+        push = tuple(np.array([0.5, 0.0, 0.0]) - GRAVITY)
         dt = 1e-3
         n = 1000
         pos, vel, rot = ZERO3, ZERO3, IDENTITY
         for _ in range(n):
             pos, vel, rot, _ = _advance(pos, vel, rot, 0.0, ZERO3, push,
-                                        params.mass, params.gravity, dt)
+                                        params.mass, PROPS.gravity, dt)
         # semi-implicit Euler: p_n = a dt^2 n(n+1)/2
         expected = 0.5 * dt * dt * n * (n + 1) / 2
         assert pos[0] == pytest.approx(expected, rel=1e-9)
@@ -270,11 +267,11 @@ class TestStep:
     def test_rotation_stays_orthonormal(self):
         params = DroneParams()
         rates = (0.3, -0.2, 0.1)
-        thrust = params.mass * params.gravity
+        thrust = params.mass * PROPS.gravity
         pos, vel, rot = ZERO3, ZERO3, IDENTITY
         for _ in range(20000):
             pos, vel, rot, _ = _advance(pos, vel, rot, thrust, rates, ZERO3,
-                                        params.mass, params.gravity, 1e-3)
+                                        params.mass, PROPS.gravity, 1e-3)
         rotation = np.reshape(rot, (3, 3))
         gram = rotation.T @ rotation
         assert np.max(np.abs(gram - np.eye(3))) < 1e-10
@@ -356,7 +353,7 @@ class TestSimulateRetrieval:
         log = retrieval_log
         params = DroneParams()
         settled = (log.time > 1.0) & (log.time < 9.0)
-        expected = params.mass * params.gravity + log.tension[settled]
+        expected = params.mass * PROPS.gravity + log.tension[settled]
         deviation = np.abs(log.thrust[settled] - expected) / expected
         assert float(np.max(deviation)) < 0.02
 
@@ -498,7 +495,7 @@ def reference_tether_force(attach, anchor, length, props, attach_velocity,
 
 
 def reference_flat_to_inputs(acceleration, jerk, yaw, yaw_rate, pull, params):
-    h = params.mass * (np.asarray(acceleration) - gravity_vector(params)) \
+    h = params.mass * (np.asarray(acceleration) - GRAVITY) \
         - np.asarray(pull)
     thrust = float(np.linalg.norm(h))
     if thrust < 1e-6:
@@ -529,7 +526,7 @@ class TestScalarKernels:
             self, acc, jerk, yaw, yaw_rate, pull, mass):
         params = DroneParams(mass=mass)
         args = (acc, jerk, (math.cos(yaw), math.sin(yaw)), yaw_rate, pull,
-                params.mass, params.gravity)
+                params.mass, PROPS.gravity)
         try:
             ref = reference_flat_to_inputs(acc, jerk, yaw, yaw_rate, pull,
                                            params)
