@@ -47,7 +47,6 @@ _BRACKET_HI = 1e6
 _MAX_NEWTON = 100
 _NEWTON_RTOL = 4e-16
 _RESIDUAL_RTOL = 1e-12
-_TAUT_EXCESS = 1e-4
 # Newton rounds of the sag-limited solve: from its seed every row settles
 # to within a few ulps of log(scale) in 5.
 _SAG_ROUNDS = 5
@@ -183,20 +182,10 @@ def _log_sinhc(u: float) -> tuple[float, float]:
     return math.log(math.sinh(u) / u), 1.0 / math.tanh(u) - 1.0 / u
 
 
-def _square_parts(x: float) -> list[float]:
-    """Three floats that sum exactly to x * x (Veltkamp's split of x)."""
-    c = 134217729.0 * x
-    hi = c - (c - x)
-    lo = x - hi
-    return [hi * hi, 2.0 * hi * lo, lo * lo]
+def _solve_scale(p: float, rhs: float) -> float:
+    """Root of 2 a sinh(p/(2a)) = rhs for rhs > p, by Newton's method.
 
-
-def _solve_scale(p: float, rhs: float, correction: float = 0.0) -> float:
-    """Root of 2 a sinh(p/(2a)) = rhs + correction for rhs > p, by Newton's
-    method; ``correction`` is what rounding took off rhs, where known.
-
-    With u = p/(2a) the equation reads
-    log(sinh(u)/u) = log1p((rhs - p + correction)/p).
+    With u = p/(2a) the equation reads log(sinh(u)/u) = log1p((rhs - p)/p).
     The left-hand side is convex and increasing in u, so from any start
     Newton lands at or right of the root after one step and then decreases
     monotonically onto it; the loop ends after the first step that moves
@@ -205,7 +194,7 @@ def _solve_scale(p: float, rhs: float, correction: float = 0.0) -> float:
     above the scale bracket's upper end counts as the taut limit and
     raises NoConvergence.
     """
-    target = math.log1p((rhs - p + correction) / p)
+    target = math.log1p((rhs - p) / p)
     if not target > 0.0 or \
             2.0 * _BRACKET_HI * math.sinh(0.5 * p / _BRACKET_HI) > rhs:
         raise NoConvergence(
@@ -249,19 +238,12 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
             "horizontal separation below EPS_P: catenary scale unidentifiable")
 
     rhs = math.sqrt((length - cfg.H) * (length + cfg.H))
-    # Below _TAUT_EXCESS of p, rhs's own rounding is over 1e-12 of the exact
-    # excess rhs - p: there add back sqrt(L^2 - H^2) - rhs, to first order
-    # (L^2 - H^2 - rhs^2) / (2 rhs) with the squares summed exactly.
-    correction = 0.0
-    if rhs - cfg.p < _TAUT_EXCESS * cfg.p:
-        minus = [-t for t in _square_parts(cfg.H) + _square_parts(rhs)]
-        correction = math.fsum(_square_parts(length) + minus) / (2.0 * rhs)
-    a = _solve_scale(cfg.p, rhs, correction)
+    a = _solve_scale(cfg.p, rhs)
     # Certify the root on the scale equation in u = p / (2a), relative to
     # its target: both sides keep their relative digits at any slope and
     # any excess length, and a relative error e in the scale moves the
     # residual by at least e.
-    target = math.log1p((rhs - cfg.p + correction) / cfg.p)
+    target = math.log1p((rhs - cfg.p) / cfg.p)
     residual = _log_sinhc(0.5 * cfg.p / a)[0] - target
     if not abs(residual) <= _RESIDUAL_RTOL * target:
         raise NoConvergence(

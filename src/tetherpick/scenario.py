@@ -90,13 +90,14 @@ class Scenario:
             raise ValidationError("sim timestep must be positive")
 
 
-# YAML key -> field, for each dataclass the loader builds with _build.  The
+# YAML key -> field, for each dataclass the loader builds with _build; a
+# (field, reader) pair names a reader other than _Section.number.  The
 # cable's unit_weight_g_per_m is converted by _parse_cable on top of this.
 _KEYS = {
     PlanningScenario: {
-        "goal_position_m": "goal_position",
-        "anchor_position_m": "anchor_position",
-        "segment_count": "segment_count", "yaw_rad": "yaw"},
+        "goal_position_m": ("goal_position", "vector"),
+        "anchor_position_m": ("anchor_position", "vector"),
+        "segment_count": ("segment_count", "integer"), "yaw_rad": "yaw"},
     CableProperties: {
         "mass_per_length_kg_per_m": "mass_per_length",
         "gravity_m_s2": "gravity", "sag_limit_m": "sag_limit",
@@ -107,7 +108,8 @@ _KEYS = {
     Limits: {
         "v_max_m_s": "v_max", "a_max_m_s2": "a_max", "j_max_m_s3": "j_max",
         "tau_min_m_s2": "tau_min", "tau_max_m_s2": "tau_max",
-        "samples": "samples", "obstacle_margin_m": "obstacle_margin",
+        "samples": ("samples", "integer"),
+        "obstacle_margin_m": "obstacle_margin",
         "time_weight": "time_weight", "corridor_margin_m": "corridor_margin"},
     PenaltyWeights: {
         key: key
@@ -210,13 +212,11 @@ def _build(cls, section: _Section, **given):
     A key the file leaves out leaves its field at the dataclass default; the
     key of a field without a default is required.
     """
-    # annotations are strings here (from __future__ import annotations)
-    readers = {"int": section.integer, "np.ndarray": section.vector}
-    by_name = {f.name: f for f in fields(cls)}
-    for key, name in _KEYS[cls].items():
-        field = by_name[name]
-        if section.has(key) or field.default is MISSING:
-            given[name] = readers.get(field.type, section.number)(key)
+    required = {f.name for f in fields(cls) if f.default is MISSING}
+    for key, spec in _KEYS[cls].items():
+        name, reader = spec if isinstance(spec, tuple) else (spec, "number")
+        if section.has(key) or name in required:
+            given[name] = getattr(section, reader)(key)
     try:
         return cls(**given)
     except ValueError as exc:

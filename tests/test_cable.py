@@ -552,8 +552,8 @@ class TestNewtonScale:
         length = cfg.chord * (1.0 + 10.0 ** log_excess)
         solve_catenary(cfg, length, PROPS)
 
-        def corrupted(p, rhs, correction):
-            return _solve_scale(p, rhs, correction) * (1.0 + 1e-6)
+        def corrupted(p, rhs):
+            return _solve_scale(p, rhs) * (1.0 + 1e-6)
 
         with mock.patch.object(cable, "_solve_scale", corrupted):
             with pytest.raises(NoConvergence, match="residual"):

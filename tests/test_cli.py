@@ -122,24 +122,14 @@ class TestPlan:
         assert run(["plan", "--scenario", str(path),
                     "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("old, new, key", [
-        ("segment_count: 4", "segment_count: .inf", "scenario.segment_count"),
-        ("start_position_m: [0, 0, 0]", "start_position_m: [.inf, 0, 0]",
-         "scenario.start_position_m[0]"),
-        ("cable: 3.0e7", "cable: .nan", "weights.cable"),
-        ("samples: 16", "samples: 16\n  time_weight: .inf",
-         "limits.time_weight"),
-        ("timestep_s: 0.002", "timestep_s: 0.002\n  gravity_m_s2: 9.81",
-         "sim.gravity_m_s2"),
-    ], ids=["segment_count", "start_position", "weight", "time_weight",
-            "sim_gravity"])
-    def test_rejected_scenario_value_exits_two_naming_the_key(
-            self, tmp_path, capsys, old, new, key):
+    def test_non_finite_scenario_value_exits_two_naming_the_key(
+            self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
-        path.write_text(FAST_SCENARIO.replace(old, new))
+        path.write_text(FAST_SCENARIO.replace(
+            "start_position_m: [0, 0, 0]", "start_position_m: [.inf, 0, 0]"))
         assert run(["plan", "--scenario", str(path),
                     "--out", str(tmp_path)]) == 2
-        assert key in capsys.readouterr().err
+        assert "scenario.start_position_m[0]" in capsys.readouterr().err
 
     def test_non_finite_fixed_duration_exits_two(self, fast_scenario,
                                                  tmp_path, capsys):

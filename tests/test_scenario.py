@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -271,6 +272,12 @@ NUMBER_KEYS = [
 NON_FINITE = [math.nan, math.inf, -math.inf, "nan", "-inf", "1e999", 10 ** 400]
 
 
+def field_readers(cls):
+    """_KEYS[cls] as {field: reader name}, spelling out the number default."""
+    return dict(spec if isinstance(spec, tuple) else (spec, "number")
+                for spec in _KEYS[cls].values())
+
+
 def full_document():
     return minimal_document(
         obstacles=[{"point_m": [0.0, 0.0, -1.0], "normal": [0.0, 0.0, 1.0]}],
@@ -290,8 +297,17 @@ class TestSchema:
     @pytest.mark.parametrize("cls", list(_KEYS), ids=lambda c: c.__name__)
     def test_every_field_is_reachable_from_a_key(self, cls):
         names = {f.name for f in fields(cls)}
-        reached = set(_KEYS[cls].values()) | FILLED_ELSEWHERE.get(cls, set())
+        reached = set(field_readers(cls)) | FILLED_ELSEWHERE.get(cls, set())
         assert names == reached
+
+    @pytest.mark.parametrize("cls", list(_KEYS), ids=lambda c: c.__name__)
+    def test_every_field_gets_the_reader_of_its_type(self, cls):
+        # resolved hints, so the guard holds whether or not the defining
+        # module keeps its annotations as strings
+        expected = {int: "integer", np.ndarray: "vector", float: "number"}
+        hints = get_type_hints(cls)
+        assert {name: expected[hints[name]]
+                for name in field_readers(cls)} == field_readers(cls)
 
     @pytest.mark.parametrize("path, key", NUMBER_KEYS + VECTOR_KEYS)
     @given(bad=st.sampled_from(NON_FINITE), component=st.integers(0, 2))
