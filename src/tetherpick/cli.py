@@ -121,6 +121,8 @@ def read_trajectory_artifact(path: Path) -> Trajectory:
         dt = float(body[0][8])
         if n < 1 or not 0.0 < dt < np.inf:
             raise ParseError(f"{path} needs N >= 1 and a finite dT > 0")
+        if len(body) < 3 * n:
+            raise ParseError(f"{path} is missing segment/axis rows")
         coeffs = np.zeros((n, 6, 3))
         seen = set()
         for row in body:
@@ -136,8 +138,6 @@ def read_trajectory_artifact(path: Path) -> Trajectory:
             coeffs[seg, :, axis] = [float(v) for v in row[2:8]]
     except (ValueError, IndexError):
         raise ParseError(f"{path} has malformed coefficient rows") from None
-    if len(seen) < 3 * n:
-        raise ParseError(f"{path} is missing segment/axis rows")
     if not np.isfinite(coeffs).all():
         raise ParseError(f"{path} has non-finite coefficients")
     return Trajectory(coefficients=coeffs, segment_duration=dt)
@@ -159,7 +159,13 @@ def _plan_outputs(out: Path, sc: Scenario, traj: Trajectory, dense_kappa: int):
     return corridor_violation(l_min, l_now, l_max)
 
 
+def _require_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise ParseError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_plan(args) -> int:
+    _require_count("--dense-check-factor", args.dense_check_factor)
     sc = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,7 +207,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    retrieval_winch = sc.planning.winch
+    start_length = sc.planning.winch.initial_length
     if not args.retrieve_only:
         artifact = Path(args.trajectory) if args.trajectory \
             else out / f"{sc.name}_coefficients.csv"
@@ -218,11 +224,7 @@ def cmd_simulate(args) -> int:
         print(f"  corridor violations  "
               f"{'none' if log.corridor_ok else f'{log.corridor_violation:.3g} m^2'}")
         print(f"  peak tether tension  {float(np.max(log.tension)):.6g} N")
-        released = sc.planning.winch.length_at(traj.duration)
-        retrieval_winch = WinchSchedule(
-            initial_length=float(released),
-            payout_speed=sc.planning.winch.payout_speed,
-            capacity=sc.planning.winch.capacity)
+        start_length = float(sc.planning.winch.length_at(traj.duration))
 
     if args.retrieve or args.retrieve_only:
         if sc.retrieval is None and args.attach_mass is None:
@@ -233,10 +235,9 @@ def cmd_simulate(args) -> int:
             else sc.retrieval.attach_mass
         stow = sc.retrieval.stow_length if sc.retrieval is not None \
             else RetrievalSpec.stow_length
-        speed = retrieval_winch.payout_speed
+        speed = sc.planning.winch.payout_speed
         reel = -abs(speed) if speed != 0.0 else -0.2
-        winch = WinchSchedule(retrieval_winch.initial_length, reel,
-                              retrieval_winch.capacity)
+        winch = WinchSchedule(start_length, reel, sc.planning.winch.capacity)
         rlog = simulate_retrieval(
             sc.planning.anchor_position, winch, mass, sc.planning.cable,
             sc.drone, sc.timestep, stow_length=stow)
@@ -350,8 +351,8 @@ def _sweep_worker(task):
 def cmd_sweep(args) -> int:
     if not args.grid:
         raise ParseError("sweep requires at least one --grid path=values")
-    if args.jobs < 1:
-        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
+    _require_count("--jobs", args.jobs)
+    _require_count("--dense-check-factor", args.dense_check_factor)
     if args.fixed_duration is not None \
             and not 0.0 < args.fixed_duration < math.inf:
         raise ParseError(f"--fixed-duration must be finite and positive, "

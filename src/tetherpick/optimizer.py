@@ -15,12 +15,17 @@ handles them well.
 ``total_cost`` is one pass: it samples the trajectory once (``_Samples``),
 runs the corridor's root find once, and returns the weighted breakdown,
 the exact gradient and the worst raw hinge argument of each term from the
-same arrays.  Each sampled penalty contributes to the coefficient array
-through the basis row at its sample, and to the duration both through the
-moving sample times and through the matrix of the trajectory construction
-(see trajectory.propagate_gradients).  The corridor's upper bound comes
-from one Newton solve per sample, and its positional derivative from a
-closed form at the solved scale (cable.corridor_bounds_and_gradient).
+same arrays.  Every sampled hinge is built by one of two helpers:
+``_limit`` caps the squared magnitude of one derivative (velocity,
+acceleration, jerk), and ``_band`` keeps a value inside [low, high] (thrust,
+the cable corridor, and the dense ``corridor_violation`` check).  Obstacles
+are one-sided per plane.  Each term hands back its slope per sample, and
+one loop in ``total_cost`` pulls every weighted slope back through
+``_Samples.pullback`` onto the coefficient array and the duration; the
+duration also moves the matrix of the trajectory construction (see
+trajectory.propagate_gradients).  The corridor's upper bound comes from
+one Newton solve per sample, and its positional derivative from a closed
+form at the solved scale (cable.corridor_bounds_and_gradient).
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .trajectory import (
     basis_rows_upto,
     construct,
     jerk_energy,
-    jerk_energy_gradient,
     propagate_gradients,
 )
 
@@ -279,66 +283,65 @@ class _Samples:
         self.time_motion = ts * n / total
         self.tau_motion = self.time_motion - seg
 
-    def accumulate(self, grad_c, order, gvec):
-        """Add each sample's (basis x gvec) outer product to its segment."""
+    def pullback(self, order, gvec):
+        """(dJ/dcoefficients, dJ/ddT) of a sampled penalty whose slope with
+        respect to the order-``order`` derivative at each sample is gvec.
+
+        Each sample's basis row times its slope lands on its segment; the
+        dT part comes from the samples sliding along the moving grid.
+        """
+        grad_c = np.zeros_like(self.traj.coefficients)
         np.add.at(grad_c, self.seg,
                   self.basis[order][:, :, None] * gvec[:, None, :])
-
-    def ddt_from_motion(self, order, gvec):
-        """Direct dT contribution of an order-``order`` sampled penalty."""
-        return float(np.add.reduce(
+        ddt = float(np.add.reduce(
             np.add.reduce(gvec * self.deriv[order + 1], axis=1)
             * self.tau_motion))
+        return grad_c, ddt
 
 
-def _window_terms(samples: _Samples, terms):
-    """Cubic hinges on |derivative - offset|^2 against squared windows.
+def _band(x, low, high):
+    """Cubic hinges keeping x inside [low, high].
 
-    ``terms`` lists (order, low_sq, high_sq, offset) with ``low_sq`` and
-    ``offset`` optional; returns one (value, grad_c, grad_ddt, worst) per
-    term, ``worst`` being its largest raw hinge argument.  Term i owns
-    row i of every array here and each sum runs along that row alone, so a
-    term's numbers do not depend on its company.
+    Returns (value, slope_low, slope_high, worst): the hinge sum, the two
+    sides' slopes with respect to their arguments low - x and x - high, and
+    the largest of those arguments.
     """
-    orders = [order for order, _, _, _ in terms]
-    d = np.array([samples.deriv[order] if offset is None
-                  else samples.deriv[order] - offset
-                  for order, _, _, offset in terms])
-    nsq = np.add.reduce(d * d, axis=2)
-    over = nsq - np.array([[high_sq] for _, _, high_sq, _ in terms])
-    hinge_over, slope = _hinge_parts(over)
-    sums = np.add.reduce(hinge_over, axis=1)
-    worst = np.max(over, axis=1)
-    values = []
-    for i, (_, low_sq, _, _) in enumerate(terms):
-        value = 0.0
-        value += float(sums[i])
-        if low_sq is not None:
-            under = low_sq - nsq[i]
-            hinge_under, slope_under = _hinge_parts(under)
-            value += float(np.add.reduce(hinge_under))
-            slope[i] -= slope_under
-            worst[i] = np.max(np.maximum(under, over[i]))
-        values.append(value)
-    gvec = 2.0 * d * slope[:, :, None]
+    under = low - x
+    over = x - high
+    hinge_low, slope_low = _hinge_parts(under)
+    hinge_high, slope_high = _hinge_parts(over)
+    value = float(np.add.reduce(hinge_low)) + float(np.add.reduce(hinge_high))
+    return value, slope_low, slope_high, float(np.max(np.maximum(under, over)))
 
-    count = len(terms)
-    grad_c = np.zeros((count,) + samples.traj.coefficients.shape)
-    for i, order in enumerate(orders):
-        samples.accumulate(grad_c[i], order, gvec[i])
 
-    moving = gvec * np.array([samples.deriv[order + 1] for order in orders])
-    grad_ddt = np.add.reduce(np.add.reduce(moving, axis=2)
-                             * samples.tau_motion, axis=1)
-    return [(values[i], grad_c[i], float(grad_ddt[i]), float(worst[i]))
-            for i in range(count)]
+# Every sampled term returns (value, order, gvec, direct_ddt, worst):
+# its hinge sum, the derivative order its slope gvec is taken against (for
+# _Samples.pullback), any dT dependence the samples' motion does not carry,
+# and its largest raw hinge argument.
+def _limit(samples: _Samples, order: int, limit: float):
+    """Cubic hinge on the squared magnitude of one derivative against
+    limit ** 2: velocity, acceleration or jerk."""
+    d = samples.deriv[order]
+    over = np.add.reduce(d * d, axis=1) - limit ** 2
+    hinge, slope = _hinge_parts(over)
+    return (float(np.add.reduce(hinge)), order, 2.0 * d * slope[:, None],
+            0.0, float(np.max(over)))
+
+
+def _thrust_penalty(samples: _Samples, scenario: PlanningScenario):
+    """Band on the squared specific thrust |a - g|^2 between the squared
+    limits tau_min and tau_max."""
+    limits = scenario.limits
+    d = samples.deriv[2] - scenario.gravity_vector
+    value, slope_low, slope_high, worst = _band(
+        np.add.reduce(d * d, axis=1), limits.tau_min ** 2,
+        limits.tau_max ** 2)
+    return value, 2, 2.0 * d * (slope_high - slope_low)[:, None], 0.0, worst
 
 
 def _obstacle_penalty(samples: _Samples, obstacles, margin: float):
-    """Hinge on clearance from every half-space obstacle at every sample.
-
-    Returns (value, grad_c, grad_ddt, worst shortfall in meters).
-    """
+    """Hinge on clearance from every half-space obstacle at every sample;
+    ``worst`` is the largest shortfall in meters."""
     pos = samples.deriv[0]
     value = 0.0
     worst = -math.inf
@@ -350,10 +353,7 @@ def _obstacle_penalty(samples: _Samples, obstacles, margin: float):
         value += float(np.add.reduce(hinge))
         gvec -= np.outer(slope, plane.normal)
         worst = max(worst, float(np.max(short)))
-    grad_c = np.zeros_like(samples.traj.coefficients)
-    samples.accumulate(grad_c, 0, gvec)
-    grad_ddt = samples.ddt_from_motion(0, gvec)
-    return value, grad_c, grad_ddt, worst
+    return value, 0, gvec, 0.0, worst
 
 
 def _attach_points(positions, cable: CableProperties):
@@ -367,7 +367,7 @@ def _cable_penalty(samples: _Samples, scenario: PlanningScenario):
     Gradient with respect to the droid position flows through both corridor
     edges (cable.corridor_bounds_and_gradient).  The released length follows
     the winch schedule, so the sampled times' dependence on T contributes as
-    well.  Returns (value, grad_c, grad_ddt, worst squared-length excess).
+    well, as the term's direct_ddt.  ``worst`` is in squared meters.
     """
     margin = scenario.limits.corridor_margin
     l_min, l_max, dlmin_dp, dlmax_dp = corridor_bounds_and_gradient(
@@ -378,21 +378,14 @@ def _cable_penalty(samples: _Samples, scenario: PlanningScenario):
     l_now = scenario.winch.length_at(samples.ts)
     rate = scenario.winch.rate_at(samples.ts)
 
-    under = l_min_eff ** 2 - l_now ** 2
-    over = l_now ** 2 - l_max_eff ** 2
-    hinge_under, slope_under = _hinge_parts(under)
-    hinge_over, slope_over = _hinge_parts(over)
-    value = float(np.add.reduce(hinge_under) + np.add.reduce(hinge_over))
-
+    value, slope_under, slope_over, worst = _band(
+        l_now ** 2, l_min_eff ** 2, l_max_eff ** 2)
     gvec = (2.0 * l_min_eff * slope_under)[:, None] * dlmin_dp \
         - (2.0 * l_max_eff * slope_over)[:, None] * dlmax_dp
-    grad_c = np.zeros_like(samples.traj.coefficients)
-    samples.accumulate(grad_c, 0, gvec)
-    grad_ddt = samples.ddt_from_motion(0, gvec)
     # the winch schedule is a function of absolute time, which scales with T
     lnow_sens = 2.0 * l_now * rate * (slope_over - slope_under)
-    grad_ddt += float(np.add.reduce(lnow_sens * samples.time_motion))
-    return value, grad_c, grad_ddt, float(np.max(np.maximum(under, over)))
+    return (value, 0, gvec,
+            float(np.add.reduce(lnow_sens * samples.time_motion)), worst)
 
 
 def total_cost(traj: Trajectory, scenario: PlanningScenario):
@@ -402,27 +395,22 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario):
     penalty term to its largest raw hinge argument over the samples,
     floored at 0, and to 0 when the scenario gives the term no weight.
     Units match each hinge: squared speed/acceleration/jerk/thrust for the
-    windowed terms, meters for obstacles, squared meters for the corridor.
+    limit and thrust terms, meters for obstacles, squared meters for the
+    corridor.
     """
     weights = scenario.weights
     limits = scenario.limits
 
-    smooth = jerk_energy(traj)
-    grad_c, grad_ddt = jerk_energy_gradient(traj)
+    smooth, grad_c, grad_ddt = jerk_energy(traj)
     time_cost = limits.time_weight * traj.duration
     grad_ddt += limits.time_weight * traj.segment_count
 
     samples = _Samples(traj, limits.samples)
-    terms = list(zip(
-        ("velocity", "acceleration", "jerk", "thrust"),
-        (weights.velocity, weights.accel_jerk, weights.accel_jerk,
-         weights.thrust),
-        _window_terms(samples, [
-            (1, None, limits.v_max ** 2, None),
-            (2, None, limits.a_max ** 2, None),
-            (3, None, limits.j_max ** 2, None),
-            (2, limits.tau_min ** 2, limits.tau_max ** 2,
-             scenario.gravity_vector)])))
+    terms = [
+        ("velocity", weights.velocity, _limit(samples, 1, limits.v_max)),
+        ("acceleration", weights.accel_jerk, _limit(samples, 2, limits.a_max)),
+        ("jerk", weights.accel_jerk, _limit(samples, 3, limits.j_max)),
+        ("thrust", weights.thrust, _thrust_penalty(samples, scenario))]
     parts = {"obstacle": 0.0, "cable": 0.0}
     worst = {"obstacle": 0.0, "cable": 0.0}
     if scenario.obstacles and weights.obstacle != 0.0:
@@ -432,12 +420,13 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario):
         terms.append(("cable", weights.cable,
                       _cable_penalty(samples, scenario)))
 
-    for name, weight, (value, gc, gd, peak) in terms:
+    for name, weight, (value, order, gvec, direct_ddt, peak) in terms:
         parts[name] = weight * value
         worst[name] = max(peak, 0.0) if weight > 0.0 else 0.0
         if weight != 0.0:
+            gc, ddt = samples.pullback(order, gvec)
             grad_c = grad_c + weight * gc
-            grad_ddt += weight * gd
+            grad_ddt += weight * (ddt + direct_ddt)
 
     breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
     dj_dq, dj_dt = propagate_gradients(traj, grad_c, grad_ddt)
@@ -456,8 +445,7 @@ def corridor_profile(traj: Trajectory, scenario: PlanningScenario,
 
 def corridor_violation(l_min, l_now, l_max) -> float:
     """Worst squared-length excess of l_now outside [l_min, l_max], or 0."""
-    worst = np.maximum(l_min ** 2 - l_now ** 2, l_now ** 2 - l_max ** 2)
-    return max(float(np.max(worst)), 0.0)
+    return max(_band(l_now ** 2, l_min ** 2, l_max ** 2)[3], 0.0)
 
 
 def _softplus(x: float) -> float:

@@ -327,18 +327,15 @@ def _jerk_gram(dt: float) -> np.ndarray:
     return g
 
 
-def jerk_energy(traj: Trajectory) -> float:
-    """Integral of the squared jerk magnitude over the whole trajectory."""
-    g = _jerk_gram(traj.segment_duration)
-    return float(np.einsum("skx,km,smx->", traj.coefficients, g,
-                           traj.coefficients))
+def jerk_energy(traj: Trajectory):
+    """Integral of the squared jerk magnitude over the whole trajectory.
 
-
-def jerk_energy_gradient(traj: Trajectory):
-    """(dJ/dcoefficients, direct dJ/ddT) for the squared-jerk integral."""
-    g = _jerk_gram(traj.segment_duration)
-    grad_c = 2.0 * np.einsum("km,smx->skx", g, traj.coefficients)
-    end_jerk = np.einsum("k,skx->sx",
-                         _basis_table(traj.segment_duration, 3, 3)[0],
-                         traj.coefficients)
-    return grad_c, float(np.add.reduce(end_jerk * end_jerk, axis=None))
+    Returns (value, dJ/dcoefficients, direct dJ/ddT) from one Gram matrix.
+    """
+    dt = traj.segment_duration
+    c = traj.coefficients
+    g = _jerk_gram(dt)
+    value = float(np.einsum("skx,km,smx->", c, g, c))
+    end_jerk = np.einsum("k,skx->sx", _basis_table(dt, 3, 3)[0], c)
+    return (value, 2.0 * np.einsum("km,smx->skx", g, c),
+            float(np.add.reduce(end_jerk * end_jerk, axis=None)))

@@ -137,6 +137,14 @@ class TestPlan:
                     "--out", str(tmp_path), "--fixed-duration", "inf"]) == 2
         assert "fixed duration" in capsys.readouterr().err
 
+    def test_dense_check_factor_below_one_exits_two(self, fast_scenario,
+                                                    tmp_path, capsys):
+        out = tmp_path / "plan"
+        assert run(["plan", "--scenario", str(fast_scenario),
+                    "--out", str(out), "--dense-check-factor", "0"]) == 2
+        assert "--dense-check-factor" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrajectoryArtifact:
     def make_traj(self):
@@ -209,6 +217,16 @@ class TestTrajectoryArtifact:
             tmp_path, lambda body: [[*row[:9], "0"] for row in body])
         with pytest.raises(ParseError, match="N >= 1"):
             read_trajectory_artifact(path)
+
+    def test_huge_segment_count_exits_two_before_allocating(
+            self, fast_scenario, tmp_path, capsys):
+        # one body row claiming 1e15 segments would ask numpy for 128 PiB
+        path = self.edited_artifact(
+            tmp_path, lambda body: [[*body[0][:9], "1000000000000000"]])
+        code = run(["simulate", "--scenario", str(fast_scenario),
+                    "--trajectory", str(path), "--out", str(tmp_path)])
+        assert code == 2
+        assert "missing segment/axis rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_coefficient_rejected(self, tmp_path, value):
@@ -331,6 +349,15 @@ class TestSweep:
                     "--out", str(out), "--fixed-duration", "inf",
                     "--grid", "scenario.goal_position_m[2]=0.25"]) == 2
         assert "--fixed-duration" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dense_check_factor_below_one_is_a_usage_error(
+            self, fast_scenario, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert run(["sweep", "--scenario", str(fast_scenario),
+                    "--out", str(out), "--dense-check-factor", "-1",
+                    "--grid", "scenario.goal_position_m[2]=0.25"]) == 2
+        assert "--dense-check-factor" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])

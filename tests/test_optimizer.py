@@ -11,7 +11,7 @@ from scipy.optimize import OptimizeResult as scipy_result, _lbfgsb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetherpick import cable, optimizer
+from tetherpick import cable, optimizer, trajectory
 from tetherpick.cable import CableProperties
 from tetherpick.errors import ValidationError
 from tetherpick.scenario import load_document, parse_scenario
@@ -24,7 +24,12 @@ from tetherpick.optimizer import (
     PlanningScenario,
     WinchSchedule,
     _Samples,
-    _window_terms,
+    _attach_points,
+    _cable_penalty,
+    _hinge_parts,
+    _limit,
+    _obstacle_penalty,
+    _thrust_penalty,
     corridor_profile,
     corridor_violation,
     initial_guess,
@@ -206,7 +211,7 @@ class TestBreakdown:
                          2.0, scenario.start_state, scenario.goal_position,
                          scenario.goal_velocity)
         breakdown = total_cost(traj, scenario)[0]
-        smooth = jerk_energy(traj)
+        smooth = jerk_energy(traj)[0]
         assert breakdown.velocity == 0.0 and breakdown.cable == 0.0
         assert breakdown.total == pytest.approx(
             smooth + scenario.limits.time_weight * traj.duration, rel=1e-12)
@@ -265,9 +270,9 @@ def random_waypoints(scenario, rng):
 
 
 def reference_window_term(samples, order, low_sq, high_sq, offset=None):
-    """One window hinge term, one term at a time, as the planner computed
-    it before the terms were batched; the planner is chaotic in these bits,
-    so the batched form must reproduce them exactly."""
+    """One window hinge term, pulled back on its own, as the planner once
+    computed it; the planner is chaotic in these bits, so _limit,
+    _thrust_penalty and _Samples.pullback must reproduce them exactly."""
     d = samples.deriv[order]
     if offset is not None:
         d = d - offset
@@ -293,33 +298,134 @@ def reference_window_term(samples, order, low_sq, high_sq, offset=None):
     return value, grad_c, grad_ddt, worst
 
 
+# The planner's pullback and corridor hinge as they stood before
+# _Samples.pullback and optimizer._band, kept verbatim: the planner is
+# chaotic in these bits, so the shared helpers must reproduce them exactly.
+def reference_accumulate(samples, grad_c, order, gvec):
+    """Add each sample's (basis x gvec) outer product to its segment."""
+    np.add.at(grad_c, samples.seg,
+              samples.basis[order][:, :, None] * gvec[:, None, :])
+
+
+def reference_ddt_from_motion(samples, order, gvec):
+    """Direct dT contribution of an order-``order`` sampled penalty."""
+    return float(np.add.reduce(
+        np.add.reduce(gvec * samples.deriv[order + 1], axis=1)
+        * samples.tau_motion))
+
+
+def reference_cable_penalty(samples, scenario):
+    """(value, grad_c, grad_ddt, worst squared-length excess)."""
+    margin = scenario.limits.corridor_margin
+    l_min, l_max, dlmin_dp, dlmax_dp = cable.corridor_bounds_and_gradient(
+        _attach_points(samples.deriv[0], scenario.cable),
+        scenario.anchor_position, scenario.cable)
+    l_min_eff = l_min + margin
+    l_max_eff = l_max - margin
+    l_now = scenario.winch.length_at(samples.ts)
+    rate = scenario.winch.rate_at(samples.ts)
+
+    under = l_min_eff ** 2 - l_now ** 2
+    over = l_now ** 2 - l_max_eff ** 2
+    hinge_under, slope_under = _hinge_parts(under)
+    hinge_over, slope_over = _hinge_parts(over)
+    value = float(np.add.reduce(hinge_under) + np.add.reduce(hinge_over))
+
+    gvec = (2.0 * l_min_eff * slope_under)[:, None] * dlmin_dp \
+        - (2.0 * l_max_eff * slope_over)[:, None] * dlmax_dp
+    grad_c = np.zeros_like(samples.traj.coefficients)
+    reference_accumulate(samples, grad_c, 0, gvec)
+    grad_ddt = reference_ddt_from_motion(samples, 0, gvec)
+    # the winch schedule is a function of absolute time, which scales with T
+    lnow_sens = 2.0 * l_now * rate * (slope_over - slope_under)
+    grad_ddt += float(np.add.reduce(lnow_sens * samples.time_motion))
+    return value, grad_c, grad_ddt, float(np.max(np.maximum(under, over)))
+
+
+def pulled_back(samples, term):
+    """A sampled term's (value, grad_c, grad_ddt, worst), as total_cost
+    pulls it back."""
+    value, order, gvec, direct_ddt, worst = term
+    grad_c, ddt = samples.pullback(order, gvec)
+    return value, grad_c, ddt + direct_ddt, worst
+
+
+def assert_same_bits(got, want):
+    assert repr(got[0]) == repr(want[0])
+    assert got[1].tobytes() == want[1].tobytes()
+    assert repr(got[2]) == repr(want[2])
+    assert repr(got[3]) == repr(want[3])
+
+
+def drawn_samples(seed, kappa, duration, **limits):
+    rng = np.random.default_rng(seed)
+    scenario = random_scenario(rng)
+    scenario = dataclasses.replace(
+        scenario, limits=dataclasses.replace(scenario.limits, **limits))
+    traj = construct(random_waypoints(scenario, rng), duration,
+                     scenario.start_state, scenario.goal_position,
+                     scenario.goal_velocity)
+    return scenario, _Samples(traj, kappa)
+
+
 class TestWindowTerms:
     @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
            duration=st.floats(0.5, 8.0))
     @settings(max_examples=40, deadline=None)
-    def test_batched_terms_match_reference_bit_for_bit(self, seed, kappa,
-                                                       duration):
-        rng = np.random.default_rng(seed)
-        scenario = random_scenario(rng)
-        traj = construct(random_waypoints(scenario, rng), duration,
-                         scenario.start_state, scenario.goal_position,
-                         scenario.goal_velocity)
-        samples = _Samples(traj, kappa)
+    def test_limit_and_thrust_terms_match_reference_bit_for_bit(
+            self, seed, kappa, duration):
+        scenario, samples = drawn_samples(seed, kappa, duration)
         lim = scenario.limits
-        terms = [(1, None, lim.v_max ** 2, None),
-                 (2, None, lim.a_max ** 2, None),
-                 (3, None, lim.j_max ** 2, None),
-                 (2, lim.tau_min ** 2, lim.tau_max ** 2,
-                  scenario.gravity_vector)]
-        batched = _window_terms(samples, terms)
-        for term, together in zip(terms, batched):
-            want = reference_window_term(samples, *term)
-            [alone] = _window_terms(samples, [term])
-            for got in (together, alone):
-                assert repr(got[0]) == repr(want[0])
-                assert got[1].tobytes() == want[1].tobytes()
-                assert repr(got[2]) == repr(want[2])
-                assert repr(got[3]) == repr(want[3])
+        cases = [
+            ((1, None, lim.v_max ** 2), _limit(samples, 1, lim.v_max)),
+            ((2, None, lim.a_max ** 2), _limit(samples, 2, lim.a_max)),
+            ((3, None, lim.j_max ** 2), _limit(samples, 3, lim.j_max)),
+            ((2, lim.tau_min ** 2, lim.tau_max ** 2,
+              scenario.gravity_vector), _thrust_penalty(samples, scenario))]
+        for reference_args, term in cases:
+            assert term[3] == 0.0
+            assert_same_bits(pulled_back(samples, term),
+                             reference_window_term(samples, *reference_args))
+
+
+class TestPullback:
+    @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
+           duration=st.floats(0.5, 8.0),
+           margin=st.sampled_from([0.0, 0.02, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_cable_term_matches_reference_bit_for_bit(self, seed, kappa,
+                                                      duration, margin):
+        scenario, samples = drawn_samples(seed, kappa, duration,
+                                          corridor_margin=margin)
+        assert_same_bits(
+            pulled_back(samples, _cable_penalty(samples, scenario)),
+            reference_cable_penalty(samples, scenario))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
+           duration=st.floats(0.5, 8.0))
+    @settings(max_examples=40, deadline=None)
+    def test_obstacle_term_matches_reference_pullback(self, seed, kappa,
+                                                      duration):
+        scenario, samples = drawn_samples(seed, kappa, duration)
+        value, order, gvec, direct_ddt, worst = _obstacle_penalty(
+            samples, scenario.obstacles, scenario.limits.obstacle_margin)
+        assert order == 0 and direct_ddt == 0.0
+        want = np.zeros_like(samples.traj.coefficients)
+        reference_accumulate(samples, want, 0, gvec)
+        grad_c, ddt = samples.pullback(0, gvec)
+        assert grad_c.tobytes() == want.tobytes()
+        assert repr(ddt) == repr(reference_ddt_from_motion(samples, 0, gvec))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_corridor_violation_matches_reference(self, seed, size):
+        rng = np.random.default_rng(seed)
+        l_min = rng.uniform(0.0, 4.0, size)
+        l_max = l_min + rng.uniform(0.0, 1.0, size)
+        l_now = rng.uniform(0.0, 5.0, size)
+        want = np.maximum(l_min ** 2 - l_now ** 2, l_now ** 2 - l_max ** 2)
+        assert repr(corridor_violation(l_min, l_now, l_max)) == \
+            repr(max(float(np.max(want)), 0.0))
 
 
 class TestGradients:
@@ -455,6 +561,22 @@ class TestOnePass:
                          scenario.goal_velocity)
         total_cost(traj, scenario)
         assert len(calls) == solves
+
+    def test_one_jerk_gram_per_evaluation(self, monkeypatch):
+        calls = []
+        real_gram = trajectory._jerk_gram
+
+        def counted(dt):
+            calls.append(dt)
+            return real_gram(dt)
+
+        monkeypatch.setattr(trajectory, "_jerk_gram", counted)
+        scenario = random_scenario(np.random.default_rng(5))
+        traj = construct(random_waypoints(scenario, np.random.default_rng(6)),
+                         3.0, scenario.start_state, scenario.goal_position,
+                         scenario.goal_velocity)
+        total_cost(traj, scenario)
+        assert calls == [traj.segment_duration]
 
     def test_optimize_reports_its_final_evaluation(self):
         scenario = random_scenario(np.random.default_rng(11))

@@ -27,7 +27,6 @@ from tetherpick.trajectory import (
     basis_rows_upto,
     construct,
     jerk_energy,
-    jerk_energy_gradient,
     propagate_gradients,
 )
 
@@ -378,7 +377,7 @@ class TestEvaluate:
 
 class TestJerkEnergy:
     def test_rest_to_rest_energy(self):
-        assert jerk_energy(rest_to_rest()) == pytest.approx(60.0, rel=1e-12)
+        assert jerk_energy(rest_to_rest())[0] == pytest.approx(60.0, rel=1e-12)
 
     def test_matches_polynomial_quadrature(self):
         """Exact polynomial integration of the squared third derivative."""
@@ -394,13 +393,13 @@ class TestJerkEnergy:
                 sq = np.polynomial.polynomial.polymul(third, third)
                 integ = np.polynomial.polynomial.polyint(sq)
                 total += np.polynomial.polynomial.polyval(dt, integ)
-        assert jerk_energy(traj) == pytest.approx(total, rel=1e-10)
+        assert jerk_energy(traj)[0] == pytest.approx(total, rel=1e-10)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(31)
         wp, total_time, start, gp, gv = random_problem(rng, max_segments=3)
         traj = construct(wp, total_time, start, gp, gv)
-        grad_c, ddt_direct = jerk_energy_gradient(traj)
+        _, grad_c, ddt_direct = jerk_energy(traj)
         h = 1e-6
         for _ in range(10):
             seg = rng.integers(traj.segment_count)
@@ -410,11 +409,11 @@ class TestJerkEnergy:
             dn = traj.coefficients.copy()
             up[seg, k, ax] += h
             dn[seg, k, ax] -= h
-            fd = (jerk_energy(Trajectory(up, traj.segment_duration))
-                  - jerk_energy(Trajectory(dn, traj.segment_duration))) / (2 * h)
+            fd = (jerk_energy(Trajectory(up, traj.segment_duration))[0]
+                  - jerk_energy(Trajectory(dn, traj.segment_duration))[0]) / (2 * h)
             assert grad_c[seg, k, ax] == pytest.approx(fd, rel=1e-5, abs=1e-5)
-        fd_dt = (jerk_energy(Trajectory(traj.coefficients, traj.segment_duration + h))
-                 - jerk_energy(Trajectory(traj.coefficients, traj.segment_duration - h))) / (2 * h)
+        fd_dt = (jerk_energy(Trajectory(traj.coefficients, traj.segment_duration + h))[0]
+                 - jerk_energy(Trajectory(traj.coefficients, traj.segment_duration - h))[0]) / (2 * h)
         assert ddt_direct == pytest.approx(fd_dt, rel=1e-5)
 
 
@@ -588,18 +587,18 @@ class TestPropagateGradients:
         def cost(flat):
             traj = construct(flat.reshape(n_wp, 3), total_time, start, goal,
                              [0, 0, 0])
-            return jerk_energy(traj)
+            return jerk_energy(traj)[0]
 
         guess = np.linspace(0, 1, n_wp + 2)[1:-1, None] * goal
         res = minimize(cost, guess.ravel(), method="L-BFGS-B",
                        options={"ftol": 1e-15, "gtol": 1e-12})
         traj = construct(res.x.reshape(n_wp, 3), total_time, start, goal, [0, 0, 0])
-        grad_c, ddt = jerk_energy_gradient(traj)
+        _, grad_c, ddt = jerk_energy(traj)
         dj_dq, _ = propagate_gradients(traj, grad_c, ddt)
         # compare against the gradient magnitude away from the optimum
         off = construct(res.x.reshape(n_wp, 3) + 0.5, total_time, start, goal,
                         [0, 0, 0])
-        grad_off, ddt_off = jerk_energy_gradient(off)
+        _, grad_off, ddt_off = jerk_energy(off)
         dj_dq_off, _ = propagate_gradients(off, grad_off, ddt_off)
         assert np.max(np.abs(dj_dq)) < 1e-3
         assert np.max(np.abs(dj_dq)) < 1e-4 * np.max(np.abs(dj_dq_off))
