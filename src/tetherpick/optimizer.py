@@ -275,6 +275,9 @@ class _Samples:
         tau = ts - seg * dt
         self.ts = ts
         self.seg = seg
+        # each sample's entries of the flattened coefficient array
+        width = traj.coefficients[0].size
+        self.flat = (seg[:, None] * width + np.arange(width)).ravel()
         self.basis = basis_rows_upto(tau, 4)
         coeffs = traj.coefficients[seg]
         self.deriv = [np.einsum("sk,skx->sx", self.basis[o], coeffs)
@@ -289,10 +292,13 @@ class _Samples:
 
         Each sample's basis row times its slope lands on its segment; the
         dT part comes from the samples sliding along the moving grid.
+        np.add.at runs its fast path on one-dimensional operands, and each
+        entry still sums its samples in sample order from 0.  grad_c is
+        C-ordered, unlike the coefficients, so reshape(-1) is a view of it.
         """
-        grad_c = np.zeros_like(self.traj.coefficients)
-        np.add.at(grad_c, self.seg,
-                  self.basis[order][:, :, None] * gvec[:, None, :])
+        grad_c = np.zeros(self.traj.coefficients.shape)
+        np.add.at(grad_c.reshape(-1), self.flat,
+                  (self.basis[order][:, :, None] * gvec[:, None, :]).ravel())
         ddt = float(np.add.reduce(
             np.add.reduce(gvec * self.deriv[order + 1], axis=1)
             * self.tau_motion))
