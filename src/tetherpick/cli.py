@@ -178,6 +178,8 @@ def cmd_plan(args) -> int:
     summary = [
         *((name, getattr(b, name)) for name in _COST_COLUMNS),
         ("duration_s", traj.duration), ("iterations", result.iterations),
+        ("evaluations", result.evaluations),
+        ("multiplier_updates", result.multiplier_updates),
         ("status", result.status), ("penalties_ok", result.penalties_ok),
         ("max_violation", result.max_violation),
         ("dense_corridor_violation_m2", violation),

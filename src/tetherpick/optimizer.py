@@ -26,12 +26,33 @@ duration also moves the matrix of the trajectory construction (see
 trajectory.propagate_gradients).  The corridor's upper bound comes from
 one Newton solve per sample, and its positional derivative from a closed
 form at the solved scale (cable.corridor_bounds_and_gradient).
+
+``optimize`` runs scipy's L-BFGS-B on conditioned coordinates:
+
+- *Seed.*  The waypoints start at the minimum of the jerk energy for the
+  seed duration.  That energy is quadratic in the waypoints, with one
+  per-axis Hessian H1 * dT^-5 (``_jerk_hessian``, cached per segment count).
+- *Whitening.*  Each leg runs on z with q = q0 + dT^(5/2) L^-T z per axis,
+  where H1 = L L^T and q0, dT are the leg's start, so the jerk part has unit
+  curvature there.  The softplus duration variable theta is scaled by
+  |d2J/dtheta2|^(-1/2) from a central difference, clipped to [0.1, 10].
+- *Restarts.*  Every 25 iterations a leg measures the duration scale again
+  and stops when it is off by more than 2x; a status-0 stop whose gradient
+  is still large (a false ftol stop) stops it as well.  Either way the next
+  leg starts from that point, re-whitened there.
+- *Shifts.*  A converged plan whose worst hinge is not below VIOLATION_TOL
+  gets one shift s >= 0 per sample and hinge side, inside the hinge:
+  w * max(g + s, 0)^3, updated as s <- max(s + g, 0) (Powell's multiplier
+  update; the multiplier is 3 w s^2), and is solved again from where it
+  stopped.  A round that does not halve the worst hinge is dropped: the
+  problem is infeasible, and the round before it is returned.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,11 +82,21 @@ MIN_DURATION = 0.1
 VIOLATION_TOL = 1e-3
 
 # L-BFGS-B's ftol test can fire on one tiny line step far from a minimum.
-# A status-0 stop counts as converged only when max |dJ/dx| is at most this
-# fraction of max(|J|, 1).  Runs of the shipped scenarios left to converge
-# stopped at 1.0e-3 to 1.5e-3 of J; the false stops seen measured 1.8e2 to
-# 3.3e2 of J.
+# A status-0 stop counts as converged only when max |dJ/dz| over the
+# whitened coordinates is at most this fraction of max(|J|, 1).  On the
+# shipped scenarios, the six sweep_grid points and ten random test problems,
+# genuine stops measured 3e-9 to 1.6e-5 of J, and the false stops (two grid
+# points, after 2 iterations each) 0.22 and 0.87.
 _STOP_GRADIENT_RTOL = 1e-2
+
+# The duration variable theta is scaled by |d2J/dtheta2|^(-1/2), taken from
+# a central difference of dJ/dtheta with this step and clipped to this band.
+_THETA_STEP = 1e-3
+_THETA_SCALE_CLIP = (0.1, 10.0)
+
+# Every this many iterations a leg measures the duration scale again, and
+# restarts when it is off by more than 2x either way.
+_SCALE_CHECK_PERIOD = 25
 
 
 def _blas_thread_controls(library: str):
@@ -247,6 +278,8 @@ class OptimizeResult:
     status: str
     penalties_ok: bool
     max_violation: float
+    evaluations: int = 0
+    multiplier_updates: int = 0
     history: list = field(default_factory=list)
     message: str = ""
 
@@ -256,9 +289,9 @@ def sample_times(t0: float, t_end: float, kappa: int) -> np.ndarray:
     return np.linspace(t0, t_end, kappa + 1)
 
 
-def _hinge_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cubic hinge max(x, 0)^3 and its slope, from one clamp."""
-    clamped = np.maximum(x, 0.0)
+def _hinge_parts(x: np.ndarray, shift=None) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic hinge max(x + shift, 0)^3 and its slope, from one clamp."""
+    clamped = np.maximum(x if shift is None else x + shift, 0.0)
     return clamped ** 3, 3.0 * clamped ** 2
 
 
@@ -305,61 +338,62 @@ class _Samples:
         return grad_c, ddt
 
 
-def _band(x, low, high):
+def _band(x, low, high, shift=None):
     """Cubic hinges keeping x inside [low, high].
 
-    Returns (value, slope_low, slope_high, worst): the hinge sum, the two
-    sides' slopes with respect to their arguments low - x and x - high, and
-    the largest of those arguments.
+    Returns (value, slope_low, slope_high, args): the hinge sum, the two
+    sides' slopes with respect to their shifted arguments, and the unshifted
+    arguments stacked as rows (low - x, x - high).  ``shift`` has the shape
+    of ``args``.
     """
-    under = low - x
-    over = x - high
-    hinge_low, slope_low = _hinge_parts(under)
-    hinge_high, slope_high = _hinge_parts(over)
-    value = float(np.add.reduce(hinge_low)) + float(np.add.reduce(hinge_high))
-    return value, slope_low, slope_high, float(np.max(np.maximum(under, over)))
+    args = np.stack([low - x, x - high])
+    hinge, slope = _hinge_parts(args, shift)
+    value = float(np.add.reduce(hinge[0])) + float(np.add.reduce(hinge[1]))
+    return value, slope[0], slope[1], args
 
 
-# Every sampled term returns (value, order, gvec, direct_ddt, worst):
-# its hinge sum, the derivative order its slope gvec is taken against (for
+# Every sampled term returns (value, order, gvec, direct_ddt, args): its
+# hinge sum, the derivative order its slope gvec is taken against (for
 # _Samples.pullback), any dT dependence the samples' motion does not carry,
-# and its largest raw hinge argument.
-def _limit(samples: _Samples, order: int, limit: float):
+# and its raw hinge arguments, one row per side or plane.  ``shift``, of the
+# shape of args, moves every argument inside its hinge.
+def _limit(samples: _Samples, order: int, limit: float, shift=None):
     """Cubic hinge on the squared magnitude of one derivative against
     limit ** 2: velocity, acceleration or jerk."""
     d = samples.deriv[order]
     over = np.add.reduce(d * d, axis=1) - limit ** 2
-    hinge, slope = _hinge_parts(over)
+    hinge, slope = _hinge_parts(over, shift)
     return (float(np.add.reduce(hinge)), order, 2.0 * d * slope[:, None],
-            0.0, float(np.max(over)))
+            0.0, over)
 
 
-def _thrust_penalty(samples: _Samples, scenario: PlanningScenario):
+def _thrust_penalty(samples: _Samples, scenario: PlanningScenario,
+                    shift=None):
     """Band on the squared specific thrust |a - g|^2 between the squared
     limits tau_min and tau_max."""
     limits = scenario.limits
     d = samples.deriv[2] - scenario.gravity_vector
-    value, slope_low, slope_high, worst = _band(
+    value, slope_low, slope_high, args = _band(
         np.add.reduce(d * d, axis=1), limits.tau_min ** 2,
-        limits.tau_max ** 2)
-    return value, 2, 2.0 * d * (slope_high - slope_low)[:, None], 0.0, worst
+        limits.tau_max ** 2, shift)
+    return value, 2, 2.0 * d * (slope_high - slope_low)[:, None], 0.0, args
 
 
-def _obstacle_penalty(samples: _Samples, obstacles, margin: float):
+def _obstacle_penalty(samples: _Samples, obstacles, margin: float,
+                      shift=None):
     """Hinge on clearance from every half-space obstacle at every sample;
-    ``worst`` is the largest shortfall in meters."""
+    the arguments are shortfalls in meters, one row per plane."""
     pos = samples.deriv[0]
     value = 0.0
-    worst = -math.inf
     gvec = np.zeros_like(pos)
-    for plane in obstacles:
-        dist = (pos - plane.point) @ plane.normal
-        short = margin - dist
-        hinge, slope = _hinge_parts(short)
+    args = np.empty((len(obstacles), pos.shape[0]))
+    for k, plane in enumerate(obstacles):
+        args[k] = margin - (pos - plane.point) @ plane.normal
+        hinge, slope = _hinge_parts(args[k],
+                                    None if shift is None else shift[k])
         value += float(np.add.reduce(hinge))
         gvec -= np.outer(slope, plane.normal)
-        worst = max(worst, float(np.max(short)))
-    return value, 0, gvec, 0.0, worst
+    return value, 0, gvec, 0.0, args
 
 
 def _attach_points(positions, cable: CableProperties):
@@ -367,13 +401,14 @@ def _attach_points(positions, cable: CableProperties):
     return positions + np.array([0.0, 0.0, cable.attachment_offset])
 
 
-def _cable_penalty(samples: _Samples, scenario: PlanningScenario):
+def _cable_penalty(samples: _Samples, scenario: PlanningScenario,
+                   shift=None):
     """Hinges keeping the released length inside the feasible corridor.
 
     Gradient with respect to the droid position flows through both corridor
     edges (cable.corridor_bounds_and_gradient).  The released length follows
     the winch schedule, so the sampled times' dependence on T contributes as
-    well, as the term's direct_ddt.  ``worst`` is in squared meters.
+    well, as the term's direct_ddt.  The arguments are in squared meters.
     """
     margin = scenario.limits.corridor_margin
     l_min, l_max, dlmin_dp, dlmax_dp = corridor_bounds_and_gradient(
@@ -384,17 +419,42 @@ def _cable_penalty(samples: _Samples, scenario: PlanningScenario):
     l_now = scenario.winch.length_at(samples.ts)
     rate = scenario.winch.rate_at(samples.ts)
 
-    value, slope_under, slope_over, worst = _band(
-        l_now ** 2, l_min_eff ** 2, l_max_eff ** 2)
+    value, slope_under, slope_over, args = _band(
+        l_now ** 2, l_min_eff ** 2, l_max_eff ** 2, shift)
     gvec = (2.0 * l_min_eff * slope_under)[:, None] * dlmin_dp \
         - (2.0 * l_max_eff * slope_over)[:, None] * dlmax_dp
     # the winch schedule is a function of absolute time, which scales with T
     lnow_sens = 2.0 * l_now * rate * (slope_over - slope_under)
     return (value, 0, gvec,
-            float(np.add.reduce(lnow_sens * samples.time_motion)), worst)
+            float(np.add.reduce(lnow_sens * samples.time_motion)), args)
 
 
-def total_cost(traj: Trajectory, scenario: PlanningScenario):
+def _terms(samples: _Samples, scenario: PlanningScenario, shifts=None):
+    """(name, weight, term) of every sampled penalty; ``shifts`` maps a
+    term's name to the shifts of its hinge arguments."""
+    weights = scenario.weights
+    limits = scenario.limits
+    shifts = shifts or {}
+    terms = [
+        ("velocity", weights.velocity,
+         _limit(samples, 1, limits.v_max, shifts.get("velocity"))),
+        ("acceleration", weights.accel_jerk,
+         _limit(samples, 2, limits.a_max, shifts.get("acceleration"))),
+        ("jerk", weights.accel_jerk,
+         _limit(samples, 3, limits.j_max, shifts.get("jerk"))),
+        ("thrust", weights.thrust,
+         _thrust_penalty(samples, scenario, shifts.get("thrust")))]
+    if scenario.obstacles and weights.obstacle != 0.0:
+        terms.append(("obstacle", weights.obstacle, _obstacle_penalty(
+            samples, scenario.obstacles, limits.obstacle_margin,
+            shifts.get("obstacle"))))
+    if weights.cable != 0.0:
+        terms.append(("cable", weights.cable,
+                      _cable_penalty(samples, scenario, shifts.get("cable"))))
+    return terms
+
+
+def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
     """One evaluation of the full objective.
 
     Returns (CostBreakdown, dJ/dq, dJ/dT, worst).  ``worst`` maps each
@@ -402,9 +462,10 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario):
     floored at 0, and to 0 when the scenario gives the term no weight.
     Units match each hinge: squared speed/acceleration/jerk/thrust for the
     limit and thrust terms, meters for obstacles, squared meters for the
-    corridor.
+    corridor.  ``shifts`` (see ``_shift_update``) moves hinge arguments
+    inside their hinges: the breakdown and the gradient are then those of
+    the shifted objective, while ``worst`` stays unshifted.
     """
-    weights = scenario.weights
     limits = scenario.limits
 
     smooth, grad_c, grad_ddt = jerk_energy(traj)
@@ -412,23 +473,12 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario):
     grad_ddt += limits.time_weight * traj.segment_count
 
     samples = _Samples(traj, limits.samples)
-    terms = [
-        ("velocity", weights.velocity, _limit(samples, 1, limits.v_max)),
-        ("acceleration", weights.accel_jerk, _limit(samples, 2, limits.a_max)),
-        ("jerk", weights.accel_jerk, _limit(samples, 3, limits.j_max)),
-        ("thrust", weights.thrust, _thrust_penalty(samples, scenario))]
     parts = {"obstacle": 0.0, "cable": 0.0}
     worst = {"obstacle": 0.0, "cable": 0.0}
-    if scenario.obstacles and weights.obstacle != 0.0:
-        terms.append(("obstacle", weights.obstacle, _obstacle_penalty(
-            samples, scenario.obstacles, limits.obstacle_margin)))
-    if weights.cable != 0.0:
-        terms.append(("cable", weights.cable,
-                      _cable_penalty(samples, scenario)))
-
-    for name, weight, (value, order, gvec, direct_ddt, peak) in terms:
+    for name, weight, (value, order, gvec, direct_ddt, args) in \
+            _terms(samples, scenario, shifts):
         parts[name] = weight * value
-        worst[name] = max(peak, 0.0) if weight > 0.0 else 0.0
+        worst[name] = max(float(np.max(args)), 0.0) if weight > 0.0 else 0.0
         if weight != 0.0:
             gc, ddt = samples.pullback(order, gvec)
             grad_c = grad_c + weight * gc
@@ -437,6 +487,17 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario):
     breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
     dj_dq, dj_dt = propagate_gradients(traj, grad_c, grad_ddt)
     return breakdown, dj_dq, dj_dt, worst
+
+
+def _shift_update(traj: Trajectory, scenario: PlanningScenario, shifts):
+    """Powell's update s <- max(s + g, 0) of every weighted hinge's shifts,
+    from the unshifted arguments g at ``traj``; the multiplier a shift
+    stands for is 3 w s^2."""
+    shifts = shifts or {}
+    return {name: np.maximum(args + shifts.get(name, 0.0), 0.0)
+            for name, weight, (*_, args) in _terms(
+                _Samples(traj, scenario.limits.samples), scenario)
+            if weight > 0.0}
 
 
 def corridor_profile(traj: Trajectory, scenario: PlanningScenario,
@@ -451,7 +512,8 @@ def corridor_profile(traj: Trajectory, scenario: PlanningScenario,
 
 def corridor_violation(l_min, l_now, l_max) -> float:
     """Worst squared-length excess of l_now outside [l_min, l_max], or 0."""
-    return max(_band(l_now ** 2, l_min ** 2, l_max ** 2)[3], 0.0)
+    return max(float(np.max(_band(l_now ** 2, l_min ** 2, l_max ** 2)[3])),
+               0.0)
 
 
 def _softplus(x: float) -> float:
@@ -473,22 +535,57 @@ def _sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
+@functools.lru_cache(maxsize=None)
+def _jerk_hessian(n_seg: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H1, W): the per-axis Hessian of the jerk energy over the waypoints
+    at dT = 1, and the whitening W = L^-T of its factor H1 = L L^T.
+
+    Jerk energy is quadratic in the waypoints, the axes decouple, and the
+    boundary values only shift its gradient, so one gradient probe per
+    waypoint of the all-zero problem gives H1 exactly.  Time scaling gives
+    H(dT) = H1 * dT^-5, so dT^(5/2) W whitens every duration.
+    """
+    n_wp = n_seg - 1
+    rest = BoundaryState.at_rest(np.zeros(3))
+    hessian = np.empty((n_wp, n_wp))
+    for i in range(n_wp):
+        probe = np.zeros((n_wp, 3))
+        probe[i] = 1.0
+        traj = construct(probe, float(n_seg), rest, np.zeros(3), np.zeros(3))
+        slope = propagate_gradients(traj, jerk_energy(traj)[1])[0]
+        hessian[:, i] = slope[:, 0]
+    hessian = 0.5 * (hessian + hessian.T)
+    whitening = np.linalg.solve(np.linalg.cholesky(hessian), np.eye(n_wp)).T
+    # the cache hands these arrays to every caller
+    hessian.flags.writeable = whitening.flags.writeable = False
+    return hessian, whitening
+
+
+def _min_jerk_waypoints(scenario: PlanningScenario, duration: float):
+    """The waypoints of least jerk energy at ``duration``: -H^-1 b, with b
+    the jerk gradient at zero waypoints."""
+    n_seg = scenario.segment_count
+    zero = np.zeros((n_seg - 1, 3))
+    traj = construct(zero, duration, scenario.start_state,
+                     scenario.goal_position, scenario.goal_velocity)
+    slope = propagate_gradients(traj, jerk_energy(traj)[1])[0]
+    whitening = _jerk_hessian(n_seg)[1]
+    return -traj.segment_duration ** 5 * (whitening @ (whitening.T @ slope))
+
+
 def initial_guess(scenario: PlanningScenario):
-    """Straight-line waypoints plus a duration consistent with the winch.
+    """Min-jerk waypoints plus a duration consistent with the winch.
 
     The duration seed makes the released length land mid-corridor at
     arrival, which leaves the most slack on both cable edges; seeding at
     the taut chord instead starts the search pinned against the lower edge
     and can strand a narrow-corridor problem in an infeasible stationary
     point.  When the payout direction cannot reach the corridor at all,
-    fall back to a cruise-speed estimate.
+    fall back to a cruise-speed estimate.  The waypoints minimize the jerk
+    energy at that duration.
     """
     start = scenario.start_state.position
     goal = scenario.goal_position
-    n = scenario.segment_count
-    fractions = np.arange(1, n)[:, None] / n
-    waypoints = start + fractions * (goal - start)
-
     attach = goal + np.array([0.0, 0.0, scenario.cable.attachment_offset])
     l_min, l_max = corridor_bounds_batch(attach[None, :],
                                          scenario.anchor_position,
@@ -501,104 +598,146 @@ def initial_guess(scenario: PlanningScenario):
     if not (duration > 0.0 and math.isfinite(duration)):
         distance = float(np.linalg.norm(goal - start))
         duration = max(1.5 * distance / scenario.limits.v_max, 1.0)
-    return waypoints, max(duration, MIN_DURATION + 0.5)
+    duration = max(duration, MIN_DURATION + 0.5)
+    return _min_jerk_waypoints(scenario, duration), duration
 
 
 def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
              max_iterations: int = 500) -> OptimizeResult:
     """Minimize the penalty objective over waypoints (and duration).
 
-    Always returns the best iterate seen; ``status`` distinguishes clean
+    Returns the end of the last shift round, or of the round before it when
+    its shifts did not halve the worst hinge; ``status`` distinguishes clean
     convergence from hitting the iteration cap or a stalled line search, and
     ``penalties_ok`` reports whether every sampled hinge is essentially
-    inactive at the returned plan.  A convergence stop whose gradient is
-    still large is not clean: L-BFGS-B restarts from it, and the iterations
-    of all restarts count against ``max_iterations``.
+    inactive at the returned plan.  The breakdown and hinge report are
+    unshifted.  Every leg, restart and shift round counts its iterations
+    against ``max_iterations``.
     """
-    waypoints0, duration0 = initial_guess(scenario)
-    if fixed_duration is not None:
+    if fixed_duration is None:
+        waypoints, duration0 = initial_guess(scenario)
+    else:
         if not 0.0 < fixed_duration < math.inf:
             raise ValidationError("fixed duration must be finite and positive")
         duration0 = fixed_duration
-    n_wp = scenario.segment_count - 1
+        waypoints = _min_jerk_waypoints(scenario, duration0)
+    n_seg = scenario.segment_count
+    n_wp = n_seg - 1
     optimize_time = fixed_duration is None
-
-    def unpack(x):
-        q = x[:3 * n_wp].reshape(n_wp, 3)
-        if optimize_time:
-            duration = MIN_DURATION + _softplus(float(x[-1]))
-        else:
-            duration = duration0
-        return q, duration
-
-    def build(x):
-        q, duration = unpack(x)
-        return construct(q, duration, scenario.start_state,
-                         scenario.goal_position, scenario.goal_velocity)
-
-    cache = {}
-
-    def objective(x):
-        traj = build(x)
-        breakdown, dj_dq, dj_dt, worst = total_cost(traj, scenario)
-        grad = np.empty(x.shape)
-        grad[:3 * n_wp] = dj_dq.ravel()
-        if optimize_time:
-            grad[-1] = dj_dt * _sigmoid(float(x[-1]))
-        cache[x.tobytes()] = breakdown, worst
-        if len(cache) > 8:
-            cache.pop(next(iter(cache)))
-        return breakdown.total, grad
-
-    def summary(x):
-        """(breakdown, worst hinge arguments) at x; recent ones are kept."""
-        hit = cache.get(x.tobytes())
-        if hit is None:
-            breakdown, _, _, worst = total_cost(build(x), scenario)
-            hit = breakdown, worst
-        return hit
-
+    whitening = _jerk_hessian(n_seg)[1]
     history = []
+    evaluations = 0
+    shifts = None
 
-    def record(xk):
-        history.append(summary(xk)[0])
+    def duration_at(theta):
+        return MIN_DURATION + _softplus(theta) if optimize_time else duration0
 
-    x0 = np.empty(3 * n_wp + (1 if optimize_time else 0))
-    x0[:3 * n_wp] = waypoints0.ravel()
-    if optimize_time:
-        x0[-1] = _softplus_inverse(duration0 - MIN_DURATION)
+    def evaluate(q, theta, shifted=True):
+        """(trajectory, breakdown, dJ/dq, dJ/dtheta, worst), under the
+        current shifts unless ``shifted`` is false."""
+        nonlocal evaluations
+        evaluations += 1
+        traj = construct(q, duration_at(theta), scenario.start_state,
+                         scenario.goal_position, scenario.goal_velocity)
+        breakdown, dj_dq, dj_dt, worst = total_cost(
+            traj, scenario, shifts if shifted else None)
+        return traj, breakdown, dj_dq, dj_dt * _sigmoid(theta), worst
 
-    # A false stop restarts L-BFGS-B from where it stopped, with fresh
-    # curvature pairs, on what is left of the iteration budget.
-    iterations = 0
-    x = x0
+    def theta_scale(q, theta):
+        """|d2J/dtheta2|^(-1/2) from a central difference, clipped."""
+        if not optimize_time:
+            return 1.0
+        up = evaluate(q, theta + _THETA_STEP)[3]
+        down = evaluate(q, theta - _THETA_STEP)[3]
+        curvature = abs(up - down) / (2.0 * _THETA_STEP)
+        scale = 1.0 / math.sqrt(curvature) if curvature > 0.0 else math.inf
+        return min(max(scale, _THETA_SCALE_CLIP[0]), _THETA_SCALE_CLIP[1])
+
+    def leg(q0, theta0, budget):
+        """One L-BFGS-B run from z = 0, where q = q0 + dT^(5/2) W z per axis
+        and theta = theta0 + s_T z[-1].  Returns (result, q, theta)."""
+        basis = (duration_at(theta0) / n_seg) ** 2.5 * whitening
+        scale = theta_scale(q0, theta0)
+        latest = [b"", None]
+
+        def point(z):
+            q = q0 + basis @ z[:3 * n_wp].reshape(n_wp, 3)
+            return q, theta0 + scale * float(z[-1]) if optimize_time \
+                else theta0
+
+        def objective(z):
+            _, breakdown, dj_dq, dj_dtheta, _ = evaluate(*point(z))
+            grad = np.empty(z.shape)
+            grad[:3 * n_wp] = (basis.T @ dj_dq).ravel()
+            if optimize_time:
+                grad[-1] = scale * dj_dtheta
+            latest[:] = z.tobytes(), breakdown
+            return breakdown.total, grad
+
+        def record(z):
+            # L-BFGS-B reports each iterate right after evaluating it
+            history.append(latest[1] if latest[0] == z.tobytes()
+                           else evaluate(*point(z))[1])
+            if optimize_time and (len(history) - first) \
+                    % _SCALE_CHECK_PERIOD == 0 \
+                    and not 0.5 <= theta_scale(*point(z)) / scale <= 2.0:
+                raise StopIteration  # status 99: restart re-whitened
+
+        first = len(history)
+        result = minimize(objective, np.zeros(3 * n_wp + optimize_time),
+                          jac=True, method="L-BFGS-B", callback=record,
+                          options={"maxiter": budget, "maxcor": 8,
+                                   "ftol": 1e-12, "gtol": 1e-6})
+        return (result, *point(result.x))
+
+    def solve(q, theta, budget):
+        """Legs from (q, theta) until one stops genuinely, each restart
+        starting where the last leg ended.  Returns (q, theta, iterations,
+        status, message)."""
+        used = 0
+        while True:
+            result, q, theta = leg(q, theta, budget - used)
+            used += int(result.nit)
+            false_stop = result.status == 0 and \
+                np.max(np.abs(result.jac), initial=0.0) > \
+                _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
+            restart = false_stop or result.status == 99
+            if not restart or result.nit == 0 or used >= budget:
+                break
+        if result.status == 0 and not false_stop:
+            status = "converged"
+        elif result.status == 1 or (restart and used >= budget):
+            status = "max_iterations"
+        else:
+            status = "line_search_failure"
+        return q, theta, used, status, str(result.message)
+
+    theta = _softplus_inverse(duration0 - MIN_DURATION) if optimize_time \
+        else 0.0
+    iterations = updates = 0
+    previous = None
     with _single_blas_thread():
         while True:
-            result = minimize(objective, x, jac=True, method="L-BFGS-B",
-                              callback=record,
-                              options={"maxiter": max_iterations - iterations,
-                                       "maxcor": 8, "ftol": 1e-12,
-                                       "gtol": 1e-6})
-            iterations += int(result.nit)
-            x = result.x
-            false_stop = result.status == 0 and \
-                np.max(np.abs(result.jac)) > \
-                _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
-            if not false_stop or result.nit == 0 or \
-                    iterations >= max_iterations:
+            waypoints, theta, used, status, message = solve(
+                waypoints, theta, max_iterations - iterations)
+            iterations += used
+            traj, breakdown, _, _, violations = evaluate(waypoints, theta,
+                                                         shifted=False)
+            worst = max(violations.values())
+            if worst < VIOLATION_TOL:
                 break
+            if previous is not None and worst > 0.5 * previous[2]:
+                traj, breakdown, worst, status, message = previous
+                break
+            if status != "converged" or iterations >= max_iterations:
+                break
+            previous = traj, breakdown, worst, status, message
+            shifts = _shift_update(traj, scenario, shifts)
+            updates += 1
 
-    traj = build(x)
-    breakdown, violations = summary(x)
-    if result.status == 0 and not false_stop:
-        status = "converged"
-    elif result.status == 1 or (false_stop and iterations >= max_iterations):
-        status = "max_iterations"
-    else:
-        status = "line_search_failure"
-    worst = max(violations.values())
     return OptimizeResult(trajectory=traj, breakdown=breakdown,
                           iterations=iterations, status=status,
                           penalties_ok=worst < VIOLATION_TOL,
-                          max_violation=worst, history=history,
-                          message=str(result.message))
+                          max_violation=worst, evaluations=evaluations,
+                          multiplier_updates=updates, history=history,
+                          message=message)

@@ -31,6 +31,7 @@ from tetherpick.optimizer import (
     optimize,
     total_cost,
 )
+from tetherpick.scenario import load_scenario
 from tetherpick.simulation import DroneParams, simulate_pickup, simulate_retrieval
 from tetherpick.trajectory import BoundaryState, construct
 
@@ -55,6 +56,17 @@ def test_shipped_scenarios_plan_inside_the_cable_corridor(
         assert float(metrics["dense_corridor_violation_m2"]) < 1e-3, name
         assert metrics["penalties_ok"] == "True", name
     assert elapsed < 5.0, f"planning batch took {elapsed:.2f} s"
+
+
+def test_shipped_scenarios_converge_within_150_iterations(
+        shipped_scenario_dir):
+    """The planner stops by its own convergence test on every shipped
+    pickup, well inside the 500-iteration cap."""
+    for name in SHIPPED:
+        result = optimize(load_scenario(
+            shipped_scenario_dir / f"{name}.yaml").planning)
+        assert result.status == "converged", name
+        assert result.iterations <= 150, (name, result.iterations)
 
 
 def test_catenary_lengths_residuals_and_taut_limit():

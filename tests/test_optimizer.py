@@ -27,8 +27,10 @@ from tetherpick.optimizer import (
     _attach_points,
     _cable_penalty,
     _hinge_parts,
+    _jerk_hessian,
     _limit,
     _obstacle_penalty,
+    _shift_update,
     _thrust_penalty,
     corridor_profile,
     corridor_violation,
@@ -37,7 +39,8 @@ from tetherpick.optimizer import (
     sample_times,
     total_cost,
 )
-from tetherpick.trajectory import BoundaryState, Trajectory, construct, jerk_energy
+from tetherpick.trajectory import (BoundaryState, Trajectory, construct,
+                                  jerk_energy, propagate_gradients)
 
 
 def make_traj(coeffs, dt):
@@ -344,10 +347,10 @@ def reference_cable_penalty(samples, scenario):
 
 def pulled_back(samples, term):
     """A sampled term's (value, grad_c, grad_ddt, worst), as total_cost
-    pulls it back."""
-    value, order, gvec, direct_ddt, worst = term
+    pulls it back; worst is the largest of its raw hinge arguments."""
+    value, order, gvec, direct_ddt, args = term
     grad_c, ddt = samples.pullback(order, gvec)
-    return value, grad_c, ddt + direct_ddt, worst
+    return value, grad_c, ddt + direct_ddt, float(np.max(args))
 
 
 def assert_same_bits(got, want):
@@ -426,6 +429,152 @@ class TestPullback:
         want = np.maximum(l_min ** 2 - l_now ** 2, l_now ** 2 - l_max ** 2)
         assert repr(corridor_violation(l_min, l_now, l_max)) == \
             repr(max(float(np.max(want)), 0.0))
+
+
+def reference_obstacle_term(samples, obstacles, margin):
+    """(value, grad_c, grad_ddt, worst) of the obstacle hinges."""
+    pos = samples.deriv[0]
+    value = 0.0
+    worst = -math.inf
+    gvec = np.zeros_like(pos)
+    for plane in obstacles:
+        dist = (pos - plane.point) @ plane.normal
+        short = margin - dist
+        hinge, slope = _hinge_parts(short)
+        value += float(np.add.reduce(hinge))
+        gvec -= np.outer(slope, plane.normal)
+        worst = max(worst, float(np.max(short)))
+    grad_c = np.zeros_like(samples.traj.coefficients)
+    reference_accumulate(samples, grad_c, 0, gvec)
+    return value, grad_c, reference_ddt_from_motion(samples, 0, gvec), worst
+
+
+def reference_total_cost(traj, scenario):
+    """total_cost as it stood before hinge shifts, built from the reference
+    terms above: the planner's plans are pinned to these bits."""
+    weights = scenario.weights
+    limits = scenario.limits
+
+    smooth, grad_c, grad_ddt = jerk_energy(traj)
+    time_cost = limits.time_weight * traj.duration
+    grad_ddt += limits.time_weight * traj.segment_count
+
+    samples = _Samples(traj, limits.samples)
+    terms = [
+        ("velocity", weights.velocity,
+         reference_window_term(samples, 1, None, limits.v_max ** 2)),
+        ("acceleration", weights.accel_jerk,
+         reference_window_term(samples, 2, None, limits.a_max ** 2)),
+        ("jerk", weights.accel_jerk,
+         reference_window_term(samples, 3, None, limits.j_max ** 2)),
+        ("thrust", weights.thrust,
+         reference_window_term(samples, 2, limits.tau_min ** 2,
+                               limits.tau_max ** 2, scenario.gravity_vector))]
+    parts = {"obstacle": 0.0, "cable": 0.0}
+    worst = {"obstacle": 0.0, "cable": 0.0}
+    if scenario.obstacles and weights.obstacle != 0.0:
+        terms.append(("obstacle", weights.obstacle, reference_obstacle_term(
+            samples, scenario.obstacles, limits.obstacle_margin)))
+    if weights.cable != 0.0:
+        terms.append(("cable", weights.cable,
+                      reference_cable_penalty(samples, scenario)))
+
+    for name, weight, (value, gc, ddt, peak) in terms:
+        parts[name] = weight * value
+        worst[name] = max(peak, 0.0) if weight > 0.0 else 0.0
+        if weight != 0.0:
+            grad_c = grad_c + weight * gc
+            grad_ddt += weight * ddt
+
+    breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
+    dj_dq, dj_dt = propagate_gradients(traj, grad_c, grad_ddt)
+    return breakdown, dj_dq, dj_dt, worst
+
+
+def zero_shifts(traj, scenario):
+    """A zero shift for every hinge argument of every weighted term."""
+    return {name: np.zeros_like(shift)
+            for name, shift in _shift_update(traj, scenario, None).items()}
+
+
+def assert_same_cost(got, want):
+    assert repr(dataclasses.astuple(got[0])) == \
+        repr(dataclasses.astuple(want[0]))
+    assert got[1].tobytes() == want[1].tobytes()
+    assert repr(got[2]) == repr(want[2])
+    assert repr(got[3]) == repr(want[3])
+
+
+class TestShifts:
+    @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
+           duration=st.floats(0.5, 8.0),
+           margin=st.sampled_from([0.0, 0.02, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_zero_shifts_leave_total_cost_bit_identical(
+            self, seed, kappa, duration, margin):
+        scenario, samples = drawn_samples(seed, kappa, duration,
+                                          corridor_margin=margin,
+                                          samples=kappa)
+        traj = samples.traj
+        want = reference_total_cost(traj, scenario)
+        assert_same_cost(total_cost(traj, scenario), want)
+        assert_same_cost(total_cost(traj, scenario,
+                                    zero_shifts(traj, scenario)), want)
+
+    def test_shift_update_on_one_hinge(self):
+        # v(t) = (2, 1, 0) * (1 - t) on 5 samples: the hinge arguments
+        # |v|^2 - 4 are 1 at t = 0 and negative after it
+        traj = make_traj([{1: [2.0, 1.0, 0.0], 2: [-1.0, -0.5, 0.0]}], 1.0)
+        scenario = make_scenario(limits=Limits(samples=4),
+                                 weights=only(velocity=2.0))
+        args = 5.0 * (1.0 - np.linspace(0.0, 1.0, 5)) ** 2 - 4.0
+        shifts = _shift_update(traj, scenario, None)
+        assert set(shifts) == {"velocity"}
+        np.testing.assert_array_equal(shifts["velocity"],
+                                      np.maximum(args, 0.0))
+        # Powell's update adds the arguments to the shifts, floored at 0
+        shifts = _shift_update(traj, scenario, {"velocity": np.full(5, 0.5)})
+        np.testing.assert_allclose(shifts["velocity"],
+                                   np.maximum(args + 0.5, 0.0), rtol=1e-15)
+        # the shifted hinge prices max(g + s, 0)^3; worst stays unshifted
+        breakdown, _, _, worst = total_cost(traj, scenario, shifts)
+        assert breakdown.velocity == pytest.approx(
+            2.0 * np.sum(np.maximum(args + shifts["velocity"], 0.0) ** 3),
+            rel=1e-12)
+        assert worst["velocity"] == pytest.approx(1.0, rel=1e-12)
+
+
+class TestJerkHessian:
+    @given(segments=st.integers(2, 10), dt=st.floats(0.1, 5.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_scales_as_dt_to_the_minus_five(self, segments, dt, seed):
+        """H1 dT^-5 is the Hessian probed at any boundary values and any
+        base waypoints, on every axis."""
+        rng = np.random.default_rng(seed)
+        start = BoundaryState(*rng.standard_normal((4, 3)))
+        goal, goal_velocity = rng.standard_normal((2, 3))
+        base = rng.standard_normal((segments - 1, 3))
+
+        def gradient(q):
+            traj = construct(q, segments * dt, start, goal, goal_velocity)
+            return propagate_gradients(traj, jerk_energy(traj)[1])[0]
+
+        expected = _jerk_hessian(segments)[0] * dt ** -5
+        scale = np.max(np.abs(expected))
+        at_base = gradient(base)
+        for i in range(segments - 1):
+            bumped = base.copy()
+            bumped[i] += 1.0
+            column = gradient(bumped) - at_base
+            assert np.max(np.abs(column - expected[:, i, None])) \
+                <= 1e-11 * scale
+
+    @pytest.mark.parametrize("segments", [1, 2, 6, 10])
+    def test_whitening_makes_the_hessian_the_identity(self, segments):
+        hessian, whitening = _jerk_hessian(segments)
+        np.testing.assert_allclose(whitening.T @ hessian @ whitening,
+                                   np.eye(segments - 1), atol=1e-6)
 
 
 class TestGradients:
@@ -589,11 +738,29 @@ class TestOnePass:
 
 
 class TestInitialGuess:
-    def test_waypoints_on_the_straight_line(self):
-        scenario = make_scenario(segment_count=4)
+    @pytest.mark.parametrize("segments", [2, 4, 6, 10])
+    def test_waypoints_minimize_the_jerk_energy(self, segments):
+        rng = np.random.default_rng(segments)
+        scenario = make_scenario(
+            segment_count=segments,
+            start_state=BoundaryState(*rng.standard_normal((4, 3))),
+            goal_velocity=rng.standard_normal(3),
+            winch=WinchSchedule(3.0, 0.2))
         waypoints, duration = initial_guess(scenario)
-        np.testing.assert_allclose(waypoints[:, 0], [0.5, 1.0, 1.5])
         assert duration > 0.0
+
+        def jerk_gradient(q):
+            traj = construct(q, duration, scenario.start_state,
+                             scenario.goal_position, scenario.goal_velocity)
+            return propagate_gradients(traj, jerk_energy(traj)[1])[0]
+
+        # the gradient at the seed is rounding noise next to the one at
+        # the straight line through start and goal
+        fractions = np.arange(1, segments)[:, None] / segments
+        line = scenario.start_state.position + fractions * (
+            scenario.goal_position - scenario.start_state.position)
+        assert np.max(np.abs(jerk_gradient(waypoints))) <= \
+            1e-9 * np.max(np.abs(jerk_gradient(line)))
 
     def test_duration_matches_winch_when_possible(self):
         # corridor at the goal runs from the sqrt(13) chord up to the
@@ -702,25 +869,33 @@ class TestOptimize:
 
 
 class TestFalseStopGuard:
-    """A status-0 stop with a large gradient restarts L-BFGS-B."""
+    """A status-0 stop with a large gradient, or a stale duration scale
+    (status 99), restarts L-BFGS-B from where it stopped, re-whitened."""
 
     @staticmethod
     def scripted_minimize(monkeypatch, legs):
         """Replace minimize by one that plays back (status, nit, max |jac|)
-        legs, each ending at J = 100 one step of 0.01 past its start, and
-        records every call's start and options."""
+        legs, each reporting J = 100 one step of 0.01 past its start, and
+        records every call's start, options and objective there and at its
+        end."""
         calls = []
         legs = iter(legs)
 
         def minimize(fun, x0, **kwargs):
-            calls.append((x0.copy(), kwargs["options"]))
             status, nit, jac = next(legs)
             x = x0 + 0.01
+            calls.append((x0.copy(), kwargs["options"], fun(x0)[0],
+                          fun(x)[0]))
             return scipy_result(x=x, fun=100.0, jac=np.full(x.shape, jac),
                                 status=status, nit=nit, message="scripted")
 
         monkeypatch.setattr(optimizer, "minimize", minimize)
         return calls
+
+    @staticmethod
+    def unweighted():
+        """No hinge can bind, so no shift round follows a converged leg."""
+        return make_scenario(weights=only())
 
     @pytest.mark.parametrize("legs, iterations, status", [
         # false stops restart until a genuine one
@@ -731,35 +906,43 @@ class TestFalseStopGuard:
         # a leg that cannot take a step ends the loop
         ([(0, 30, 1e5), (0, 0, 1e5)], 30, "line_search_failure"),
         ([(0, 30, 1e5), (2, 3, 1e5)], 33, "line_search_failure"),
+        # a stale duration scale restarts like a false stop
+        ([(99, 25, 1e5), (0, 40, 1e5), (0, 10, 1e-3)], 75, "converged"),
+        ([(99, 25, 1e5), (99, 75, 1e5)], 100, "max_iterations"),
     ])
     def test_restarts_share_the_iteration_budget(self, monkeypatch, legs,
                                                  iterations, status):
         calls = self.scripted_minimize(monkeypatch, legs)
-        result = optimize(make_scenario(), max_iterations=100)
+        result = optimize(self.unweighted(), max_iterations=100)
         assert len(calls) == len(legs)
         assert result.iterations == iterations
         assert result.status == status
+        assert result.multiplier_updates == 0
         budget = 100
-        for (_, options), (_, nit, _) in zip(calls, legs):
+        for (start, options, _, _), (_, nit, _) in zip(calls, legs):
             assert options["maxiter"] == budget
             budget -= nit
+            # every leg starts at the origin of its whitened coordinates
+            assert not start.any()
         # each leg starts where the previous one stopped
-        for (start, _), (previous, _) in zip(calls[1:], calls):
-            np.testing.assert_array_equal(start, previous + 0.01)
+        for (_, _, begin, _), (_, _, _, end) in zip(calls[1:], calls):
+            assert repr(begin) == repr(end)
 
     def test_small_gradient_stop_is_converged(self, monkeypatch):
         # 0.5 is within 1e-2 of J = 100
         calls = self.scripted_minimize(monkeypatch, [(0, 12, 0.5)])
-        result = optimize(make_scenario(), max_iterations=100)
+        result = optimize(self.unweighted(), max_iterations=100)
         assert len(calls) == 1
         assert (result.iterations, result.status) == (12, "converged")
 
+    # the six-segment oracle converges in 27 iterations, so a cap of 20
+    # ends its only leg, before the first duration-scale check at 25
     @pytest.mark.parametrize("segments, max_iterations, status", [
-        (6, 30, "max_iterations"), (1, 500, "converged")])
+        (6, 20, "max_iterations"), (1, 500, "converged")])
     def test_unguarded_run_is_one_plain_leg(self, monkeypatch, segments,
                                             max_iterations, status):
-        """Where the guard does not fire, optimize is one L-BFGS-B call
-        with the planner's options, and reports that call's result."""
+        """Where neither restart fires, optimize is one L-BFGS-B call with
+        the planner's options, and reports that call's result."""
         legs = []
         real_minimize = optimizer.minimize
 
@@ -778,23 +961,81 @@ class TestFalseStopGuard:
                            "ftol": 1e-12, "gtol": 1e-6}
         assert result.iterations == leg.nit == len(result.history)
         assert result.breakdown.total == leg.fun
-        assert result.trajectory.coefficients.tobytes() == construct(
-            leg.x[:-1].reshape(-1, 3), result.trajectory.duration,
-            scenario.start_state, scenario.goal_position,
-            scenario.goal_velocity).coefficients.tobytes()
+        assert total_cost(result.trajectory, scenario)[0] == result.breakdown
         assert result.status == status
 
     def test_known_false_stop_no_longer_reports_converged(
             self, shipped_scenario_dir):
         """pickup_level with its goal at z = 2 m and a 0.05 m sag limit
-        stopped on ftol with failing hinges."""
-        document = load_document(shipped_scenario_dir / "pickup_level.yaml")
-        document["scenario"]["goal_position_m"][2] = 2.0
-        document["cable"]["sag_limit_m"] = 0.05
-        scenario = parse_scenario(document).planning
-        result = optimize(scenario)
+        once stopped on ftol with failing hinges; it now converges, and
+        one shift round brings its hinges inside VIOLATION_TOL."""
+        result = optimize(z2_sag005(shipped_scenario_dir))
         assert result.iterations <= 500
-        assert result.status != "converged" or result.penalties_ok
+        assert result.status == "converged"
+        assert result.penalties_ok
+
+
+def z2_sag005(shipped_scenario_dir):
+    """pickup_level with its goal at z = 2 m and a 0.05 m sag limit, the
+    sweep_grid point whose velocity hinge binds at the penalty minimum."""
+    document = load_document(shipped_scenario_dir / "pickup_level.yaml")
+    document["scenario"]["goal_position_m"][2] = 2.0
+    document["cable"]["sag_limit_m"] = 0.05
+    return parse_scenario(document).planning
+
+
+def moved_by_ulps(x, rng):
+    """x with every entry moved by k ulps, k uniform in {-2, ..., 2}."""
+    x = np.array(x, dtype=float)
+    steps = rng.integers(-2, 3, x.shape)
+    for k in (1, 2):
+        x = np.where(steps >= k, np.nextafter(x, np.inf), x)
+        x = np.where(steps <= -k, np.nextafter(x, -np.inf), x)
+    return x
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_robust_to_gradient_rounding(self, monkeypatch,
+                                         shipped_scenario_dir, seed):
+        """The grid point converges with clean hinges and a clean dense
+        re-check when every gradient entry moves by up to 2 ulps."""
+        rng = np.random.default_rng(seed)
+        real_cost = optimizer.total_cost
+
+        def rounded(traj, scenario, shifts=None):
+            breakdown, dj_dq, dj_dt, worst = real_cost(traj, scenario, shifts)
+            return (breakdown, moved_by_ulps(dj_dq, rng),
+                    float(moved_by_ulps(dj_dt, rng)), worst)
+
+        monkeypatch.setattr(optimizer, "total_cost", rounded)
+        scenario = z2_sag005(shipped_scenario_dir)
+        result = optimize(scenario)
+        assert result.status == "converged"
+        assert result.penalties_ok
+        assert dense_violation(result.trajectory, scenario, 320) < 1e-3
+
+    def test_infeasible_problem_keeps_its_penalty_minimum(self):
+        """random_scenario(6) cannot meet its limits; the planner reached J
+        19414.41 on it when it ran on raw coordinates from a straight line.
+        A shift round that does not halve the worst hinge is dropped."""
+        result = optimize(random_scenario(np.random.default_rng(6)))
+        assert not result.penalties_ok
+        assert result.breakdown.total <= 19414.410531034486
+
+    def test_reports_its_evaluations_and_shift_rounds(
+            self, monkeypatch, shipped_scenario_dir):
+        calls = []
+        real_cost = optimizer.total_cost
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real_cost(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "total_cost", counted)
+        result = optimize(z2_sag005(shipped_scenario_dir))
+        assert result.evaluations == len(calls)
+        assert result.multiplier_updates == 1
 
 
 _SCIPY_BLAS = ctypes.CDLL(_lbfgsb.__file__)
