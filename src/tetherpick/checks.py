@@ -6,6 +6,8 @@ miscompiled dependency) is caught in well under a second without running
 the full test suite.  The ``check`` CLI verb prints these as a table.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -28,7 +28,6 @@ import re
 import sys
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -372,6 +371,10 @@ def cmd_sweep(args) -> int:
     ]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
+        # the planner imports scipy on first use: once here, not per worker
+        import scipy.linalg  # noqa: F401
+        import scipy.optimize  # noqa: F401
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))
     else:

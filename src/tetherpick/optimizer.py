@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import _lbfgsb, minimize
 
 from .cable import (
     CableProperties,
@@ -115,22 +114,27 @@ def _blas_thread_controls(library: str):
 
 # L-BFGS-B calls LAPACK every iteration, which wakes an OpenBLAS worker
 # thread that then spins between iterations: a second core per planner.
-_BLAS_THREADS = _blas_thread_controls(_lbfgsb.__file__)
-
-
 @contextlib.contextmanager
 def _single_blas_thread():
     """Pin scipy's BLAS to one thread, then restore the caller's count."""
-    if _BLAS_THREADS is None:
+    from scipy.optimize import _lbfgsb
+    controls = _blas_thread_controls(_lbfgsb.__file__)
+    if controls is None:
         yield
         return
-    get_threads, set_threads = _BLAS_THREADS
+    get_threads, set_threads = controls
     caller_threads = get_threads()
     set_threads(1)
     try:
         yield
     finally:
         set_threads(caller_threads)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first plan, not at load."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import OutOfDomain, SingularSystem
 
@@ -208,8 +207,6 @@ _SYSTEM_CONSTANTS = np.array(
     [float(FALLING[o, o]) for o in range(4)] + [1.0]
     + [-float(FALLING[o, o]) for o in range(1, CONTINUITY_ORDER + 1)])
 
-_GBSV = get_lapack_funcs("gbsv", dtype=np.float64)
-
 
 def _system_values(dt: float) -> np.ndarray:
     """Value table indexed by _system_pattern's ``src``."""
@@ -225,6 +222,7 @@ def _solve_system(n_seg: int, dt: float, rhs: np.ndarray,
     scipy.linalg.solve_banded would make, with the same errors: ValueError
     for a non-finite right-hand side, LinAlgError for a singular matrix.
     """
+    from scipy.linalg.lapack import dgbsv  # here, so simulate never loads it
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
     pat = _system_pattern(n_seg)
@@ -232,7 +230,7 @@ def _solve_system(n_seg: int, dt: float, rhs: np.ndarray,
         pat.transposed if transpose else pat.normal
     ab = np.zeros((2 * n_lower + n_upper + 1, NCOEF * n_seg))
     ab[band_row, column] = _system_values(dt)[pat.src]
-    _, _, x, info = _GBSV(n_lower, n_upper, ab, rhs, overwrite_ab=True)
+    _, _, x, info = dgbsv(n_lower, n_upper, ab, rhs, overwrite_ab=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:

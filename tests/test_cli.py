@@ -1,7 +1,16 @@
-"""End-to-end harness tests driving the CLI in process."""
+"""End-to-end harness tests driving the CLI in process.
 
+What a verb imports is checked in a fresh interpreter instead, because the
+test process has imported scipy long before.
+"""
+
+import concurrent.futures
 import csv
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +62,26 @@ sim:
 def read_rows(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def rows_without_wall_time(path):
+    rows = read_rows(path)
+    drop = rows[0].index("wall_time_s")
+    return [[c for i, c in enumerate(r) if i != drop] for r in rows]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_run(script, *argv):
+    """Run ``script`` with ``argv`` in a new interpreter that imports
+    tetherpick from this checkout, and return the JSON of its last line."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {str(SRC)!r})\n{script}", *argv],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.fixture()
@@ -390,7 +419,8 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
         values = ",".join(str(0.25 * (i + 1)) for i in range(points))
         assert run(["sweep", "--scenario", str(fast_scenario),
                     "--out", str(tmp_path), "--jobs", str(jobs),
@@ -407,11 +437,78 @@ class TestSweep:
                         "--out", str(out), "--jobs", str(jobs),
                         "--grid", "scenario.goal_position_m[2]=0.25,0.5"]) \
                 == 0
-            rows = read_rows(out / "hop_sweep.csv")
-            drop = rows[0].index("wall_time_s")
-            outs[key] = [[c for i, c in enumerate(r) if i != drop]
-                         for r in rows]
+            outs[key] = rows_without_wall_time(out / "hop_sweep.csv")
         assert outs["serial"] == outs["parallel"]
+
+    def test_parallel_sweep_imports_scipy_before_forking(self,
+                                                           fast_scenario,
+                                                           tmp_path):
+        # the pool records what its forked workers will inherit
+        script = """
+import concurrent.futures, json
+from tetherpick import cli
+RealPool = concurrent.futures.ProcessPoolExecutor
+seen = []
+class RecordingPool(RealPool):
+    def __init__(self, *args, **kwargs):
+        seen.append(sorted(name for name in ("scipy.linalg", "scipy.optimize")
+                           if name in sys.modules))
+        super().__init__(*args, **kwargs)
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+before = "scipy" in sys.modules
+code = cli.run(sys.argv[1:])
+print(json.dumps([before, code, seen]))
+"""
+        grid = "scenario.goal_position_m[2]=0.25,0.5"
+        before, code, seen = fresh_run(
+            script, "sweep", "--scenario", str(fast_scenario), "--out",
+            str(tmp_path / "parallel"), "--jobs", "2", "--grid", grid)
+        assert not before and code == 0
+        assert seen == [["scipy.linalg", "scipy.optimize"]]
+        assert run(["sweep", "--scenario", str(fast_scenario), "--out",
+                    str(tmp_path / "serial"), "--jobs", "1",
+                    "--grid", grid]) == 0
+        assert rows_without_wall_time(tmp_path / "serial" / "hop_sweep.csv") \
+            == rows_without_wall_time(tmp_path / "parallel" / "hop_sweep.csv")
+
+
+class TestImports:
+    """The CLI loads scipy, numpy.random and the process pool only in the
+    verbs that use them: ``simulate`` runs on numpy and PyYAML alone."""
+
+    LAZY = ("scipy", "numpy.random", "concurrent.futures.process")
+
+    def test_importing_the_cli_loads_none_of_the_lazy_modules(self):
+        loaded = fresh_run(
+            "import json\nimport tetherpick.cli\n"
+            f"print(json.dumps([m for m in {self.LAZY!r} "
+            "if m in sys.modules]))")
+        assert loaded == []
+
+    SIMULATE = """
+import json
+from tetherpick import cli
+code = cli.run(sys.argv[1:])
+print(json.dumps([code, "scipy" in sys.modules]))
+"""
+
+    def test_retrieval_never_loads_scipy(self, shipped_scenario_dir,
+                                         tmp_path):
+        code, scipy_loaded = fresh_run(
+            self.SIMULATE, "simulate", "--scenario",
+            str(shipped_scenario_dir / "pickup_level.yaml"),
+            "--out", str(tmp_path), "--retrieve-only")
+        assert code == 0 and not scipy_loaded
+        assert (tmp_path / "pickup_level_retrieval.csv").exists()
+
+    def test_flight_and_retrieval_never_load_scipy(self, planned_dir,
+                                                   fast_scenario):
+        code, scipy_loaded = fresh_run(
+            self.SIMULATE, "simulate", "--scenario", str(fast_scenario),
+            "--out", str(planned_dir), "--retrieve")
+        assert code == 0 and not scipy_loaded
+        assert (planned_dir / "hop_telemetry.csv").exists()
+        assert (planned_dir / "hop_retrieval.csv").exists()
 
 
 class TestGridParsing:

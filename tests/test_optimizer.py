@@ -1091,7 +1091,8 @@ class TestBlasThreads:
     def test_pin_leaves_the_plan_bit_identical(self, monkeypatch):
         scenario = make_scenario(winch=WinchSchedule(3.7, 0.1))
         pinned = optimize(scenario, max_iterations=30)
-        monkeypatch.setattr(optimizer, "_BLAS_THREADS", None)
+        monkeypatch.setattr(optimizer, "_blas_thread_controls",
+                            lambda library: None)
         free = optimize(scenario, max_iterations=30)
         assert pinned.trajectory.coefficients.tobytes() \
             == free.trajectory.coefficients.tobytes()
@@ -1103,7 +1104,8 @@ class TestBlasThreads:
     def test_build_without_the_symbols_runs_unpinned(self, monkeypatch):
         controls = optimizer._blas_thread_controls(_ctypes.__file__)
         assert controls is None
-        monkeypatch.setattr(optimizer, "_BLAS_THREADS", controls)
+        monkeypatch.setattr(optimizer, "_blas_thread_controls",
+                            lambda library: controls)
         seen = self.spy_on_objective(monkeypatch)
         result = optimize(make_scenario(), max_iterations=5)
         assert result.iterations > 0
