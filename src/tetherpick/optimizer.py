@@ -15,17 +15,21 @@ handles them well.
 ``total_cost`` is one pass: it samples the trajectory once (``_Samples``),
 runs the corridor's root find once, and returns the weighted breakdown,
 the exact gradient and the worst raw hinge argument of each term from the
-same arrays.  Every sampled hinge is built by one of two helpers:
+same arrays.  The samples sit at fixed fractions of a segment, so one
+read-only operator per (segment count, kappa) (``_sample_grid``) reads
+derivative orders 0..4 at every sample off the time-normalized
+coefficients c dT^k.  Every sampled hinge is built by one of two helpers:
 ``_limit`` caps the squared magnitude of one derivative (velocity,
-acceleration, jerk), and ``_band`` keeps a value inside [low, high] (thrust,
-the cable corridor, and the dense ``corridor_violation`` check).  Obstacles
-are one-sided per plane.  Each term hands back its slope per sample, and
-one loop in ``total_cost`` pulls every weighted slope back through
-``_Samples.pullback`` onto the coefficient array and the duration; the
-duration also moves the matrix of the trajectory construction (see
-trajectory.propagate_gradients).  The corridor's upper bound comes from
-one Newton solve per sample, and its positional derivative from a closed
-form at the solved scale (cable.corridor_bounds_and_gradient).
+acceleration, jerk), and ``_band`` keeps a value inside [low, high]
+(thrust, the cable corridor, and the dense ``corridor_violation`` check).
+Obstacles are one-sided per plane.  Each term hands back its slope per
+sample; ``total_cost`` adds the weighted slopes up per derivative order
+and pulls them back onto the coefficient array and the duration with one
+transposed product (``_Samples.gradient``); the duration also moves the
+matrix of the trajectory construction (see trajectory.propagate_gradients).
+The corridor's upper bound comes from one Newton solve per sample, and its
+positional derivative from a closed form at the solved scale
+(cable.corridor_bounds_and_gradient).
 
 ``optimize`` runs scipy's L-BFGS-B on conditioned coordinates:
 
@@ -45,7 +49,9 @@ form at the solved scale (cable.corridor_bounds_and_gradient).
   w * max(g + s, 0)^3, updated as s <- max(s + g, 0) (Powell's multiplier
   update; the multiplier is 3 w s^2), and is solved again from where it
   stopped.  A round that does not halve the worst hinge is dropped: the
-  problem is infeasible, and the round before it is returned.
+  problem is infeasible, and the round before it is returned.  A round
+  whose worst hinge is not below the last round's at one of its 25-iteration
+  checks is cut short there, and dropped the same way.
 """
 
 from __future__ import annotations
@@ -65,12 +71,14 @@ from .cable import (
 )
 from .errors import ValidationError
 from .trajectory import (
+    NCOEF,
     BoundaryState,
     Trajectory,
     basis_rows_upto,
     construct,
     jerk_energy,
     propagate_gradients,
+    time_powers,
 )
 
 # Shortest admissible plan duration; the optimizer's duration variable is
@@ -299,45 +307,59 @@ def _hinge_parts(x: np.ndarray, shift=None) -> tuple[np.ndarray, np.ndarray]:
     return clamped ** 3, 3.0 * clamped ** 2
 
 
+@functools.lru_cache(maxsize=None)
+def _sample_grid(n_seg: int, kappa: int):
+    """(operator, fraction, position) of the kappa+1 samples on N segments.
+
+    Sample i sits i N / kappa segments from the start, ``position``: in
+    segment min(i N // kappa, N - 1), at ``fraction`` of its length.  The
+    operator, shape (5 (kappa+1), 6N), maps the time-normalized coefficients
+    c dT^k, flattened, to dT^o times the order-o derivative at every sample,
+    orders 0..4 stacked in that order.
+    """
+    index = np.arange(kappa + 1)
+    seg = np.minimum(index * n_seg // kappa, n_seg - 1)
+    fraction = (index * n_seg - seg * kappa) / kappa
+    operator = np.zeros((5, kappa + 1, n_seg, NCOEF))
+    operator[:, index, seg] = basis_rows_upto(fraction, 4)
+    operator = operator.reshape(5 * (kappa + 1), NCOEF * n_seg)
+    position = index * n_seg / kappa
+    # the cache hands these arrays to every caller
+    for array in (operator, fraction, position):
+        array.flags.writeable = False
+    return operator, fraction, position
+
+
 class _Samples:
     """Shared per-sample data for all sampled penalty terms."""
 
     def __init__(self, traj: Trajectory, kappa: int):
         self.traj = traj
-        n = traj.segment_count
-        dt = traj.segment_duration
-        total = n * dt
-        ts = sample_times(0.0, total, kappa)
-        seg = np.minimum((ts / dt).astype(int), n - 1)
-        tau = ts - seg * dt
-        self.ts = ts
-        self.seg = seg
-        # each sample's entries of the flattened coefficient array
-        width = traj.coefficients[0].size
-        self.flat = (seg[:, None] * width + np.arange(width)).ravel()
-        self.basis = basis_rows_upto(tau, 4)
-        coeffs = traj.coefficients[seg]
-        self.deriv = [np.einsum("sk,skx->sx", self.basis[o], coeffs)
-                      for o in range(5)]
+        self.ts = sample_times(0.0, traj.duration, kappa)
         # d tau_i / d dT and d t_i / d dT for the moving sample grid
-        self.time_motion = ts * n / total
-        self.tau_motion = self.time_motion - seg
+        self.operator, self.tau_motion, self.time_motion = \
+            _sample_grid(traj.segment_count, kappa)
+        self.powers = time_powers(traj.segment_duration)
+        normalized = traj.coefficients * self.powers[:, None]
+        # deriv[o] is the order-o derivative at every sample, o = 0..4
+        self.deriv = (self.operator @ normalized.reshape(-1, 3)).reshape(
+            5, kappa + 1, 3) / self.powers[:5, None, None]
 
-    def pullback(self, order, gvec):
-        """(dJ/dcoefficients, dJ/ddT) of a sampled penalty whose slope with
-        respect to the order-``order`` derivative at each sample is gvec.
+    def gradient(self, slopes):
+        """(dJ/dcoefficients, dJ/ddT) of a sampled cost whose slope with
+        respect to the order-o derivative at sample i is slopes[o, i].
 
-        Each sample's basis row times its slope lands on its segment; the
-        dT part comes from the samples sliding along the moving grid.
-        np.add.at runs its fast path on one-dimensional operands, and each
-        entry still sums its samples in sample order from 0.  grad_c is
-        C-ordered, unlike the coefficients, so reshape(-1) is a view of it.
+        One transposed product with the operator carries every order onto
+        the coefficient array; the dT part comes from the samples sliding
+        along the moving grid.
         """
-        grad_c = np.zeros(self.traj.coefficients.shape)
-        np.add.at(grad_c.reshape(-1), self.flat,
-                  (self.basis[order][:, :, None] * gvec[:, None, :]).ravel())
+        orders = slopes.shape[0]
+        scaled = slopes / self.powers[:orders, None, None]
+        rows = orders * self.ts.size
+        grad_c = (self.operator[:rows].T @ scaled.reshape(rows, 3)).reshape(
+            self.traj.coefficients.shape) * self.powers[:, None]
         ddt = float(np.add.reduce(
-            np.add.reduce(gvec * self.deriv[order + 1], axis=1)
+            np.einsum("oix,oix->i", slopes, self.deriv[1:orders + 1])
             * self.tau_motion))
         return grad_c, ddt
 
@@ -357,8 +379,8 @@ def _band(x, low, high, shift=None):
 
 
 # Every sampled term returns (value, order, gvec, direct_ddt, args): its
-# hinge sum, the derivative order its slope gvec is taken against (for
-# _Samples.pullback), any dT dependence the samples' motion does not carry,
+# hinge sum, the derivative order 0..3 its slope gvec is taken against,
+# any dT dependence the samples' motion does not carry,
 # and its raw hinge arguments, one row per side or plane.  ``shift``, of the
 # shape of args, moves every argument inside its hinge.
 def _limit(samples: _Samples, order: int, limit: float, shift=None):
@@ -477,6 +499,8 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
     grad_ddt += limits.time_weight * traj.segment_count
 
     samples = _Samples(traj, limits.samples)
+    # the weighted slopes of all terms, per derivative order 0..3
+    slopes = np.zeros((4,) + samples.ts.shape + (3,))
     parts = {"obstacle": 0.0, "cable": 0.0}
     worst = {"obstacle": 0.0, "cable": 0.0}
     for name, weight, (value, order, gvec, direct_ddt, args) in \
@@ -484,12 +508,13 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
         parts[name] = weight * value
         worst[name] = max(float(np.max(args)), 0.0) if weight > 0.0 else 0.0
         if weight != 0.0:
-            gc, ddt = samples.pullback(order, gvec)
-            grad_c = grad_c + weight * gc
-            grad_ddt += weight * (ddt + direct_ddt)
+            slopes[order] += weight * gvec
+            grad_ddt += weight * direct_ddt
+    sampled_c, sampled_ddt = samples.gradient(slopes)
 
     breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
-    dj_dq, dj_dt = propagate_gradients(traj, grad_c, grad_ddt)
+    dj_dq, dj_dt = propagate_gradients(traj, grad_c + sampled_c,
+                                       grad_ddt + sampled_ddt)
     return breakdown, dj_dq, dj_dt, worst
 
 
@@ -662,7 +687,7 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
         and theta = theta0 + s_T z[-1].  Returns (result, q, theta)."""
         basis = (duration_at(theta0) / n_seg) ** 2.5 * whitening
         scale = theta_scale(q0, theta0)
-        latest = [b"", None]
+        latest = [b"", None, None]
 
         def point(z):
             q = q0 + basis @ z[:3 * n_wp].reshape(n_wp, 3)
@@ -670,20 +695,30 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
                 else theta0
 
         def objective(z):
-            _, breakdown, dj_dq, dj_dtheta, _ = evaluate(*point(z))
+            _, breakdown, dj_dq, dj_dtheta, worst = evaluate(*point(z))
             grad = np.empty(z.shape)
             grad[:3 * n_wp] = (basis.T @ dj_dq).ravel()
             if optimize_time:
                 grad[-1] = scale * dj_dtheta
-            latest[:] = z.tobytes(), breakdown
+            latest[:] = z.tobytes(), breakdown, worst
             return breakdown.total, grad
 
         def record(z):
+            nonlocal worsening
             # L-BFGS-B reports each iterate right after evaluating it
-            history.append(latest[1] if latest[0] == z.tobytes()
-                           else evaluate(*point(z))[1])
-            if optimize_time and (len(history) - first) \
-                    % _SCALE_CHECK_PERIOD == 0 \
+            if latest[0] != z.tobytes():
+                _, breakdown, _, _, worst = evaluate(*point(z))
+                latest[:] = z.tobytes(), breakdown, worst
+            history.append(latest[1])
+            if (len(history) - first) % _SCALE_CHECK_PERIOD:
+                return
+            # a shift round whose unshifted worst hinge is not below the
+            # last round's is making things worse: end it, to be dropped
+            if previous is not None \
+                    and max(latest[2].values()) >= previous[2]:
+                worsening = True
+                raise StopIteration
+            if optimize_time \
                     and not 0.5 <= theta_scale(*point(z)) / scale <= 2.0:
                 raise StopIteration  # status 99: restart re-whitened
 
@@ -705,7 +740,7 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
             false_stop = result.status == 0 and \
                 np.max(np.abs(result.jac), initial=0.0) > \
                 _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
-            restart = false_stop or result.status == 99
+            restart = (false_stop or result.status == 99) and not worsening
             if not restart or result.nit == 0 or used >= budget:
                 break
         if result.status == 0 and not false_stop:
@@ -720,6 +755,7 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
         else 0.0
     iterations = updates = 0
     previous = None
+    worsening = False
     with _single_blas_thread():
         while True:
             waypoints, theta, used, status, message = solve(
@@ -730,6 +766,7 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
             worst = max(violations.values())
             if worst < VIOLATION_TOL:
                 break
+            # a round cut short for worsening fails this test as well
             if previous is not None and worst > 0.5 * previous[2]:
                 traj, breakdown, worst, status, message = previous
                 break

@@ -1,7 +1,8 @@
 """Uniform piecewise-quintic trajectories and their parameter gradients.
 
 A trajectory with N segments of equal duration dT is described per axis by
-6N polynomial coefficients.  Construction solves the square linear system
+6N polynomial coefficients c.  Construction solves the square linear system
+M(dT) c = b:
 
     rows 0..3                position, velocity, acceleration, jerk at t = 0
     per interior joint i     left-limit position  = waypoint i
@@ -9,10 +10,21 @@ A trajectory with N segments of equal duration dT is described per axis by
                              continuity of derivative orders 1..4
     last two rows            position and velocity at t = T
 
-The system matrix depends only on (N, dT) and is banded, so the solve cost
-is linear in N.  Gradients of a scalar cost with respect to the waypoints
-and the total duration come out of a transposed solve against the same
-matrix, which is how the planner backpropagates its sampled penalties.
+Each row takes a derivative of some order o at tau = 0 or tau = dT, and
+each column multiplies a power tau^k, so the system is a diagonal scaling
+of the one at dT = 1:
+
+    M(dT) = diag(dT^-o) M(1) diag(dT^k).
+
+M(1) depends only on N.  It is banded and factored once per segment count
+(LAPACK dgbtrf, cached), so memory and time stay linear in N, and every
+construction is one banded solve (dgbtrs) for the time-normalized
+coefficients c dT^k against the right-hand side scaled by dT^o.  Gradients
+of a scalar cost with respect to the waypoints and the total duration come
+from one transposed solve against the same factors, and the scaling gives
+the duration's part in closed form.  This is the time-normalized
+parameterization of MINCO (Wang et al., "Geometrically Constrained
+Trajectory Optimization for Multicopters", IEEE T-RO 2022).
 """
 
 from __future__ import annotations
@@ -20,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,19 +48,13 @@ for _o in range(NCOEF + 2):
         if _k >= _o:
             FALLING[_o, _k] = math.factorial(_k) // math.factorial(_k - _o)
 
-
-# _BASIS_EXPONENTS[o, k] = max(k - o, 0): the power of tau that basis order
-# o pairs with FALLING[o, k], which is zero wherever k < o
-_BASIS_EXPONENTS = np.maximum(
-    np.arange(NCOEF)[None, :] - np.arange(NCOEF + 2)[:, None], 0)
+# the power k of tau that each coefficient multiplies
+_EXPONENTS = np.arange(NCOEF, dtype=float)
 
 
-# Scalar tau takes Python's float ** and arrays of taus numpy's array **;
-# the two round differently for some taus, so they stay separate paths.
-def _basis_table(tau: float, first: int, last: int) -> np.ndarray:
-    """Rows b with b[k] = d^o/dtau^o tau^k for first <= o <= last."""
-    powers = np.array([tau ** j for j in range(NCOEF - first)])
-    return FALLING[first:last + 1] * powers[_BASIS_EXPONENTS[first:last + 1]]
+def time_powers(dt: float) -> np.ndarray:
+    """dT^k for k = 0..5: the time-normalized coefficients are c dT^k."""
+    return dt ** _EXPONENTS
 
 
 def _powers(taus: np.ndarray, count: int) -> np.ndarray:
@@ -131,110 +136,54 @@ class Trajectory:
         return np.einsum("nk,nkx->nx", rows, self.coefficients[seg])
 
 
-class _Pattern(NamedTuple):
-    src: np.ndarray
-    eval_rows: tuple[np.ndarray, np.ndarray, np.ndarray]
-    # (n_lower, n_upper, band_row, column) of each nonzero in LAPACK's
-    # banded layout, for the system and for its transpose
-    normal: tuple
-    transposed: tuple
+def _unit_entries(n_seg: int):
+    """(rows, columns, values) of every nonzero of the system at dT = 1."""
+    entries = [(o, o, FALLING[o, o]) for o in range(4)]
+    row = 4
+    for i in range(1, n_seg):
+        left, right = NCOEF * (i - 1), NCOEF * i
+        entries += [(row, left + k, 1.0) for k in range(NCOEF)]
+        entries.append((row + 1, right, 1.0))
+        for o in range(1, CONTINUITY_ORDER + 1):
+            entries += [(row + 1 + o, left + k, FALLING[o, k])
+                        for k in range(o, NCOEF)]
+            entries.append((row + 1 + o, right + o, -FALLING[o, o]))
+        row += NCOEF
+    last = NCOEF * (n_seg - 1)
+    for o in range(2):
+        entries += [(row + o, last + k, FALLING[o, k]) for k in range(o, NCOEF)]
+    rows, cols, values = zip(*entries)
+    return np.array(rows), np.array(cols), np.array(values)
 
 
 @functools.lru_cache(maxsize=None)
-def _system_pattern(n_seg: int) -> _Pattern:
-    """Sparsity pattern of the coefficient system for ``n_seg`` segments.
-
-    Nonzero j takes its value from slot src[j] of the table built by
-    _system_values.  eval_rows holds (row, segment, order) arrays for every
-    row that evaluates a basis at tau = dT; those are the only entries that
-    move when dT changes, and d(entry)/d(dT) is the order+1 basis row.
-    """
-    rows, cols, src = [], [], []
-    eval_rows = []
-
-    def put(row, col, slot):
-        rows.append(row)
-        cols.append(col)
-        src.append(slot)
-
-    # slots: entry (o, k) of the basis table at dT at o*NCOEF + k for
-    # o <= CONTINUITY_ORDER, then the constants of _SYSTEM_CONSTANTS
-    const = (CONTINUITY_ORDER + 1) * NCOEF
-    for o in range(4):
-        put(o, o, const + o)
-    row = 4
-    for i in range(1, n_seg):
-        left = NCOEF * (i - 1)
-        right = NCOEF * i
-        for k in range(NCOEF):
-            put(row, left + k, k)
-        eval_rows.append((row, i - 1, 0))
-        row += 1
-        put(row, right, const + 4)
-        row += 1
-        for o in range(1, CONTINUITY_ORDER + 1):
-            for k in range(o, NCOEF):
-                put(row, left + k, o * NCOEF + k)
-            put(row, right + o, const + 4 + o)
-            eval_rows.append((row, i - 1, o))
-            row += 1
-    last = NCOEF * (n_seg - 1)
-    for o in range(2):
-        for k in range(o, NCOEF):
-            put(row, last + k, o * NCOEF + k)
-        eval_rows.append((row, n_seg - 1, o))
-        row += 1
-    rows, cols = np.array(rows), np.array(cols)
+def _unit_factors(n_seg: int):
+    """(band, pivots, lower, upper): the banded LU factors (LAPACK dgbtrf)
+    of the system at dT = 1, with its lower and upper bandwidths."""
+    from scipy.linalg.lapack import dgbtrf  # here, so simulate never loads it
+    rows, cols, values = _unit_entries(n_seg)
     lower = int(np.max(rows - cols))
     upper = int(np.max(cols - rows))
-    # LAPACK keeps A[i, j] at band row n_lower + n_upper + i - j, below
-    # n_lower rows of fill-in space
-    pattern = _Pattern(
-        src=np.array(src),
-        eval_rows=tuple(np.array(column) for column in zip(*eval_rows)),
-        normal=(lower, upper, lower + upper + rows - cols, cols),
-        transposed=(upper, lower, lower + upper + cols - rows, rows))
+    # LAPACK keeps A[i, j] at band row lower + upper + i - j, below lower
+    # rows of fill-in space
+    ab = np.zeros((2 * lower + upper + 1, NCOEF * n_seg))
+    ab[lower + upper + rows - cols, cols] = values
+    # M(1) is nonsingular for every N: the quintic through the rows is unique
+    band, pivots, _ = dgbtrf(ab, lower, upper, overwrite_ab=True)
     # the cache hands these arrays to every caller
-    for array in (pattern.src, *pattern.eval_rows, *pattern.normal[2:],
-                  *pattern.transposed[2:]):
-        array.flags.writeable = False
-    return pattern
+    band.flags.writeable = pivots.flags.writeable = False
+    return band, pivots, lower, upper
 
 
-# FALLING[o, o] for the start rows, the joint's right-limit position, and
-# the negated right-hand continuity entries
-_SYSTEM_CONSTANTS = np.array(
-    [float(FALLING[o, o]) for o in range(4)] + [1.0]
-    + [-float(FALLING[o, o]) for o in range(1, CONTINUITY_ORDER + 1)])
-
-
-def _system_values(dt: float) -> np.ndarray:
-    """Value table indexed by _system_pattern's ``src``."""
-    basis = _basis_table(dt, 0, CONTINUITY_ORDER)
-    return np.concatenate([basis.ravel(), _SYSTEM_CONSTANTS])
-
-
-def _solve_system(n_seg: int, dt: float, rhs: np.ndarray,
-                  transpose: bool = False) -> np.ndarray:
-    """Solve the coefficient system, or its transpose, for (size, 3) rhs.
-
-    Fills LAPACK's banded layout directly and makes the dgbsv call that
-    scipy.linalg.solve_banded would make, with the same errors: ValueError
-    for a non-finite right-hand side, LinAlgError for a singular matrix.
-    """
-    from scipy.linalg.lapack import dgbsv  # here, so simulate never loads it
+def _unit_solve(n_seg: int, rhs: np.ndarray,
+                transpose: bool = False) -> np.ndarray:
+    """Solve the system at dT = 1, or its transpose, for (size, 3) rhs,
+    from the cached factors; ValueError for a non-finite rhs."""
+    from scipy.linalg.lapack import dgbtrs
     if not np.isfinite(rhs).all():
         raise ValueError("array must not contain infs or NaNs")
-    pat = _system_pattern(n_seg)
-    n_lower, n_upper, band_row, column = \
-        pat.transposed if transpose else pat.normal
-    ab = np.zeros((2 * n_lower + n_upper + 1, NCOEF * n_seg))
-    ab[band_row, column] = _system_values(dt)[pat.src]
-    _, _, x, info = dgbsv(n_lower, n_upper, ab, rhs, overwrite_ab=True)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}-th argument of gbsv")
+    band, pivots, lower, upper = _unit_factors(n_seg)
+    x, _ = dgbtrs(band, lower, upper, rhs, pivots, trans=int(transpose))
     return x
 
 
@@ -255,28 +204,28 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
     if not np.isfinite(q).all():
         raise ValueError("waypoints must be finite")
 
+    # the right-hand side scaled by dT^o, row by row, in LAPACK's order
+    powers = time_powers(dt)
     size = NCOEF * n_seg
-    rhs = np.zeros((size, 3))
+    rhs = np.zeros((size, 3), order="F")
     rhs[0] = start.position
-    rhs[1] = start.velocity
-    rhs[2] = start.acceleration
-    rhs[3] = start.jerk
+    rhs[1] = start.velocity * powers[1]
+    rhs[2] = start.acceleration * powers[2]
+    rhs[3] = start.jerk * powers[3]
     # each joint's left- and right-limit position rows
     rhs[4:size - 2:NCOEF] = q
     rhs[5:size - 2:NCOEF] = q
     rhs[-2] = goal_position
-    rhs[-1] = goal_velocity
+    rhs[-1] = goal_velocity * powers[1]
 
     try:
-        sol = _solve_system(n_seg, dt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+        normalized = _unit_solve(n_seg, rhs)
     except ValueError as exc:
         raise SingularSystem(str(exc)) from exc
+    sol = normalized.reshape(n_seg, NCOEF, 3) / powers[:, None]
     if not np.isfinite(sol).all():
         raise SingularSystem("coefficient solve produced non-finite values")
-    return Trajectory(coefficients=sol.reshape(n_seg, NCOEF, 3),
-                      segment_duration=dt)
+    return Trajectory(coefficients=sol, segment_duration=dt)
 
 
 def propagate_gradients(traj: Trajectory, dj_dcoef: np.ndarray,
@@ -291,49 +240,53 @@ def propagate_gradients(traj: Trajectory, dj_dcoef: np.ndarray,
     n_seg = traj.segment_count
     dt = traj.segment_duration
     size = NCOEF * n_seg
-    grad_flat = np.asarray(dj_dcoef, dtype=float).reshape(size, 3)
+    powers = time_powers(dt)
+    grad = np.asarray(dj_dcoef, dtype=float).reshape(n_seg, NCOEF, 3)
 
-    lam = _solve_system(n_seg, dt, grad_flat, transpose=True)
+    # the adjoint lam = M(dT)^-T g is diag(dT^o) times mu below
+    mu = _unit_solve(n_seg, (grad / powers[:, None]).reshape(size, 3),
+                     transpose=True)
 
-    # each waypoint feeds the left- and right-limit position rows of its joint
-    joint = 4 + NCOEF * np.arange(n_seg - 1)
-    dj_dq = lam[joint] + lam[joint + 1]
+    # each waypoint feeds the left- and right-limit position rows of its
+    # joint, both of order 0, where lam = mu
+    dj_dq = mu[4:size - 2:NCOEF] + mu[5:size - 2:NCOEF]
 
-    # The matrix moves with dT only in rows that evaluate a basis at tau=dT,
-    # and row-wise d(M)/d(dT) c = basis(dT, order+1) @ c_segment.
-    rows, segs, orders = _system_pattern(n_seg).eval_rows
-    moved = _basis_table(dt, 1, CONTINUITY_ORDER + 1)
-    mprime_c = np.zeros((size, 3))
-    mprime_c[rows] = np.matmul(moved[orders][:, None, :],
-                               traj.coefficients[segs])[:, 0, :]
-    chain = float(np.add.reduce(lam * mprime_c, axis=None))
-    return dj_dq, (dj_ddt - chain) / n_seg
-
-
-# entry (m, n) of the jerk Gram matrix for m, n >= 3 is
-# FALLING[3, m] * FALLING[3, n] * dT**k / k with k = m + n - 5
-_JERK_PRODUCTS = np.outer(FALLING[3, 3:], FALLING[3, 3:])
-_JERK_EXPONENTS = np.add.outer(np.arange(3, NCOEF), np.arange(3, NCOEF)) - 5
+    # dM/ddT = (M diag(k) - diag(o) M) / dT, so lam . (dM/ddT) c is
+    # (g . (k c) - sum over rows of o lam b) / dT.  Of the rows of order
+    # o > 0 only the start's velocity, acceleration and jerk and the goal
+    # velocity have b != 0; the coefficients give back their values, and
+    # o lam b is o FALLING[o, o] mu c dT^o in the start's rows.
+    c = traj.coefficients
+    first = c[0] * powers[:, None]
+    last = FALLING[1] @ (c[-1] * powers[:, None])
+    boundary = float(mu[1] @ first[1] + 4.0 * (mu[2] @ first[2])
+                     + 18.0 * (mu[3] @ first[3]) + mu[-1] @ last)
+    moved = float(np.add.reduce(grad * (_EXPONENTS[:, None] * c), axis=None))
+    return dj_dq, (dj_ddt - (moved - boundary) / dt) / n_seg
 
 
-def _jerk_gram(dt: float) -> np.ndarray:
-    """Gram matrix of third-derivative basis products over one segment."""
-    powers = np.array([dt ** k for k in range(_JERK_EXPONENTS.max() + 1)])
-    g = np.zeros((NCOEF, NCOEF))
-    g[3:, 3:] = (_JERK_PRODUCTS * powers[_JERK_EXPONENTS]
-                 / _JERK_EXPONENTS)
-    return g
+# _JERK_GRAM[m, n] is the integral over s in [0, 1] of the third
+# derivatives of s^m and s^n.  Over a segment of length dT the Gram matrix
+# of the coefficients c is dT^-5 diag(dT^k) _JERK_GRAM diag(dT^k).
+_JERK_GRAM = np.zeros((NCOEF, NCOEF))
+_JERK_GRAM[3:, 3:] = np.outer(FALLING[3, 3:], FALLING[3, 3:]) / (
+    np.add.outer(np.arange(3, NCOEF), np.arange(3, NCOEF)) - 5)
+_JERK_GRAM.flags.writeable = False
 
 
 def jerk_energy(traj: Trajectory):
     """Integral of the squared jerk magnitude over the whole trajectory.
 
-    Returns (value, dJ/dcoefficients, direct dJ/ddT) from one Gram matrix.
+    Returns (value, dJ/dcoefficients, direct dJ/ddT) from the one Gram
+    matrix at dT = 1, on the time-normalized coefficients.
     """
     dt = traj.segment_duration
-    c = traj.coefficients
-    g = _jerk_gram(dt)
-    value = float(np.einsum("skx,km,smx->", c, g, c))
-    end_jerk = np.einsum("k,skx->sx", _basis_table(dt, 3, 3)[0], c)
-    return (value, 2.0 * np.einsum("km,smx->skx", g, c),
-            float(np.add.reduce(end_jerk * end_jerk, axis=None)))
+    powers = time_powers(dt)
+    normalized = traj.coefficients * powers[:, None]
+    weighted = _JERK_GRAM @ normalized
+    scale = dt ** -5
+    value = scale * float(np.add.reduce(normalized * weighted, axis=None))
+    # dT^3 times the jerk at each segment's end
+    end_jerk = FALLING[3] @ normalized
+    return (value, (2.0 * scale) * weighted * powers[:, None],
+            scale / dt * float(np.add.reduce(end_jerk * end_jerk, axis=None)))

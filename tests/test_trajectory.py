@@ -16,18 +16,19 @@ from scipy.linalg import solve_banded
 from scipy.optimize import minimize
 
 from tetherpick.errors import OutOfDomain, SingularSystem
+from tetherpick.optimizer import _sample_grid
 from tetherpick.trajectory import (
     BoundaryState,
     Trajectory,
     FALLING,
     NCOEF,
-    _basis_table,
-    _jerk_gram,
-    _solve_system,
+    _JERK_GRAM,
+    _unit_solve,
     basis_rows_upto,
     construct,
     jerk_energy,
     propagate_gradients,
+    time_powers,
 )
 
 
@@ -243,10 +244,24 @@ class TestConstruct:
             construct([[np.nan, 0, 0]], 2.0, start, [1, 0, 0], [0, 0, 0])
 
 
+def row_orders(n_seg):
+    """The derivative order of every row of the oracle's system."""
+    return np.array([0, 1, 2, 3] + [0, 0, 1, 2, 3, 4] * (n_seg - 1) + [0, 1])
+
+
+def drawn_problem(rng, segments, per_segment):
+    start = BoundaryState(position=rng.normal(size=3),
+                          velocity=rng.normal(size=3),
+                          acceleration=rng.normal(size=3),
+                          jerk=rng.normal(size=3))
+    return (rng.normal(size=(segments - 1, 3)), segments * per_segment,
+            start, rng.normal(size=3), rng.normal(size=3))
+
+
 class TestBandedSolve:
-    """The planner fills LAPACK's band layout itself and calls dgbsv
-    directly; it must agree bit for bit with scipy's solve_banded on the
-    oracle's matrix, for the system and for its transpose."""
+    """The planner factors the system at dT = 1 once per segment count and
+    solves it for the right-hand side scaled by dT^o; that must agree bit
+    for bit with scipy's solve_banded on the oracle's matrix at dT = 1."""
 
     @given(segments=st.integers(1, 10), per_segment=st.floats(0.05, 5.0),
            seed=st.integers(0, 2 ** 32 - 1))
@@ -254,28 +269,23 @@ class TestBandedSolve:
     def test_matches_scipy_solve_banded_bit_for_bit(self, segments,
                                                     per_segment, seed):
         rng = np.random.default_rng(seed)
-        start = BoundaryState(position=rng.normal(size=3),
-                              velocity=rng.normal(size=3),
-                              acceleration=rng.normal(size=3),
-                              jerk=rng.normal(size=3))
-        problem = (rng.normal(size=(segments - 1, 3)),
-                   segments * per_segment, start, rng.normal(size=3),
-                   rng.normal(size=3))
+        problem = drawn_problem(rng, segments, per_segment)
         mat, rhs, n, dt = dense_system(*problem)
+        unit = dense_system(problem[0], float(segments), *problem[2:])[0]
+        powers = time_powers(dt)
 
-        bands, ab = to_banded(mat)
-        expected = solve_banded(bands, ab, rhs)
-        got = construct(*problem).coefficients.reshape(-1, 3)
-        assert got.tobytes() == expected.tobytes()
-
-        grad = rng.normal(size=rhs.shape)
-        bands_t, ab_t = to_banded(mat.T)
-        lam = solve_banded(bands_t, ab_t, grad)
-        assert _solve_system(n, dt, grad, transpose=True).tobytes() \
-            == lam.tobytes()
-
-        # the adjoint's remaining loops, row by row as they were written
+        bands, ab = to_banded(unit)
+        scaled = rhs * powers[row_orders(n)][:, None]
+        expected = solve_banded(bands, ab, scaled).reshape(n, 6, 3) \
+            / powers[:, None]
         traj = construct(*problem)
+        assert traj.coefficients.tobytes() == expected.tobytes()
+
+        # the adjoint against a dense transposed solve at dT, and its dT
+        # term against the rows that move with dT, row by row as they
+        # were once written
+        grad = rng.normal(size=rhs.shape)
+        lam = np.linalg.solve(mat.T, grad)
         want_dq = np.zeros((n - 1, 3))
         for i in range(1, n):
             r = 4 + 6 * (i - 1)
@@ -289,16 +299,55 @@ class TestBandedSolve:
                     basis_row(dt, o + 1) @ traj.coefficients[i - 1]
         for o in range(2):
             moved[6 * n - 2 + o] = basis_row(dt, o + 1) @ traj.coefficients[-1]
-        want_dt = (0.3 - float(np.sum(lam * moved))) / n
+        chain = float(np.sum(lam * moved))
         dq, d_t = propagate_gradients(traj, grad.reshape(n, 6, 3), 0.3)
-        assert dq.tobytes() == want_dq.tobytes()
-        assert repr(d_t) == repr(want_dt)
+        scale = max(float(np.max(np.abs(want_dq), initial=0.0)), 1.0)
+        assert np.max(np.abs(dq - want_dq), initial=0.0) <= 1e-9 * scale
+        assert d_t == pytest.approx((0.3 - chain) / n, rel=1e-9,
+                                    abs=1e-9 * float(np.sum(np.abs(lam * moved))))
 
     def test_non_finite_rhs_rejected_like_scipy(self):
         rhs = np.zeros((12, 3))
         rhs[3, 1] = np.nan
         with pytest.raises(ValueError):
-            _solve_system(2, 0.5, rhs, transpose=True)
+            _unit_solve(2, rhs, transpose=True)
+
+
+class TestTimeNormalized:
+    @given(segments=st.integers(1, 8), log_dt=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_construct_matches_the_dense_oracle(self, segments, log_dt,
+                                                seed):
+        """dT from 1e-2 to 1e2 s, at the oracle's relative tolerance."""
+        problem = drawn_problem(np.random.default_rng(seed), segments,
+                                10.0 ** log_dt)
+        traj = construct(*problem)
+        expected, _ = dense_construct(*problem)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(traj.coefficients - expected)) < 1e-9 * scale
+
+    @given(segments=st.integers(1, 8), per_segment=st.floats(0.1, 5.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_duration_term_matches_central_differences(self, segments,
+                                                       per_segment, seed):
+        """The closed-form dT term of the adjoint, on J = g . c."""
+        rng = np.random.default_rng(seed)
+        wp, total, start, gp, gv = drawn_problem(rng, segments, per_segment)
+        traj = construct(wp, total, start, gp, gv)
+        grad = rng.normal(size=traj.coefficients.shape)
+
+        def cost(duration):
+            return float(np.sum(grad * construct(wp, duration, start, gp,
+                                                 gv).coefficients))
+
+        step = 1e-5 * total
+        fd = (cost(total + step) - cost(total - step)) / (2 * step)
+        # the size of the terms the difference cancels
+        size = float(np.sum(np.abs(grad * traj.coefficients))) / total
+        assert propagate_gradients(traj, grad)[1] == pytest.approx(
+            fd, rel=1e-5, abs=1e-6 * size)
 
 
 class TestBasisRows:
@@ -312,13 +361,26 @@ class TestBasisRows:
                 want[..., k] = FALLING[order, k] * taus ** (k - order)
             assert rows.tobytes() == want.tobytes()
 
-    @given(tau=st.floats(-50.0, 50.0))
-    @settings(max_examples=100, deadline=None)
-    def test_table_rows_match_basis_row(self, tau):
-        for first, last in ((0, 4), (1, 5)):
-            table = _basis_table(tau, first, last)
-            for row, order in zip(table, range(first, last + 1)):
-                assert row.tobytes() == basis_row(tau, order).tobytes()
+    @given(segments=st.integers(1, 10), kappa=st.integers(2, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_table_rows_match_basis_row(self, segments, kappa):
+        """The sampling operator holds, for every sample and order 0..4,
+        the basis row at the sample's fraction of its segment, and zeros
+        on every other segment."""
+        operator, fraction, position = _sample_grid(segments, kappa)
+        table = operator.reshape(5, kappa + 1, segments, 6)
+        for i in range(kappa + 1):
+            seg = min(i * segments // kappa, segments - 1)
+            assert position[i] == pytest.approx(seg + fraction[i],
+                                                rel=1e-15, abs=1e-15)
+            assert 0.0 <= fraction[i] <= 1.0
+            for order in range(5):
+                # array and scalar powers may round apart by an ulp
+                np.testing.assert_allclose(
+                    table[order, i, seg],
+                    basis_row(float(fraction[i]), order), rtol=1e-15, atol=0)
+                others = np.delete(table[order, i], seg, axis=0)
+                assert not others.any()
 
     def test_orders_beyond_degree_are_zero(self):
         assert np.array_equal(basis_rows_upto(np.array([0.5, 2.0]), 6)[6],
@@ -326,15 +388,27 @@ class TestBasisRows:
 
 
 class TestJerkGram:
-    @given(dt=st.floats(1e-3, 1e3))
+    @given(dt=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=100, deadline=None)
-    def test_matches_the_entry_loop(self, dt):
+    def test_matches_the_entry_loop(self, dt, seed):
+        """The fixed Gram matrix is the entry loop at dT = 1, bit for bit,
+        and jerk_energy at dT prices c with the entry loop at dT."""
         want = np.zeros((6, 6))
         for m in range(3, 6):
             for k in range(3, 6):
                 want[m, k] = (FALLING[3, m] * FALLING[3, k]
                               * dt ** (m + k - 5) / (m + k - 5))
-        assert _jerk_gram(dt).tobytes() == want.tobytes()
+                assert _JERK_GRAM[m, k] == (FALLING[3, m] * FALLING[3, k]
+                                            / (m + k - 5))
+        assert not _JERK_GRAM[:3].any() and not _JERK_GRAM[:, :3].any()
+        coefficients = np.random.default_rng(seed).normal(size=(3, 6, 3))
+        value, grad, _ = jerk_energy(Trajectory(coefficients, dt))
+        assert value == pytest.approx(
+            np.einsum("skx,km,smx->", coefficients, want, coefficients),
+            rel=1e-13)
+        want_grad = 2.0 * np.einsum("km,smx->skx", want, coefficients)
+        assert np.max(np.abs(grad - want_grad)) \
+            <= 1e-13 * np.max(np.abs(want_grad))
 
 
 class TestEvaluate:
