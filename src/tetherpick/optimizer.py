@@ -687,7 +687,7 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
         and theta = theta0 + s_T z[-1].  Returns (result, q, theta)."""
         basis = (duration_at(theta0) / n_seg) ** 2.5 * whitening
         scale = theta_scale(q0, theta0)
-        latest = [b"", None, None]
+        latest = [None, None]
 
         def point(z):
             q = q0 + basis @ z[:3 * n_wp].reshape(n_wp, 3)
@@ -700,22 +700,19 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
             grad[:3 * n_wp] = (basis.T @ dj_dq).ravel()
             if optimize_time:
                 grad[-1] = scale * dj_dtheta
-            latest[:] = z.tobytes(), breakdown, worst
+            latest[:] = breakdown, worst
             return breakdown.total, grad
 
         def record(z):
             nonlocal worsening
             # L-BFGS-B reports each iterate right after evaluating it
-            if latest[0] != z.tobytes():
-                _, breakdown, _, _, worst = evaluate(*point(z))
-                latest[:] = z.tobytes(), breakdown, worst
-            history.append(latest[1])
+            history.append(latest[0])
             if (len(history) - first) % _SCALE_CHECK_PERIOD:
                 return
             # a shift round whose unshifted worst hinge is not below the
             # last round's is making things worse: end it, to be dropped
             if previous is not None \
-                    and max(latest[2].values()) >= previous[2]:
+                    and max(latest[1].values()) >= previous[2]:
                 worsening = True
                 raise StopIteration
             if optimize_time \
@@ -729,28 +726,6 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
                                    "ftol": 1e-12, "gtol": 1e-6})
         return (result, *point(result.x))
 
-    def solve(q, theta, budget):
-        """Legs from (q, theta) until one stops genuinely, each restart
-        starting where the last leg ended.  Returns (q, theta, iterations,
-        status, message)."""
-        used = 0
-        while True:
-            result, q, theta = leg(q, theta, budget - used)
-            used += int(result.nit)
-            false_stop = result.status == 0 and \
-                np.max(np.abs(result.jac), initial=0.0) > \
-                _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
-            restart = (false_stop or result.status == 99) and not worsening
-            if not restart or result.nit == 0 or used >= budget:
-                break
-        if result.status == 0 and not false_stop:
-            status = "converged"
-        elif result.status == 1 or (restart and used >= budget):
-            status = "max_iterations"
-        else:
-            status = "line_search_failure"
-        return q, theta, used, status, str(result.message)
-
     theta = _softplus_inverse(duration0 - MIN_DURATION) if optimize_time \
         else 0.0
     iterations = updates = 0
@@ -758,9 +733,25 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
     worsening = False
     with _single_blas_thread():
         while True:
-            waypoints, theta, used, status, message = solve(
-                waypoints, theta, max_iterations - iterations)
-            iterations += used
+            # each leg starts where the last one ended; a restart runs
+            # another leg, anything else ends the shift round
+            result, waypoints, theta = leg(waypoints, theta,
+                                           max_iterations - iterations)
+            iterations += int(result.nit)
+            false_stop = result.status == 0 and \
+                np.max(np.abs(result.jac), initial=0.0) > \
+                _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
+            restart = (false_stop or result.status == 99) and not worsening
+            out_of_budget = iterations >= max_iterations
+            if restart and result.nit > 0 and not out_of_budget:
+                continue
+            if result.status == 0 and not false_stop:
+                status = "converged"
+            elif result.status == 1 or (restart and out_of_budget):
+                status = "max_iterations"
+            else:
+                status = "line_search_failure"
+            message = str(result.message)
             traj, breakdown, _, _, violations = evaluate(waypoints, theta,
                                                          shifted=False)
             worst = max(violations.values())
@@ -770,7 +761,7 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
             if previous is not None and worst > 0.5 * previous[2]:
                 traj, breakdown, worst, status, message = previous
                 break
-            if status != "converged" or iterations >= max_iterations:
+            if status != "converged" or out_of_budget:
                 break
             previous = traj, breakdown, worst, status, message
             shifts = _shift_update(traj, scenario, shifts)
