@@ -244,8 +244,15 @@ def cmd_simulate(args) -> int:
             sc.drone, sc.timestep, stow_length=stow)
         _write_matrix(out / f"{sc.name}_retrieval.csv", TELEMETRY_COLUMNS,
                       rlog.as_matrix())
-        print(f"retrieve {sc.name}: {rlog.time[-1]:.3f} s to reach "
-              f"stow length {stow:g} m")
+        # the run also ends at the simulator's time limit, short of stow
+        released = float(rlog.l_now[-1])
+        if released <= stow:
+            print(f"retrieve {sc.name}: {rlog.time[-1]:.3f} s to reach "
+                  f"stow length {stow:g} m")
+        else:
+            print(f"retrieve {sc.name}: stopped at {rlog.time[-1]:.3f} s "
+                  f"with {released:g} m released, short of stow length "
+                  f"{stow:g} m")
         print(f"  peak tether tension  {float(np.max(rlog.tension)):.6g} N")
     return EXIT_OK
 
@@ -372,7 +379,6 @@ def cmd_sweep(args) -> int:
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         # the planner imports scipy on first use: once here, not per worker
-        import scipy.linalg  # noqa: F401
         import scipy.optimize  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

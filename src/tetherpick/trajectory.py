@@ -16,15 +16,21 @@ of the one at dT = 1:
 
     M(dT) = diag(dT^-o) M(1) diag(dT^k).
 
-M(1) depends only on N.  It is banded and factored once per segment count
-(LAPACK dgbtrf, cached), so memory and time stay linear in N, and every
-construction is one banded solve (dgbtrs) for the time-normalized
-coefficients c dT^k against the right-hand side scaled by dT^o.  Gradients
-of a scalar cost with respect to the waypoints and the total duration come
-from one transposed solve against the same factors, and the scaling gives
-the duration's part in closed form.  This is the time-normalized
-parameterization of MINCO (Wang et al., "Geometrically Constrained
-Trajectory Optimization for Multicopters", IEEE T-RO 2022).
+M(1) depends only on N.  Its dense inverse is formed once per segment
+count and cached, and every construction is one product of it with the
+right-hand side scaled by dT^o, which gives the time-normalized
+coefficients c dT^k.  Gradients of a scalar cost with respect to the
+waypoints and the total duration come from one product with its
+transpose, and the scaling gives the duration's part in closed form.
+This is the time-normalized parameterization of MINCO (Wang et al.,
+"Geometrically Constrained Trajectory Optimization for Multicopters",
+IEEE T-RO 2022).
+
+The inverse costs memory and time quadratic in N where a banded LU would
+be linear.  That is the cheaper side at the sizes that can be planned:
+plans use N = 6, where the two products take about half the time of two
+banded LAPACK solves, and the banded solve only wins somewhere between
+N = 40 and N = 64, where cond M(1) is already above 1e16.
 """
 
 from __future__ import annotations
@@ -136,55 +142,28 @@ class Trajectory:
         return np.einsum("nk,nkx->nx", rows, self.coefficients[seg])
 
 
-def _unit_entries(n_seg: int):
-    """(rows, columns, values) of every nonzero of the system at dT = 1."""
-    entries = [(o, o, FALLING[o, o]) for o in range(4)]
+@functools.lru_cache(maxsize=None)
+def _unit_inverse(n_seg: int) -> np.ndarray:
+    """The inverse of the system at dT = 1, read-only: the cache hands it
+    to every caller."""
+    unit = np.zeros((NCOEF * n_seg, NCOEF * n_seg))
+    # FALLING[o] is the order-o row at tau = 1, FALLING[o, o] the one at 0
+    for o in range(4):
+        unit[o, o] = FALLING[o, o]
     row = 4
     for i in range(1, n_seg):
         left, right = NCOEF * (i - 1), NCOEF * i
-        entries += [(row, left + k, 1.0) for k in range(NCOEF)]
-        entries.append((row + 1, right, 1.0))
+        unit[row, left:right] = 1.0
+        unit[row + 1, right] = 1.0
         for o in range(1, CONTINUITY_ORDER + 1):
-            entries += [(row + 1 + o, left + k, FALLING[o, k])
-                        for k in range(o, NCOEF)]
-            entries.append((row + 1 + o, right + o, -FALLING[o, o]))
+            unit[row + 1 + o, left:right] = FALLING[o]
+            unit[row + 1 + o, right + o] = -FALLING[o, o]
         row += NCOEF
-    last = NCOEF * (n_seg - 1)
-    for o in range(2):
-        entries += [(row + o, last + k, FALLING[o, k]) for k in range(o, NCOEF)]
-    rows, cols, values = zip(*entries)
-    return np.array(rows), np.array(cols), np.array(values)
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_factors(n_seg: int):
-    """(band, pivots, lower, upper): the banded LU factors (LAPACK dgbtrf)
-    of the system at dT = 1, with its lower and upper bandwidths."""
-    from scipy.linalg.lapack import dgbtrf  # here, so simulate never loads it
-    rows, cols, values = _unit_entries(n_seg)
-    lower = int(np.max(rows - cols))
-    upper = int(np.max(cols - rows))
-    # LAPACK keeps A[i, j] at band row lower + upper + i - j, below lower
-    # rows of fill-in space
-    ab = np.zeros((2 * lower + upper + 1, NCOEF * n_seg))
-    ab[lower + upper + rows - cols, cols] = values
+    unit[row:, -NCOEF:] = FALLING[:2]
     # M(1) is nonsingular for every N: the quintic through the rows is unique
-    band, pivots, _ = dgbtrf(ab, lower, upper, overwrite_ab=True)
-    # the cache hands these arrays to every caller
-    band.flags.writeable = pivots.flags.writeable = False
-    return band, pivots, lower, upper
-
-
-def _unit_solve(n_seg: int, rhs: np.ndarray,
-                transpose: bool = False) -> np.ndarray:
-    """Solve the system at dT = 1, or its transpose, for (size, 3) rhs,
-    from the cached factors; ValueError for a non-finite rhs."""
-    from scipy.linalg.lapack import dgbtrs
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    band, pivots, lower, upper = _unit_factors(n_seg)
-    x, _ = dgbtrs(band, lower, upper, rhs, pivots, trans=int(transpose))
-    return x
+    inverse = np.linalg.inv(unit)
+    inverse.flags.writeable = False
+    return inverse
 
 
 def construct(waypoints, total_duration: float, start: BoundaryState,
@@ -204,10 +183,10 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
     if not np.isfinite(q).all():
         raise ValueError("waypoints must be finite")
 
-    # the right-hand side scaled by dT^o, row by row, in LAPACK's order
+    # the right-hand side scaled by dT^o, row by row
     powers = time_powers(dt)
     size = NCOEF * n_seg
-    rhs = np.zeros((size, 3), order="F")
+    rhs = np.zeros((size, 3))
     rhs[0] = start.position
     rhs[1] = start.velocity * powers[1]
     rhs[2] = start.acceleration * powers[2]
@@ -218,10 +197,9 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
     rhs[-2] = goal_position
     rhs[-1] = goal_velocity * powers[1]
 
-    try:
-        normalized = _unit_solve(n_seg, rhs)
-    except ValueError as exc:
-        raise SingularSystem(str(exc)) from exc
+    if not np.isfinite(rhs).all():
+        raise SingularSystem("right-hand side must be finite")
+    normalized = _unit_inverse(n_seg) @ rhs
     sol = normalized.reshape(n_seg, NCOEF, 3) / powers[:, None]
     if not np.isfinite(sol).all():
         raise SingularSystem("coefficient solve produced non-finite values")
@@ -244,8 +222,10 @@ def propagate_gradients(traj: Trajectory, dj_dcoef: np.ndarray,
     grad = np.asarray(dj_dcoef, dtype=float).reshape(n_seg, NCOEF, 3)
 
     # the adjoint lam = M(dT)^-T g is diag(dT^o) times mu below
-    mu = _unit_solve(n_seg, (grad / powers[:, None]).reshape(size, 3),
-                     transpose=True)
+    scaled = (grad / powers[:, None]).reshape(size, 3)
+    if not np.isfinite(scaled).all():
+        raise ValueError("coefficient gradient must be finite")
+    mu = _unit_inverse(n_seg).T @ scaled
 
     # each waypoint feeds the left- and right-limit position rows of its
     # joint, both of order 0, where lam = mu

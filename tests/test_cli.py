@@ -6,6 +6,7 @@ test process has imported scipy long before.
 
 import concurrent.futures
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -305,6 +306,23 @@ class TestSimulate:
         final_t = float(rows[-1][0])
         assert final_t == pytest.approx((3.7 - 0.6) / 0.2, abs=0.01)
 
+    def test_timed_out_retrieval_is_not_reported_as_stowed(
+            self, fast_scenario, tmp_path, capsys, monkeypatch):
+        # 3.7 m released, stow at 0.6 m, reeling at 0.2 m/s needs 15.5 s
+        monkeypatch.setattr(cli, "simulate_retrieval", functools.partial(
+            cli.simulate_retrieval, max_time=1.0))
+        out = tmp_path / "retrieval"
+        assert run(["simulate", "--scenario", str(fast_scenario),
+                    "--out", str(out), "--retrieve-only"]) == 0
+        rows = read_rows(out / "hop_retrieval.csv")
+        last = dict(zip(rows[0], rows[-1]))
+        assert float(last["t"]) == pytest.approx(1.0)
+        assert float(last["l_now"]) == pytest.approx(3.5)
+        printed = capsys.readouterr().out
+        assert "to reach stow length" not in printed
+        assert "stopped at 1.000 s with 3.5 m released, short of stow " \
+            "length 0.6 m" in printed
+
     @pytest.mark.parametrize("mass", ["nan", "inf"])
     def test_non_finite_attach_mass_exits_two(self, fast_scenario, tmp_path,
                                               capsys, mass):
@@ -474,7 +492,8 @@ print(json.dumps([before, code, seen]))
 
 class TestImports:
     """The CLI loads scipy, numpy.random and the process pool only in the
-    verbs that use them: ``simulate`` runs on numpy and PyYAML alone."""
+    verbs that use them: ``simulate`` and ``check`` run on numpy and PyYAML
+    alone."""
 
     LAZY = ("scipy", "numpy.random", "concurrent.futures.process")
 
@@ -485,17 +504,22 @@ class TestImports:
             "if m in sys.modules]))")
         assert loaded == []
 
-    SIMULATE = """
+    VERB = """
 import json
 from tetherpick import cli
 code = cli.run(sys.argv[1:])
 print(json.dumps([code, "scipy" in sys.modules]))
 """
 
+    def test_check_never_loads_scipy(self, tmp_path):
+        code, scipy_loaded = fresh_run(self.VERB, "check", "--out",
+                                       str(tmp_path))
+        assert code == 0 and not scipy_loaded
+
     def test_retrieval_never_loads_scipy(self, shipped_scenario_dir,
                                          tmp_path):
         code, scipy_loaded = fresh_run(
-            self.SIMULATE, "simulate", "--scenario",
+            self.VERB, "simulate", "--scenario",
             str(shipped_scenario_dir / "pickup_level.yaml"),
             "--out", str(tmp_path), "--retrieve-only")
         assert code == 0 and not scipy_loaded
@@ -504,7 +528,7 @@ print(json.dumps([code, "scipy" in sys.modules]))
     def test_flight_and_retrieval_never_load_scipy(self, planned_dir,
                                                    fast_scenario):
         code, scipy_loaded = fresh_run(
-            self.SIMULATE, "simulate", "--scenario", str(fast_scenario),
+            self.VERB, "simulate", "--scenario", str(fast_scenario),
             "--out", str(planned_dir), "--retrieve")
         assert code == 0 and not scipy_loaded
         assert (planned_dir / "hop_telemetry.csv").exists()

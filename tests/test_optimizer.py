@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 from scipy.optimize import OptimizeResult as scipy_result, _lbfgsb
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,7 +41,7 @@ from tetherpick.optimizer import (
     total_cost,
 )
 from tetherpick.trajectory import (BoundaryState, Trajectory,
-                                  _JERK_GRAM, _unit_factors,
+                                  _JERK_GRAM, _unit_inverse,
                                   basis_rows_upto, construct, jerk_energy,
                                   propagate_gradients)
 
@@ -748,11 +747,9 @@ class TestOnePass:
         total_cost(traj, scenario)
         assert len(calls) == solves
 
-    def test_no_factorization_and_two_solves_per_evaluation(
-            self, monkeypatch):
-        """An evaluation at a segment count seen before factors nothing:
-        it makes one forward and one transposed solve with the cached
-        factors."""
+    def test_one_inversion_per_segment_count(self, monkeypatch):
+        """An evaluation at a segment count seen before inverts nothing: it
+        multiplies by the cached inverse.  A cold cache inverts once."""
         scenario = random_scenario(np.random.default_rng(5))
         waypoints = random_waypoints(scenario, np.random.default_rng(6))
 
@@ -763,18 +760,18 @@ class TestOnePass:
 
         evaluate()
         calls = []
-        for name in ("dgbtrf", "dgbtrs"):
-            def counted(*args, real=getattr(lapack, name), name=name,
-                        **kwargs):
-                calls.append((name, kwargs.get("trans", 0)))
-                return real(*args, **kwargs)
-            monkeypatch.setattr(lapack, name, counted)
+        real_inv = np.linalg.inv
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return real_inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
         evaluate()
-        assert calls == [("dgbtrs", 0), ("dgbtrs", 1)]
-        # the counters see a factorization once the cache is cold
-        _unit_factors.cache_clear()
+        assert calls == []
+        _unit_inverse.cache_clear()
         evaluate()
-        assert calls[2:] == [("dgbtrf", 0), ("dgbtrs", 0), ("dgbtrs", 1)]
+        assert calls == [(6 * scenario.segment_count,) * 2]
 
     def test_optimize_reports_its_final_evaluation(self):
         scenario = random_scenario(np.random.default_rng(11))
@@ -809,7 +806,7 @@ class TestSampleGrid:
     def test_cleared_caches_give_byte_identical_plans(self):
         scenario = make_scenario(winch=WinchSchedule(3.7, 0.1))
         first = optimize(scenario, max_iterations=30)
-        for cache in (_unit_factors, _sample_grid, _jerk_hessian):
+        for cache in (_unit_inverse, _sample_grid, _jerk_hessian):
             cache.cache_clear()
         second = optimize(scenario, max_iterations=30)
         assert first.trajectory.coefficients.tobytes() \
@@ -820,8 +817,8 @@ class TestSampleGrid:
 
     @pytest.mark.parametrize("segments, kappa", [(1, 2), (6, 32), (10, 64)])
     def test_cached_arrays_are_read_only(self, segments, kappa):
-        band, pivots, _, _ = _unit_factors(segments)
-        arrays = [band, pivots, *_sample_grid(segments, kappa), _JERK_GRAM]
+        arrays = [_unit_inverse(segments), *_sample_grid(segments, kappa),
+                  _JERK_GRAM]
         if segments > 1:
             arrays += _jerk_hessian(segments)
         for array in arrays:

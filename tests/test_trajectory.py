@@ -8,11 +8,11 @@ exact polynomial algebra for energies.  The rest-to-rest literals below
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
 from scipy.optimize import minimize
 
 from tetherpick.errors import OutOfDomain, SingularSystem
@@ -23,7 +23,6 @@ from tetherpick.trajectory import (
     FALLING,
     NCOEF,
     _JERK_GRAM,
-    _unit_solve,
     basis_rows_upto,
     construct,
     jerk_energy,
@@ -97,14 +96,18 @@ def dense_system(waypoints, total_time, start, goal_pos, goal_vel):
     return mat, rhs, n, dt
 
 
-def to_banded(mat):
-    """((lower, upper), ab) for scipy.linalg.solve_banded; zeros as +0.0."""
-    rows, cols = np.nonzero(mat)
-    lower, upper = int(np.max(rows - cols)), int(np.max(cols - rows))
-    ab = np.zeros((lower + upper + 1, mat.shape[1]))
-    for i, j in zip(rows, cols):
-        ab[upper + i - j, j] = mat[i, j]
-    return (lower, upper), ab
+def solve_40_digits(mat, rhs):
+    """mat x = rhs, column by column, from one LU factorization in 40-digit
+    arithmetic; the float entries convert exactly, and the solution is
+    rounded once at the end."""
+    ctx = mpmath.mp
+    with mpmath.workdps(40):
+        lu, perm = ctx.LU_decomp(mpmath.matrix(mat.tolist()))
+        columns = [ctx.U_solve(lu, ctx.L_solve(lu, mpmath.matrix(col.tolist()),
+                                               perm))
+                   for col in rhs.T]
+        return np.array([[float(col[i]) for col in columns]
+                         for i in range(rhs.shape[0])])
 
 
 def random_problem(rng, max_segments=6, min_dt=0.0):
@@ -258,38 +261,41 @@ def drawn_problem(rng, segments, per_segment):
             start, rng.normal(size=3), rng.normal(size=3))
 
 
-class TestBandedSolve:
-    """The planner factors the system at dT = 1 once per segment count and
-    solves it for the right-hand side scaled by dT^o; that must agree bit
-    for bit with scipy's solve_banded on the oracle's matrix at dT = 1."""
+class TestUnitInverse:
+    """The planner inverts the system at dT = 1 once per segment count.
+    construct multiplies the inverse into the right-hand side scaled by
+    dT^o, and propagate_gradients multiplies its transpose into the
+    gradient scaled by dT^-k.  Both must agree with a 40-digit solve of
+    the oracle's matrix at dT = 1, to 1e-12 of the solution's largest
+    entry."""
 
-    @given(segments=st.integers(1, 10), per_segment=st.floats(0.05, 5.0),
-           seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_scipy_solve_banded_bit_for_bit(self, segments,
-                                                    per_segment, seed):
-        rng = np.random.default_rng(seed)
-        problem = drawn_problem(rng, segments, per_segment)
+    @pytest.mark.parametrize("segments", range(1, 11))
+    def test_matches_a_40_digit_solve(self, segments):
+        rng = np.random.default_rng(segments)
+        # 0.05 to 5 s per segment
+        problem = drawn_problem(rng, segments, 10.0 ** rng.uniform(-1.3, 0.7))
         mat, rhs, n, dt = dense_system(*problem)
         unit = dense_system(problem[0], float(segments), *problem[2:])[0]
         powers = time_powers(dt)
 
-        bands, ab = to_banded(unit)
-        scaled = rhs * powers[row_orders(n)][:, None]
-        expected = solve_banded(bands, ab, scaled).reshape(n, 6, 3) \
-            / powers[:, None]
+        # forward: the time-normalized coefficients c dT^k
+        want = solve_40_digits(unit, rhs * powers[row_orders(n)][:, None])
         traj = construct(*problem)
-        assert traj.coefficients.tobytes() == expected.tobytes()
+        got = (traj.coefficients * powers[:, None]).reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-        # the adjoint against a dense transposed solve at dT, and its dT
-        # term against the rows that move with dT, row by row as they
-        # were once written
-        grad = rng.normal(size=rhs.shape)
-        lam = np.linalg.solve(mat.T, grad)
-        want_dq = np.zeros((n - 1, 3))
-        for i in range(1, n):
-            r = 4 + 6 * (i - 1)
-            want_dq[i - 1] = lam[r] + lam[r + 1]
+        # adjoint: mu = M(1)^-T (g / dT^k), summed over each joint's two
+        # position rows for the waypoint gradient
+        grad = rng.normal(size=(n, 6, 3))
+        mu = solve_40_digits(unit.T,
+                             (grad / powers[:, None]).reshape(6 * n, 3))
+        dq, d_t = propagate_gradients(traj, grad, 0.3)
+        assert np.max(np.abs(dq - (mu[4:-2:6] + mu[5:-2:6])), initial=0.0) \
+            <= 1e-12 * np.max(np.abs(mu))
+
+        # the dT term against a dense transposed solve at dT and the rows
+        # that move with dT, row by row as they were once written
+        lam = np.linalg.solve(mat.T, grad.reshape(6 * n, 3))
         moved = np.zeros((6 * n, 3))
         for i in range(1, n):
             r = 4 + 6 * (i - 1)
@@ -300,17 +306,22 @@ class TestBandedSolve:
         for o in range(2):
             moved[6 * n - 2 + o] = basis_row(dt, o + 1) @ traj.coefficients[-1]
         chain = float(np.sum(lam * moved))
-        dq, d_t = propagate_gradients(traj, grad.reshape(n, 6, 3), 0.3)
-        scale = max(float(np.max(np.abs(want_dq), initial=0.0)), 1.0)
-        assert np.max(np.abs(dq - want_dq), initial=0.0) <= 1e-9 * scale
         assert d_t == pytest.approx((0.3 - chain) / n, rel=1e-9,
                                     abs=1e-9 * float(np.sum(np.abs(lam * moved))))
 
-    def test_non_finite_rhs_rejected_like_scipy(self):
-        rhs = np.zeros((12, 3))
-        rhs[3, 1] = np.nan
-        with pytest.raises(ValueError):
-            _unit_solve(2, rhs, transpose=True)
+    def test_non_finite_rhs_rejected(self):
+        start = BoundaryState(position=[0, 0, 0], velocity=[0, 0, 0],
+                              acceleration=[1, 0, 0], jerk=[0, 0, 0])
+        # dT^2 overflows, so the scaled acceleration row is infinite
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularSystem):
+            construct([[1, 0, 0]], 1e300, start, [2, 0, 0], [0, 0, 0])
+        traj = construct([[1, 0, 0]], 2.0, start, [2, 0, 0], [0, 0, 0])
+        for bad in (np.nan, np.inf):
+            grad = np.zeros(traj.coefficients.shape)
+            grad[1, 3, 1] = bad
+            with pytest.raises(ValueError):
+                propagate_gradients(traj, grad)
 
 
 class TestTimeNormalized:
