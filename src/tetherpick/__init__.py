@@ -1,15 +1,10 @@
 """Planning and simulation toolkit for cable-suspended aerial pickup."""
 
 from .cable import (
-    CableBounds,
     CableProperties,
-    CableState,
     CatenarySolution,
     PlanarConfiguration,
-    cable_bounds,
     corridor_bounds_batch,
-    max_length,
-    min_length,
     solve_catenary,
 )
 from .errors import (
@@ -49,9 +44,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundaryState",
-    "CableBounds",
     "CableProperties",
-    "CableState",
     "CatenarySolution",
     "CostBreakdown",
     "DegenerateThrust",
@@ -74,15 +67,12 @@ __all__ = [
     "Trajectory",
     "ValidationError",
     "WinchSchedule",
-    "cable_bounds",
     "construct",
     "corridor_bounds_batch",
     "corridor_profile",
     "corridor_violation",
     "initial_guess",
     "load_scenario",
-    "max_length",
-    "min_length",
     "optimize",
     "parse_scenario",
     "simulate_pickup",

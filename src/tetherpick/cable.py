@@ -21,21 +21,22 @@ method on u = p / (2a), using the identities
     x_A = a atanh(H / L) - p / 2
 
 which follow from the sum-to-product forms of the endpoint equations.
-``max_length`` finds the longest cable whose vertex sits exactly
-``sag_limit`` below the lower attachment point.  With the vertex depth
-pinned, both the span and the length are explicit in ``a``, so Newton's
-method on the logarithm of the span recovers ``a`` and the length follows.
+``corridor_bounds_and_gradient`` gives the released-length corridor
+[l_min, l_max] at a batch of droid positions: l_min is the chord and l_max
+the longest cable whose vertex sits exactly ``sag_limit`` below the lower
+attachment point.  With the vertex depth pinned, both the span and the
+length are explicit in ``a``, so Newton's method on the logarithm of the
+span recovers ``a`` and the length follows.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthTooShort, NoConvergence, OutOfDomain
+from .errors import LengthTooShort, NoConvergence
 
 # Below this horizontal separation the scale parameter is unidentifiable and
 # the degenerate vertical rules apply: the corridor's |H| + 2 sag and its
@@ -53,13 +54,6 @@ _SAG_ROUNDS = 5
 _TINY = np.finfo(float).tiny
 
 
-class CableState(enum.Enum):
-    """Whether the vertex of the solved curve lies between the endpoints."""
-
-    TAUT = "taut"
-    SLACK = "slack"
-
-
 @dataclass(frozen=True)
 class CableProperties:
     """Physical cable constants.
@@ -67,8 +61,8 @@ class CableProperties:
     ``mass_per_length`` is in kg/m.  The weight per unit length used by the
     statics is derived as ``mass_per_length * gravity`` so the two can never
     drift apart.  ``attachment_offset`` is the vertical protrusion of the
-    droid-side hook above the droid reference position; callers add it to
-    droid positions before calling the geometric operations here.
+    droid-side hook above the droid reference position; the corridor adds
+    it to the droid positions it is given.
     """
 
     mass_per_length: float = 1.4e-4
@@ -116,15 +110,6 @@ class PlanarConfiguration:
     def chord(self) -> float:
         return math.hypot(self.p, self.H)
 
-    @classmethod
-    def from_points(cls, attach_a, anchor_b) -> "PlanarConfiguration":
-        """Build the planar configuration from two world positions.
-
-        Positions are (x, y, z) triples; the model uses the x-z plane only.
-        """
-        return cls(p=abs(float(anchor_b[0]) - float(attach_a[0])),
-                   H=float(anchor_b[2]) - float(attach_a[2]))
-
 
 @dataclass(frozen=True)
 class CatenarySolution:
@@ -140,23 +125,6 @@ class CatenarySolution:
     x_a: float
     x_b: float
     length: float
-    state: CableState
-
-
-@dataclass(frozen=True)
-class CableBounds:
-    """Feasible released-length corridor at one droid/anchor placement."""
-
-    l_min: float
-    l_max: float
-    l_now: float
-
-
-def min_length(p_droid, p_anchor) -> float:
-    """Shortest admissible cable: the x-z plane distance between endpoints."""
-    dx = float(p_droid[0]) - float(p_anchor[0])
-    dz = float(p_droid[2]) - float(p_anchor[2])
-    return math.hypot(dx, dz)
 
 
 def _log_sinhc(u: float) -> tuple[float, float]:
@@ -249,12 +217,9 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
         raise NoConvergence(
             f"catenary scale residual too large: {residual!r} of {target!r}")
     x_a = a * math.atanh(cfg.H / length) - 0.5 * cfg.p
-    x_b = x_a + cfg.p
-
-    state = CableState.SLACK if (x_a < 0.0 < x_b) else CableState.TAUT
     return CatenarySolution(scale=a,
                             vertex_tension=props.weight_per_length * a,
-                            x_a=x_a, x_b=x_b, length=length, state=state)
+                            x_a=x_a, x_b=x_a + cfg.p, length=length)
 
 
 def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
@@ -262,39 +227,7 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
     """Vectorized longest-cable solve for many planar configurations.
 
     For each (p, H) pair, finds the catenary through both endpoints whose
-    vertex lies exactly ``sag_limit`` below the lower endpoint.  Entries
-    with p < EPS_P use the degenerate vertical rule |H| + 2 sag_limit, the
-    catenary's limit as p -> 0 (a bight hanging sag_limit below the lower
-    end), with gradient (dl/dp, dl/d|H|) = (0, 1).
-
-    Returns ``(length, dl_dp, dl_dh)``: the length and its derivatives
-    over p and over |H|.  Rows whose catenary comes out no longer than the
-    chord, such as level rows with sag_limit = 0, take the chord and the
-    chord's gradient (the taut-chord clamp); every other row from EPS_P
-    up takes the closed-form gradient.  Every row is computed on its own,
-    so its result does not depend on the rest of the batch.
-    """
-    p = np.asarray(p, dtype=float)
-    H = np.asarray(H, dtype=float)
-    habs = np.abs(H)
-    out = np.full(p.shape, np.nan)
-    dl_dp = np.zeros(p.shape)
-    dl_dh = np.ones(p.shape)
-
-    vertical = p < EPS_P
-    if vertical.any():
-        out[vertical] = habs[vertical] + 2.0 * sag_limit
-    solve = ~vertical
-    if solve.any():
-        out[solve], dl_dp[solve], dl_dh[solve] = _sag_rows(
-            p[solve], habs[solve], sag_limit)
-    return out, dl_dp, dl_dh
-
-
-def _sag_rows(p: np.ndarray, habs: np.ndarray, sag_limit: float):
-    """(length, dl/dp, dl/d|H|) of the sag-limited catenary, chord-clamped.
-
-    The vertex sits s = sag_limit below the lower endpoint and
+    vertex sits exactly s = sag_limit below the lower endpoint and
     k = s + |H| below the upper one, on either side of it, so at scale a
 
         p(a) = a [acosh(1 + s/a) + acosh(1 + k/a)]
@@ -302,9 +235,27 @@ def _sag_rows(p: np.ndarray, habs: np.ndarray, sag_limit: float):
 
     p(a) increases with a, and d log p / d log a lies between 1/2 (large
     a) and 1 (small a), so Newton's method on log p(e^b) = log p in
-    b = log a takes well-scaled steps.  Needs p >= EPS_P.  A row with
-    k = 0 (level, zero sag) parks at the bracket and takes the chord.
+    b = log a takes well-scaled steps.  Entries with p < EPS_P use the
+    degenerate vertical rule |H| + 2 sag_limit, the catenary's limit as
+    p -> 0 (a bight hanging sag_limit below the lower end), with gradient
+    (dl/dp, dl/d|H|) = (0, 1).
+
+    Returns ``(length, dl_dp, dl_dh)``: the length and its derivatives
+    over p and over |H|.  Rows whose catenary comes out no longer than the
+    chord, such as level rows with sag_limit = 0 (k = 0 parks at the
+    bracket), take the chord and the chord's gradient (the taut-chord
+    clamp); every other row from EPS_P up takes the closed-form gradient.
+    Every row is computed on its own, so its result does not depend on the
+    rest of the batch.
     """
+    p = np.asarray(p, dtype=float)
+    habs = np.abs(np.asarray(H, dtype=float))
+    length = habs + 2.0 * sag_limit
+    dl_dp = np.zeros(p.shape)
+    dl_dh = np.ones(p.shape)
+    solve = ~(p < EPS_P)
+    p, habs = p[solve], habs[solve]
+
     # row 0 holds s, row 1 holds k
     depths = np.array([np.full_like(p, sag_limit), sag_limit + habs])
     log_p = np.log(p)
@@ -334,85 +285,51 @@ def _sag_rows(p: np.ndarray, habs: np.ndarray, sag_limit: float):
         floored = np.maximum(span, _TINY)
         b -= (b + np.log(floored) - log_p) * floored / (floored - l_a)
 
-    length = np.sqrt(depths * (depths + 2.0 * a)).sum(axis=0)
+    solved = np.sqrt(depths * (depths + 2.0 * a)).sum(axis=0)
     # Closed-form gradient at the solved scale.  l_a = dl/da and
     # p_a = dp/da = span - l_a, so dl/dp = l_a / p_a and, with s fixed,
     # dl/dk = (dl/dk at fixed a) - l_a (dp/dk at fixed a) / p_a.
     with np.errstate(divide="ignore", invalid="ignore"):
-        dl_dp = l_a / (span - l_a)
-        dl_dh = (1.0 + w[1] - dl_dp) / np.sqrt(w[1] * w2[1])
+        slope_p = l_a / (span - l_a)
+        slope_h = (1.0 + w[1] - slope_p) / np.sqrt(w[1] * w2[1])
     chord = np.hypot(p, habs)
-    taut = chord >= length
-    np.copyto(length, chord, where=taut)
-    np.copyto(dl_dp, p / chord, where=taut)
-    np.copyto(dl_dh, habs / chord, where=taut)
+    taut = chord >= solved
+    np.copyto(solved, chord, where=taut)
+    np.copyto(slope_p, p / chord, where=taut)
+    np.copyto(slope_h, habs / chord, where=taut)
+    length[solve], dl_dp[solve], dl_dh[solve] = solved, slope_p, slope_h
     return length, dl_dp, dl_dh
 
 
-def max_length(cfg: PlanarConfiguration, props: CableProperties) -> float:
-    """Longest cable whose sag stays within ``props.sag_limit``.
-
-    The limiting curve has its vertex exactly ``sag_limit`` below the lower
-    attachment point.  For p < EPS_P the scale is unidentifiable and the
-    degenerate vertical rule |H| + 2 sag_limit, the catenary's p -> 0
-    limit, applies.
-    """
-    result = float(_sag_solve_batch(np.array([cfg.p]), np.array([cfg.H]),
-                                    props.sag_limit)[0][0])
-    if not math.isfinite(result):
-        raise NoConvergence(f"sag-limited length solve failed for {cfg!r}")
-    return result
-
-
-def tension_at(sol: CatenarySolution, x: float) -> float:
-    """Tension magnitude at abscissa x of a solved curve."""
-    tol = 1e-9 * (abs(sol.x_a) + abs(sol.x_b) + 1.0)
-    if x < sol.x_a - tol or x > sol.x_b + tol:
-        raise OutOfDomain(
-            f"abscissa {x!r} outside cable span [{sol.x_a!r}, {sol.x_b!r}]")
-    return sol.vertex_tension * math.cosh(x / sol.scale)
-
-
-def cable_bounds(p_droid, p_anchor, l_now: float,
-                 props: CableProperties) -> CableBounds:
-    """Feasible corridor for the released length at one placement.
-
-    ``p_droid`` must already be the cable attachment point (droid position
-    plus attachment offset, when the scenario uses one).
-    """
-    cfg = PlanarConfiguration.from_points(p_droid, p_anchor)
-    return CableBounds(l_min=min_length(p_droid, p_anchor),
-                       l_max=max_length(cfg, props),
-                       l_now=float(l_now))
-
-
-def corridor_bounds_batch(attach: np.ndarray, anchor,
+def corridor_bounds_batch(droid: np.ndarray, anchor,
                           props: CableProperties) -> tuple[np.ndarray, np.ndarray]:
-    """(l_min, l_max) arrays for a batch of attachment points.
+    """(l_min, l_max) arrays for a batch of droid positions.
 
-    ``attach`` has shape (n, 3); ``anchor`` is a single world position or a
-    matching (n, 3) batch of positions.  Used by the planner's seed, the
-    dense corridor re-check, the self-checks and telemetry post-processing:
-    the first two outputs of corridor_bounds_and_gradient, which the
-    planner penalty calls for the bounds and their gradient together.
+    The first two outputs of corridor_bounds_and_gradient, for the
+    planner's seed, the loader's reachability warning, the dense corridor
+    re-check, the self-checks and telemetry post-processing.
     """
-    return corridor_bounds_and_gradient(attach, anchor, props)[:2]
+    return corridor_bounds_and_gradient(droid, anchor, props)[:2]
 
 
-def corridor_bounds_and_gradient(attach: np.ndarray, anchor,
+def corridor_bounds_and_gradient(droid: np.ndarray, anchor,
                                  props: CableProperties):
-    """(l_min, l_max, dl_min/d attach, dl_max/d attach) from one root find.
+    """(l_min, l_max, dl_min/d droid, dl_max/d droid) from one root find.
 
-    The gradients are (n, 3) arrays over the attachment point's world
-    coordinates (the y column stays zero).  l_min's gradient is the unit
-    chord direction in the x-z plane; l_max's is the sag-limited solve's
-    closed form, the chord's on rows decided by the taut-chord clamp and
-    the vertical rule's below EPS_P.
+    ``droid`` has shape (n, 3); ``anchor`` is a single world position or a
+    matching (n, 3) batch of positions.  The cable attaches
+    ``props.attachment_offset`` above each droid position.  The gradients
+    are (n, 3) arrays over the droid's world coordinates (the y column
+    stays zero).  l_min's gradient is the unit chord direction in the x-z
+    plane; l_max's is the sag-limited solve's closed form, the chord's on
+    rows decided by the taut-chord clamp and the vertical rule's below
+    EPS_P.
     """
-    attach = np.asarray(attach, dtype=float)
+    droid = np.asarray(droid, dtype=float)
     anchor = np.asarray(anchor, dtype=float)
-    dx = attach[:, 0] - (anchor[0] if anchor.ndim == 1 else anchor[:, 0])
-    dz = attach[:, 2] - (anchor[2] if anchor.ndim == 1 else anchor[:, 2])
+    dx = droid[:, 0] - (anchor[0] if anchor.ndim == 1 else anchor[:, 0])
+    dz = (droid[:, 2] + props.attachment_offset) \
+        - (anchor[2] if anchor.ndim == 1 else anchor[:, 2])
     H = -dz
     l_min = np.hypot(dx, dz)
     length, dl_dp, dl_dh = _sag_solve_batch(np.abs(dx), H, props.sag_limit)

@@ -422,11 +422,6 @@ def _obstacle_penalty(samples: _Samples, obstacles, margin: float,
     return value, 0, gvec, 0.0, args
 
 
-def _attach_points(positions, cable: CableProperties):
-    """Cable attachment points of droid reference positions."""
-    return positions + np.array([0.0, 0.0, cable.attachment_offset])
-
-
 def _cable_penalty(samples: _Samples, scenario: PlanningScenario,
                    shift=None):
     """Hinges keeping the released length inside the feasible corridor.
@@ -438,8 +433,7 @@ def _cable_penalty(samples: _Samples, scenario: PlanningScenario,
     """
     margin = scenario.limits.corridor_margin
     l_min, l_max, dlmin_dp, dlmax_dp = corridor_bounds_and_gradient(
-        _attach_points(samples.deriv[0], scenario.cable),
-        scenario.anchor_position, scenario.cable)
+        samples.deriv[0], scenario.anchor_position, scenario.cable)
     l_min_eff = l_min + margin
     l_max_eff = l_max - margin
     l_now = scenario.winch.length_at(samples.ts)
@@ -534,8 +528,7 @@ def corridor_profile(traj: Trajectory, scenario: PlanningScenario,
     """(t, l_min, l_now, l_max) sampled along the plan, margin-free."""
     ts = sample_times(0.0, traj.duration, kappa)
     l_min, l_max = corridor_bounds_batch(
-        _attach_points(traj.evaluate_batch(ts, 0), scenario.cable),
-        scenario.anchor_position, scenario.cable)
+        traj.evaluate_batch(ts, 0), scenario.anchor_position, scenario.cable)
     return ts, l_min, scenario.winch.length_at(ts), l_max
 
 
@@ -615,8 +608,7 @@ def initial_guess(scenario: PlanningScenario):
     """
     start = scenario.start_state.position
     goal = scenario.goal_position
-    attach = goal + np.array([0.0, 0.0, scenario.cable.attachment_offset])
-    l_min, l_max = corridor_bounds_batch(attach[None, :],
+    l_min, l_max = corridor_bounds_batch(goal[None, :],
                                          scenario.anchor_position,
                                          scenario.cable)
     target = 0.5 * float(l_min[0] + l_max[0])

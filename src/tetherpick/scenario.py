@@ -45,8 +45,8 @@ from typing import Optional, Sequence
 import numpy as np
 import yaml
 
-from .cable import CableProperties, cable_bounds
-from .errors import ParseError, ValidationError
+from .cable import CableProperties, corridor_bounds_batch
+from .errors import NoConvergence, ParseError, ValidationError
 from .optimizer import (
     Limits,
     ObstaclePlane,
@@ -253,25 +253,59 @@ def _parse_obstacles(raw, path: str) -> Sequence[ObstaclePlane]:
     return tuple(planes)
 
 
+def _travel_time_bound(planning: PlanningScenario) -> float:
+    """Least time to cover the start-to-goal distance with speed at most
+    v_max and acceleration at most a_max, from the start speed."""
+    v_max, a_max = planning.limits.v_max, planning.limits.a_max
+    distance = float(np.linalg.norm(planning.goal_position
+                                    - planning.start_state.position))
+    v0 = min(float(np.linalg.norm(planning.start_state.velocity)), v_max)
+    if distance < (v_max * v_max - v0 * v0) / (2.0 * a_max):
+        return (math.sqrt(v0 * v0 + 2.0 * a_max * distance) - v0) / a_max
+    return distance / v_max + (v_max - v0) ** 2 / (2.0 * a_max * v_max)
+
+
 def _warn_if_unreachable(planning: PlanningScenario) -> None:
-    """Emit a warning when the winch can never match the goal's corridor."""
-    attach = planning.goal_position \
-        + np.array([0.0, 0.0, planning.cable.attachment_offset])
-    bounds = cable_bounds(attach, planning.anchor_position,
-                          planning.winch.initial_length, planning.cable)
-    start = planning.winch.initial_length
-    if planning.winch.payout_speed > 0.0:
-        reachable = (start, planning.winch.capacity)
-    elif planning.winch.payout_speed < 0.0:
+    """Emit a warning when the released length can never enter the goal's
+    corridor less its margin (the arrival window), or leaves it before the
+    droid can get there."""
+    l_min, l_max = (float(edge[0]) for edge in corridor_bounds_batch(
+        planning.goal_position[None, :], planning.anchor_position,
+        planning.cable))
+    if not math.isfinite(l_max):
+        raise NoConvergence(
+            f"sag-limited length solve failed at the goal: l_max = {l_max!r}")
+    margin = planning.limits.corridor_margin
+    low, high = l_min + margin, l_max - margin
+    winch = planning.winch
+    start, speed = winch.initial_length, winch.payout_speed
+    if speed > 0.0:
+        reachable = (start, winch.capacity)
+    elif speed < 0.0:
         reachable = (0.0, start)
     else:
         reachable = (start, start)
-    if reachable[1] < bounds.l_min or reachable[0] > bounds.l_max:
+    if reachable[1] < low or reachable[0] > high:
         warnings.warn(
-            f"goal corridor [{bounds.l_min:.3f}, {bounds.l_max:.3f}] m is "
+            f"goal corridor less its margin [{low:.3f}, {high:.3f}] m is "
             f"outside the achievable released lengths "
             f"[{reachable[0]:.3f}, {reachable[1]:.3f}] m",
             stacklevel=3)
+        return
+    # the released length leaves the window through the edge it pays out
+    # towards, unless the winch stops short of that edge
+    if speed > 0.0 and high < winch.capacity:
+        closes = (high - start) / speed
+    elif speed < 0.0 and low > 0.0:
+        closes = (low - start) / speed
+    else:
+        return
+    travel = _travel_time_bound(planning)
+    if closes < travel:
+        warnings.warn(
+            f"the released length leaves the goal corridor less its margin "
+            f"at {closes:.3f} s, before the droid can get there (at least "
+            f"{travel:.3f} s at v_max and a_max)", stacklevel=3)
 
 
 def parse_scenario(document, name_fallback: str = "scenario") -> Scenario:

@@ -37,7 +37,6 @@ from .cable import (
     PlanarConfiguration,
     corridor_bounds_batch,
     solve_catenary,
-    tension_at,
 )
 from .errors import DegenerateThrust, ValidationError
 from .optimizer import VIOLATION_TOL, WinchSchedule, corridor_violation
@@ -97,7 +96,7 @@ def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
         horizontal = math.copysign(sol.vertex_tension, dx)
         vertical = sol.vertex_tension * math.sinh(sol.x_a / sol.scale)
         return (horizontal, vertical, -horizontal, -vertical - mu * length,
-                tension_at(sol, sol.x_a), False)
+                sol.vertex_tension * math.cosh(sol.x_a / sol.scale), False)
 
     ux = dx / chord
     uz = dz / chord
@@ -237,8 +236,7 @@ def _finish_log(rows, anchor_trace, props: CableProperties,
     acceleration, l_now, tension, thrust), plus the corridor post-check."""
     rows = np.array(rows)
     position = rows[:, 1:4]
-    attach = position + np.array([0.0, 0.0, props.attachment_offset])
-    l_min, l_max = corridor_bounds_batch(attach, anchor_trace, props)
+    l_min, l_max = corridor_bounds_batch(position, anchor_trace, props)
     l_now = rows[:, 10]
     violation = corridor_violation(l_min if check_lower else 0.0, l_now,
                                    l_max)

@@ -185,6 +185,8 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
 
     # the right-hand side scaled by dT^o, row by row
     powers = time_powers(dt)
+    if not np.isfinite(powers).all():
+        raise SingularSystem(f"segment duration {dt!r} overflows dT^5")
     size = NCOEF * n_seg
     rhs = np.zeros((size, 3))
     rhs[0] = start.position

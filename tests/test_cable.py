@@ -22,20 +22,15 @@ from tetherpick import cable
 from tetherpick.cable import (
     EPS_P,
     CableProperties,
-    CableState,
     CatenarySolution,
     PlanarConfiguration,
-    cable_bounds,
     corridor_bounds_and_gradient,
     corridor_bounds_batch,
-    max_length,
-    min_length,
     solve_catenary,
-    tension_at,
     _sag_solve_batch,
     _solve_scale,
 )
-from tetherpick.errors import LengthTooShort, NoConvergence, OutOfDomain
+from tetherpick.errors import LengthTooShort, NoConvergence
 
 PROPS = CableProperties()
 MU = PROPS.weight_per_length
@@ -63,6 +58,24 @@ def oracle_scale(p, H, L):
     return brentq(gap, 1e-8, 1e5, xtol=1e-15, rtol=8.9e-16)
 
 
+def corridor_at(droid, anchor, props=PROPS):
+    """(l_min, l_max) of the corridor at one droid position."""
+    l_min, l_max = corridor_bounds_batch(np.array([droid], dtype=float),
+                                         anchor, props)
+    return float(l_min[0]), float(l_max[0])
+
+
+def sag_length(cfg, props=PROPS):
+    """The corridor's l_max at the planar configuration ``cfg``: the droid
+    at (p, 0, -H) below an anchor at the origin."""
+    return corridor_at((cfg.p, 0.0, -cfg.H), np.zeros(3), props)[1]
+
+
+def tension(sol, x):
+    """Tension magnitude at abscissa x of a solved curve."""
+    return sol.vertex_tension * math.cosh(x / sol.scale)
+
+
 def raw_residuals(sol, cfg):
     """Residuals of the raw endpoint equations, no sum-to-product rewrite."""
     a = sol.scale
@@ -78,22 +91,26 @@ class TestChordAndMinLength:
         assert PlanarConfiguration(2, 1).chord == pytest.approx(math.sqrt(5), rel=1e-12)
 
     def test_min_length_axis_aligned(self):
-        assert min_length((2, 0, 0), (0, 0, 0)) == 2.0
+        assert corridor_at((2, 0, 0), (0, 0, 0))[0] == 2.0
 
     def test_min_length_diagonal(self):
-        assert min_length((2, 0, 2), (0, 0, 0)) == pytest.approx(2 * math.sqrt(2), rel=1e-12)
+        assert corridor_at((2, 0, 2), (0, 0, 0))[0] == pytest.approx(
+            2 * math.sqrt(2), rel=1e-12)
 
     def test_min_length_ignores_y(self):
-        assert min_length((0, 5, 0), (0, 0, 0)) == 0.0
+        assert corridor_at((0, 5, 0), (0, 0, 0))[0] == 0.0
 
     def test_coincident_points_rejected(self):
         with pytest.raises(ValueError):
             PlanarConfiguration(0, 0)
 
     def test_from_points_projects_to_xz(self):
-        cfg = PlanarConfiguration.from_points((2, 7, 0), (0, -3, 2.5))
-        assert cfg.p == 2.0
-        assert cfg.H == 2.5
+        """The corridor reads the x-z plane only: its chord is that of the
+        planar configuration p = |dx|, H = dz."""
+        l_min, l_max = corridor_at((2, 7, 0), (0, -3, 2.5))
+        cfg = PlanarConfiguration(2.0, 2.5)
+        assert l_min == cfg.chord
+        assert l_max == sag_length(cfg)
 
 
 class TestCableProperties:
@@ -122,7 +139,7 @@ class TestSolveCatenary:
         assert sol.scale == pytest.approx(oracle_scale(2, 0, 2.5), rel=1e-12)
         assert sol.x_a == pytest.approx(-1.0, abs=1e-12)
         assert sol.x_b == pytest.approx(1.0, abs=1e-12)
-        assert sol.state is CableState.SLACK
+        assert sol.x_a < 0.0 < sol.x_b
         sag = sol.scale * (math.cosh(sol.x_a / sol.scale) - 1.0)
         assert sag == pytest.approx(SAG_SYM_L2P5, rel=1e-12)
 
@@ -142,7 +159,7 @@ class TestSolveCatenary:
         h_res, l_res = raw_residuals(sol, cfg)
         assert abs(h_res) < 1e-9
         assert abs(l_res) < 1e-9
-        assert sol.state is CableState.SLACK
+        assert sol.x_a < 0.0 < sol.x_b
 
     def test_length_at_or_below_chord_rejected(self):
         cfg = PlanarConfiguration(2, 1)
@@ -186,7 +203,6 @@ class TestSolveCatenary:
         cfg = PlanarConfiguration(0.5, 3)
         sol = solve_catenary(cfg, cfg.chord + 1e-4, PROPS)
         assert sol.x_a > 0
-        assert sol.state is CableState.TAUT
 
     def test_randomized_residual_and_quadrature_invariants(self):
         """100 random (p, H, L): residuals < 1e-9, quadrature matches 1e-6."""
@@ -218,9 +234,7 @@ class TestSolveCatenary:
             sol = solve_catenary(cfg, L, PROPS)
             x_lower = sol.x_a if H >= 0 else sol.x_b
             sag_below_lower = sol.scale * (math.cosh(x_lower / sol.scale) - 1.0)
-            slack = sol.x_a < 0 < sol.x_b
-            assert (sol.state is CableState.SLACK) == slack
-            if slack:
+            if sol.x_a < 0 < sol.x_b:
                 assert sag_below_lower > 0
 
     def test_taut_limit_sag_decreases_monotonically(self):
@@ -242,7 +256,7 @@ class TestSolveCatenary:
 
 class TestMaxLength:
     def test_degenerate_vertical_rule(self):
-        assert max_length(PlanarConfiguration(0, 3), PROPS) == pytest.approx(3.2, rel=1e-12)
+        assert sag_length(PlanarConfiguration(0, 3)) == pytest.approx(3.2, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(H=st.floats(-3.0, 3.0), sag=st.floats(0.0, 3.0))
@@ -250,16 +264,16 @@ class TestMaxLength:
         """At p = EPS_P the vertical rule meets the catenary's p -> 0
         limit |H| + 2 sag, so l_max does not jump there."""
         props = CableProperties(sag_limit=sag)
-        below = max_length(PlanarConfiguration(EPS_P * (1 - 1e-9), H), props)
-        above = max_length(PlanarConfiguration(EPS_P * (1 + 1e-9), H), props)
+        below = sag_length(PlanarConfiguration(EPS_P * (1 - 1e-9), H), props)
+        above = sag_length(PlanarConfiguration(EPS_P * (1 + 1e-9), H), props)
         assert abs(above - below) <= 2e-6
 
     def test_zero_sag_forces_chord(self):
         props = CableProperties(sag_limit=0.0)
-        assert max_length(PlanarConfiguration(2, 0), props) == 2.0
+        assert sag_length(PlanarConfiguration(2, 0), props) == 2.0
 
     def test_symmetric_sag_case(self):
-        got = max_length(PlanarConfiguration(2, 0), PROPS)
+        got = sag_length(PlanarConfiguration(2, 0), PROPS)
         assert got == pytest.approx(MAXLEN_P2_H0_D0P1, rel=1e-10)
         # independent symmetric oracle: a (cosh(1/a) - 1) = d
         def depth_gap(a):
@@ -272,12 +286,12 @@ class TestMaxLength:
         assert got == pytest.approx(2 * a * math.sinh(1.0 / a), rel=1e-10)
 
     def test_tall_asymmetric_case(self):
-        got = max_length(PlanarConfiguration(2, 3), PROPS)
+        got = sag_length(PlanarConfiguration(2, 3), PROPS)
         assert got == pytest.approx(MAXLEN_P2_H3_D0P1, rel=1e-10)
 
     def test_sag_case_quadrature_oracle(self):
         """Recover the limiting curve and check its arc length by quadrature."""
-        L = max_length(PlanarConfiguration(2, 3), PROPS)
+        L = sag_length(PlanarConfiguration(2, 3), PROPS)
         sol = solve_catenary(PlanarConfiguration(2, 3), L, PROPS)
         # the vertex must sit sag_limit below the lower endpoint
         z_a = sol.scale * (math.cosh(sol.x_a / sol.scale) - 1.0)
@@ -293,7 +307,7 @@ class TestMaxLength:
             p = rng.uniform(0.3, 6.0)
             H = rng.uniform(-3.0, 3.0)
             cfg = PlanarConfiguration(p, H)
-            lengths = [max_length(cfg, CableProperties(sag_limit=d))
+            lengths = [sag_length(cfg, CableProperties(sag_limit=d))
                        for d in (0.0, 0.05, 0.1, 0.3, 1.0)]
             assert all(b >= a - 1e-12 for a, b in zip(lengths, lengths[1:]))
 
@@ -305,11 +319,11 @@ class TestMaxLength:
             if math.hypot(p, H) < 1e-9:
                 continue
             cfg = PlanarConfiguration(p, H)
-            assert max_length(cfg, PROPS) >= cfg.chord - 1e-12
+            assert sag_length(cfg, PROPS) >= cfg.chord - 1e-12
 
     def test_mirror_symmetry_in_h(self):
-        up = max_length(PlanarConfiguration(2, 3), PROPS)
-        down = max_length(PlanarConfiguration(2, -3), PROPS)
+        up = sag_length(PlanarConfiguration(2, 3), PROPS)
+        down = sag_length(PlanarConfiguration(2, -3), PROPS)
         assert up == pytest.approx(down, rel=1e-12)
 
 
@@ -318,62 +332,80 @@ class TestTensionAt:
         self.sol = solve_catenary(PlanarConfiguration(2, 0), 2.5, PROPS)
 
     def test_vertex_tension(self):
-        assert tension_at(self.sol, 0.0) == pytest.approx(self.sol.vertex_tension, rel=1e-12)
+        assert tension(self.sol, 0.0) == self.sol.vertex_tension
 
     def test_unit_slope_point(self):
         # tan(theta) = sinh(x/a) = 1 there, so T = T0 * sqrt(2)
         x = self.sol.scale * math.asinh(1.0)
         assert x <= self.sol.x_b
-        assert tension_at(self.sol, x) == pytest.approx(
+        assert tension(self.sol, x) == pytest.approx(
             self.sol.vertex_tension * math.sqrt(2), rel=1e-12)
-
-    def test_out_of_domain(self):
-        with pytest.raises(OutOfDomain):
-            tension_at(self.sol, self.sol.x_b + 0.1)
-        with pytest.raises(OutOfDomain):
-            tension_at(self.sol, self.sol.x_a - 0.1)
 
     def test_vertical_force_balance(self):
         """End tensions' vertical components support the full cable weight."""
         sol = self.sol
         theta_a = math.atan(math.sinh(sol.x_a / sol.scale))
         theta_b = math.atan(math.sinh(sol.x_b / sol.scale))
-        vertical = (tension_at(sol, sol.x_b) * math.sin(theta_b)
-                    - tension_at(sol, sol.x_a) * math.sin(theta_a))
+        vertical = (tension(sol, sol.x_b) * math.sin(theta_b)
+                    - tension(sol, sol.x_a) * math.sin(theta_a))
         assert vertical == pytest.approx(MU * sol.length, rel=1e-9)
 
     def test_horizontal_tension_constant(self):
         sol = self.sol
         for x in np.linspace(sol.x_a, sol.x_b, 11):
             theta = math.atan(math.sinh(x / sol.scale))
-            assert tension_at(sol, x) * math.cos(theta) == pytest.approx(
+            assert tension(sol, x) * math.cos(theta) == pytest.approx(
                 sol.vertex_tension, rel=1e-12)
 
 
 class TestCableBounds:
     def test_offset_anchor_corridor(self):
-        bounds = cable_bounds((2, 0, 0), (0, 0, 2.5), 3.3, PROPS)
-        assert bounds.l_min == pytest.approx(math.sqrt(10.25), rel=1e-12)
-        assert bounds.l_max == pytest.approx(MAXLEN_P2_H2P5_D0P1, rel=1e-10)
-        assert bounds.l_min <= bounds.l_now <= bounds.l_max
+        l_min, l_max = corridor_at((2, 0, 0), (0, 0, 2.5))
+        assert l_min == pytest.approx(math.sqrt(10.25), rel=1e-12)
+        assert l_max == pytest.approx(MAXLEN_P2_H2P5_D0P1, rel=1e-10)
+        assert l_min <= 3.3 <= l_max
 
     def test_directly_below_anchor(self):
-        bounds = cable_bounds((0, 0, 0), (0, 0, 2), 2.05, PROPS)
-        assert bounds.l_min == pytest.approx(2.0, abs=1e-12)
-        assert bounds.l_max == pytest.approx(2.2, abs=1e-12)
-        assert bounds.l_min <= bounds.l_now <= bounds.l_max
+        l_min, l_max = corridor_at((0, 0, 0), (0, 0, 2))
+        assert l_min == pytest.approx(2.0, abs=1e-12)
+        assert l_max == pytest.approx(2.2, abs=1e-12)
+        assert l_min <= 2.05 <= l_max
+
+    @settings(max_examples=300, deadline=None)
+    @given(droid=st.lists(st.tuples(st.floats(-3.0, 3.0),
+                                    st.floats(-1.0, 1.0),
+                                    st.floats(-3.0, 3.0)),
+                          min_size=1, max_size=20),
+           offset=st.floats(-0.5, 0.5),
+           sag=st.sampled_from([0.0, 0.05, 0.1, 1.0]))
+    def test_offset_is_the_droid_shifted_in_z(self, droid, offset, sag):
+        """The attachment offset o gives, bit for bit, the corridor and
+        gradient of offset 0 at droid positions raised by o."""
+        anchor = np.array([0.5, 0.0, 2.5])
+        droid = np.array(droid)
+        raised = droid.copy()
+        raised[:, 2] += offset
+        got = corridor_bounds_and_gradient(
+            droid, anchor, CableProperties(sag_limit=sag,
+                                           attachment_offset=offset))
+        want = corridor_bounds_and_gradient(
+            raised, anchor, CableProperties(sag_limit=sag))
+        for mine, theirs in zip(got, want):
+            assert mine.tobytes() == theirs.tobytes()
 
 
 class TestBatchedHelpers:
     def test_batch_matches_scalar_solves(self):
+        """Each row is the one-row corridor, and l_min the planar chord."""
         rng = np.random.default_rng(11)
         attach = rng.uniform(-3, 3, size=(40, 3))
         anchor = np.array([0.5, 0.0, 2.5])
         l_min, l_max = corridor_bounds_batch(attach, anchor, PROPS)
         for i in range(attach.shape[0]):
-            b = cable_bounds(attach[i], anchor, 0.0, PROPS)
-            assert l_min[i] == pytest.approx(b.l_min, rel=1e-12)
-            assert l_max[i] == pytest.approx(b.l_max, rel=1e-10)
+            assert (l_min[i], l_max[i]) == corridor_at(attach[i], anchor)
+            cfg = PlanarConfiguration(abs(anchor[0] - attach[i, 0]),
+                                      anchor[2] - attach[i, 2])
+            assert l_min[i] == pytest.approx(cfg.chord, rel=1e-12)
 
     def test_batch_lmax_clamped_to_lmin(self):
         l_min, l_max = corridor_bounds_batch(
@@ -400,12 +432,12 @@ class TestBatchedHelpers:
         eps = 1e-5
         for i in range(p.size):
             assert l_max[i] == pytest.approx(
-                max_length(PlanarConfiguration(p[i], H[i]), PROPS), rel=1e-10)
-            up = max_length(PlanarConfiguration(p[i] + eps, H[i]), PROPS)
-            dn = max_length(PlanarConfiguration(p[i] - eps, H[i]), PROPS)
+                sag_length(PlanarConfiguration(p[i], H[i]), PROPS), rel=1e-10)
+            up = sag_length(PlanarConfiguration(p[i] + eps, H[i]), PROPS)
+            dn = sag_length(PlanarConfiguration(p[i] - eps, H[i]), PROPS)
             assert dl_dp[i] == pytest.approx((up - dn) / (2 * eps), abs=2e-4)
-            up = max_length(PlanarConfiguration(p[i], H[i] + eps), PROPS)
-            dn = max_length(PlanarConfiguration(p[i], H[i] - eps), PROPS)
+            up = sag_length(PlanarConfiguration(p[i], H[i] + eps), PROPS)
+            dn = sag_length(PlanarConfiguration(p[i], H[i] - eps), PROPS)
             assert dl_dh[i] == pytest.approx((up - dn) / (2 * eps), abs=2e-4)
 
     def test_gradient_degenerate_vertical(self):

@@ -6,6 +6,7 @@ test process has imported scipy long before.
 
 import concurrent.futures
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -30,8 +31,9 @@ from tetherpick.cli import (
     write_trajectory_artifact,
 )
 from tetherpick.errors import ParseError
+from tetherpick.optimizer import corridor_profile
 from tetherpick.simulation import TELEMETRY_COLUMNS
-from tetherpick.trajectory import BoundaryState, construct
+from tetherpick.trajectory import BoundaryState, Trajectory, construct
 
 # trimmed segment/sample counts keep each plan under a second
 FAST_SCENARIO = """\
@@ -290,6 +292,41 @@ class TestSimulate:
         assert tuple(rows[0]) == TELEMETRY_COLUMNS
         t = np.array([float(r[0]) for r in rows[1:]])
         assert np.all(np.diff(t) > 0.0)
+
+    def test_attachment_offset_reaches_the_telemetry_corridor(self,
+                                                             tmp_path):
+        """With the hook 5 cm above the droid, the flight's corridor columns
+        are the planner's corridor_profile at the flown positions."""
+        path = tmp_path / "hop.yaml"
+        path.write_text(FAST_SCENARIO.replace(
+            "  sag_limit_m: 0.1\n",
+            "  sag_limit_m: 0.1\n  attachment_offset_m: 0.05\n"))
+        out = tmp_path / "out"
+        assert run(["plan", "--scenario", str(path), "--out", str(out)]) == 0
+        assert run(["simulate", "--scenario", str(path),
+                    "--out", str(out)]) == 0
+        rows = read_rows(out / "hop_telemetry.csv")
+        table = np.array(rows[1:], dtype=float)
+        column = {name: table[:, rows[0].index(name)]
+                  for name in ("x", "y", "z", "l_min", "l_max")}
+        flown = np.column_stack([column["x"], column["y"], column["z"]])
+        # the piecewise-linear path through the flown positions, one
+        # segment per step, so corridor_profile samples exactly those
+        steps = flown.shape[0] - 1
+        coefficients = np.zeros((steps, 6, 3))
+        coefficients[:, 0] = flown[:-1]
+        coefficients[:, 1] = np.diff(flown, axis=0)
+        path_traj = Trajectory(coefficients, 1.0)
+        planning = scenario.load_scenario(path).planning
+        assert planning.cable.attachment_offset == 0.05
+        _, l_min, _, l_max = corridor_profile(path_traj, planning, steps)
+        np.testing.assert_allclose(column["l_min"], l_min, rtol=2e-8)
+        np.testing.assert_allclose(column["l_max"], l_max, rtol=2e-8)
+        hookless = dataclasses.replace(
+            planning, cable=dataclasses.replace(planning.cable,
+                                                attachment_offset=0.0))
+        _, l_min_0, _, _ = corridor_profile(path_traj, hookless, steps)
+        assert np.min(np.abs(l_min_0 - l_min)) > 1e-3
 
     def test_missing_artifact_exits_two(self, fast_scenario, tmp_path):
         assert run(["simulate", "--scenario", str(fast_scenario),

@@ -24,7 +24,6 @@ from tetherpick.optimizer import (
     PlanningScenario,
     WinchSchedule,
     _Samples,
-    _attach_points,
     _cable_penalty,
     _hinge_parts,
     _jerk_hessian,
@@ -329,8 +328,7 @@ def reference_cable_penalty(samples, scenario):
     """(value, grad_c, grad_ddt, worst squared-length excess)."""
     margin = scenario.limits.corridor_margin
     l_min, l_max, dlmin_dp, dlmax_dp = cable.corridor_bounds_and_gradient(
-        _attach_points(samples.deriv[0], scenario.cable),
-        scenario.anchor_position, scenario.cable)
+        samples.deriv[0], scenario.anchor_position, scenario.cable)
     l_min_eff = l_min + margin
     l_max_eff = l_max - margin
     l_now = scenario.winch.length_at(samples.ts)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tetherpick.cable import CableProperties
-from tetherpick.errors import ParseError, ValidationError
+from tetherpick.errors import NoConvergence, ParseError, ValidationError
 from tetherpick.optimizer import (
     Limits,
     PenaltyWeights,
@@ -23,6 +23,8 @@ from tetherpick.scenario import (
     _KEYS,
     RetrievalSpec,
     Scenario,
+    _travel_time_bound,
+    load_document,
     load_scenario,
     parse_scenario,
 )
@@ -349,6 +351,77 @@ class TestReachabilityWarning:
         doc["winch"] = {"initial_length_m": 1.0, "payout_speed_m_s": 0.2,
                         "capacity_m": 2.0}
         with pytest.warns(UserWarning, match="outside the achievable"):
+            parse_scenario(doc)
+
+    def test_capacity_short_of_the_margin_warns(self, shipped_scenario_dir):
+        # the goal's chord is 5 m and its margin 0.02 m: a winch that stops
+        # at 5.01 m never enters the window, and the plan ends with its
+        # cable hinge open
+        doc = load_document(shipped_scenario_dir / "pickup_level.yaml")
+        doc["winch"]["capacity_m"] = 5.01
+        with pytest.warns(UserWarning, match=r"less its margin \[5.020, "):
+            parse_scenario(doc)
+
+    def test_window_closing_before_arrival_warns(self, shipped_scenario_dir):
+        """The released length is inside the goal's corridor less its margin
+        only for T in [0.607, 1.225] s; covering the 2.33 m at 2 m/s takes
+        1.164 s, and reaching 2 m/s from rest at 6 m/s^2 adds 0.167 s."""
+        doc = load_document(shipped_scenario_dir / "pickup_high.yaml")
+        doc["scenario"]["goal_position_m"] = [1.577, -0.012, 1.713]
+        doc["cable"]["sag_limit_m"] = 0.066
+        with pytest.warns(UserWarning, match="at 1.225 s, before the droid "
+                                             r"can get there \(at least 1.331 s"):
+            parse_scenario(doc)
+
+    def test_moving_start_shortens_the_travel_bound(self,
+                                                    shipped_scenario_dir):
+        # moving at about v_max towards the goal, the droid can cover the
+        # 2.33 m in 1.165 s, inside the window that closes at 1.225 s
+        doc = load_document(shipped_scenario_dir / "pickup_high.yaml")
+        doc["scenario"]["goal_position_m"] = [1.577, -0.012, 1.713]
+        doc["scenario"]["start_velocity_m_s"] = [1.355, -0.01, 1.47]
+        doc["cable"]["sag_limit_m"] = 0.066
+        parse_quiet(doc)
+
+    @pytest.mark.parametrize("goal_x, speed, want", [
+        (0.2, 0.0, math.sqrt(2 * 0.2 / 6.0)),   # never reaches v_max
+        (3.0, 0.0, 3.0 / 2.0 + 2.0 / 12.0),     # accelerates, then cruises
+        (3.0, 2.0, 3.0 / 2.0),                  # cruises from the start
+        (0.2, 1.0, (math.sqrt(1.0 + 2 * 6.0 * 0.2) - 1.0) / 6.0),
+    ])
+    def test_travel_time_bound(self, goal_x, speed, want):
+        doc = minimal_document()
+        doc["scenario"]["goal_position_m"] = [goal_x, 0.0, 0.0]
+        doc["scenario"]["start_velocity_m_s"] = [speed, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            planning = parse_scenario(doc).planning
+        assert _travel_time_bound(planning) == pytest.approx(want, rel=1e-12)
+
+    def test_reeling_in_past_the_window_warns(self):
+        # reeling in at 2 m/s, the released length reaches the goal's chord
+        # sqrt(5) m after 0.38 s; the 1 m hop takes at least 0.667 s
+        doc = minimal_document()
+        doc["winch"] = {"initial_length_m": 3.0, "payout_speed_m_s": -2.0}
+        with pytest.warns(UserWarning, match="at 0.382 s, before the droid"):
+            parse_scenario(doc)
+
+    @pytest.mark.parametrize("goal_z", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("sag", [0.05, 0.2])
+    def test_benchmark_grid_points_load_clean(self, goal_z, sag,
+                                              shipped_scenario_dir):
+        """The benchmark's sweep grid over pickup_level plans clean, so
+        none of its points may warn."""
+        doc = load_document(shipped_scenario_dir / "pickup_level.yaml")
+        doc["scenario"]["goal_position_m"][2] = goal_z
+        doc["cable"]["sag_limit_m"] = sag
+        parse_quiet(doc)
+
+    def test_non_finite_goal_corridor_raises(self):
+        doc = minimal_document(cable={"sag_limit_m": 0.1})
+        doc["scenario"]["goal_position_m"] = [1e308, 0.0, -1e308]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"), \
+                pytest.raises(NoConvergence):
             parse_scenario(doc)
 
 

@@ -14,7 +14,6 @@ from tetherpick.cable import (
     CableProperties,
     PlanarConfiguration,
     solve_catenary,
-    tension_at,
 )
 from tetherpick.errors import DegenerateThrust, NoConvergence, ValidationError
 from tetherpick.optimizer import (
@@ -476,13 +475,12 @@ def reference_tether_force(attach, anchor, length, props, attach_velocity,
                 np.array([0.0, 0.0, -mu * (length - droid_strand)]),
                 mu * droid_strand, False)
     if length > chord:
-        sol = solve_catenary(PlanarConfiguration.from_points(attach, anchor),
-                             length, props)
+        sol = solve_catenary(PlanarConfiguration(abs(dx), dz), length, props)
         vertical = sol.vertex_tension * math.sinh(sol.x_a / sol.scale)
         on_droid = np.array([math.copysign(sol.vertex_tension, dx), 0.0,
                              vertical])
         return (on_droid, -on_droid + np.array([0.0, 0.0, -mu * length]),
-                tension_at(sol, sol.x_a), False)
+                sol.vertex_tension * math.cosh(sol.x_a / sol.scale), False)
     direction = np.array([dx, 0.0, dz]) / chord
     stretch_rate = -payout_rate + float(
         direction @ (np.asarray(anchor_velocity, dtype=float)

@@ -11,7 +11,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -337,6 +337,34 @@ class TestTimeNormalized:
         expected, _ = dense_construct(*problem)
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(traj.coefficients - expected)) < 1e-9 * scale
+
+    @given(segments=st.integers(1, 8), log_dt=st.floats(-3.0, 300.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(segments=1, log_dt=math.log10(2e70), seed=0)
+    @settings(max_examples=100, deadline=None)
+    def test_any_duration_is_rejected_or_meets_the_boundary(
+            self, segments, log_dt, seed):
+        """dT from 1e-3 to 1e300 s: SingularSystem, or every boundary row
+        (start state, goal position and velocity) met in time-normalized
+        form to the rounding of the normalized coefficients c dT^k."""
+        wp, total, start, gp, gv = drawn_problem(
+            np.random.default_rng(seed), segments, 10.0 ** log_dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                traj = construct(wp, total, start, gp, gv)
+            except SingularSystem:
+                return
+            powers = time_powers(traj.segment_duration)
+            scale = max(1.0, float(np.max(np.abs(
+                traj.coefficients * powers[:, None]))))
+            rows = [(0.0, o, want) for o, want in enumerate(
+                (start.position, start.velocity, start.acceleration,
+                 start.jerk))] + [(traj.duration, 0, gp),
+                                  (traj.duration, 1, gv)]
+            for t, order, want in rows:
+                got = traj.evaluate_batch([t], order)[0]
+                assert np.max(np.abs(got - want) * powers[order]) \
+                    <= 1e-9 * scale, (t, order)
 
     @given(segments=st.integers(1, 8), per_segment=st.floats(0.1, 5.0),
            seed=st.integers(0, 2 ** 32 - 1))
