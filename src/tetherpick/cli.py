@@ -427,7 +427,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario YAML file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0,
-                       help="random seed recorded in outputs")
+                       help="random seed: check draws from it, plan "
+                       "records it, simulate and sweep ignore it")
 
     plan = sub.add_parser("plan", help="optimize a trajectory and export it")
     common(plan)

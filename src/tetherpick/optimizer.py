@@ -40,10 +40,9 @@ positional derivative from a closed form at the solved scale
   where H1 = L L^T and q0, dT are the leg's start, so the jerk part has unit
   curvature there.  The softplus duration variable theta is scaled by
   |d2J/dtheta2|^(-1/2) from a central difference, clipped to [0.1, 10].
-- *Restarts.*  Every 25 iterations a leg measures the duration scale again
-  and stops when it is off by more than 2x; a status-0 stop whose gradient
-  is still large (a false ftol stop) stops it as well.  Either way the next
-  leg starts from that point, re-whitened there.
+- *Restarts.*  A status-0 stop whose gradient is still large (a false ftol
+  stop) does not end the plan: the next leg starts from that point,
+  re-whitened there.
 - *Shifts.*  A converged plan whose worst hinge is not below VIOLATION_TOL
   gets one shift s >= 0 per sample and hinge side, inside the hinge:
   w * max(g + s, 0)^3, updated as s <- max(s + g, 0) (Powell's multiplier
@@ -101,9 +100,8 @@ _STOP_GRADIENT_RTOL = 1e-2
 _THETA_STEP = 1e-3
 _THETA_SCALE_CLIP = (0.1, 10.0)
 
-# Every this many iterations a leg measures the duration scale again, and
-# restarts when it is off by more than 2x either way.
-_SCALE_CHECK_PERIOD = 25
+# Every this many iterations a shift round checks that it is not worsening.
+_WORSENING_CHECK_PERIOD = 25
 
 
 def _blas_thread_controls(library: str):
@@ -699,7 +697,7 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
             nonlocal worsening
             # L-BFGS-B reports each iterate right after evaluating it
             history.append(latest[0])
-            if (len(history) - first) % _SCALE_CHECK_PERIOD:
+            if (len(history) - first) % _WORSENING_CHECK_PERIOD:
                 return
             # a shift round whose unshifted worst hinge is not below the
             # last round's is making things worse: end it, to be dropped
@@ -707,9 +705,6 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
                     and max(latest[1].values()) >= previous[2]:
                 worsening = True
                 raise StopIteration
-            if optimize_time \
-                    and not 0.5 <= theta_scale(*point(z)) / scale <= 2.0:
-                raise StopIteration  # status 99: restart re-whitened
 
         first = len(history)
         result = minimize(objective, np.zeros(3 * n_wp + optimize_time),
@@ -733,13 +728,12 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
             false_stop = result.status == 0 and \
                 np.max(np.abs(result.jac), initial=0.0) > \
                 _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
-            restart = (false_stop or result.status == 99) and not worsening
             out_of_budget = iterations >= max_iterations
-            if restart and result.nit > 0 and not out_of_budget:
+            if false_stop and result.nit > 0 and not out_of_budget:
                 continue
             if result.status == 0 and not false_stop:
                 status = "converged"
-            elif result.status == 1 or (restart and out_of_budget):
+            elif result.status == 1 or (false_stop and out_of_budget):
                 status = "max_iterations"
             else:
                 status = "line_search_failure"

@@ -19,9 +19,12 @@ Controllers are differential-flatness feedforward plus PD position
 feedback; the feedforward inverts desired acceleration, jerk, and the
 measured tether force into thrust, attitude, and body rates.
 
-The physics lives in three scalar kernels (cable forces, flatness
-inversion, one integration step) that work on floats and tuples, so the
-per-step loops pay no array overhead.
+One closed loop flies both phases.  The pickup tracks the planned
+trajectory with the cable's far end fixed at the anchor; the retrieval
+holds position while the far end is a point-mass carrier moved by the cable
+and gravity.  The physics lives in three scalar kernels (cable forces,
+flatness inversion, one integration step) that work on floats and tuples,
+so the per-step loop pays no array overhead.
 """
 
 from __future__ import annotations
@@ -230,16 +233,65 @@ class TelemetryLog:
             self.l_min, self.l_now, self.l_max, self.tension, self.thrust])
 
 
-def _finish_log(rows, anchor_trace, props: CableProperties,
-                check_lower: bool = True) -> TelemetryLog:
-    """Telemetry from per-step rows of (t, position, velocity,
-    acceleration, l_now, tension, thrust), plus the corridor post-check."""
+def _track(ts: np.ndarray, reference, winch: WinchSchedule, heading,
+           far_end, props: CableProperties, params: DroneParams, dt: float,
+           carrier_mass: float | None = None) -> TelemetryLog:
+    """Track ``reference`` (per-step position, velocity, acceleration and
+    jerk at ``ts``) against the cable, then post-check the corridor.
+
+    The cable's far end stays at ``far_end`` (the anchor) unless a
+    ``carrier_mass`` is given; then it is a point mass moved by the cable
+    and gravity, and the taut spring is damped for that mass, not the
+    droid's.  ``heading`` is (cos yaw, sin yaw).
+    """
+    offset = props.attachment_offset
+    mass, gravity, kp, kd = params.mass, props.gravity, params.kp, params.kd
+    moving = carrier_mass is not None
+    damping = 2.0 * math.sqrt(TETHER_STIFFNESS
+                              * (carrier_mass if moving else mass))
+    lengths = winch.length_at(ts).tolist()
+    rates = winch.rate_at(ts).tolist()
+
+    pos, vel, rot = reference[0][0], reference[1][0], None
+    # the far end only moves in x-z: the cable's end forces have no y part
+    end_x, end_y, end_z = far_end
+    end_vx = end_vz = 0.0
+    rows = []
+    end_trace = []
+    for t, rp, rv, ra, rj, l_now, rate in zip(ts.tolist(), *reference,
+                                               lengths, rates):
+        px, py, pz = pos
+        vx, vy, vz = vel
+        droid_x, droid_z, end_fx, end_fz, tension, _ = _cable_forces(
+            end_x - px, end_z - (pz + offset), end_vx - vx, end_vz - vz,
+            l_now, rate, props, damping)
+        pull = (droid_x, 0.0, droid_z)
+        command = (ra[0] + kp * (rp[0] - px) + kd * (rv[0] - vx),
+                   ra[1] + kp * (rp[1] - py) + kd * (rv[1] - vy),
+                   ra[2] + kp * (rp[2] - pz) + kd * (rv[2] - vz))
+        thrust, attitude, body_rates = _flat_inputs(
+            command, rj, heading, 0.0, pull, mass, gravity)
+        if rot is None:
+            rot = attitude
+        pos, vel, rot, acc = _advance(pos, vel, rot, thrust, body_rates,
+                                      pull, mass, gravity, dt)
+        if moving:
+            end_vx += end_fx / carrier_mass * dt
+            end_vz += (end_fz / carrier_mass - gravity) * dt
+            end_x += end_vx * dt
+            end_z += end_vz * dt
+            end_trace.append((end_x, end_y, end_z))
+        rows.append((t, px, py, pz, vx, vy, vz, *acc, l_now, tension,
+                     thrust))
+
     rows = np.array(rows)
     position = rows[:, 1:4]
-    l_min, l_max = corridor_bounds_batch(position, anchor_trace, props)
+    l_min, l_max = corridor_bounds_batch(
+        position, end_trace if moving else far_end, props)
     l_now = rows[:, 10]
-    violation = corridor_violation(l_min if check_lower else 0.0, l_now,
-                                   l_max)
+    # a taut carrier sits below the slack corridor on purpose, so only the
+    # sag-limited upper bound is meaningful when the far end moves
+    violation = corridor_violation(0.0 if moving else l_min, l_now, l_max)
     return TelemetryLog(
         time=rows[:, 0], position=position, velocity=rows[:, 4:7],
         acceleration=rows[:, 7:10], l_min=l_min, l_now=l_now, l_max=l_max,
@@ -258,44 +310,14 @@ def simulate_pickup(traj: Trajectory, scenario,
     one).  Feedback gains
     live in ``params``; zeroing them gives the open-loop flatness replay.
     """
-    props = scenario.cable
-    anchor = np.asarray(scenario.anchor_position, dtype=float)
-    anchor_x, anchor_z = float(anchor[0]), float(anchor[2])
-    offset = props.attachment_offset
-    mass, gravity, kp, kd = params.mass, props.gravity, params.kp, params.kd
-    damping = 2.0 * math.sqrt(TETHER_STIFFNESS * mass)
-    heading = (math.cos(scenario.yaw), math.sin(scenario.yaw))
-
     n_steps = max(int(round(traj.duration / dt)), 1)
     ts = np.minimum(np.arange(n_steps + 1) * dt, traj.duration)
-    ref_pos, ref_vel, ref_acc, ref_jerk = (
-        traj.evaluate_batch(ts, order).tolist() for order in range(4))
-    lengths = scenario.winch.length_at(ts).tolist()
-    rates = scenario.winch.rate_at(ts).tolist()
-
-    pos, vel, rot = ref_pos[0], ref_vel[0], None
-    rows = []
-    for i, t in enumerate(ts.tolist()):
-        px, py, pz = pos
-        vx, vy, vz = vel
-        l_now = lengths[i]
-        droid_x, droid_z, _, _, tension, _ = _cable_forces(
-            anchor_x - px, anchor_z - (pz + offset), -vx, -vz, l_now,
-            rates[i], props, damping)
-        pull = (droid_x, 0.0, droid_z)
-        rp, rv, ra = ref_pos[i], ref_vel[i], ref_acc[i]
-        command = (ra[0] + kp * (rp[0] - px) + kd * (rv[0] - vx),
-                   ra[1] + kp * (rp[1] - py) + kd * (rv[1] - vy),
-                   ra[2] + kp * (rp[2] - pz) + kd * (rv[2] - vz))
-        thrust, attitude, body_rates = _flat_inputs(
-            command, ref_jerk[i], heading, 0.0, pull, mass, gravity)
-        if rot is None:
-            rot = attitude
-        pos, vel, rot, acc = _advance(pos, vel, rot, thrust, body_rates,
-                                      pull, mass, gravity, dt)
-        rows.append((t, px, py, pz, vx, vy, vz, *acc, l_now, tension,
-                     thrust))
-    return _finish_log(rows, anchor, props)
+    reference = [traj.evaluate_batch(ts, order).tolist()
+                 for order in range(4)]
+    heading = (math.cos(scenario.yaw), math.sin(scenario.yaw))
+    anchor = np.asarray(scenario.anchor_position, dtype=float).tolist()
+    return _track(ts, reference, scenario.winch, heading, anchor,
+                  scenario.cable, params, dt)
 
 
 def simulate_retrieval(droid_position, winch: WinchSchedule,
@@ -309,60 +331,21 @@ def simulate_retrieval(droid_position, winch: WinchSchedule,
 
     The carrier is a point mass on the cable end below the droid; the winch
     follows its schedule (payout negative when reeling in) and the run ends
-    at the first step whose released length is at or below ``stow_length``.
+    at the first step whose released length is at or below ``stow_length``,
+    or at ``max_time``.
     """
     if not 0.0 < attach_mass < math.inf:
         raise ValidationError("attach mass must be finite and positive")
     if winch.initial_length <= stow_length:
         raise ValidationError("winch starts at or below the stow length")
-    hold_x, hold_y, hold_z = np.asarray(droid_position, dtype=float) \
-        .reshape(3).tolist()
-    offset = props.attachment_offset
-    mass, gravity, kp, kd = params.mass, props.gravity, params.kp, params.kd
-    damping = 2.0 * math.sqrt(TETHER_STIFFNESS * attach_mass)
-    heading = (1.0, 0.0)
-    no_jerk = (0.0, 0.0, 0.0)
-
-    n_steps = int(round(max_time / dt))
-    ts = np.arange(n_steps + 1) * dt
-    lengths = winch.length_at(ts).tolist()
-    rates = winch.rate_at(ts).tolist()
-
-    pos, vel, rot = (hold_x, hold_y, hold_z), (0.0, 0.0, 0.0), None
-    # the carrier only moves in x-z: the cable's end forces have no y part
-    carrier_x, carrier_y = hold_x, hold_y
-    carrier_z = hold_z + offset - winch.initial_length
-    carrier_vx = carrier_vz = 0.0
-    rows = []
-    anchor_trace = []
-    for i, t in enumerate(ts.tolist()):
-        px, py, pz = pos
-        vx, vy, vz = vel
-        l_now = lengths[i]
-        droid_x, droid_z, anchor_fx, anchor_fz, tension, _ = _cable_forces(
-            carrier_x - px, carrier_z - (pz + offset), carrier_vx - vx,
-            carrier_vz - vz, l_now, rates[i], props, damping)
-        pull = (droid_x, 0.0, droid_z)
-        command = (kp * (hold_x - px) - kd * vx,
-                   kp * (hold_y - py) - kd * vy,
-                   kp * (hold_z - pz) - kd * vz)
-        thrust, attitude, body_rates = _flat_inputs(
-            command, no_jerk, heading, 0.0, pull, mass, gravity)
-        if rot is None:
-            rot = attitude
-        pos, vel, rot, acc = _advance(pos, vel, rot, thrust, body_rates,
-                                      pull, mass, gravity, dt)
-        carrier_vx = carrier_vx + anchor_fx / attach_mass * dt
-        carrier_vz = carrier_vz + (anchor_fz / attach_mass - gravity) * dt
-        carrier_x = carrier_x + carrier_vx * dt
-        carrier_z = carrier_z + carrier_vz * dt
-
-        rows.append((t, px, py, pz, vx, vy, vz, *acc, l_now, tension,
-                     thrust))
-        anchor_trace.append((carrier_x, carrier_y, carrier_z))
-        if l_now <= stow_length:
-            break
-    # taut carrying sits below the slack corridor on purpose, so only the
-    # sag-limited upper bound is meaningful here
-    return _finish_log(rows, np.array(anchor_trace), props,
-                       check_lower=False)
+    hold = tuple(np.asarray(droid_position, dtype=float).reshape(3).tolist())
+    ts = np.arange(int(round(max_time / dt)) + 1) * dt
+    stowed = winch.length_at(ts) <= stow_length
+    if stowed.any():
+        ts = ts[:stowed.argmax() + 1]
+    still = [(0.0, 0.0, 0.0)] * len(ts)
+    carrier = (hold[0], hold[1],
+               hold[2] + props.attachment_offset - winch.initial_length)
+    return _track(ts, ([hold] * len(ts), still, still, still), winch,
+                  (1.0, 0.0), carrier, props, params, dt,
+                  carrier_mass=attach_mass)

@@ -183,8 +183,10 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
     if not np.isfinite(q).all():
         raise ValueError("waypoints must be finite")
 
-    # the right-hand side scaled by dT^o, row by row
-    powers = time_powers(dt)
+    # the right-hand side scaled by dT^o, row by row; a dT whose powers
+    # overflow is rejected just below, so numpy need not warn about it
+    with np.errstate(over="ignore"):
+        powers = time_powers(dt)
     if not np.isfinite(powers).all():
         raise SingularSystem(f"segment duration {dt!r} overflows dT^5")
     size = NCOEF * n_seg

@@ -958,8 +958,8 @@ class TestOptimize:
 
 
 class TestFalseStopGuard:
-    """A status-0 stop with a large gradient, or a stale duration scale
-    (status 99), restarts L-BFGS-B from where it stopped, re-whitened."""
+    """A status-0 stop with a large gradient restarts L-BFGS-B from where
+    it stopped, re-whitened."""
 
     @staticmethod
     def scripted_minimize(monkeypatch, legs):
@@ -995,9 +995,6 @@ class TestFalseStopGuard:
         # a leg that cannot take a step ends the loop
         ([(0, 30, 1e5), (0, 0, 1e5)], 30, "line_search_failure"),
         ([(0, 30, 1e5), (2, 3, 1e5)], 33, "line_search_failure"),
-        # a stale duration scale restarts like a false stop
-        ([(99, 25, 1e5), (0, 40, 1e5), (0, 10, 1e-3)], 75, "converged"),
-        ([(99, 25, 1e5), (99, 75, 1e5)], 100, "max_iterations"),
     ])
     def test_restarts_share_the_iteration_budget(self, monkeypatch, legs,
                                                  iterations, status):
@@ -1025,7 +1022,7 @@ class TestFalseStopGuard:
         assert (result.iterations, result.status) == (12, "converged")
 
     # the six-segment oracle converges in 27 iterations, so a cap of 20
-    # ends its only leg, before the first duration-scale check at 25
+    # ends its only leg
     @pytest.mark.parametrize("segments, max_iterations, status", [
         (6, 20, "max_iterations"), (1, 500, "converged")])
     def test_unguarded_run_is_one_plain_leg(self, monkeypatch, segments,

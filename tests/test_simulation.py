@@ -24,6 +24,7 @@ from tetherpick.optimizer import (
     optimize,
 )
 from tetherpick.simulation import (
+    DEFAULT_TIMESTEP,
     DroneParams,
     TelemetryLog,
     TELEMETRY_COLUMNS,
@@ -366,6 +367,20 @@ class TestSimulateRetrieval:
             simulate_retrieval([0, 0, 3], WinchSchedule(2.2, -0.2), 0.0)
         with pytest.raises(ValidationError):
             simulate_retrieval([0, 0, 3], WinchSchedule(0.1, -0.2), 2.0)
+
+    @pytest.mark.parametrize("payout, max_time", [
+        (-0.5, 2.0),  # stows at 1.6 s
+        (0.0, 0.5), (0.2, 0.5)])  # never stows
+    def test_log_ends_at_the_first_stowed_step(self, payout, max_time):
+        winch = WinchSchedule(1.0, payout)
+        log = simulate_retrieval([0.0, 0.0, 3.0], winch, 2.0, PROPS,
+                                 stow_length=0.2, max_time=max_time)
+        steps = round(max_time / DEFAULT_TIMESTEP) + 1
+        lengths = winch.length_at(np.arange(steps) * DEFAULT_TIMESTEP)
+        stowed = np.flatnonzero(lengths <= 0.2)
+        assert (stowed.size > 0) == (payout < 0)
+        assert len(log.time) == (stowed[0] + 1 if stowed.size else steps)
+        np.testing.assert_array_equal(log.l_now, lengths[:len(log.time)])
 
 
 def swing_angle(positions, pivot):

@@ -7,6 +7,7 @@ exact polynomial algebra for energies.  The rest-to-rest literals below
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -322,6 +323,14 @@ class TestUnitInverse:
             grad[1, 3, 1] = bad
             with pytest.raises(ValueError):
                 propagate_gradients(traj, grad)
+
+    def test_overflowing_duration_raises_without_a_warning(self):
+        # dT^5 overflows at dT = 2e70; the SingularSystem says so alone
+        start = BoundaryState.at_rest(np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystem, match="overflows"):
+                construct([], 2e70, start, [1, 0, 0], [0, 0, 0])
 
 
 class TestTimeNormalized:
