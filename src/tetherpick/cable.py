@@ -31,6 +31,7 @@ span recovers ``a`` and the length follows.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -250,20 +251,41 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
     """
     p = np.asarray(p, dtype=float)
     habs = np.abs(np.asarray(H, dtype=float))
+    vertical = p < EPS_P
+    if not vertical.any():
+        return _sag_scale_solve(p, habs, sag_limit)
     length = habs + 2.0 * sag_limit
     dl_dp = np.zeros(p.shape)
     dl_dh = np.ones(p.shape)
-    solve = ~(p < EPS_P)
-    p, habs = p[solve], habs[solve]
+    solve = ~vertical
+    length[solve], dl_dp[solve], dl_dh[solve] = _sag_scale_solve(
+        p[solve], habs[solve], sag_limit)
+    return length, dl_dp, dl_dh
 
+
+def _quiet(needed: bool):
+    """numpy's error state ignoring division by zero and invalid results,
+    or no change when not ``needed``."""
+    return np.errstate(divide="ignore", invalid="ignore") if needed \
+        else contextlib.nullcontext()
+
+
+def _sag_scale_solve(p: np.ndarray, habs: np.ndarray, sag_limit: float):
+    """``_sag_solve_batch`` on rows that all have p >= EPS_P (or NaN)."""
+    # A sag limit of at least _TINY * _BRACKET_HI keeps every depth ratio
+    # w = depth / a at or above _TINY, so no row can divide by zero below
+    # and numpy's error state need not be touched.
+    tiny_sag = sag_limit < _TINY * _BRACKET_HI
     # row 0 holds s, row 1 holds k
-    depths = np.array([np.full_like(p, sag_limit), sag_limit + habs])
+    depths = np.empty((2,) + p.shape)
+    depths[0] = sag_limit
+    np.add(sag_limit, habs, out=depths[1])
     log_p = np.log(p)
     # Seed at the large-a asymptote: acosh(1 + w) <= sqrt(2 w) gives the
     # lower bound a = p^2 / (sqrt(2 s) + sqrt(2 k))^2 of the root; with
     # k = 0 it is +inf, which the bracket clamps.
-    with np.errstate(divide="ignore"):
-        b = 2.0 * (log_p - np.log(np.sqrt(2.0 * depths).sum(axis=0)))
+    with _quiet(tiny_sag):
+        b = 2.0 * (log_p - np.log(np.add.reduce(np.sqrt(2.0 * depths))))
     b_hi = math.log(_BRACKET_HI)
     for rounds_left in range(_SAG_ROUNDS, -1, -1):
         # A scale above the bracket counts as the taut limit: the row
@@ -285,20 +307,20 @@ def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float
         floored = np.maximum(span, _TINY)
         b -= (b + np.log(floored) - log_p) * floored / (floored - l_a)
 
-    solved = np.sqrt(depths * (depths + 2.0 * a)).sum(axis=0)
+    solved = np.add.reduce(np.sqrt(depths * (depths + 2.0 * a)))
     # Closed-form gradient at the solved scale.  l_a = dl/da and
     # p_a = dp/da = span - l_a, so dl/dp = l_a / p_a and, with s fixed,
     # dl/dk = (dl/dk at fixed a) - l_a (dp/dk at fixed a) / p_a.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _quiet(tiny_sag):
         slope_p = l_a / (span - l_a)
         slope_h = (1.0 + w[1] - slope_p) / np.sqrt(w[1] * w2[1])
     chord = np.hypot(p, habs)
     taut = chord >= solved
-    np.copyto(solved, chord, where=taut)
-    np.copyto(slope_p, p / chord, where=taut)
-    np.copyto(slope_h, habs / chord, where=taut)
-    length[solve], dl_dp[solve], dl_dh[solve] = solved, slope_p, slope_h
-    return length, dl_dp, dl_dh
+    if taut.any():
+        np.copyto(solved, chord, where=taut)
+        np.copyto(slope_p, p / chord, where=taut)
+        np.copyto(slope_h, habs / chord, where=taut)
+    return solved, slope_p, slope_h
 
 
 def corridor_bounds_batch(droid: np.ndarray, anchor,
@@ -335,13 +357,17 @@ def corridor_bounds_and_gradient(droid: np.ndarray, anchor,
     length, dl_dp, dl_dh = _sag_solve_batch(np.abs(dx), H, props.sag_limit)
 
     apart = l_min > 1e-12
-    safe = np.ones_like(l_min)
-    np.copyto(safe, l_min, where=apart)
     dlmin = np.zeros(dx.shape + (3,))
-    np.copyto(dlmin[:, 0], dx / safe, where=apart)
-    np.copyto(dlmin[:, 2], dz / safe, where=apart)
+    if apart.all():
+        dlmin[:, 0] = dx / l_min
+        dlmin[:, 2] = dz / l_min
+    else:
+        safe = np.ones_like(l_min)
+        np.copyto(safe, l_min, where=apart)
+        np.copyto(dlmin[:, 0], dx / safe, where=apart)
+        np.copyto(dlmin[:, 2], dz / safe, where=apart)
 
-    dlmax = np.zeros_like(dlmin)
+    dlmax = np.zeros(dx.shape + (3,))
     dlmax[:, 0] = dl_dp * np.sign(dx)
     # H grows as the attachment point sinks
     dlmax[:, 2] = -(np.sign(H) * dl_dh)

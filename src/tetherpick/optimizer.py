@@ -12,23 +12,25 @@ max(violation, 0)^3 sampled at kappa+1 equally spaced times.  Cubic hinges
 are C2, so a limited-memory quasi-Newton method with Wolfe line search
 handles them well.
 
-``total_cost`` is one pass: it samples the trajectory once (``_Samples``),
-runs the corridor's root find once, and returns the weighted breakdown,
-the exact gradient and the worst raw hinge argument of each term from the
-same arrays.  The samples sit at fixed fractions of a segment, so one
-read-only operator per (segment count, kappa) (``_sample_grid``) reads
-derivative orders 0..4 at every sample off the time-normalized
-coefficients c dT^k.  Every sampled hinge is built by one of two helpers:
-``_limit`` caps the squared magnitude of one derivative (velocity,
-acceleration, jerk), and ``_band`` keeps a value inside [low, high]
-(thrust, the cable corridor, and the dense ``corridor_violation`` check).
-Obstacles are one-sided per plane.  Each term hands back its slope per
-sample; ``total_cost`` adds the weighted slopes up per derivative order
-and pulls them back onto the coefficient array and the duration with one
-transposed product (``_Samples.gradient``); the duration also moves the
-matrix of the trajectory construction (see trajectory.propagate_gradients).
-The corridor's upper bound comes from one Newton solve per sample, and its
-positional derivative from a closed form at the solved scale
+``total_cost`` is one pass: it samples the trajectory once, runs the
+corridor's root find once, and returns the weighted breakdown, the exact
+gradient and the worst raw hinge argument of each term from the same
+arrays.  The samples sit at fixed fractions of a segment, so one read-only
+operator per (segment count, kappa) (``_sample_grid``) reads derivative
+orders 0..4 at every sample off the time-normalized coefficients c dT^k.
+Every hinge argument goes into one table, a row per hinge side and a
+column per sample (``_hinge_table``): the squared velocity, acceleration
+and jerk against their squared limits, the squared thrust against both
+ends of its window, each obstacle plane's clearance, and the squared
+released length against both corridor edges.  One clamp and one cube of
+the table give every hinge, one row sum every term's value and one row
+max every worst argument.  Each term's slope per sample goes to the
+derivative order it was taken against; ``total_cost`` pulls them all
+back onto the coefficient array and the duration with one transposed
+product; the duration also moves the matrix of the trajectory
+construction (see trajectory.propagate_gradients).  The corridor's upper
+bound comes from one Newton solve per sample, and its positional
+derivative from a closed form at the solved scale
 (cable.corridor_bounds_and_gradient).
 
 ``optimize`` runs scipy's L-BFGS-B on conditioned coordinates:
@@ -295,8 +297,11 @@ class OptimizeResult:
 
 
 def sample_times(t0: float, t_end: float, kappa: int) -> np.ndarray:
-    """kappa+1 equally spaced sample times from t0 to t_end inclusive."""
-    return np.linspace(t0, t_end, kappa + 1)
+    """kappa+1 equally spaced sample times from t0 to t_end inclusive,
+    each equal to np.linspace's, without its overhead."""
+    ts = np.arange(kappa + 1.0) * ((t_end - t0) / kappa) + t0
+    ts[-1] = t_end
+    return ts
 
 
 def _hinge_parts(x: np.ndarray, shift=None) -> tuple[np.ndarray, np.ndarray]:
@@ -328,148 +333,81 @@ def _sample_grid(n_seg: int, kappa: int):
     return operator, fraction, position
 
 
-class _Samples:
-    """Shared per-sample data for all sampled penalty terms."""
-
-    def __init__(self, traj: Trajectory, kappa: int):
-        self.traj = traj
-        self.ts = sample_times(0.0, traj.duration, kappa)
-        # d tau_i / d dT and d t_i / d dT for the moving sample grid
-        self.operator, self.tau_motion, self.time_motion = \
-            _sample_grid(traj.segment_count, kappa)
-        self.powers = time_powers(traj.segment_duration)
-        normalized = traj.coefficients * self.powers[:, None]
-        # deriv[o] is the order-o derivative at every sample, o = 0..4
-        self.deriv = (self.operator @ normalized.reshape(-1, 3)).reshape(
-            5, kappa + 1, 3) / self.powers[:5, None, None]
-
-    def gradient(self, slopes):
-        """(dJ/dcoefficients, dJ/ddT) of a sampled cost whose slope with
-        respect to the order-o derivative at sample i is slopes[o, i].
-
-        One transposed product with the operator carries every order onto
-        the coefficient array; the dT part comes from the samples sliding
-        along the moving grid.
-        """
-        orders = slopes.shape[0]
-        scaled = slopes / self.powers[:orders, None, None]
-        rows = orders * self.ts.size
-        grad_c = (self.operator[:rows].T @ scaled.reshape(rows, 3)).reshape(
-            self.traj.coefficients.shape) * self.powers[:, None]
-        ddt = float(np.add.reduce(
-            np.einsum("oix,oix->i", slopes, self.deriv[1:orders + 1])
-            * self.tau_motion))
-        return grad_c, ddt
+# Weight of each term's rows in the hinge table (see _hinge_table).
+_TERMS = (("velocity", "velocity"), ("acceleration", "accel_jerk"),
+          ("jerk", "accel_jerk"), ("thrust", "thrust"),
+          ("obstacle", "obstacle"), ("cable", "cable"))
 
 
-def _band(x, low, high, shift=None):
-    """Cubic hinges keeping x inside [low, high].
-
-    Returns (value, slope_low, slope_high, args): the hinge sum, the two
-    sides' slopes with respect to their shifted arguments, and the unshifted
-    arguments stacked as rows (low - x, x - high).  ``shift`` has the shape
-    of ``args``.
-    """
-    args = np.stack([low - x, x - high])
-    hinge, slope = _hinge_parts(args, shift)
-    value = float(np.add.reduce(hinge[0])) + float(np.add.reduce(hinge[1]))
-    return value, slope[0], slope[1], args
-
-
-# Every sampled term returns (value, order, gvec, direct_ddt, args): its
-# hinge sum, the derivative order 0..3 its slope gvec is taken against,
-# any dT dependence the samples' motion does not carry,
-# and its raw hinge arguments, one row per side or plane.  ``shift``, of the
-# shape of args, moves every argument inside its hinge.
-def _limit(samples: _Samples, order: int, limit: float, shift=None):
-    """Cubic hinge on the squared magnitude of one derivative against
-    limit ** 2: velocity, acceleration or jerk."""
-    d = samples.deriv[order]
-    over = np.add.reduce(d * d, axis=1) - limit ** 2
-    hinge, slope = _hinge_parts(over, shift)
-    return (float(np.add.reduce(hinge)), order, 2.0 * d * slope[:, None],
-            0.0, over)
-
-
-def _thrust_penalty(samples: _Samples, scenario: PlanningScenario,
-                    shift=None):
-    """Band on the squared specific thrust |a - g|^2 between the squared
-    limits tau_min and tau_max."""
-    limits = scenario.limits
-    d = samples.deriv[2] - scenario.gravity_vector
-    value, slope_low, slope_high, args = _band(
-        np.add.reduce(d * d, axis=1), limits.tau_min ** 2,
-        limits.tau_max ** 2, shift)
-    return value, 2, 2.0 * d * (slope_high - slope_low)[:, None], 0.0, args
-
-
-def _obstacle_penalty(samples: _Samples, obstacles, margin: float,
-                      shift=None):
-    """Hinge on clearance from every half-space obstacle at every sample;
-    the arguments are shortfalls in meters, one row per plane."""
-    pos = samples.deriv[0]
-    value = 0.0
-    gvec = np.zeros_like(pos)
-    args = np.empty((len(obstacles), pos.shape[0]))
-    for k, plane in enumerate(obstacles):
-        args[k] = margin - (pos - plane.point) @ plane.normal
-        hinge, slope = _hinge_parts(args[k],
-                                    None if shift is None else shift[k])
-        value += float(np.add.reduce(hinge))
-        gvec -= np.outer(slope, plane.normal)
-    return value, 0, gvec, 0.0, args
-
-
-def _cable_penalty(samples: _Samples, scenario: PlanningScenario,
-                   shift=None):
-    """Hinges keeping the released length inside the feasible corridor.
-
-    Gradient with respect to the droid position flows through both corridor
-    edges (cable.corridor_bounds_and_gradient).  The released length follows
-    the winch schedule, so the sampled times' dependence on T contributes as
-    well, as the term's direct_ddt.  The arguments are in squared meters.
-    """
-    margin = scenario.limits.corridor_margin
-    l_min, l_max, dlmin_dp, dlmax_dp = corridor_bounds_and_gradient(
-        samples.deriv[0], scenario.anchor_position, scenario.cable)
-    l_min_eff = l_min + margin
-    l_max_eff = l_max - margin
-    l_now = scenario.winch.length_at(samples.ts)
-    rate = scenario.winch.rate_at(samples.ts)
-
-    value, slope_under, slope_over, args = _band(
-        l_now ** 2, l_min_eff ** 2, l_max_eff ** 2, shift)
-    gvec = (2.0 * l_min_eff * slope_under)[:, None] * dlmin_dp \
-        - (2.0 * l_max_eff * slope_over)[:, None] * dlmax_dp
-    # the winch schedule is a function of absolute time, which scales with T
-    lnow_sens = 2.0 * l_now * rate * (slope_over - slope_under)
-    return (value, 0, gvec,
-            float(np.add.reduce(lnow_sens * samples.time_motion)), args)
-
-
-def _terms(samples: _Samples, scenario: PlanningScenario, shifts=None):
-    """(name, weight, term) of every sampled penalty; ``shifts`` maps a
-    term's name to the shifts of its hinge arguments."""
+def _term_rows(scenario: PlanningScenario):
+    """(name, weight, first row, row count) of every term in the table."""
     weights = scenario.weights
+    planes = len(scenario.obstacles) if weights.obstacle != 0.0 else 0
+    counts = (1, 1, 1, 2, planes, 2 if weights.cable != 0.0 else 0)
+    first = 0
+    rows = []
+    for (name, field_name), count in zip(_TERMS, counts):
+        rows.append((name, getattr(weights, field_name), first, count))
+        first += count
+    return rows
+
+
+def _hinge_table(traj: Trajectory, scenario: PlanningScenario):
+    """(rows, table, deriv, vectors, corridor) at the samples of ``traj``.
+
+    ``table`` holds the raw hinge argument of every penalty, one row per
+    hinge side and one column per sample; ``rows`` (``_term_rows``) says
+    which rows belong to which term.  The rows are the squared velocity,
+    acceleration and jerk less their squared limits; tau_min^2 less the
+    squared specific thrust |a - g|^2, and that less tau_max^2; the
+    shortfall from every obstacle plane's margin, in meters; and the
+    squared released length under the squared lower corridor edge and over
+    the upper one.  An unweighted obstacle or cable term has no rows, so it
+    costs no work.  ``deriv[o]`` is the order-o derivative at every sample,
+    o = 0..4, read off the time-normalized coefficients c dT^k by the
+    operator of ``_sample_grid``; ``vectors`` holds velocity, acceleration,
+    jerk and specific thrust; ``corridor`` holds what the corridor rows'
+    slopes need, or None without them.
+    """
     limits = scenario.limits
-    shifts = shifts or {}
-    terms = [
-        ("velocity", weights.velocity,
-         _limit(samples, 1, limits.v_max, shifts.get("velocity"))),
-        ("acceleration", weights.accel_jerk,
-         _limit(samples, 2, limits.a_max, shifts.get("acceleration"))),
-        ("jerk", weights.accel_jerk,
-         _limit(samples, 3, limits.j_max, shifts.get("jerk"))),
-        ("thrust", weights.thrust,
-         _thrust_penalty(samples, scenario, shifts.get("thrust")))]
-    if scenario.obstacles and weights.obstacle != 0.0:
-        terms.append(("obstacle", weights.obstacle, _obstacle_penalty(
-            samples, scenario.obstacles, limits.obstacle_margin,
-            shifts.get("obstacle"))))
-    if weights.cable != 0.0:
-        terms.append(("cable", weights.cable,
-                      _cable_penalty(samples, scenario, shifts.get("cable"))))
-    return terms
+    kappa = limits.samples
+    operator = _sample_grid(traj.segment_count, kappa)[0]
+    powers = time_powers(traj.segment_duration)
+    normalized = traj.coefficients * powers[:, None]
+    deriv = (operator @ normalized.reshape(-1, 3)).reshape(
+        5, kappa + 1, 3) / powers[:5, None, None]
+    vectors = np.empty((4, kappa + 1, 3))
+    vectors[:3] = deriv[1:4]
+    np.subtract(deriv[2], scenario.gravity_vector, out=vectors[3])
+    squared = np.add.reduce(vectors * vectors, axis=2)
+
+    rows = _term_rows(scenario)
+    table = np.empty((rows[-1][2] + rows[-1][3], kappa + 1))
+    np.subtract(squared[:3], np.array(
+        [[limits.v_max ** 2], [limits.a_max ** 2], [limits.j_max ** 2]]),
+        out=table[:3])
+    np.subtract(limits.tau_min ** 2, squared[3], out=table[3])
+    np.subtract(squared[3], limits.tau_max ** 2, out=table[4])
+    _, _, first, planes = rows[4]
+    for k, plane in enumerate(scenario.obstacles[:planes]):
+        np.subtract(limits.obstacle_margin,
+                    (deriv[0] - plane.point) @ plane.normal,
+                    out=table[first + k])
+    corridor = None
+    if rows[5][3]:
+        margin = limits.corridor_margin
+        l_min, l_max, dlmin_dp, dlmax_dp = corridor_bounds_and_gradient(
+            deriv[0], scenario.anchor_position, scenario.cable)
+        l_min_eff = l_min + margin
+        l_max_eff = l_max - margin
+        ts = sample_times(0.0, traj.duration, kappa)
+        l_now = scenario.winch.length_at(ts)
+        now_sq = l_now ** 2
+        np.subtract(l_min_eff ** 2, now_sq, out=table[-2])
+        np.subtract(now_sq, l_max_eff ** 2, out=table[-1])
+        corridor = (l_min_eff, l_max_eff, dlmin_dp, dlmax_dp, l_now,
+                    scenario.winch.rate_at(ts))
+    return rows, table, deriv, vectors, corridor
 
 
 def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
@@ -480,29 +418,74 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
     floored at 0, and to 0 when the scenario gives the term no weight.
     Units match each hinge: squared speed/acceleration/jerk/thrust for the
     limit and thrust terms, meters for obstacles, squared meters for the
-    corridor.  ``shifts`` (see ``_shift_update``) moves hinge arguments
-    inside their hinges: the breakdown and the gradient are then those of
-    the shifted objective, while ``worst`` stays unshifted.
+    corridor.  ``shifts`` (see ``_shift_update``), of the hinge table's
+    shape, moves hinge arguments inside their hinges: the breakdown and the
+    gradient are then those of the shifted objective, while ``worst``
+    stays unshifted.
+
+    Every hinge is w max(g + s, 0)^3 of one entry g of the table.  Each
+    term hands its slope per sample to the derivative order it was taken
+    against; the slopes of all terms are pulled back onto the coefficient
+    array and the duration with one transposed product of the sampling
+    operator, and the samples' motion along the grid gives the rest of
+    dJ/ddT.
     """
     limits = scenario.limits
+    weights = scenario.weights
+    kappa = limits.samples
+    operator, fraction, position = _sample_grid(traj.segment_count, kappa)
 
     smooth, grad_c, grad_ddt = jerk_energy(traj)
     time_cost = limits.time_weight * traj.duration
     grad_ddt += limits.time_weight * traj.segment_count
 
-    samples = _Samples(traj, limits.samples)
-    # the weighted slopes of all terms, per derivative order 0..3
-    slopes = np.zeros((4,) + samples.ts.shape + (3,))
-    parts = {"obstacle": 0.0, "cable": 0.0}
-    worst = {"obstacle": 0.0, "cable": 0.0}
-    for name, weight, (value, order, gvec, direct_ddt, args) in \
-            _terms(samples, scenario, shifts):
+    rows, table, deriv, vectors, corridor = _hinge_table(traj, scenario)
+    hinge, slope = _hinge_parts(table, shifts)
+    sums = np.add.reduce(hinge, axis=1).tolist()
+    peaks = np.maximum.reduce(table, axis=1).tolist()
+    parts = {}
+    worst = {}
+    for name, weight, first, count in rows:
+        value = 0.0
+        for row in range(first, first + count):
+            value += sums[row]
         parts[name] = weight * value
-        worst[name] = max(float(np.max(args)), 0.0) if weight > 0.0 else 0.0
-        if weight != 0.0:
-            slopes[order] += weight * gvec
-            grad_ddt += weight * direct_ddt
-    sampled_c, sampled_ddt = samples.gradient(slopes)
+        worst[name] = max(max(peaks[first:first + count]), 0.0) \
+            if count and weight > 0.0 else 0.0
+
+    # the weighted slopes of all terms, per derivative order 0..3
+    slopes = np.zeros((4, kappa + 1, 3))
+    slopes[1:] += np.array([weights.velocity, weights.accel_jerk,
+                            weights.accel_jerk])[:, None, None] \
+        * (2.0 * vectors[:3] * slope[:3, :, None])
+    if weights.thrust != 0.0:
+        slopes[2] += weights.thrust * (
+            2.0 * vectors[3] * (slope[4] - slope[3])[:, None])
+    _, weight, first, planes = rows[4]
+    if planes:
+        gvec = np.zeros((kappa + 1, 3))
+        for k, plane in enumerate(scenario.obstacles):
+            gvec -= np.outer(slope[first + k], plane.normal)
+        slopes[0] += weight * gvec
+    if corridor is not None:
+        l_min_eff, l_max_eff, dlmin_dp, dlmax_dp, l_now, rate = corridor
+        slope_under, slope_over = slope[-2], slope[-1]
+        gvec = (2.0 * l_min_eff * slope_under)[:, None] * dlmin_dp \
+            - (2.0 * l_max_eff * slope_over)[:, None] * dlmax_dp
+        slopes[0] += weights.cable * gvec
+        # the winch schedule is a function of absolute time, which scales
+        # with T
+        lnow_sens = 2.0 * l_now * rate * (slope_over - slope_under)
+        grad_ddt += weights.cable * float(np.add.reduce(lnow_sens * position))
+
+    powers = time_powers(traj.segment_duration)
+    scaled = slopes / powers[:4, None, None]
+    size = 4 * (kappa + 1)
+    sampled_c = (operator[:size].T @ scaled.reshape(size, 3)).reshape(
+        traj.coefficients.shape) * powers[:, None]
+    # the samples slide along the grid as dT moves: d tau_i / d dT
+    sampled_ddt = float(np.add.reduce(
+        np.einsum("oix,oix->i", slopes, deriv[1:]) * fraction))
 
     breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
     dj_dq, dj_dt = propagate_gradients(traj, grad_c + sampled_c,
@@ -511,14 +494,11 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
 
 
 def _shift_update(traj: Trajectory, scenario: PlanningScenario, shifts):
-    """Powell's update s <- max(s + g, 0) of every weighted hinge's shifts,
-    from the unshifted arguments g at ``traj``; the multiplier a shift
-    stands for is 3 w s^2."""
-    shifts = shifts or {}
-    return {name: np.maximum(args + shifts.get(name, 0.0), 0.0)
-            for name, weight, (*_, args) in _terms(
-                _Samples(traj, scenario.limits.samples), scenario)
-            if weight > 0.0}
+    """Powell's update s <- max(s + g, 0) of every hinge's shift, from the
+    unshifted hinge table g at ``traj``; the multiplier a shift stands for
+    is 3 w s^2."""
+    table = _hinge_table(traj, scenario)[1]
+    return np.maximum(table if shifts is None else table + shifts, 0.0)
 
 
 def corridor_profile(traj: Trajectory, scenario: PlanningScenario,
@@ -532,8 +512,9 @@ def corridor_profile(traj: Trajectory, scenario: PlanningScenario,
 
 def corridor_violation(l_min, l_now, l_max) -> float:
     """Worst squared-length excess of l_now outside [l_min, l_max], or 0."""
-    return max(float(np.max(_band(l_now ** 2, l_min ** 2, l_max ** 2)[3])),
-               0.0)
+    now_sq = l_now ** 2
+    return max(float(np.max(np.maximum(l_min ** 2 - now_sq,
+                                       now_sq - l_max ** 2))), 0.0)
 
 
 def _softplus(x: float) -> float:

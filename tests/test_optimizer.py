@@ -23,15 +23,10 @@ from tetherpick.optimizer import (
     PenaltyWeights,
     PlanningScenario,
     WinchSchedule,
-    _Samples,
-    _cable_penalty,
-    _hinge_parts,
+    _hinge_table,
     _jerk_hessian,
-    _limit,
-    _obstacle_penalty,
     _sample_grid,
     _shift_update,
-    _thrust_penalty,
     corridor_profile,
     corridor_violation,
     initial_guess,
@@ -42,7 +37,7 @@ from tetherpick.optimizer import (
 from tetherpick.trajectory import (BoundaryState, Trajectory,
                                   _JERK_GRAM, _unit_inverse,
                                   basis_rows_upto, construct, jerk_energy,
-                                  propagate_gradients)
+                                  propagate_gradients, time_powers)
 
 
 def make_traj(coeffs, dt):
@@ -274,25 +269,51 @@ def random_waypoints(scenario, rng):
     return line + 0.5 * rng.standard_normal(line.shape)
 
 
-def reference_window_term(samples, order, low_sq, high_sq, offset=None):
+class ReferenceSamples:
+    """The samples as the planner read them before its hinge table: the
+    trajectory, the sample times, derivative orders 0..4 at every sample
+    through the sampling operator, and how each sample moves with dT."""
+
+    def __init__(self, traj, kappa):
+        self.traj = traj
+        self.ts = np.linspace(0.0, traj.duration, kappa + 1)
+        operator, self.tau_motion, self.time_motion = _sample_grid(
+            traj.segment_count, kappa)
+        powers = time_powers(traj.segment_duration)
+        normalized = traj.coefficients * powers[:, None]
+        self.deriv = (operator @ normalized.reshape(-1, 3)).reshape(
+            5, kappa + 1, 3) / powers[:5, None, None]
+
+
+def reference_hinge(args, shift):
+    """max(args + shift, 0)^3 and its slope, without the planner's helper."""
+    clamped = np.maximum(args if shift is None else args + shift, 0.0)
+    return clamped ** 3, 3.0 * clamped ** 2
+
+
+def reference_window_term(samples, order, low_sq, high_sq, offset=None,
+                          shift=None):
     """One window hinge term, pulled back on its own, as the planner once
-    computed it: _limit and _thrust_penalty must reproduce its value and
-    worst argument exactly, and the sampling operator its gradient."""
+    computed it.  ``shift`` holds the term's rows of the shift table:
+    (over) for a limit, (under, over) for a band."""
     d = samples.deriv[order]
     if offset is not None:
         d = d - offset
     nsq = np.sum(d * d, axis=1)
     slope = np.zeros_like(nsq)
     value = 0.0
-    if high_sq is not None:
-        over = nsq - high_sq
-        value += float(np.sum(np.maximum(over, 0.0) ** 3))
-        slope += 3.0 * np.maximum(over, 0.0) ** 2
-        worst = float(np.max(over))
-    if low_sq is not None:
-        under = low_sq - nsq
-        value += float(np.sum(np.maximum(under, 0.0) ** 3))
-        slope -= 3.0 * np.maximum(under, 0.0) ** 2
+    over = nsq - high_sq
+    under = None if low_sq is None else low_sq - nsq
+    shift_over = None if shift is None else shift[-1]
+    hinge, hinge_slope = reference_hinge(over, shift_over)
+    value += float(np.sum(hinge))
+    slope += hinge_slope
+    worst = float(np.max(over))
+    if under is not None:
+        hinge, hinge_slope = reference_hinge(
+            under, None if shift is None else shift[0])
+        value += float(np.sum(hinge))
+        slope -= hinge_slope
         worst = float(np.max(np.maximum(under, over)))
     gvec = 2.0 * d * slope[:, None]
     grad_c = np.zeros_like(samples.traj.coefficients)
@@ -303,10 +324,10 @@ def reference_window_term(samples, order, low_sq, high_sq, offset=None):
 
 
 # The planner's pullback and corridor hinge as they stood before the
-# sampling operator and optimizer._band, kept verbatim but for the sample
-# grid: each sample's basis row in tau, on its segment, one np.add.at per
-# term.  Values and worst arguments must match bit for bit, gradients to
-# 1e-12 of their largest entry.
+# sampling operator and its hinge table, kept verbatim but for the sample
+# grid and the shifts: each sample's basis row in tau, on its segment, one
+# np.add.at per term.  Values and worst arguments must match bit for bit,
+# gradients to 1e-12 of their largest entry.
 def reference_accumulate(samples, grad_c, order, gvec):
     """Add each sample's (basis x gvec) outer product to its segment."""
     n_seg = samples.traj.segment_count
@@ -324,7 +345,7 @@ def reference_ddt_from_motion(samples, order, gvec):
         * samples.tau_motion))
 
 
-def reference_cable_penalty(samples, scenario):
+def reference_cable_penalty(samples, scenario, shift=None):
     """(value, grad_c, grad_ddt, worst squared-length excess)."""
     margin = scenario.limits.corridor_margin
     l_min, l_max, dlmin_dp, dlmax_dp = cable.corridor_bounds_and_gradient(
@@ -336,8 +357,10 @@ def reference_cable_penalty(samples, scenario):
 
     under = l_min_eff ** 2 - l_now ** 2
     over = l_now ** 2 - l_max_eff ** 2
-    hinge_under, slope_under = _hinge_parts(under)
-    hinge_over, slope_over = _hinge_parts(over)
+    hinge_under, slope_under = reference_hinge(
+        under, None if shift is None else shift[0])
+    hinge_over, slope_over = reference_hinge(
+        over, None if shift is None else shift[1])
     value = float(np.add.reduce(hinge_under) + np.add.reduce(hinge_over))
 
     gvec = (2.0 * l_min_eff * slope_under)[:, None] * dlmin_dp \
@@ -351,20 +374,81 @@ def reference_cable_penalty(samples, scenario):
     return value, grad_c, grad_ddt, float(np.max(np.maximum(under, over)))
 
 
-def pulled_back(samples, term):
-    """A sampled term's (value, grad_c, grad_ddt, worst), pulled back on
-    its own through the sampling operator; worst is the largest of its raw
-    hinge arguments."""
-    value, order, gvec, direct_ddt, args = term
-    grad_c, ddt = samples.gradient(one_order(order, gvec))
-    return value, grad_c, ddt + direct_ddt, float(np.max(args))
+def reference_obstacle_term(samples, obstacles, margin, shift=None):
+    """(value, grad_c, grad_ddt, worst) of the obstacle hinges."""
+    pos = samples.deriv[0]
+    value = 0.0
+    worst = -math.inf
+    gvec = np.zeros_like(pos)
+    for k, plane in enumerate(obstacles):
+        dist = (pos - plane.point) @ plane.normal
+        short = margin - dist
+        hinge, slope = reference_hinge(short,
+                                       None if shift is None else shift[k])
+        value += float(np.add.reduce(hinge))
+        gvec -= np.outer(slope, plane.normal)
+        worst = max(worst, float(np.max(short)))
+    grad_c = np.zeros_like(samples.traj.coefficients)
+    reference_accumulate(samples, grad_c, 0, gvec)
+    return value, grad_c, reference_ddt_from_motion(samples, 0, gvec), worst
 
 
-def one_order(order, gvec):
-    """Slopes of orders 0..3 that are gvec at ``order`` and 0 elsewhere."""
-    slopes = np.zeros((4,) + gvec.shape)
-    slopes[order] = gvec
-    return slopes
+def reference_total_cost(traj, scenario, shifts=None):
+    """total_cost built from the reference terms above: the planner's plans
+    are pinned to these bits.  ``shifts`` is laid out as the hinge table:
+    velocity, acceleration, jerk, thrust under and over, one row per
+    obstacle plane when obstacles are weighted, corridor under and over
+    when the cable is weighted."""
+    weights = scenario.weights
+    limits = scenario.limits
+
+    def rows(first, count):
+        return None if shifts is None else shifts[first:first + count]
+
+    smooth, grad_c, grad_ddt = jerk_energy(traj)
+    time_cost = limits.time_weight * traj.duration
+    grad_ddt += limits.time_weight * traj.segment_count
+
+    samples = ReferenceSamples(traj, limits.samples)
+    terms = [
+        ("velocity", weights.velocity,
+         reference_window_term(samples, 1, None, limits.v_max ** 2,
+                               shift=rows(0, 1))),
+        ("acceleration", weights.accel_jerk,
+         reference_window_term(samples, 2, None, limits.a_max ** 2,
+                               shift=rows(1, 1))),
+        ("jerk", weights.accel_jerk,
+         reference_window_term(samples, 3, None, limits.j_max ** 2,
+                               shift=rows(2, 1))),
+        ("thrust", weights.thrust,
+         reference_window_term(samples, 2, limits.tau_min ** 2,
+                               limits.tau_max ** 2, scenario.gravity_vector,
+                               shift=rows(3, 2)))]
+    parts = {"obstacle": 0.0, "cable": 0.0}
+    worst = {"obstacle": 0.0, "cable": 0.0}
+    planes = 0
+    if scenario.obstacles and weights.obstacle != 0.0:
+        planes = len(scenario.obstacles)
+        terms.append(("obstacle", weights.obstacle, reference_obstacle_term(
+            samples, scenario.obstacles, limits.obstacle_margin,
+            rows(5, planes))))
+    if weights.cable != 0.0:
+        terms.append(("cable", weights.cable, reference_cable_penalty(
+            samples, scenario, rows(5 + planes, 2))))
+
+    for name, weight, (value, gc, ddt, peak) in terms:
+        parts[name] = weight * value
+        worst[name] = max(peak, 0.0) if weight > 0.0 else 0.0
+        if weight != 0.0:
+            grad_c = grad_c + weight * gc
+            grad_ddt += weight * ddt
+
+    breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
+    dj_dq, dj_dt = propagate_gradients(traj, grad_c, grad_ddt)
+    # the report lists the terms in the breakdown's order
+    order = ("velocity", "acceleration", "jerk", "thrust", "obstacle",
+             "cable")
+    return breakdown, dj_dq, dj_dt, {name: worst[name] for name in order}
 
 
 def assert_close_gradient(got, want):
@@ -376,150 +460,21 @@ def assert_close_gradient(got, want):
         <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
 
-def assert_same_term(got, want):
-    """Bit-equal value and worst argument, gradients to 1e-12."""
-    assert repr(got[0]) == repr(want[0])
-    assert_close_gradient(got[1], want[1])
-    assert_close_gradient(got[2], want[2])
-    assert repr(got[3]) == repr(want[3])
-
-
-def drawn_samples(seed, kappa, duration, **limits):
+def drawn_plan(seed, kappa, duration, planes=1, **limits):
+    """A random_scenario with ``kappa`` samples and ``planes`` obstacle
+    planes (the second one a tilted wall), and a random trajectory on it."""
     rng = np.random.default_rng(seed)
     scenario = random_scenario(rng)
+    obstacles = scenario.obstacles + (
+        ObstaclePlane(point=[1.5 + 0.2 * rng.random(), 0.0, 0.0],
+                      normal=[-0.6, 0.0, 0.8]),)
     scenario = dataclasses.replace(
-        scenario, limits=dataclasses.replace(scenario.limits, **limits))
+        scenario, obstacles=obstacles[:planes],
+        limits=dataclasses.replace(scenario.limits, samples=kappa, **limits))
     traj = construct(random_waypoints(scenario, rng), duration,
                      scenario.start_state, scenario.goal_position,
                      scenario.goal_velocity)
-    return scenario, _Samples(traj, kappa)
-
-
-class TestWindowTerms:
-    @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
-           duration=st.floats(0.5, 8.0))
-    @settings(max_examples=40, deadline=None)
-    def test_limit_and_thrust_terms_match_reference(
-            self, seed, kappa, duration):
-        scenario, samples = drawn_samples(seed, kappa, duration)
-        lim = scenario.limits
-        cases = [
-            ((1, None, lim.v_max ** 2), _limit(samples, 1, lim.v_max)),
-            ((2, None, lim.a_max ** 2), _limit(samples, 2, lim.a_max)),
-            ((3, None, lim.j_max ** 2), _limit(samples, 3, lim.j_max)),
-            ((2, lim.tau_min ** 2, lim.tau_max ** 2,
-              scenario.gravity_vector), _thrust_penalty(samples, scenario))]
-        for reference_args, term in cases:
-            assert term[3] == 0.0
-            assert_same_term(pulled_back(samples, term),
-                             reference_window_term(samples, *reference_args))
-
-
-class TestPullback:
-    @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
-           duration=st.floats(0.5, 8.0),
-           margin=st.sampled_from([0.0, 0.02, 0.3]))
-    @settings(max_examples=40, deadline=None)
-    def test_cable_term_matches_reference(self, seed, kappa, duration,
-                                          margin):
-        scenario, samples = drawn_samples(seed, kappa, duration,
-                                          corridor_margin=margin)
-        assert_same_term(
-            pulled_back(samples, _cable_penalty(samples, scenario)),
-            reference_cable_penalty(samples, scenario))
-
-    @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
-           duration=st.floats(0.5, 8.0))
-    @settings(max_examples=40, deadline=None)
-    def test_obstacle_term_matches_reference_pullback(self, seed, kappa,
-                                                      duration):
-        scenario, samples = drawn_samples(seed, kappa, duration)
-        value, order, gvec, direct_ddt, worst = _obstacle_penalty(
-            samples, scenario.obstacles, scenario.limits.obstacle_margin)
-        assert order == 0 and direct_ddt == 0.0
-        want = np.zeros_like(samples.traj.coefficients)
-        reference_accumulate(samples, want, 0, gvec)
-        grad_c, ddt = samples.gradient(one_order(0, gvec))
-        assert_close_gradient(grad_c, want)
-        assert_close_gradient(ddt, reference_ddt_from_motion(samples, 0,
-                                                             gvec))
-
-    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 50))
-    @settings(max_examples=60, deadline=None)
-    def test_corridor_violation_matches_reference(self, seed, size):
-        rng = np.random.default_rng(seed)
-        l_min = rng.uniform(0.0, 4.0, size)
-        l_max = l_min + rng.uniform(0.0, 1.0, size)
-        l_now = rng.uniform(0.0, 5.0, size)
-        want = np.maximum(l_min ** 2 - l_now ** 2, l_now ** 2 - l_max ** 2)
-        assert repr(corridor_violation(l_min, l_now, l_max)) == \
-            repr(max(float(np.max(want)), 0.0))
-
-
-def reference_obstacle_term(samples, obstacles, margin):
-    """(value, grad_c, grad_ddt, worst) of the obstacle hinges."""
-    pos = samples.deriv[0]
-    value = 0.0
-    worst = -math.inf
-    gvec = np.zeros_like(pos)
-    for plane in obstacles:
-        dist = (pos - plane.point) @ plane.normal
-        short = margin - dist
-        hinge, slope = _hinge_parts(short)
-        value += float(np.add.reduce(hinge))
-        gvec -= np.outer(slope, plane.normal)
-        worst = max(worst, float(np.max(short)))
-    grad_c = np.zeros_like(samples.traj.coefficients)
-    reference_accumulate(samples, grad_c, 0, gvec)
-    return value, grad_c, reference_ddt_from_motion(samples, 0, gvec), worst
-
-
-def reference_total_cost(traj, scenario):
-    """total_cost as it stood before hinge shifts, built from the reference
-    terms above: the planner's plans are pinned to these bits."""
-    weights = scenario.weights
-    limits = scenario.limits
-
-    smooth, grad_c, grad_ddt = jerk_energy(traj)
-    time_cost = limits.time_weight * traj.duration
-    grad_ddt += limits.time_weight * traj.segment_count
-
-    samples = _Samples(traj, limits.samples)
-    terms = [
-        ("velocity", weights.velocity,
-         reference_window_term(samples, 1, None, limits.v_max ** 2)),
-        ("acceleration", weights.accel_jerk,
-         reference_window_term(samples, 2, None, limits.a_max ** 2)),
-        ("jerk", weights.accel_jerk,
-         reference_window_term(samples, 3, None, limits.j_max ** 2)),
-        ("thrust", weights.thrust,
-         reference_window_term(samples, 2, limits.tau_min ** 2,
-                               limits.tau_max ** 2, scenario.gravity_vector))]
-    parts = {"obstacle": 0.0, "cable": 0.0}
-    worst = {"obstacle": 0.0, "cable": 0.0}
-    if scenario.obstacles and weights.obstacle != 0.0:
-        terms.append(("obstacle", weights.obstacle, reference_obstacle_term(
-            samples, scenario.obstacles, limits.obstacle_margin)))
-    if weights.cable != 0.0:
-        terms.append(("cable", weights.cable,
-                      reference_cable_penalty(samples, scenario)))
-
-    for name, weight, (value, gc, ddt, peak) in terms:
-        parts[name] = weight * value
-        worst[name] = max(peak, 0.0) if weight > 0.0 else 0.0
-        if weight != 0.0:
-            grad_c = grad_c + weight * gc
-            grad_ddt += weight * ddt
-
-    breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
-    dj_dq, dj_dt = propagate_gradients(traj, grad_c, grad_ddt)
-    return breakdown, dj_dq, dj_dt, worst
-
-
-def zero_shifts(traj, scenario):
-    """A zero shift for every hinge argument of every weighted term."""
-    return {name: np.zeros_like(shift)
-            for name, shift in _shift_update(traj, scenario, None).items()}
+    return scenario, traj
 
 
 def assert_same_cost(got, want):
@@ -539,21 +494,95 @@ def assert_close_cost(got, want):
     assert repr(got[3]) == repr(want[3])
 
 
+def assert_term_matches_reference(scenario, traj, **weights):
+    """total_cost with only the named weights matches the reference."""
+    alone = dataclasses.replace(scenario, weights=only(**weights))
+    assert_close_cost(total_cost(traj, alone),
+                      reference_total_cost(traj, alone))
+
+
+plans = dict(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
+             duration=st.floats(0.5, 8.0))
+
+
+class TestWindowTerms:
+    @given(**plans)
+    @settings(max_examples=40, deadline=None)
+    def test_limit_and_thrust_terms_match_reference(
+            self, seed, kappa, duration):
+        scenario, traj = drawn_plan(seed, kappa, duration)
+        for weights in ({"velocity": 1.0}, {"accel_jerk": 1.0},
+                        {"thrust": 1.0}):
+            assert_term_matches_reference(scenario, traj, **weights)
+
+
+class TestPullback:
+    @given(**plans, margin=st.sampled_from([0.0, 0.02, 0.3]))
+    @settings(max_examples=40, deadline=None)
+    def test_cable_term_matches_reference(self, seed, kappa, duration,
+                                          margin):
+        scenario, traj = drawn_plan(seed, kappa, duration,
+                                    corridor_margin=margin)
+        assert_term_matches_reference(scenario, traj, cable=1.0)
+
+    @given(**plans, planes=st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_obstacle_term_matches_reference_pullback(self, seed, kappa,
+                                                      duration, planes):
+        scenario, traj = drawn_plan(seed, kappa, duration, planes)
+        assert_term_matches_reference(scenario, traj, obstacle=1.0)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 50))
+    @settings(max_examples=60, deadline=None)
+    def test_corridor_violation_matches_reference(self, seed, size):
+        rng = np.random.default_rng(seed)
+        l_min = rng.uniform(0.0, 4.0, size)
+        l_max = l_min + rng.uniform(0.0, 1.0, size)
+        l_now = rng.uniform(0.0, 5.0, size)
+        want = np.maximum(l_min ** 2 - l_now ** 2, l_now ** 2 - l_max ** 2)
+        assert repr(corridor_violation(l_min, l_now, l_max)) == \
+            repr(max(float(np.max(want)), 0.0))
+
+
+WEIGHTS = ("velocity", "accel_jerk", "thrust", "cable", "obstacle")
+
+
 class TestShifts:
-    @given(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
-           duration=st.floats(0.5, 8.0),
-           margin=st.sampled_from([0.0, 0.02, 0.3]))
+    @given(**plans, margin=st.sampled_from([0.0, 0.02, 0.3]))
     @settings(max_examples=40, deadline=None)
     def test_zero_shifts_leave_total_cost_bit_identical(
             self, seed, kappa, duration, margin):
-        scenario, samples = drawn_samples(seed, kappa, duration,
-                                          corridor_margin=margin,
-                                          samples=kappa)
-        traj = samples.traj
+        scenario, traj = drawn_plan(seed, kappa, duration,
+                                    corridor_margin=margin)
         plain = total_cost(traj, scenario)
         assert_close_cost(plain, reference_total_cost(traj, scenario))
-        assert_same_cost(total_cost(traj, scenario,
-                                    zero_shifts(traj, scenario)), plain)
+        zero = np.zeros_like(_shift_update(traj, scenario, None))
+        assert_same_cost(total_cost(traj, scenario, zero), plain)
+
+    @given(**plans, planes=st.integers(0, 2),
+           zeroed=st.sets(st.sampled_from(WEIGHTS)),
+           shift_seed=st.integers(0, 2 ** 32 - 1),
+           margin=st.sampled_from([0.0, 0.02]))
+    @settings(max_examples=60, deadline=None)
+    def test_shifted_cost_matches_reference(self, seed, kappa, duration,
+                                            planes, zeroed, shift_seed,
+                                            margin):
+        """Nonzero shifts, up to two obstacle planes and any set of zeroed
+        weights: bit-equal breakdown and worst, gradients to 1e-12."""
+        scenario, traj = drawn_plan(seed, kappa, duration, planes,
+                                    corridor_margin=margin)
+        scenario = dataclasses.replace(scenario, weights=dataclasses.replace(
+            scenario.weights, **dict.fromkeys(zeroed, 0.0)))
+        rng = np.random.default_rng(shift_seed)
+        table = _shift_update(traj, scenario, None)
+        # a spread of shifts, a quarter of them exactly 0, scaled to each
+        # row's arguments so that they move hinges in and out
+        scale = np.abs(_hinge_table(traj, scenario)[1]).max(axis=1,
+                                                            keepdims=True)
+        shifts = scale * rng.uniform(0.0, 1.0, table.shape) \
+            * (rng.random(table.shape) > 0.25)
+        assert_close_cost(total_cost(traj, scenario, shifts),
+                          reference_total_cost(traj, scenario, shifts))
 
     def test_shift_update_on_one_hinge(self):
         # v(t) = (2, 1, 0) * (1 - t) on 5 samples: the hinge arguments
@@ -563,17 +592,20 @@ class TestShifts:
                                  weights=only(velocity=2.0))
         args = 5.0 * (1.0 - np.linspace(0.0, 1.0, 5)) ** 2 - 4.0
         shifts = _shift_update(traj, scenario, None)
-        assert set(shifts) == {"velocity"}
-        np.testing.assert_array_equal(shifts["velocity"],
-                                      np.maximum(args, 0.0))
+        # velocity, acceleration, jerk, thrust under and over; no obstacle
+        # or corridor rows without their weights
+        assert shifts.shape == (5, 5)
+        np.testing.assert_array_equal(shifts[0], np.maximum(args, 0.0))
         # Powell's update adds the arguments to the shifts, floored at 0
-        shifts = _shift_update(traj, scenario, {"velocity": np.full(5, 0.5)})
-        np.testing.assert_allclose(shifts["velocity"],
-                                   np.maximum(args + 0.5, 0.0), rtol=1e-15)
+        start = np.zeros((5, 5))
+        start[0] = 0.5
+        shifts = _shift_update(traj, scenario, start)
+        np.testing.assert_allclose(shifts[0], np.maximum(args + 0.5, 0.0),
+                                   rtol=1e-15)
         # the shifted hinge prices max(g + s, 0)^3; worst stays unshifted
         breakdown, _, _, worst = total_cost(traj, scenario, shifts)
         assert breakdown.velocity == pytest.approx(
-            2.0 * np.sum(np.maximum(args + shifts["velocity"], 0.0) ** 3),
+            2.0 * np.sum(np.maximum(args + shifts[0], 0.0) ** 3),
             rel=1e-12)
         assert worst["velocity"] == pytest.approx(1.0, rel=1e-12)
 
@@ -793,13 +825,16 @@ class TestSampleGrid:
         traj = construct(rng.standard_normal((segments - 1, 3)), duration,
                          BoundaryState(*rng.standard_normal((4, 3))),
                          *rng.standard_normal((2, 3)))
-        samples = _Samples(traj, kappa)
+        scenario = make_scenario(segment_count=segments,
+                                 limits=Limits(samples=kappa),
+                                 weights=only())
+        deriv = _hinge_table(traj, scenario)[2]
+        ts = sample_times(0.0, traj.duration, kappa)
         bound = Trajectory(np.abs(traj.coefficients), traj.segment_duration)
         for order in range(5):
-            want = traj.evaluate_batch(samples.ts, order)
-            scale = np.max(np.abs(bound.evaluate_batch(samples.ts, order)))
-            assert np.max(np.abs(samples.deriv[order] - want)) \
-                <= 1e-10 * scale
+            want = traj.evaluate_batch(ts, order)
+            scale = np.max(np.abs(bound.evaluate_batch(ts, order)))
+            assert np.max(np.abs(deriv[order] - want)) <= 1e-10 * scale
 
     def test_cleared_caches_give_byte_identical_plans(self):
         scenario = make_scenario(winch=WinchSchedule(3.7, 0.1))
