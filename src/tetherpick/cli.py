@@ -179,7 +179,8 @@ def cmd_plan(args) -> int:
         ("duration_s", traj.duration), ("iterations", result.iterations),
         ("evaluations", result.evaluations),
         ("multiplier_updates", result.multiplier_updates),
-        ("status", result.status), ("penalties_ok", result.penalties_ok),
+        ("status", result.status), ("message", result.message),
+        ("penalties_ok", result.penalties_ok),
         ("max_violation", result.max_violation),
         ("dense_corridor_violation_m2", violation),
         ("seed", args.seed),
@@ -378,8 +379,6 @@ def cmd_sweep(args) -> int:
     ]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
-        # the planner imports scipy on first use: once here, not per worker
-        import scipy.optimize  # noqa: F401
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_worker, tasks))

@@ -33,7 +33,12 @@ bound comes from one Newton solve per sample, and its positional
 derivative from a closed form at the solved scale
 (cable.corridor_bounds_and_gradient).
 
-``optimize`` runs scipy's L-BFGS-B on conditioned coordinates:
+``minimize`` is an unconstrained L-BFGS (Liu & Nocedal, Math. Prog. 45,
+1989) that behaves as L-BFGS-B does without bounds: the two-loop recursion
+over the last 8 steps, Moré & Thuente's line search (ACM TOMS 20(3), 1994;
+MINPACK-2's dcsrch and dcstep) with L-BFGS-B's constants, a first step of
+1 / |g|, and L-BFGS-B's stop tests.  ``optimize`` runs it on conditioned
+coordinates:
 
 - *Seed.*  The waypoints start at the minimum of the jerk energy for the
   seed duration.  That energy is quadratic in the waypoints, with one
@@ -52,13 +57,14 @@ derivative from a closed form at the solved scale
   stopped.  A round that does not halve the worst hinge is dropped: the
   problem is infeasible, and the round before it is returned.  A round
   whose worst hinge is not below the last round's at one of its 25-iteration
-  checks is cut short there, and dropped the same way.
+  checks is cut short there, and dropped the same way.  The legs, restarts
+  and rounds are plain control flow in ``optimize``'s one loop; a checked
+  round runs L-BFGS in stretches of 25 iterations, each continuing the last
+  with its memory.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
 from dataclasses import dataclass, field
@@ -89,7 +95,7 @@ MIN_DURATION = 0.1
 # A plan counts as feasible when no sampled hinge argument exceeds this.
 VIOLATION_TOL = 1e-3
 
-# L-BFGS-B's ftol test can fire on one tiny line step far from a minimum.
+# L-BFGS's ftol test can fire on one tiny line step far from a minimum.
 # A status-0 stop counts as converged only when max |dJ/dz| over the
 # whitened coordinates is at most this fraction of max(|J|, 1).  On the
 # shipped scenarios, the six sweep_grid points and ten random test problems,
@@ -106,43 +112,309 @@ _THETA_SCALE_CLIP = (0.1, 10.0)
 _WORSENING_CHECK_PERIOD = 25
 
 
-def _blas_thread_controls(library: str):
-    """(getter, setter) of scipy's OpenBLAS thread count, or None.
+# L-BFGS-B's line search parameters (Moré & Thuente's ftol, gtol, xtol),
+# its largest step for unbounded problems, and its evaluations per search.
+_SEARCH_FTOL = 1e-3
+_SEARCH_GTOL = 0.9
+_SEARCH_XTOL = 0.1
+_SEARCH_STEP_MAX = 1e10
+_SEARCH_EVALUATIONS = 20
+_EPS = float(np.finfo(float).eps)
 
-    dlsym on the handle of ``library``, a scipy extension, also searches
-    the BLAS it links; a build without the symbols yields None.
+
+def _quotient(a: float, b: float) -> float:
+    """a / b, with IEEE's inf or nan for b = 0 instead of an exception."""
+    if b:
+        return a / b
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _cubic_gamma(theta: float, s: float, da: float, db: float) -> float:
+    """s sqrt((theta/s)^2 - (da/s)(db/s)), floored at 0 under the root."""
+    return s * math.sqrt(max(0.0, _quotient(theta, s) ** 2
+                             - _quotient(da, s) * _quotient(db, s)))
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
+    """One safeguarded step of Moré & Thuente's search (MINPACK-2 dcstep).
+
+    (stx, fx, dx) is the best step so far with its value and slope, (sty,
+    fy, dy) the other end of the interval, (stp, fp, dp) the trial step.
+    Returns the updated (stx, fx, dx, sty, fy, dy), the next trial step
+    and whether a minimizer is bracketed.
     """
-    try:
-        lib = ctypes.CDLL(library)
-        return (lib.scipy_openblas_get_num_threads,
-                lib.scipy_openblas_set_num_threads)
-    except (OSError, AttributeError):
-        return None
+    sgnd = dp * _quotient(dx, abs(dx))
+    if fp > fx:
+        # a higher value: the minimum is bracketed; take the cubic step if
+        # it is closer to stx than the quadratic one, else their average
+        theta = 3.0 * _quotient(fx - fp, stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = _cubic_gamma(theta, s, dx, dp)
+        if stp < stx:
+            gamma = -gamma
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        stpc = stx + _quotient(p, q) * (stp - stx)
+        stpq = stx + _quotient(dx, _quotient(fx - fp, stp - stx) + dx) \
+            / 2.0 * (stp - stx)
+        if abs(stpc - stx) < abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        bracketed = True
+    elif sgnd < 0.0:
+        # a lower value and slopes of opposite sign: bracketed; take the
+        # cubic step if it is farther from stp than the secant step
+        theta = 3.0 * _quotient(fx - fp, stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = _cubic_gamma(theta, s, dx, dp)
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        stpc = stp + _quotient(p, q) * (stx - stp)
+        stpq = stp + _quotient(dp, dp - dx) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        bracketed = True
+    elif abs(dp) < abs(dx):
+        # a lower value, slopes of the same sign, the slope shrinking: the
+        # cubic step only if the cubic tends to infinity in the direction
+        # of the step or its minimum lies beyond stp, else the secant step
+        theta = 3.0 * _quotient(fx - fp, stp - stx) + dx + dp
+        s = max(abs(theta), abs(dx), abs(dp))
+        gamma = _cubic_gamma(theta, s, dx, dp)
+        if stp > stx:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = _quotient(p, q)
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        elif stp > stx:
+            stpc = stpmax
+        else:
+            stpc = stpmin
+        stpq = stp + _quotient(dp, dp - dx) * (stx - stp)
+        if bracketed:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = max(stpmin, min(stpmax, stpf))
+    elif bracketed:
+        # a lower value, slopes of the same sign, the slope not shrinking:
+        # the cubic step between stp and sty once bracketed
+        theta = 3.0 * _quotient(fp - fy, sty - stp) + dy + dp
+        s = max(abs(theta), abs(dy), abs(dp))
+        gamma = _cubic_gamma(theta, s, dy, dp)
+        if stp > sty:
+            gamma = -gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dy
+        stpf = stp + _quotient(p, q) * (sty - stp)
+    else:
+        # ... else the end of the allowed interval
+        stpf = stpmax if stp > stx else stpmin
+
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if sgnd < 0.0:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, bracketed
 
 
-# L-BFGS-B calls LAPACK every iteration, which wakes an OpenBLAS worker
-# thread that then spins between iterations: a second core per planner.
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Pin scipy's BLAS to one thread, then restore the caller's count."""
-    from scipy.optimize import _lbfgsb
-    controls = _blas_thread_controls(_lbfgsb.__file__)
-    if controls is None:
-        yield
-        return
-    get_threads, set_threads = controls
-    caller_threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(caller_threads)
+def _line_search(phi, f0: float, g0: float, stp: float):
+    """The step Moré & Thuente's search (MINPACK-2 dcsrch) accepts, as
+    L-BFGS-B runs it, or None when it needs more evaluations than
+    L-BFGS-B allows.
+
+    ``phi(stp)`` evaluates the objective at that step along the search
+    direction and returns (value, slope); ``f0`` and ``g0 < 0`` are those
+    at step 0.  The search ends at a step with sufficient decrease and a
+    slope at most _SEARCH_GTOL of |g0|, and also, as in L-BFGS-B, where
+    its interval collapses or rounding stops progress; the step it ends at
+    is always the last one evaluated.
+    """
+    stpmin, stpmax = 0.0, _SEARCH_STEP_MAX
+    bracketed = False
+    stage = 1
+    gtest = _SEARCH_FTOL * g0
+    width = stpmax - stpmin
+    width1 = 2.0 * width
+    stx = sty = 0.0
+    fx = fy = f0
+    gx = gy = g0
+    stmin, stmax = 0.0, stp + 4.0 * stp
+    for _ in range(_SEARCH_EVALUATIONS):
+        f, g = phi(stp)
+        ftest = f0 + stp * gtest
+        if stage == 1 and f <= ftest and g >= 0.0:
+            stage = 2
+        if (bracketed and (stp <= stmin or stp >= stmax
+                           or stmax - stmin <= _SEARCH_XTOL * stmax)
+                or (stp == stpmax and f <= ftest and g <= gtest)
+                or (stp == stpmin and (f > ftest or g >= gtest))
+                or (f <= ftest and abs(g) <= _SEARCH_GTOL * -g0)):
+            return stp
+        if stage == 1 and fx >= f > ftest:
+            # a lower value without sufficient decrease: step on the
+            # function less its sufficient-decrease line
+            stx, fxm, gxm, sty, fym, gym, stp, bracketed = _dcstep(
+                stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest,
+                gy - gtest, stp, f - stp * gtest, g - gtest, bracketed,
+                stmin, stmax)
+            fx, gx = fxm + stx * gtest, gxm + gtest
+            fy, gy = fym + sty * gtest, gym + gtest
+        else:
+            stx, fx, gx, sty, fy, gy, stp, bracketed = _dcstep(
+                stx, fx, gx, sty, fy, gy, stp, f, g, bracketed, stmin,
+                stmax)
+        if bracketed:
+            # bisect when the interval does not shrink fast enough
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin, stmax = stp + 1.1 * (stp - stx), stp + 4.0 * (stp - stx)
+        stp = min(max(stp, stpmin), stpmax)
+        # no further progress is possible: end at the best step so far
+        if bracketed and (stp <= stmin or stp >= stmax
+                          or stmax - stmin <= _SEARCH_XTOL * stmax):
+            stp = stx
+    return None
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first plan, not at load."""
-    from scipy.optimize import minimize
-    return minimize(*args, **kwargs)
+@dataclass
+class Minimum:
+    """Where a run of ``minimize`` stopped.
+
+    ``status`` is 0 when a stop test passed, 1 at the iteration limit and
+    2 when no line search could make progress.  ``iterates`` holds, for
+    every iteration, the index among this call's objective evaluations of
+    the one it accepted.  ``pairs`` is the L-BFGS memory, the (s, y,
+    1 / s.y) of each stored step, oldest first, for a later call to
+    continue from.
+    """
+
+    x: np.ndarray
+    fun: float
+    jac: np.ndarray
+    nit: int = 0
+    status: int = 0
+    message: str = ""
+    iterates: list = field(default_factory=list)
+    pairs: list = field(default_factory=list)
+
+
+def _direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g by the two-loop recursion (Nocedal & Wright, Alg. 7.4) over the
+    stored (s, y, 1 / s.y), oldest first, with H0 = (s.y / y.y) I from the
+    newest pair, or the identity without one."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * float(s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * float(y @ q)) * s
+    return -q
+
+
+def _largest(g: np.ndarray) -> float:
+    """max |g|, or 0 for an empty g."""
+    return float(np.maximum.reduce(np.abs(g), initial=0.0))
+
+
+def minimize(fun, start, maxiter: int, maxcor: int = 8, ftol: float = 1e-12,
+             gtol: float = 1e-6) -> Minimum:
+    """Unconstrained L-BFGS with L-BFGS-B's line search and stop tests.
+
+    ``fun(x)`` returns (value, gradient).  ``start`` is the first iterate,
+    or a Minimum from an earlier call on the same ``fun``, which this call
+    then continues with its memory.  Every iteration steps along the
+    two-loop direction over the last ``maxcor`` steps, with the step
+    Moré & Thuente's search accepts; the first step of a run starts its
+    search at 1 / |g|, as L-BFGS-B does, and every later one at 1.  A step
+    whose curvature s.y is not positive beyond rounding is not stored.
+    The run stops when max |g| <= gtol, when one iteration lowers the value
+    by at most ftol * max(|f_old|, |f|, 1), or after ``maxiter``
+    iterations; the stop tests run first, so a run continued in stretches
+    stops where one long run would.  A failed search drops the memory and
+    tries again from steepest descent; from steepest descent it ends the
+    run.
+    """
+    evaluations = 0
+
+    def evaluate(x):
+        nonlocal evaluations
+        evaluations += 1
+        f, g = fun(x)
+        return float(f), np.asarray(g, dtype=float)
+
+    if isinstance(start, Minimum):
+        x, f, g, pairs = start.x, start.fun, start.jac, start.pairs
+        first = False
+    else:
+        x = np.array(start, dtype=float)
+        f, g = evaluate(x)
+        pairs = []
+        first = True
+        if not _largest(g) > gtol:
+            return Minimum(x, f, g, 0, 0, "gradient below gtol")
+    iterates = []
+    while True:
+        d = _direction(g, pairs)
+        slope0 = float(d @ g)
+        trial = []
+
+        def phi(stp):
+            x_new = x + stp * d
+            f_new, g_new = evaluate(x_new)
+            trial[:] = x_new, f_new, g_new
+            return f_new, float(g_new @ d)
+
+        stp = None
+        if slope0 < 0.0:
+            stp = _line_search(phi, f, slope0,
+                               1.0 / math.sqrt(float(d @ d)) if first
+                               else 1.0)
+        if stp is None:
+            if pairs:
+                pairs = []
+                continue
+            status, message = 2, "line search cannot make progress"
+            break
+        first = False
+        x_old, f_old, g_old = x, f, g
+        x, f, g = trial
+        iterates.append(evaluations - 1)
+        s = x - x_old
+        y = g - g_old
+        curvature = float(s @ y)
+        if curvature > _EPS * -float(s @ g_old):
+            pairs = (pairs + [(s, y, 1.0 / curvature)])[-maxcor:]
+        if not _largest(g) > gtol:
+            status, message = 0, "gradient below gtol"
+        elif f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+            status, message = 0, "relative reduction of J below ftol"
+        elif len(iterates) >= maxiter:
+            status, message = 1, "iteration limit reached"
+        else:
+            continue
+        break
+    return Minimum(x, f, g, len(iterates), status, message, iterates, pairs)
 
 
 @dataclass(frozen=True)
@@ -654,11 +926,18 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
         return min(max(scale, _THETA_SCALE_CLIP[0]), _THETA_SCALE_CLIP[1])
 
     def leg(q0, theta0, budget):
-        """One L-BFGS-B run from z = 0, where q = q0 + dT^(5/2) W z per axis
-        and theta = theta0 + s_T z[-1].  Returns (result, q, theta)."""
+        """One L-BFGS run from z = 0, where q = q0 + dT^(5/2) W z per axis
+        and theta = theta0 + s_T z[-1].  Returns (result, iterations, q,
+        theta, final), where final is the (trajectory, breakdown, worst)
+        of the last iterate when this leg evaluated it, or None.
+
+        A shift round checks every _WORSENING_CHECK_PERIOD iterations that
+        its unshifted worst hinge is below the last round's, and ends there
+        (at the iteration limit of that stretch) if not, to be dropped.
+        """
         basis = (duration_at(theta0) / n_seg) ** 2.5 * whitening
         scale = theta_scale(q0, theta0)
-        latest = [None, None]
+        trail = []
 
         def point(z):
             q = q0 + basis @ z[:3 * n_wp].reshape(n_wp, 3)
@@ -666,73 +945,73 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
                 else theta0
 
         def objective(z):
-            _, breakdown, dj_dq, dj_dtheta, worst = evaluate(*point(z))
+            traj, breakdown, dj_dq, dj_dtheta, worst = evaluate(*point(z))
             grad = np.empty(z.shape)
             grad[:3 * n_wp] = (basis.T @ dj_dq).ravel()
             if optimize_time:
                 grad[-1] = scale * dj_dtheta
-            latest[:] = breakdown, worst
+            trail.append((traj, breakdown, worst))
             return breakdown.total, grad
 
-        def record(z):
-            nonlocal worsening
-            # L-BFGS-B reports each iterate right after evaluating it
-            history.append(latest[0])
-            if (len(history) - first) % _WORSENING_CHECK_PERIOD:
-                return
-            # a shift round whose unshifted worst hinge is not below the
-            # last round's is making things worse: end it, to be dropped
-            if previous is not None \
-                    and max(latest[1].values()) >= previous[2]:
-                worsening = True
-                raise StopIteration
-
-        first = len(history)
-        result = minimize(objective, np.zeros(3 * n_wp + optimize_time),
-                          jac=True, method="L-BFGS-B", callback=record,
-                          options={"maxiter": budget, "maxcor": 8,
-                                   "ftol": 1e-12, "gtol": 1e-6})
-        return (result, *point(result.x))
+        stretch = budget if previous is None else _WORSENING_CHECK_PERIOD
+        result = np.zeros(3 * n_wp + optimize_time)
+        taken = 0
+        while True:
+            trail.clear()
+            # a first call evaluates its start, a continuation does not
+            accepted = [] if taken else [0]
+            result = minimize(objective, result,
+                              min(stretch, budget - taken))
+            accepted += result.iterates
+            history.extend(trail[i][1] for i in result.iterates)
+            taken += result.nit
+            final = trail[accepted[-1]] if accepted else None
+            if result.status != 1 or taken >= budget or \
+                    max(final[2].values()) >= previous[2]:
+                return (result, taken, *point(result.x), final)
 
     theta = _softplus_inverse(duration0 - MIN_DURATION) if optimize_time \
         else 0.0
     iterations = updates = 0
     previous = None
-    worsening = False
-    with _single_blas_thread():
-        while True:
-            # each leg starts where the last one ended; a restart runs
-            # another leg, anything else ends the shift round
-            result, waypoints, theta = leg(waypoints, theta,
-                                           max_iterations - iterations)
-            iterations += int(result.nit)
-            false_stop = result.status == 0 and \
-                np.max(np.abs(result.jac), initial=0.0) > \
-                _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
-            out_of_budget = iterations >= max_iterations
-            if false_stop and result.nit > 0 and not out_of_budget:
-                continue
-            if result.status == 0 and not false_stop:
-                status = "converged"
-            elif result.status == 1 or (false_stop and out_of_budget):
-                status = "max_iterations"
-            else:
-                status = "line_search_failure"
-            message = str(result.message)
-            traj, breakdown, _, _, violations = evaluate(waypoints, theta,
-                                                         shifted=False)
-            worst = max(violations.values())
-            if worst < VIOLATION_TOL:
-                break
-            # a round cut short for worsening fails this test as well
-            if previous is not None and worst > 0.5 * previous[2]:
-                traj, breakdown, worst, status, message = previous
-                break
-            if status != "converged" or out_of_budget:
-                break
-            previous = traj, breakdown, worst, status, message
-            shifts = _shift_update(traj, scenario, shifts)
-            updates += 1
+    while True:
+        # each leg starts where the last one ended; a restart runs another
+        # leg, anything else ends the shift round
+        result, taken, waypoints, theta, final = leg(
+            waypoints, theta, max_iterations - iterations)
+        iterations += taken
+        # a stop test can pass on one tiny step far from a minimum
+        false_stop = result.status == 0 and \
+            np.max(np.abs(result.jac), initial=0.0) > \
+            _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
+        out_of_budget = iterations >= max_iterations
+        if false_stop and taken > 0 and not out_of_budget:
+            continue
+        if result.status == 0 and not false_stop:
+            status = "converged"
+        elif result.status == 1 or (false_stop and out_of_budget):
+            status = "max_iterations"
+        else:
+            status = "line_search_failure"
+        message = result.message
+        # the breakdown and hinge report are unshifted
+        if shifts is None and final is not None:
+            traj, breakdown, violations = final
+        else:
+            traj, breakdown, _, _, violations = evaluate(
+                waypoints, theta, shifted=False)
+        worst = max(violations.values())
+        if worst < VIOLATION_TOL:
+            break
+        # a round cut short for worsening fails this test as well
+        if previous is not None and worst > 0.5 * previous[2]:
+            traj, breakdown, worst, status, message = previous
+            break
+        if status != "converged" or out_of_budget:
+            break
+        previous = traj, breakdown, worst, status, message
+        shifts = _shift_update(traj, scenario, shifts)
+        updates += 1
 
     return OptimizeResult(trajectory=traj, breakdown=breakdown,
                           iterations=iterations, status=status,

@@ -1,7 +1,7 @@
 """End-to-end harness tests driving the CLI in process.
 
 What a verb imports is checked in a fresh interpreter instead, because the
-test process has imported scipy long before.
+test process has imported scipy, a test-only oracle, long before.
 """
 
 import concurrent.futures
@@ -138,6 +138,15 @@ class TestPlan:
                     "--out", str(out), "--fixed-duration", "6.6"]) == 0
         rows = dict(read_rows(out / "hop_breakdown.csv")[1:])
         assert float(rows["duration_s"]) == pytest.approx(6.6)
+
+    def test_breakdown_records_why_the_plan_ended(self, planned_dir):
+        rows = read_rows(planned_dir / "hop_breakdown.csv")
+        names = [row[0] for row in rows]
+        at = names.index("status")
+        assert names[at + 1] == "message"
+        assert rows[at][1] == "converged"
+        assert rows[at + 1][1] in ("gradient below gtol",
+                                   "relative reduction of J below ftol")
 
     def test_blocked_corridor_exits_four(self, tmp_path, recwarn):
         # capacity pins the released length below the chord at the goal, so
@@ -495,41 +504,10 @@ class TestSweep:
             outs[key] = rows_without_wall_time(out / "hop_sweep.csv")
         assert outs["serial"] == outs["parallel"]
 
-    def test_parallel_sweep_imports_scipy_before_forking(self,
-                                                           fast_scenario,
-                                                           tmp_path):
-        # the pool records what its forked workers will inherit
-        script = """
-import concurrent.futures, json
-from tetherpick import cli
-RealPool = concurrent.futures.ProcessPoolExecutor
-seen = []
-class RecordingPool(RealPool):
-    def __init__(self, *args, **kwargs):
-        seen.append(sorted(name for name in ("scipy.linalg", "scipy.optimize")
-                           if name in sys.modules))
-        super().__init__(*args, **kwargs)
-concurrent.futures.ProcessPoolExecutor = RecordingPool
-before = "scipy" in sys.modules
-code = cli.run(sys.argv[1:])
-print(json.dumps([before, code, seen]))
-"""
-        grid = "scenario.goal_position_m[2]=0.25,0.5"
-        before, code, seen = fresh_run(
-            script, "sweep", "--scenario", str(fast_scenario), "--out",
-            str(tmp_path / "parallel"), "--jobs", "2", "--grid", grid)
-        assert not before and code == 0
-        assert seen == [["scipy.linalg", "scipy.optimize"]]
-        assert run(["sweep", "--scenario", str(fast_scenario), "--out",
-                    str(tmp_path / "serial"), "--jobs", "1",
-                    "--grid", grid]) == 0
-        assert rows_without_wall_time(tmp_path / "serial" / "hop_sweep.csv") \
-            == rows_without_wall_time(tmp_path / "parallel" / "hop_sweep.csv")
-
 
 class TestImports:
-    """The CLI loads scipy, numpy.random and the process pool only in the
-    verbs that use them: ``simulate`` and ``check`` run on numpy and PyYAML
+    """The CLI loads numpy.random and the process pool only in the verbs
+    that use them, and no verb loads scipy: the runtime is numpy and PyYAML
     alone."""
 
     LAZY = ("scipy", "numpy.random", "concurrent.futures.process")
@@ -547,6 +525,43 @@ from tetherpick import cli
 code = cli.run(sys.argv[1:])
 print(json.dumps([code, "scipy" in sys.modules]))
 """
+
+    def test_plan_never_loads_scipy(self, fast_scenario, tmp_path):
+        code, scipy_loaded = fresh_run(self.VERB, "plan", "--scenario",
+                                       str(fast_scenario), "--out",
+                                       str(tmp_path))
+        assert code == 0 and not scipy_loaded
+
+    def test_parallel_sweep_never_loads_scipy(self, fast_scenario,
+                                              tmp_path):
+        """Neither before the pool forks its workers nor after they are
+        done does the parent hold a scipy module."""
+        script = """
+import concurrent.futures, json
+from tetherpick import cli
+RealPool = concurrent.futures.ProcessPoolExecutor
+seen = []
+class RecordingPool(RealPool):
+    def __init__(self, *args, **kwargs):
+        seen.append(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        super().__init__(*args, **kwargs)
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+code = cli.run(sys.argv[1:])
+print(json.dumps([code, seen, "scipy" in sys.modules]))
+"""
+        code, seen, scipy_loaded = fresh_run(
+            script, "sweep", "--scenario", str(fast_scenario), "--out",
+            str(tmp_path), "--jobs", "2",
+            "--grid", "scenario.goal_position_m[2]=0.25,0.5")
+        assert code == 0 and seen == [[]] and not scipy_loaded
+
+    def test_plan_runs_without_scipy(self, fast_scenario, tmp_path):
+        """With scipy made unimportable, plan still succeeds."""
+        script = 'sys.modules["scipy"] = None\n' + self.VERB
+        code, _ = fresh_run(script, "plan", "--scenario", str(fast_scenario),
+                            "--out", str(tmp_path))
+        assert code == 0
+        assert (tmp_path / "hop_breakdown.csv").exists()
 
     def test_check_never_loads_scipy(self, tmp_path):
         code, scipy_loaded = fresh_run(self.VERB, "check", "--out",

@@ -1,13 +1,10 @@
 """Tests for the penalty objective and the planner loop."""
 
-import _ctypes
-import ctypes
 import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult as scipy_result, _lbfgsb
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +15,7 @@ from tetherpick.scenario import load_document, parse_scenario
 from tetherpick.optimizer import (
     CostBreakdown,
     Limits,
+    Minimum,
     ObstaclePlane,
     OptimizeResult,
     PenaltyWeights,
@@ -993,25 +991,25 @@ class TestOptimize:
 
 
 class TestFalseStopGuard:
-    """A status-0 stop with a large gradient restarts L-BFGS-B from where
-    it stopped, re-whitened."""
+    """A status-0 stop with a large gradient restarts L-BFGS from where it
+    stopped, re-whitened."""
 
     @staticmethod
     def scripted_minimize(monkeypatch, legs):
         """Replace minimize by one that plays back (status, nit, max |jac|)
         legs, each reporting J = 100 one step of 0.01 past its start, and
-        records every call's start, options and objective there and at its
-        end."""
+        records every call's start, iteration limit and objective there
+        and at its end."""
         calls = []
         legs = iter(legs)
 
-        def minimize(fun, x0, **kwargs):
+        def minimize(fun, x0, maxiter):
             status, nit, jac = next(legs)
             x = x0 + 0.01
-            calls.append((x0.copy(), kwargs["options"], fun(x0)[0],
-                          fun(x)[0]))
-            return scipy_result(x=x, fun=100.0, jac=np.full(x.shape, jac),
-                                status=status, nit=nit, message="scripted")
+            calls.append((x0.copy(), maxiter, fun(x0)[0], fun(x)[0]))
+            return Minimum(x=x, fun=100.0, jac=np.full(x.shape, jac),
+                           nit=nit, status=status, message="scripted",
+                           iterates=[1])
 
         monkeypatch.setattr(optimizer, "minimize", minimize)
         return calls
@@ -1040,8 +1038,8 @@ class TestFalseStopGuard:
         assert result.status == status
         assert result.multiplier_updates == 0
         budget = 100
-        for (start, options, _, _), (_, nit, _) in zip(calls, legs):
-            assert options["maxiter"] == budget
+        for (start, maxiter, _, _), (_, nit, _) in zip(calls, legs):
+            assert maxiter == budget
             budget -= nit
             # every leg starts at the origin of its whitened coordinates
             assert not start.any()
@@ -1062,14 +1060,15 @@ class TestFalseStopGuard:
         (6, 20, "max_iterations"), (1, 500, "converged")])
     def test_unguarded_run_is_one_plain_leg(self, monkeypatch, segments,
                                             max_iterations, status):
-        """Where neither restart fires, optimize is one L-BFGS-B call with
-        the planner's options, and reports that call's result."""
+        """Where neither restart fires, optimize is one L-BFGS call with the
+        planner's defaults, and reports that call's result."""
         legs = []
         real_minimize = optimizer.minimize
 
-        def minimize(*args, **kwargs):
-            legs.append((kwargs["options"], real_minimize(*args, **kwargs)))
-            return legs[-1][1]
+        def minimize(fun, start, maxiter, **kwargs):
+            legs.append((maxiter, kwargs,
+                         real_minimize(fun, start, maxiter, **kwargs)))
+            return legs[-1][2]
 
         monkeypatch.setattr(optimizer, "minimize", minimize)
         scenario = make_scenario(
@@ -1077,9 +1076,8 @@ class TestFalseStopGuard:
             weights=PenaltyWeights(cable=0.0, obstacle=0.0))
         result = optimize(scenario, max_iterations=max_iterations)
         assert len(legs) == 1
-        options, leg = legs[0]
-        assert options == {"maxiter": max_iterations, "maxcor": 8,
-                           "ftol": 1e-12, "gtol": 1e-6}
+        maxiter, options, leg = legs[0]
+        assert (maxiter, options) == (max_iterations, {})
         assert result.iterations == leg.nit == len(result.history)
         assert result.breakdown.total == leg.fun
         assert total_cost(result.trajectory, scenario)[0] == result.breakdown
@@ -1163,6 +1161,59 @@ class TestConvergence:
         assert not result.penalties_ok
         assert result.breakdown.total <= 19414.410531034486
 
+    @staticmethod
+    def plan_recording_rounds(monkeypatch, scenario):
+        """optimize's result and the plan each shift round started from."""
+        rounds = []
+        real_update = optimizer._shift_update
+
+        def recorded(traj, scenario, shifts):
+            rounds.append(traj)
+            return real_update(traj, scenario, shifts)
+
+        monkeypatch.setattr(optimizer, "_shift_update", recorded)
+        return optimize(scenario), rounds
+
+    @staticmethod
+    def assert_dropped_round_returns_the_one_before(result, rounds,
+                                                    scenario):
+        """A dropped last round gives back the plan it started from, with
+        that plan's unshifted J and worst hinge; a kept one has at least
+        halved that worst hinge.  Returns whether the round was dropped."""
+        assert len(rounds) == result.multiplier_updates
+        if not rounds:
+            return False
+        breakdown, _, _, worst = total_cost(rounds[-1], scenario)
+        start_worst = max(worst.values())
+        dropped = result.trajectory.coefficients.tobytes() \
+            == rounds[-1].coefficients.tobytes()
+        if dropped:
+            assert result.breakdown.total == breakdown.total
+            assert result.max_violation == start_worst
+        else:
+            assert result.max_violation <= 0.5 * start_worst
+        return dropped
+
+    def test_infeasible_problem_keeps_the_round_before_a_dropped_one(
+            self, monkeypatch):
+        """random_scenario(6) stops at the iteration cap before any shift
+        round: the property holds with nothing to drop."""
+        scenario = random_scenario(np.random.default_rng(6))
+        result, rounds = self.plan_recording_rounds(monkeypatch, scenario)
+        self.assert_dropped_round_returns_the_one_before(result, rounds,
+                                                         scenario)
+        assert not result.penalties_ok
+
+    def test_goal_beyond_the_winch_drops_its_shift_round(self, monkeypatch):
+        """The winch cannot release the 3.61 m chord at the goal, so no
+        shift round can halve the corridor hinge: it is dropped, and the
+        plan it started from comes back unchanged."""
+        scenario = make_scenario(winch=WinchSchedule(3.0, 0.0, capacity=3.2))
+        result, rounds = self.plan_recording_rounds(monkeypatch, scenario)
+        assert self.assert_dropped_round_returns_the_one_before(
+            result, rounds, scenario)
+        assert not result.penalties_ok
+
     def test_reports_its_evaluations_and_shift_rounds(
             self, monkeypatch, shipped_scenario_dir):
         calls = []
@@ -1176,80 +1227,6 @@ class TestConvergence:
         result = optimize(z2_sag005(shipped_scenario_dir))
         assert result.evaluations == len(calls)
         assert result.multiplier_updates == 1
-
-
-_SCIPY_BLAS = ctypes.CDLL(_lbfgsb.__file__)
-
-
-@pytest.mark.skipif(
-    not hasattr(_SCIPY_BLAS, "scipy_openblas_get_num_threads"),
-    reason="this scipy build does not export its OpenBLAS thread controls")
-class TestBlasThreads:
-    CALLER_THREADS = 3
-
-    @pytest.fixture(autouse=True)
-    def caller_threads(self):
-        before = _SCIPY_BLAS.scipy_openblas_get_num_threads()
-        _SCIPY_BLAS.scipy_openblas_set_num_threads(self.CALLER_THREADS)
-        yield
-        _SCIPY_BLAS.scipy_openblas_set_num_threads(before)
-
-    @staticmethod
-    def spy_on_objective(monkeypatch, fail_at=None):
-        """Record scipy's BLAS thread count at every objective call."""
-        seen = []
-        real_minimize = optimizer.minimize
-
-        def minimize(fun, *args, **kwargs):
-            def spy(x):
-                seen.append(_SCIPY_BLAS.scipy_openblas_get_num_threads())
-                if len(seen) == fail_at:
-                    raise RuntimeError("objective failed")
-                return fun(x)
-            return real_minimize(spy, *args, **kwargs)
-
-        monkeypatch.setattr(optimizer, "minimize", minimize)
-        return seen
-
-    def test_objective_runs_on_one_thread_and_caller_count_returns(
-            self, monkeypatch):
-        seen = self.spy_on_objective(monkeypatch)
-        optimize(make_scenario(), max_iterations=5)
-        assert seen and set(seen) == {1}
-        assert _SCIPY_BLAS.scipy_openblas_get_num_threads() \
-            == self.CALLER_THREADS
-
-    def test_caller_count_returns_when_the_objective_raises(
-            self, monkeypatch):
-        seen = self.spy_on_objective(monkeypatch, fail_at=3)
-        with pytest.raises(RuntimeError, match="objective failed"):
-            optimize(make_scenario(), max_iterations=5)
-        assert seen == [1, 1, 1]
-        assert _SCIPY_BLAS.scipy_openblas_get_num_threads() \
-            == self.CALLER_THREADS
-
-    def test_pin_leaves_the_plan_bit_identical(self, monkeypatch):
-        scenario = make_scenario(winch=WinchSchedule(3.7, 0.1))
-        pinned = optimize(scenario, max_iterations=30)
-        monkeypatch.setattr(optimizer, "_blas_thread_controls",
-                            lambda library: None)
-        free = optimize(scenario, max_iterations=30)
-        assert pinned.trajectory.coefficients.tobytes() \
-            == free.trajectory.coefficients.tobytes()
-        assert pinned.trajectory.duration == free.trajectory.duration
-        assert pinned.iterations == free.iterations
-        assert pinned.breakdown == free.breakdown
-        assert pinned.history == free.history
-
-    def test_build_without_the_symbols_runs_unpinned(self, monkeypatch):
-        controls = optimizer._blas_thread_controls(_ctypes.__file__)
-        assert controls is None
-        monkeypatch.setattr(optimizer, "_blas_thread_controls",
-                            lambda library: controls)
-        seen = self.spy_on_objective(monkeypatch)
-        result = optimize(make_scenario(), max_iterations=5)
-        assert result.iterations > 0
-        assert seen and set(seen) == {self.CALLER_THREADS}
 
 
 class TestHingeSmoothness:
