@@ -57,6 +57,10 @@ from .optimizer import (
 from .simulation import DEFAULT_TIMESTEP, DroneParams
 from .trajectory import BoundaryState
 
+# libyaml's parser when PyYAML was built with it, about 8x faster than the
+# pure-Python one; both build only plain YAML types
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _REQUIRED = object()
 _REST = (0.0, 0.0, 0.0)
 
@@ -358,7 +362,7 @@ def load_document(path):
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from None
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""

@@ -8,9 +8,11 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tetherpick import scenario
 from tetherpick.cable import CableProperties
 from tetherpick.errors import NoConvergence, ParseError, ValidationError
 from tetherpick.optimizer import (
@@ -445,6 +447,38 @@ class TestLoadScenario:
         path.write_text("scenario:\n  start_position_m: [0, 0, 0\n")
         with pytest.raises(ParseError, match="line"):
             load_scenario(path)
+
+    LOADERS = [yaml.SafeLoader] + (
+        [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_malformed_file_names_its_line_under_either_loader(
+            self, monkeypatch, tmp_path, loader):
+        monkeypatch.setattr(scenario, "_LOADER", loader)
+        path = tmp_path / "broken.yaml"
+        path.write_text("scenario:\n  start_position_m: [0, 0, 0]\n"
+                        "  goal_position_m: [1, 0\n  segment_count: 4\n")
+        with pytest.raises(ParseError, match="at line 4"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("loader", LOADERS)
+    def test_python_tags_are_refused_under_either_loader(
+            self, monkeypatch, tmp_path, loader):
+        monkeypatch.setattr(scenario, "_LOADER", loader)
+        path = tmp_path / "tagged.yaml"
+        path.write_text("name: !!python/object/apply:os.getcwd []\n")
+        with pytest.raises(ParseError, match="invalid YAML"):
+            load_document(path)
+
+    @pytest.mark.parametrize("name", [
+        "pickup_level", "pickup_mid", "pickup_high"])
+    def test_shipped_files_parse_equal_under_either_loader(
+            self, name, shipped_scenario_dir):
+        path = shipped_scenario_dir / f"{name}.yaml"
+        text = path.read_text(encoding="utf-8")
+        document = load_document(path)
+        for loader in self.LOADERS:
+            assert yaml.load(text, Loader=loader) == document
 
     def test_missing_file_is_a_parse_error(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
