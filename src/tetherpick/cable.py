@@ -357,17 +357,13 @@ def corridor_bounds_and_gradient(droid: np.ndarray, anchor,
     length, dl_dp, dl_dh = _sag_solve_batch(np.abs(dx), H, props.sag_limit)
 
     apart = l_min > 1e-12
+    safe = np.ones_like(l_min)
+    np.copyto(safe, l_min, where=apart)
     dlmin = np.zeros(dx.shape + (3,))
-    if apart.all():
-        dlmin[:, 0] = dx / l_min
-        dlmin[:, 2] = dz / l_min
-    else:
-        safe = np.ones_like(l_min)
-        np.copyto(safe, l_min, where=apart)
-        np.copyto(dlmin[:, 0], dx / safe, where=apart)
-        np.copyto(dlmin[:, 2], dz / safe, where=apart)
+    np.copyto(dlmin[:, 0], dx / safe, where=apart)
+    np.copyto(dlmin[:, 2], dz / safe, where=apart)
 
-    dlmax = np.zeros(dx.shape + (3,))
+    dlmax = np.zeros_like(dlmin)
     dlmax[:, 0] = dl_dp * np.sign(dx)
     # H grows as the attachment point sinks
     dlmax[:, 2] = -(np.sign(H) * dl_dh)

@@ -122,19 +122,9 @@ _SEARCH_EVALUATIONS = 20
 _EPS = float(np.finfo(float).eps)
 
 
-def _quotient(a: float, b: float) -> float:
-    """a / b, with IEEE's inf or nan for b = 0 instead of an exception."""
-    if b:
-        return a / b
-    if a == 0.0 or a != a:
-        return math.nan
-    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-
-
 def _cubic_gamma(theta: float, s: float, da: float, db: float) -> float:
     """s sqrt((theta/s)^2 - (da/s)(db/s)), floored at 0 under the root."""
-    return s * math.sqrt(max(0.0, _quotient(theta, s) ** 2
-                             - _quotient(da, s) * _quotient(db, s)))
+    return s * math.sqrt(max(0.0, (theta / s) ** 2 - (da / s) * (db / s)))
 
 
 def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
@@ -145,20 +135,19 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
     Returns the updated (stx, fx, dx, sty, fy, dy), the next trial step
     and whether a minimizer is bracketed.
     """
-    sgnd = dp * _quotient(dx, abs(dx))
+    sgnd = dp * math.copysign(1.0, dx)
     if fp > fx:
         # a higher value: the minimum is bracketed; take the cubic step if
         # it is closer to stx than the quadratic one, else their average
-        theta = 3.0 * _quotient(fx - fp, stp - stx) + dx + dp
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
         s = max(abs(theta), abs(dx), abs(dp))
         gamma = _cubic_gamma(theta, s, dx, dp)
         if stp < stx:
             gamma = -gamma
         p = (gamma - dx) + theta
         q = ((gamma - dx) + gamma) + dp
-        stpc = stx + _quotient(p, q) * (stp - stx)
-        stpq = stx + _quotient(dx, _quotient(fx - fp, stp - stx) + dx) \
-            / 2.0 * (stp - stx)
+        stpc = stx + p / q * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
         if abs(stpc - stx) < abs(stpq - stx):
             stpf = stpc
         else:
@@ -167,36 +156,36 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
     elif sgnd < 0.0:
         # a lower value and slopes of opposite sign: bracketed; take the
         # cubic step if it is farther from stp than the secant step
-        theta = 3.0 * _quotient(fx - fp, stp - stx) + dx + dp
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
         s = max(abs(theta), abs(dx), abs(dp))
         gamma = _cubic_gamma(theta, s, dx, dp)
         if stp > stx:
             gamma = -gamma
         p = (gamma - dp) + theta
         q = ((gamma - dp) + gamma) + dx
-        stpc = stp + _quotient(p, q) * (stx - stp)
-        stpq = stp + _quotient(dp, dp - dx) * (stx - stp)
+        stpc = stp + p / q * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
         stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
         bracketed = True
     elif abs(dp) < abs(dx):
         # a lower value, slopes of the same sign, the slope shrinking: the
         # cubic step only if the cubic tends to infinity in the direction
         # of the step or its minimum lies beyond stp, else the secant step
-        theta = 3.0 * _quotient(fx - fp, stp - stx) + dx + dp
+        theta = 3.0 * (fx - fp) / (stp - stx) + dx + dp
         s = max(abs(theta), abs(dx), abs(dp))
         gamma = _cubic_gamma(theta, s, dx, dp)
         if stp > stx:
             gamma = -gamma
         p = (gamma - dp) + theta
         q = (gamma + (dx - dp)) + gamma
-        r = _quotient(p, q)
+        r = p / q
         if r < 0.0 and gamma != 0.0:
             stpc = stp + r * (stx - stp)
         elif stp > stx:
             stpc = stpmax
         else:
             stpc = stpmin
-        stpq = stp + _quotient(dp, dp - dx) * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
         if bracketed:
             stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
             if stp > stx:
@@ -209,14 +198,14 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, bracketed, stpmin, stpmax):
     elif bracketed:
         # a lower value, slopes of the same sign, the slope not shrinking:
         # the cubic step between stp and sty once bracketed
-        theta = 3.0 * _quotient(fp - fy, sty - stp) + dy + dp
+        theta = 3.0 * (fp - fy) / (sty - stp) + dy + dp
         s = max(abs(theta), abs(dy), abs(dp))
         gamma = _cubic_gamma(theta, s, dy, dp)
         if stp > sty:
             gamma = -gamma
         p = (gamma - dp) + theta
         q = ((gamma - dp) + gamma) + dy
-        stpf = stp + _quotient(p, q) * (sty - stp)
+        stpf = stp + p / q * (sty - stp)
     else:
         # ... else the end of the allowed interval
         stpf = stpmax if stp > stx else stpmin
@@ -605,7 +594,8 @@ def _sample_grid(n_seg: int, kappa: int):
     return operator, fraction, position
 
 
-# Weight of each term's rows in the hinge table (see _hinge_table).
+# Each term of the hinge table, in row order, and the PenaltyWeights field
+# that weighs it.
 _TERMS = (("velocity", "velocity"), ("acceleration", "accel_jerk"),
           ("jerk", "accel_jerk"), ("thrust", "thrust"),
           ("obstacle", "obstacle"), ("cable", "cable"))
