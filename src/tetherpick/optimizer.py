@@ -37,7 +37,7 @@ derivative from a closed form at the solved scale
 1989) that behaves as L-BFGS-B does without bounds: the two-loop recursion
 over the last 8 steps, Moré & Thuente's line search (ACM TOMS 20(3), 1994;
 MINPACK-2's dcsrch and dcstep) with L-BFGS-B's constants, a first step of
-1 / |g|, and L-BFGS-B's stop tests.  ``optimize`` runs it on conditioned
+0.15 / |g|, and L-BFGS-B's stop tests.  ``optimize`` runs it on conditioned
 coordinates:
 
 - *Seed.*  The waypoints start at the minimum of the jerk energy for the
@@ -112,6 +112,12 @@ _THETA_SCALE_CLIP = (0.1, 10.0)
 _WORSENING_CHECK_PERIOD = 25
 
 
+# L-BFGS's memory (steps kept) and its stop tests: a relative reduction
+# of J below _STOP_FTOL in one iteration, or max |g| below _STOP_GTOL.
+_MEMORY = 8
+_STOP_FTOL = 1e-12
+_STOP_GTOL = 1e-6
+
 # L-BFGS-B's line search parameters (Moré & Thuente's ftol, gtol, xtol),
 # its largest step for unbounded problems, and its evaluations per search.
 _SEARCH_FTOL = 1e-3
@@ -120,6 +126,13 @@ _SEARCH_XTOL = 0.1
 _SEARCH_STEP_MAX = 1e10
 _SEARCH_EVALUATIONS = 20
 _EPS = float(np.finfo(float).eps)
+
+# A run's first search starts at a move of this length along -g; L-BFGS-B
+# moves 1.  In the planner's whitened coordinates a unit move lands far
+# past a cubic hinge wall on most shipped problems, and its search then
+# spends 6-13 evaluations creeping back.  The length was chosen by the
+# evaluation total of the three shipped scenarios and six sweep_grid points.
+_FIRST_MOVE = 0.15
 
 
 def _cubic_gamma(theta: float, s: float, da: float, db: float) -> float:
@@ -326,19 +339,18 @@ def _largest(g: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(g), initial=0.0))
 
 
-def minimize(fun, start, maxiter: int, maxcor: int = 8, ftol: float = 1e-12,
-             gtol: float = 1e-6) -> Minimum:
+def minimize(fun, start, maxiter: int) -> Minimum:
     """Unconstrained L-BFGS with L-BFGS-B's line search and stop tests.
 
     ``fun(x)`` returns (value, gradient).  ``start`` is the first iterate,
     or a Minimum from an earlier call on the same ``fun``, which this call
     then continues with its memory.  Every iteration steps along the
-    two-loop direction over the last ``maxcor`` steps, with the step
+    two-loop direction over the last _MEMORY steps, with the step
     Moré & Thuente's search accepts; the first step of a run starts its
-    search at 1 / |g|, as L-BFGS-B does, and every later one at 1.  A step
-    whose curvature s.y is not positive beyond rounding is not stored.
-    The run stops when max |g| <= gtol, when one iteration lowers the value
-    by at most ftol * max(|f_old|, |f|, 1), or after ``maxiter``
+    search at _FIRST_MOVE / |g|, and every later one at 1.  A step whose
+    curvature s.y is not positive beyond rounding is not stored.  The run
+    stops when max |g| <= _STOP_GTOL, when one iteration lowers the value
+    by at most _STOP_FTOL * max(|f_old|, |f|, 1), or after ``maxiter``
     iterations; the stop tests run first, so a run continued in stretches
     stops where one long run would.  A failed search drops the memory and
     tries again from steepest descent; from steepest descent it ends the
@@ -360,7 +372,7 @@ def minimize(fun, start, maxiter: int, maxcor: int = 8, ftol: float = 1e-12,
         f, g = evaluate(x)
         pairs = []
         first = True
-        if not _largest(g) > gtol:
+        if not _largest(g) > _STOP_GTOL:
             return Minimum(x, f, g, 0, 0, "gradient below gtol")
     iterates = []
     while True:
@@ -376,9 +388,9 @@ def minimize(fun, start, maxiter: int, maxcor: int = 8, ftol: float = 1e-12,
 
         stp = None
         if slope0 < 0.0:
-            stp = _line_search(phi, f, slope0,
-                               1.0 / math.sqrt(float(d @ d)) if first
-                               else 1.0)
+            start_step = _FIRST_MOVE / math.sqrt(float(d @ d)) if first \
+                else 1.0
+            stp = _line_search(phi, f, slope0, start_step)
         if stp is None:
             if pairs:
                 pairs = []
@@ -393,10 +405,10 @@ def minimize(fun, start, maxiter: int, maxcor: int = 8, ftol: float = 1e-12,
         y = g - g_old
         curvature = float(s @ y)
         if curvature > _EPS * -float(s @ g_old):
-            pairs = (pairs + [(s, y, 1.0 / curvature)])[-maxcor:]
-        if not _largest(g) > gtol:
+            pairs = (pairs + [(s, y, 1.0 / curvature)])[-_MEMORY:]
+        if not _largest(g) > _STOP_GTOL:
             status, message = 0, "gradient below gtol"
-        elif f_old - f <= ftol * max(abs(f_old), abs(f), 1.0):
+        elif f_old - f <= _STOP_FTOL * max(abs(f_old), abs(f), 1.0):
             status, message = 0, "relative reduction of J below ftol"
         elif len(iterates) >= maxiter:
             status, message = 1, "iteration limit reached"
@@ -558,11 +570,8 @@ class OptimizeResult:
 
 
 def sample_times(t0: float, t_end: float, kappa: int) -> np.ndarray:
-    """kappa+1 equally spaced sample times from t0 to t_end inclusive,
-    each equal to np.linspace's, without its overhead."""
-    ts = np.arange(kappa + 1.0) * ((t_end - t0) / kappa) + t0
-    ts[-1] = t_end
-    return ts
+    """kappa+1 equally spaced sample times from t0 to t_end inclusive."""
+    return np.linspace(t0, t_end, kappa + 1)
 
 
 def _hinge_parts(x: np.ndarray, shift=None) -> tuple[np.ndarray, np.ndarray]:

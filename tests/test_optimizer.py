@@ -1054,21 +1054,20 @@ class TestFalseStopGuard:
         assert len(calls) == 1
         assert (result.iterations, result.status) == (12, "converged")
 
-    # the six-segment oracle converges in 27 iterations, so a cap of 20
+    # the six-segment oracle converges in 33 iterations, so a cap of 20
     # ends its only leg
     @pytest.mark.parametrize("segments, max_iterations, status", [
         (6, 20, "max_iterations"), (1, 500, "converged")])
     def test_unguarded_run_is_one_plain_leg(self, monkeypatch, segments,
                                             max_iterations, status):
         """Where neither restart fires, optimize is one L-BFGS call with the
-        planner's defaults, and reports that call's result."""
+        whole iteration budget, and reports that call's result."""
         legs = []
         real_minimize = optimizer.minimize
 
-        def minimize(fun, start, maxiter, **kwargs):
-            legs.append((maxiter, kwargs,
-                         real_minimize(fun, start, maxiter, **kwargs)))
-            return legs[-1][2]
+        def minimize(fun, start, maxiter):
+            legs.append((maxiter, real_minimize(fun, start, maxiter)))
+            return legs[-1][1]
 
         monkeypatch.setattr(optimizer, "minimize", minimize)
         scenario = make_scenario(
@@ -1076,8 +1075,8 @@ class TestFalseStopGuard:
             weights=PenaltyWeights(cable=0.0, obstacle=0.0))
         result = optimize(scenario, max_iterations=max_iterations)
         assert len(legs) == 1
-        maxiter, options, leg = legs[0]
-        assert (maxiter, options) == (max_iterations, {})
+        maxiter, leg = legs[0]
+        assert maxiter == max_iterations
         assert result.iterations == leg.nit == len(result.history)
         assert result.breakdown.total == leg.fun
         assert total_cost(result.trajectory, scenario)[0] == result.breakdown
