@@ -21,13 +21,16 @@ from tetherpick.optimizer import (
     PenaltyWeights,
     PlanningScenario,
     WinchSchedule,
+    _direction,
     _hinge_table,
     _jerk_hessian,
+    _line_search,
     _sample_grid,
     _shift_update,
     corridor_profile,
     corridor_violation,
     initial_guess,
+    minimize,
     optimize,
     sample_times,
     total_cost,
@@ -988,6 +991,127 @@ class TestOptimize:
         # the goal chord is 5 m; the schedule must have released at least
         # that much, which takes (5 - 3.7) / 0.2 = 6.5 seconds
         assert result.trajectory.duration > 6.0
+
+
+def minpack_search(phi, f0, g0, stp):
+    """The trial steps and the accepted step (or None) of scipy's port of
+    MINPACK-2's dcsrch, driven as L-BFGS-B drives it: its constants, at
+    most 20 evaluations, and a warning exit accepting the step it ends at."""
+    from scipy.optimize._dcsrch import DCSRCH
+
+    search = DCSRCH(None, None, 1e-3, 0.9, 0.1, 0.0, 1e10)
+    stp, f, g, task = search._iterate(stp, f0, g0, b"START")
+    trials = []
+    while task[:2] == b"FG" and len(trials) < 20:
+        trials.append(stp)
+        f, g = phi(stp)
+        stp, f, g, task = search._iterate(stp, f, g, task)
+    return trials, stp if task[:4] in (b"CONV", b"WARN") else None
+
+
+def quadratic(scales, target):
+    """0.5 sum scales (x - target)^2 and its gradient, recording every x."""
+    points = []
+
+    def fun(x):
+        points.append(x.copy())
+        r = x - target
+        return 0.5 * float(np.sum(scales * r * r)), scales * r
+
+    return fun, points
+
+
+class TestMinimize:
+    @settings(max_examples=300, deadline=None)
+    @given(slope=st.floats(-3.0, 3.0), bend=st.floats(-3.0, 2.0),
+           wiggle=st.floats(-3.0, 1.0), period=st.floats(-1.0, 2.0),
+           wall=st.floats(-2.0, 8.0), edge=st.floats(-3.0, 1.0),
+           start=st.floats(-4.0, 2.0), curved=st.booleans(),
+           wavy=st.booleans())
+    def test_line_search_matches_minpack_dcsrch(
+            self, slope, bend, wiggle, period, wall, edge, start, curved,
+            wavy):
+        """Every trial step and the accepted step equal those of MINPACK-2's
+        dcsrch, on lines of any scale with wiggles and a cubic hinge wall
+        (exponents of ten drawn for each coefficient)."""
+        d, c = -10.0 ** slope, 10.0 ** bend * curved
+        a, k = 10.0 ** wiggle * wavy, 10.0 ** period
+        w, t0 = 10.0 ** wall, 10.0 ** edge
+
+        def phi(t):
+            h = max(t - t0, 0.0)
+            return (d * t + c * t * t + a * (1.0 - math.cos(k * t))
+                    + w * h ** 3,
+                    d + 2.0 * c * t + a * k * math.sin(k * t)
+                    + 3.0 * w * h * h)
+
+        trials = []
+
+        def recorded(t):
+            trials.append(t)
+            return phi(t)
+
+        accepted = _line_search(recorded, 0.0, d, 10.0 ** start)
+        assert (trials, accepted) == minpack_search(phi, 0.0, d, 10.0 ** start)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), count=st.integers(0, 8))
+    def test_direction_is_the_bfgs_inverse_update(self, seed, count):
+        """The two-loop recursion gives -H g for H built from H0 = (s.y /
+        y.y) I of the newest pair by the dense BFGS update, oldest pair
+        first."""
+        rng = np.random.default_rng(seed)
+        n = 6
+        root = rng.standard_normal((n, n))
+        hessian = root @ root.T + np.eye(n)
+        pairs = []
+        for _ in range(count):
+            s = rng.standard_normal(n)
+            y = hessian @ s
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        inverse = np.eye(n)
+        if pairs:
+            s, y, rho = pairs[-1]
+            inverse *= 1.0 / (rho * float(y @ y))
+        for s, y, rho in pairs:
+            left = np.eye(n) - rho * np.outer(s, y)
+            inverse = left @ inverse @ left.T + rho * np.outer(s, s)
+        g = rng.standard_normal(n)
+        np.testing.assert_allclose(_direction(g, pairs), -inverse @ g,
+                                   rtol=1e-10, atol=1e-12)
+
+    def test_first_search_starts_at_the_first_move(self):
+        """A run's first trial point lies _FIRST_MOVE from its start along
+        -g; the run then converges to the minimizer by a stop test."""
+        scales = np.array([1.0, 10.0, 100.0, 1000.0])
+        target = np.array([1.0, -2.0, 3.0, -4.0])
+        fun, points = quadratic(scales, target)
+        result = minimize(fun, np.zeros(4), 200)
+        step = points[1] - points[0]
+        gradient = -scales * target
+        assert np.linalg.norm(step) == pytest.approx(optimizer._FIRST_MOVE,
+                                                     rel=1e-12)
+        assert step @ gradient == pytest.approx(
+            -np.linalg.norm(step) * np.linalg.norm(gradient), rel=1e-12)
+        assert result.status == 0 and result.nit < 200
+        np.testing.assert_allclose(result.x, target, atol=1e-6)
+
+    def test_stretches_stop_where_one_long_run_does(self):
+        """A run continued from its Minimum in stretches of 3 iterations
+        takes the same steps as one run and stops at the same point."""
+        scales = np.array([1.0, 10.0, 100.0, 1000.0])
+        target = np.array([1.0, -2.0, 3.0, -4.0])
+        fun, long_points = quadratic(scales, target)
+        whole = minimize(fun, np.zeros(4), 200)
+        fun, points = quadratic(scales, target)
+        part = minimize(fun, np.zeros(4), 3)
+        taken = part.nit
+        while part.status == 1:
+            part = minimize(fun, part, 3)
+            taken += part.nit
+        assert part.status == whole.status and taken == whole.nit
+        assert part.x.tobytes() == whole.x.tobytes()
+        assert np.array(points).tobytes() == np.array(long_points).tobytes()
 
 
 class TestFalseStopGuard:
