@@ -997,9 +997,8 @@ def minpack_search(phi, f0, g0, stp):
     """The trial steps and the accepted step (or None) of scipy's port of
     MINPACK-2's dcsrch, driven as L-BFGS-B drives it: its constants, at
     most 20 evaluations, and a warning exit accepting the step it ends at."""
-    from scipy.optimize._dcsrch import DCSRCH
-
-    search = DCSRCH(None, None, 1e-3, 0.9, 0.1, 0.0, 1e10)
+    dcsrch = pytest.importorskip("scipy.optimize._dcsrch")
+    search = dcsrch.DCSRCH(None, None, 1e-3, 0.9, 0.1, 0.0, 1e10)
     stp, f, g, task = search._iterate(stp, f0, g0, b"START")
     trials = []
     while task[:2] == b"FG" and len(trials) < 20:
