@@ -205,22 +205,27 @@ def solve_catenary(cfg: PlanarConfiguration, length: float,
     if cfg.p < EPS_P:
         raise NoConvergence(
             "horizontal separation below EPS_P: catenary scale unidentifiable")
+    a, x_a = _catenary(cfg.p, cfg.H, length)
+    return CatenarySolution(scale=a,
+                            vertex_tension=props.weight_per_length * a,
+                            x_a=x_a, x_b=x_a + cfg.p, length=length)
 
-    rhs = math.sqrt((length - cfg.H) * (length + cfg.H))
-    a = _solve_scale(cfg.p, rhs)
+
+def _catenary(p: float, H: float, length: float) -> tuple[float, float]:
+    """solve_catenary's (scale, x_a) for p >= EPS_P and a finite length
+    beyond the chord, which the caller ensures."""
+    rhs = math.sqrt((length - H) * (length + H))
+    a = _solve_scale(p, rhs)
     # Certify the root on the scale equation in u = p / (2a), relative to
     # its target: both sides keep their relative digits at any slope and
     # any excess length, and a relative error e in the scale moves the
     # residual by at least e.
-    target = math.log1p((rhs - cfg.p) / cfg.p)
-    residual = _log_sinhc(0.5 * cfg.p / a)[0] - target
+    target = math.log1p((rhs - p) / p)
+    residual = _log_sinhc(0.5 * p / a)[0] - target
     if not abs(residual) <= _RESIDUAL_RTOL * target:
         raise NoConvergence(
             f"catenary scale residual too large: {residual!r} of {target!r}")
-    x_a = a * math.atanh(cfg.H / length) - 0.5 * cfg.p
-    return CatenarySolution(scale=a,
-                            vertex_tension=props.weight_per_length * a,
-                            x_a=x_a, x_b=x_a + cfg.p, length=length)
+    return a, a * math.atanh(H / length) - 0.5 * p
 
 
 def _sag_solve_batch(p: np.ndarray, H: np.ndarray, sag_limit: float

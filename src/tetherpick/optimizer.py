@@ -434,14 +434,18 @@ class Limits:
     def __post_init__(self) -> None:
         for name in ("v_max", "a_max", "j_max", "tau_min", "tau_max",
                      "obstacle_margin", "time_weight"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(f"limits.{name} must be positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValidationError(
+                    f"limits.{name} must be positive and finite")
         if not self.tau_min < self.tau_max:
             raise ValidationError("limits require tau_min < tau_max")
-        if self.samples < 2:
+        if not self.samples >= 2:
             raise ValidationError("limits.samples must be at least 2")
-        if self.corridor_margin < 0:
-            raise ValidationError("limits.corridor_margin must be nonnegative")
+        if not (self.corridor_margin >= 0
+                and math.isfinite(self.corridor_margin)):
+            raise ValidationError(
+                "limits.corridor_margin must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -454,8 +458,10 @@ class PenaltyWeights:
 
     def __post_init__(self) -> None:
         for name in ("velocity", "accel_jerk", "thrust", "cable", "obstacle"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"weights.{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValidationError(
+                    f"weights.{name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -468,6 +474,8 @@ class ObstaclePlane:
     def __post_init__(self) -> None:
         point = np.asarray(self.point, dtype=float).reshape(3)
         normal = np.asarray(self.normal, dtype=float).reshape(3)
+        if not np.all(np.isfinite(point)):
+            raise ValidationError("obstacle point must be finite")
         norm = float(np.linalg.norm(normal))
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-6:
             raise ValidationError("obstacle normal must be unit length")

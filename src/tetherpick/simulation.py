@@ -23,8 +23,9 @@ One closed loop flies both phases.  The pickup tracks the planned
 trajectory with the cable's far end fixed at the anchor; the retrieval
 holds position while the far end is a point-mass carrier moved by the cable
 and gravity.  The physics lives in three scalar kernels (cable forces,
-flatness inversion, one integration step) that work on floats and tuples,
-so the per-step loop pays no array overhead.
+flatness inversion, one integration step) that work on floats and tuples
+and build no objects, so the per-step loop pays no array overhead; a step
+with zero body rates keeps its attitude instead of multiplying by exp(0).
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cable import (
-    EPS_P,
-    CableProperties,
-    PlanarConfiguration,
-    corridor_bounds_batch,
-    solve_catenary,
-)
+from .cable import EPS_P, CableProperties, _catenary, corridor_bounds_batch
 from .errors import DegenerateThrust, ValidationError
 from .optimizer import VIOLATION_TOL, WinchSchedule, corridor_violation
 from .trajectory import Trajectory
@@ -65,10 +60,11 @@ class DroneParams:
     kd: float = 8.0
 
     def __post_init__(self) -> None:
-        if not self.mass > 0:
-            raise ValidationError("drone mass must be positive")
-        if self.kp < 0 or self.kd < 0:
-            raise ValidationError("gains must be nonnegative")
+        if not (self.mass > 0 and math.isfinite(self.mass)):
+            raise ValidationError("drone mass must be positive and finite")
+        for gain in (self.kp, self.kd):
+            if not (gain >= 0 and math.isfinite(gain)):
+                raise ValidationError("gains must be nonnegative and finite")
 
 
 def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
@@ -95,11 +91,12 @@ def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
             droid_strand = min(max(0.5 * (length - dz), 0.0), length)
             return (0.0, -mu * droid_strand, 0.0,
                     -mu * (length - droid_strand), mu * droid_strand, False)
-        sol = solve_catenary(PlanarConfiguration(abs(dx), dz), length, props)
-        horizontal = math.copysign(sol.vertex_tension, dx)
-        vertical = sol.vertex_tension * math.sinh(sol.x_a / sol.scale)
+        scale, x_a = _catenary(abs(dx), dz, length)
+        vertex_tension = mu * scale
+        horizontal = math.copysign(vertex_tension, dx)
+        vertical = vertex_tension * math.sinh(x_a / scale)
         return (horizontal, vertical, -horizontal, -vertical - mu * length,
-                sol.vertex_tension * math.cosh(sol.x_a / sol.scale), False)
+                vertex_tension * math.cosh(x_a / scale), False)
 
     ux = dx / chord
     uz = dz / chord
@@ -170,10 +167,13 @@ def _advance(pos, vel, rot, thrust: float, rates, force,
     vy = vel[1] + ay * dt
     vz = vel[2] + az * dt
     position = (pos[0] + vx * dt, pos[1] + vy * dt, pos[2] + vz * dt)
+    px, py, pz = rates[0] * dt, rates[1] * dt, rates[2] * dt
+    if px == 0.0 and py == 0.0 and pz == 0.0:
+        # exp(0) = I; theta_sq == 0 would skip tiny increments that still rotate
+        return position, (vx, vy, vz), rot, (ax, ay, az)
 
     # exp([phi]x) = I + A [phi]x + B [phi]x^2, with
     # A = sin(theta)/theta and B = (1 - cos(theta))/theta^2
-    px, py, pz = rates[0] * dt, rates[1] * dt, rates[2] * dt
     theta_sq = px * px + py * py + pz * pz
     if theta_sq < _SMALL_ANGLE_SQ:
         a = 1.0 - theta_sq / 6.0

@@ -337,6 +337,20 @@ class TestSimulate:
         _, l_min_0, _, _ = corridor_profile(path_traj, hookless, steps)
         assert np.min(np.abs(l_min_0 - l_min)) > 1e-3
 
+    def test_reruns_are_byte_identical(self, fast_scenario, planned_dir,
+                                       tmp_path):
+        artifact = planned_dir / "hop_coefficients.csv"
+        first = tmp_path / "a"
+        second = tmp_path / "b"
+        for out in (first, second):
+            assert run(["simulate", "--scenario", str(fast_scenario),
+                        "--out", str(out), "--trajectory", str(artifact),
+                        "--retrieve"]) == 0
+        for suffix in ("telemetry", "retrieval"):
+            a = (first / f"hop_{suffix}.csv").read_bytes()
+            b = (second / f"hop_{suffix}.csv").read_bytes()
+            assert a == b, suffix
+
     def test_missing_artifact_exits_two(self, fast_scenario, tmp_path):
         assert run(["simulate", "--scenario", str(fast_scenario),
                     "--out", str(tmp_path / "empty")]) == 2

@@ -17,6 +17,7 @@ from tetherpick.cable import CableProperties
 from tetherpick.errors import NoConvergence, ParseError, ValidationError
 from tetherpick.optimizer import (
     Limits,
+    ObstaclePlane,
     PenaltyWeights,
     PlanningScenario,
     WinchSchedule,
@@ -246,6 +247,31 @@ class TestRejection:
     def test_document_must_be_a_mapping(self):
         with pytest.raises(ParseError, match="document"):
             parse_scenario(["not", "a", "mapping"])
+
+    # the loader refuses every non-finite number before any of these is
+    # built; built directly, each must refuse it too
+    @pytest.mark.parametrize("build", [
+        lambda: DroneParams(mass=math.nan),
+        lambda: DroneParams(mass=math.inf),
+        lambda: DroneParams(kp=math.nan),
+        lambda: DroneParams(kd=math.inf),
+        lambda: PenaltyWeights(cable=math.nan),
+        lambda: PenaltyWeights(cable=math.inf),
+        lambda: PenaltyWeights(velocity=-math.inf),
+        lambda: Limits(corridor_margin=math.nan),
+        lambda: Limits(corridor_margin=math.inf),
+        lambda: Limits(v_max=math.inf),
+        lambda: Limits(time_weight=math.nan),
+        lambda: Limits(tau_max=math.inf),
+        lambda: ObstaclePlane(point=[math.nan, 0, 0], normal=[0, 0, 1]),
+        lambda: ObstaclePlane(point=[0, 0, -math.inf], normal=[0, 0, 1]),
+    ], ids=["mass-nan", "mass-inf", "kp-nan", "kd-inf", "cable-nan",
+            "cable-inf", "velocity-neg-inf", "margin-nan", "margin-inf",
+            "v_max-inf", "time_weight-nan", "tau_max-inf", "point-nan",
+            "point-inf"])
+    def test_public_types_refuse_non_finite_values(self, build):
+        with pytest.raises(ValidationError, match="finite"):
+            build()
 
 
 # where the loader reads each dataclass's keys

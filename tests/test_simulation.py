@@ -530,6 +530,10 @@ def vectors(bound):
     return st.lists(st.floats(-bound, bound), min_size=3, max_size=3)
 
 
+QUATERNIONS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4) \
+    .filter(lambda q: sum(x * x for x in q) > 1e-3)
+
+
 class TestScalarKernels:
     @settings(max_examples=300, deadline=None)
     @given(acc=vectors(30.0), jerk=vectors(100.0), yaw=st.floats(-4.0, 4.0),
@@ -562,8 +566,7 @@ class TestScalarKernels:
                                    atol=REL * rate_scale + 16 * math.ulp(0.0))
 
     @settings(max_examples=300, deadline=None)
-    @given(quaternion=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
-           .filter(lambda q: sum(x * x for x in q) > 1e-3),
+    @given(quaternion=QUATERNIONS,
            rates=st.one_of(vectors(20.0), vectors(1e-3)),
            dt=st.floats(1e-4, 2e-2))
     def test_attitude_step_matches_rotvec_reference(self, quaternion, rates,
@@ -574,6 +577,53 @@ class TestScalarKernels:
         expected = start @ Rotation.from_rotvec(np.asarray(rates) * dt) \
             .as_matrix()
         np.testing.assert_allclose(rotation, expected, rtol=0.0, atol=REL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quaternion=QUATERNIONS, pos=vectors(10.0), vel=vectors(5.0),
+           thrust=st.floats(0.0, 50.0), force=vectors(20.0),
+           mass=st.floats(0.1, 5.0), dt=st.floats(1e-4, 2e-2),
+           rates=st.lists(st.sampled_from((0.0, -0.0, math.ulp(0.0))),
+                          min_size=3, max_size=3))
+    def test_zero_rate_increment_is_the_identity_product(
+            self, quaternion, pos, vel, thrust, force, mass, dt, rates):
+        """An increment that is zero on every axis, the smallest subnormal
+        rate times dt included, gives the product R E with E = I and the
+        step's translation, bit for bit."""
+        rot = tuple(Rotation.from_quat(quaternion).as_matrix().ravel()
+                    .tolist())
+        ax = (thrust * rot[2] + force[0]) / mass
+        ay = (thrust * rot[5] + force[1]) / mass
+        az = (thrust * rot[8] + force[2] - mass * PROPS.gravity) / mass
+        velocity = (vel[0] + ax * dt, vel[1] + ay * dt, vel[2] + az * dt)
+        position = tuple(p + v * dt for p, v in zip(pos, velocity))
+        identity_product = tuple(
+            rot[3 * i] * IDENTITY[j] + rot[3 * i + 1] * IDENTITY[3 + j]
+            + rot[3 * i + 2] * IDENTITY[6 + j]
+            for i in range(3) for j in range(3))
+        assert _advance(pos, vel, rot, thrust, rates, force, mass,
+                        PROPS.gravity, dt) == (
+            position, velocity, identity_product, (ax, ay, az))
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis=st.integers(0, 2), rate=st.one_of(
+               st.floats(1e-300, 1e-150), st.floats(1e-150, 20.0)),
+           negative=st.booleans(), dt=st.floats(1e-4, 2e-2))
+    def test_one_axis_increment_takes_the_exponential_map(self, axis, rate,
+                                                          negative, dt):
+        """From the identity the step's rotation is exp([phi]x), whose
+        skew part holds the increment, even where its square underflows."""
+        rates = [0.0, 0.0, 0.0]
+        rates[axis] = -rate if negative else rate
+        increment = rates[axis] * dt
+        assume(increment != 0.0)
+        _, _, rotation, _ = _advance(ZERO3, ZERO3, IDENTITY, 0.0, rates,
+                                     ZERO3, 1.0, PROPS.gravity, dt)
+        # entries (i, j) and (j, i) of [phi]x for this axis
+        i, j = ((2, 1), (0, 2), (1, 0))[axis]
+        assert rotation[3 * i + j] != 0.0
+        assert rotation[3 * i + j] == -rotation[3 * j + i]
+        assert math.copysign(1.0, rotation[3 * i + j]) == \
+            math.copysign(1.0, increment)
 
     @settings(max_examples=300, deadline=None)
     @given(attach=vectors(3.0), offset=vectors(3.0),
