@@ -73,10 +73,12 @@ class RetrievalSpec:
     stow_length: float = 0.2
 
     def __post_init__(self):
-        if not self.attach_mass > 0.0:
-            raise ValidationError("retrieval attach_mass must be positive")
-        if not self.stow_length >= 0.0:
-            raise ValidationError("retrieval stow_length must be nonnegative")
+        if not (self.attach_mass > 0.0 and math.isfinite(self.attach_mass)):
+            raise ValidationError(
+                "retrieval attach_mass must be positive and finite")
+        if not (self.stow_length >= 0.0 and math.isfinite(self.stow_length)):
+            raise ValidationError(
+                "retrieval stow_length must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,8 @@ class Scenario:
     retrieval: Optional[RetrievalSpec] = None
 
     def __post_init__(self):
-        if not self.timestep > 0.0:
-            raise ValidationError("sim timestep must be positive")
+        if not (self.timestep > 0.0 and math.isfinite(self.timestep)):
+            raise ValidationError("sim timestep must be positive and finite")
 
 
 # YAML key -> field, for each dataclass the loader builds with _build; a

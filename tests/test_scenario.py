@@ -265,10 +265,15 @@ class TestRejection:
         lambda: Limits(tau_max=math.inf),
         lambda: ObstaclePlane(point=[math.nan, 0, 0], normal=[0, 0, 1]),
         lambda: ObstaclePlane(point=[0, 0, -math.inf], normal=[0, 0, 1]),
+        lambda: RetrievalSpec(attach_mass=math.inf),
+        lambda: RetrievalSpec(attach_mass=1.0, stow_length=math.inf),
+        lambda: Scenario("s", parse_quiet(minimal_document()).planning,
+                         timestep=math.inf),
     ], ids=["mass-nan", "mass-inf", "kp-nan", "kd-inf", "cable-nan",
             "cable-inf", "velocity-neg-inf", "margin-nan", "margin-inf",
             "v_max-inf", "time_weight-nan", "tau_max-inf", "point-nan",
-            "point-inf"])
+            "point-inf", "attach_mass-inf", "stow_length-inf",
+            "timestep-inf"])
     def test_public_types_refuse_non_finite_values(self, build):
         with pytest.raises(ValidationError, match="finite"):
             build()
