@@ -79,15 +79,20 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_matrix(path: Path, header, matrix: np.ndarray) -> None:
-    """_write_csv for a float matrix, one row format per line.
+    """_write_csv for a float matrix, one format over the whole file.
 
     ``'%.9g' % x`` and ``format(x, '.9g')`` spell every float the same way,
-    so the bytes match _write_csv's.
+    and equal 64-bit patterns (not values: 0.0 == -0.0) equal text, so the
+    bytes match _write_csv's with a column of one pattern formatted once.
     """
-    line = ",".join(["%.9g"] * matrix.shape[1]) + "\n"
+    bits = matrix.view(np.int64)
+    once = (bits == bits[:1]).all(axis=0) & (len(matrix) > 0)
+    line = ",".join("%.9g" % matrix[0, j] if same else "%.9g"
+                    for j, same in enumerate(once.tolist())) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(header)
-        handle.writelines(line % tuple(row) for row in matrix.tolist())
+        handle.write(line * len(matrix)
+                     % tuple(matrix[:, ~once].ravel().tolist()))
 
 
 def write_trajectory_artifact(path: Path, traj: Trajectory) -> None:

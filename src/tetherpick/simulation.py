@@ -257,7 +257,6 @@ def _track(ts: np.ndarray, reference, winch: WinchSchedule, heading,
     end_x, end_y, end_z = far_end
     end_vx = end_vz = 0.0
     rows = []
-    end_trace = []
     for t, rp, rv, ra, rj, l_now, rate in zip(ts.tolist(), *reference,
                                                lengths, rates):
         px, py, pz = pos
@@ -280,14 +279,12 @@ def _track(ts: np.ndarray, reference, winch: WinchSchedule, heading,
             end_vz += (end_fz / carrier_mass - gravity) * dt
             end_x += end_vx * dt
             end_z += end_vz * dt
-            end_trace.append((end_x, end_y, end_z))
         rows.append((t, px, py, pz, vx, vy, vz, *acc, l_now, tension,
-                     thrust))
+                     thrust, end_x, end_y, end_z))
 
     rows = np.array(rows)
     position = rows[:, 1:4]
-    l_min, l_max = corridor_bounds_batch(
-        position, end_trace if moving else far_end, props)
+    l_min, l_max = corridor_bounds_batch(position, rows[:, 13:], props)
     l_now = rows[:, 10]
     # a taut carrier sits below the slack corridor on purpose, so only the
     # sag-limited upper bound is meaningful when the far end moves

@@ -676,3 +676,32 @@ def test_matrix_writer_bytes_equal_row_writer_on_edge_floats(tmp_path):
 def test_matrix_writer_bytes_equal_row_writer_on_any_floats(tmp_path, rows):
     written, expected = _matrix_and_csv_bytes(tmp_path, np.array(rows))
     assert written == expected
+
+
+# values a telemetry column can repeat on every row: signed zeros, nan,
+# infinities, subnormals, and any float
+REPEATED = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(width=64))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.one_of(st.sampled_from([0, 1]), st.integers(2, 40)),
+       columns=st.lists(st.one_of(st.none(), REPEATED), min_size=1,
+                        max_size=8),
+       signed_zeros_at=st.integers(0, 8), data=st.data())
+def test_matrix_writer_bytes_equal_row_writer_with_repeated_columns(
+        tmp_path, n, columns, signed_zeros_at, data):
+    """Free columns (None) mixed with columns of one repeated value, and
+    one column of alternating -0.0 and 0.0, which compare equal."""
+    free = st.lists(st.floats(width=64), min_size=n, max_size=n)
+    cols = [data.draw(free) if value is None else [value] * n
+            for value in columns]
+    cols.insert(signed_zeros_at % (len(cols) + 1),
+                [(-0.0, 0.0)[i % 2] for i in range(n)])
+    matrix = np.array(cols, dtype=float).T
+    assert matrix.shape == (n, len(cols))
+    written, expected = _matrix_and_csv_bytes(tmp_path, matrix)
+    assert written == expected
