@@ -1151,6 +1151,9 @@ class TestFalseStopGuard:
         # a leg that cannot take a step ends the loop
         ([(0, 30, 1e5), (0, 0, 1e5)], 30, "line_search_failure"),
         ([(0, 30, 1e5), (2, 3, 1e5)], 33, "line_search_failure"),
+        # a search that fails at a stationary point has converged
+        ([(0, 30, 1e5), (2, 3, 1e-3)], 33, "converged"),
+        ([(2, 7, 1e-3)], 7, "converged"),
     ])
     def test_restarts_share_the_iteration_budget(self, monkeypatch, legs,
                                                  iterations, status):
@@ -1176,6 +1179,19 @@ class TestFalseStopGuard:
         result = optimize(self.unweighted(), max_iterations=100)
         assert len(calls) == 1
         assert (result.iterations, result.status) == (12, "converged")
+
+    def test_stationary_search_failure_keeps_its_message_and_shifts(
+            self, monkeypatch):
+        """A converged search failure still above VIOLATION_TOL takes a
+        shift round, like any converged leg."""
+        calls = self.scripted_minimize(monkeypatch,
+                                       [(2, 5, 1e-3), (0, 5, 1e-3)])
+        scenario = make_scenario(limits=Limits(v_max=0.1),
+                                 weights=only(velocity=1.0))
+        result = optimize(scenario, max_iterations=100)
+        assert len(calls) == 2
+        assert result.multiplier_updates == 1
+        assert (result.status, result.message) == ("converged", "scripted")
 
     # the six-segment oracle converges in 33 iterations, so a cap of 20
     # ends its only leg
