@@ -49,6 +49,11 @@ _BRACKET_HI = 1e6
 _MAX_NEWTON = 100
 _NEWTON_RTOL = 4e-16
 _RESIDUAL_RTOL = 1e-12
+# Where a slack span's excess rhs - p is below this share of p, rhs's own
+# rounding (half an ulp, 1.1e-16 of rhs) is over 1e-12 of the excess, so
+# the scale solve adds it back.  The shipped flights' smallest excess is
+# 0.025 m, far above it.
+_TAUT_EXCESS = 1e-4
 # Newton rounds of the sag-limited solve: from its seed every row settles
 # to within a few ulps of log(scale) in 5.
 _SAG_ROUNDS = 5
@@ -151,10 +156,22 @@ def _log_sinhc(u: float) -> tuple[float, float]:
     return math.log(math.sinh(u) / u), 1.0 / math.tanh(u) - 1.0 / u
 
 
-def _solve_scale(p: float, rhs: float) -> float:
-    """Root of 2 a sinh(p/(2a)) = rhs for rhs > p, by Newton's method.
+def _square_parts(x: float) -> list[float]:
+    """Three floats that sum exactly to x * x (Veltkamp's split of x)."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    lo = x - hi
+    return [hi * hi, 2.0 * hi * lo, lo * lo]
 
-    With u = p/(2a) the equation reads log(sinh(u)/u) = log1p((rhs - p)/p).
+
+def _solve_scale(p: float, rhs: float,
+                 correction: float = 0.0) -> tuple[float, float]:
+    """Root of 2 a sinh(p/(2a)) = rhs + correction for rhs > p, by Newton's
+    method, and the equation's target; ``correction`` is what rounding
+    took off rhs, where known.
+
+    With u = p/(2a) the equation reads
+    log(sinh(u)/u) = log1p((rhs - p + correction)/p), the target.
     The left-hand side is convex and increasing in u, so from any start
     Newton lands at or right of the root after one step and then decreases
     monotonically onto it; the loop ends after the first step that moves
@@ -163,7 +180,7 @@ def _solve_scale(p: float, rhs: float) -> float:
     above the scale bracket's upper end counts as the taut limit and
     raises NoConvergence.
     """
-    target = math.log1p((rhs - p) / p)
+    target = math.log1p((rhs - p + correction) / p)
     if not target > 0.0 or \
             2.0 * _BRACKET_HI * math.sinh(0.5 * p / _BRACKET_HI) > rhs:
         raise NoConvergence(
@@ -183,7 +200,7 @@ def _solve_scale(p: float, rhs: float) -> float:
             break
     else:
         raise NoConvergence(f"catenary scale Newton did not settle for p={p!r}")
-    return 0.5 * p / u
+    return 0.5 * p / u, target
 
 
 def solve_catenary(cfg: PlanarConfiguration, length: float,
@@ -215,12 +232,18 @@ def _catenary(p: float, H: float, length: float) -> tuple[float, float]:
     """solve_catenary's (scale, x_a) for p >= EPS_P and a finite length
     beyond the chord, which the caller ensures."""
     rhs = math.sqrt((length - H) * (length + H))
-    a = _solve_scale(p, rhs)
+    # rhs's rounding is a large share of a nearly taut span's excess: add
+    # back sqrt(L^2 - H^2) - rhs, to first order (L^2 - H^2 - rhs^2) / (2 rhs)
+    # with the squares summed exactly
+    correction = 0.0
+    if rhs - p < _TAUT_EXCESS * p:
+        minus = [-t for t in _square_parts(H) + _square_parts(rhs)]
+        correction = math.fsum(_square_parts(length) + minus) / (2.0 * rhs)
+    a, target = _solve_scale(p, rhs, correction)
     # Certify the root on the scale equation in u = p / (2a), relative to
     # its target: both sides keep their relative digits at any slope and
     # any excess length, and a relative error e in the scale moves the
     # residual by at least e.
-    target = math.log1p((rhs - p) / p)
     residual = _log_sinhc(0.5 * p / a)[0] - target
     if not abs(residual) <= _RESIDUAL_RTOL * target:
         raise NoConvergence(

@@ -178,16 +178,23 @@ class TestSolveCatenary:
     def test_near_vertical_scale_matches_exact_root(self, p, H, log_excess):
         """L^2 - H^2 formed as (L - H)(L + H) keeps the scale's digits on
         near-vertical slack spans, where L * L - H * H cancels."""
-        length = math.hypot(p, H) + 10.0 ** log_excess
-        sol = solve_catenary(PlanarConfiguration(p, H), length, PROPS)
-        with mpmath.workdps(50):
-            rhs = mpmath.sqrt(mpmath.mpf(length) ** 2 - mpmath.mpf(H) ** 2)
-            target = mpmath.log(rhs / p)
-            u = mpmath.findroot(
-                lambda u: mpmath.log(mpmath.sinh(u) / u) - target,
-                mpmath.mpf(0.5 * p / sol.scale))
-            error = abs(sol.scale / (0.5 * p / u) - 1)
-        assert error <= 1e-10
+        assert scale_error(p, H, math.hypot(p, H) + 10.0 ** log_excess) \
+            <= 1e-10
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.floats(1.5e-4, 1.9e-4), H=st.floats(-1e-6, 1e-6),
+           excess=st.one_of(
+               st.just(1e-10),
+               st.floats(-10.0, math.log10(5e-8)).map(lambda e: 10.0 ** e)))
+    # both exceeded the bound before rhs's rounding was added back
+    @example(p=0.00017595279727188049, H=-3.3882424520425713e-07,
+             excess=1e-10)
+    @example(p=0.00018154919072829943, H=9.138954443157299e-07,
+             excess=1e-10)
+    def test_nearly_taut_scale_matches_exact_root(self, p, H, excess):
+        """At an excess near 1e-10 m over a 0.17 mm span, one rounding of
+        rhs is up to 1.4e-10 of rhs - p; the solve adds it back."""
+        assert scale_error(p, H, math.hypot(p, H) + excess) <= 1e-10
 
     def test_ultra_taut_beyond_bracket_raises(self):
         # Excess length so small the scale root would exceed the bracket.
@@ -490,6 +497,19 @@ def _reference_arc_gap(a, p):
         return math.inf
 
 
+def scale_error(p, H, length):
+    """solve_catenary's relative scale error against a 50-digit root of
+    2 a sinh(p/(2a)) = sqrt(L^2 - H^2), with L and H taken exactly."""
+    sol = solve_catenary(PlanarConfiguration(p, H), length, PROPS)
+    with mpmath.workdps(50):
+        rhs = mpmath.sqrt(mpmath.mpf(length) ** 2 - mpmath.mpf(H) ** 2)
+        target = mpmath.log(rhs / p)
+        u = mpmath.findroot(
+            lambda u: mpmath.log(mpmath.sinh(u) / u) - target,
+            mpmath.mpf(0.5 * p / sol.scale))
+        return abs(sol.scale / (0.5 * p / u) - 1)
+
+
 def reference_solve_scale(p, rhs):
     lo = min(_REF_BRACKET_LO, 1e-4 * p)
     hi = _REF_BRACKET_HI
@@ -541,7 +561,7 @@ class TestNewtonScale:
             expected = reference_solve_scale(p, rhs)
         except NoConvergence:
             return
-        scale = _solve_scale(p, rhs)
+        scale = _solve_scale(p, rhs)[0]
         tolerance = 1e-9 * expected + reference_resolution(p, rhs, expected)
         assert abs(scale - expected) <= tolerance
         # and it solves the equation at least as well as the bisection
@@ -561,7 +581,7 @@ class TestNewtonScale:
         cfg = PlanarConfiguration(p, H)
         length = cfg.chord + 10.0 ** log_excess
         rhs = math.sqrt(length * length - H * H)
-        scale = _solve_scale(p, rhs)
+        scale = _solve_scale(p, rhs)[0]
         with mpmath.workdps(40):
             target = mpmath.log(mpmath.mpf(rhs) / p)
             u = mpmath.findroot(
@@ -584,8 +604,9 @@ class TestNewtonScale:
         length = cfg.chord * (1.0 + 10.0 ** log_excess)
         solve_catenary(cfg, length, PROPS)
 
-        def corrupted(p, rhs):
-            return _solve_scale(p, rhs) * (1.0 + 1e-6)
+        def corrupted(p, rhs, correction):
+            scale, target = _solve_scale(p, rhs, correction)
+            return scale * (1.0 + 1e-6), target
 
         with mock.patch.object(cable, "_solve_scale", corrupted):
             with pytest.raises(NoConvergence, match="residual"):
@@ -602,7 +623,8 @@ class TestNewtonScale:
             length = chord * (1.0 + float(rng.uniform(1e-3, 3.0)))
             rhs = math.sqrt(length * length - H * H)
             expected = reference_solve_scale(p, rhs)
-            assert _solve_scale(p, rhs) == pytest.approx(expected, rel=1e-9)
+            assert _solve_scale(p, rhs)[0] == pytest.approx(expected,
+                                                            rel=1e-9)
 
 
 def mp_sag_length(p, habs, s):
