@@ -1,15 +1,8 @@
 """Planning and simulation toolkit for cable-suspended aerial pickup."""
 
-from .cable import (
-    CableProperties,
-    CatenarySolution,
-    PlanarConfiguration,
-    corridor_bounds_batch,
-    solve_catenary,
-)
+from .cable import CableProperties, corridor_bounds_batch
 from .errors import (
     DegenerateThrust,
-    LengthTooShort,
     NoConvergence,
     OutOfDomain,
     ParseError,
@@ -45,11 +38,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryState",
     "CableProperties",
-    "CatenarySolution",
     "CostBreakdown",
     "DegenerateThrust",
     "DroneParams",
-    "LengthTooShort",
     "Limits",
     "NoConvergence",
     "ObstaclePlane",
@@ -57,7 +48,6 @@ __all__ = [
     "OutOfDomain",
     "ParseError",
     "PenaltyWeights",
-    "PlanarConfiguration",
     "PlanningScenario",
     "RetrievalSpec",
     "Scenario",
@@ -77,7 +67,6 @@ __all__ = [
     "parse_scenario",
     "simulate_pickup",
     "simulate_retrieval",
-    "solve_catenary",
     "total_cost",
     "__version__",
 ]

@@ -13,14 +13,15 @@ where ``a`` is the catenary scale parameter.  Horizontal tension is constant
 along the cable and equals ``mu * a`` with ``mu`` the weight per unit length,
 and the tension magnitude at abscissa x is ``mu * a * cosh(x / a)``.
 
-Two solvers live here.  ``solve_catenary`` recovers the curve through both
-endpoints with a prescribed arc length.  It solves for ``a`` by Newton's
-method on u = p / (2a), using the identities
+``_catenary`` is the one slack-span solve, shared by the simulator and the
+``check`` verb.  It recovers the curve through both endpoints with a given
+arc length by Newton's method on u = p / (2a), using the identities
 
     sqrt(L^2 - H^2) = 2 a sinh(p / (2a))
     x_A = a atanh(H / L) - p / 2
 
 which follow from the sum-to-product forms of the endpoint equations.
+
 ``corridor_bounds_and_gradient`` gives the released-length corridor
 [l_min, l_max] at a batch of droid positions: l_min is the chord and l_max
 the longest cable whose vertex sits exactly ``sag_limit`` below the lower
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthTooShort, NoConvergence
+from .errors import NoConvergence
 
 # Below this horizontal separation the scale parameter is unidentifiable and
 # the degenerate vertical rules apply: the corridor's |H| + 2 sag and its
@@ -92,47 +93,6 @@ class CableProperties:
         return self.mass_per_length * self.gravity
 
 
-@dataclass(frozen=True)
-class PlanarConfiguration:
-    """Relative placement of the two attachment points in the cable plane.
-
-    ``p`` is the horizontal separation (nonnegative) and ``H`` the signed
-    vertical separation; H > 0 means endpoint B (the winch side) sits above
-    endpoint A (the droid side).
-    """
-
-    p: float
-    H: float
-
-    def __post_init__(self) -> None:
-        if not (self.p >= 0 and math.isfinite(self.p)):
-            raise ValueError("horizontal separation p must be nonnegative and finite")
-        if not math.isfinite(self.H):
-            raise ValueError("vertical separation H must be finite")
-        if self.chord <= 0:
-            raise ValueError("attachment points must not coincide")
-
-    @property
-    def chord(self) -> float:
-        return math.hypot(self.p, self.H)
-
-
-@dataclass(frozen=True)
-class CatenarySolution:
-    """A solved cable curve in its vertex-origin frame.
-
-    ``x_a`` and ``x_b`` are the endpoint abscissae (x_a < x_b and
-    x_b - x_a = p).  ``vertex_tension`` is the horizontal tension component,
-    constant along the cable.
-    """
-
-    scale: float
-    vertex_tension: float
-    x_a: float
-    x_b: float
-    length: float
-
-
 def _log_sinhc(u: float) -> tuple[float, float]:
     """log(sinh(u) / u) and its derivative coth(u) - 1/u, for u > 0.
 
@@ -165,7 +125,7 @@ def _square_parts(x: float) -> list[float]:
 
 
 def _solve_scale(p: float, rhs: float,
-                 correction: float = 0.0) -> tuple[float, float]:
+                 correction: float = 0.0) -> tuple[float, float] | None:
     """Root of 2 a sinh(p/(2a)) = rhs + correction for rhs > p, by Newton's
     method, and the equation's target; ``correction`` is what rounding
     took off rhs, where known.
@@ -178,14 +138,12 @@ def _solve_scale(p: float, rhs: float,
     u down by no more than rounding noise.  The target goes through log1p so
     that excess lengths down to rounding level keep their digits.  A root
     above the scale bracket's upper end counts as the taut limit and
-    raises NoConvergence.
+    gives None.
     """
     target = math.log1p((rhs - p + correction) / p)
     if not target > 0.0 or \
             2.0 * _BRACKET_HI * math.sinh(0.5 * p / _BRACKET_HI) > rhs:
-        raise NoConvergence(
-            "catenary scale above bracket (cable is at the taut limit); "
-            f"p={p!r}, excess length {rhs - p!r}")
+        return None
     # leading terms of log(sinh(u)/u): u^2/6 for small u, u - log(2u) large
     u = math.sqrt(6.0 * target) if target < 1.0 \
         else target + math.log(2.0 * target) + 1.0
@@ -203,34 +161,13 @@ def _solve_scale(p: float, rhs: float,
     return 0.5 * p / u, target
 
 
-def solve_catenary(cfg: PlanarConfiguration, length: float,
-                   props: CableProperties) -> CatenarySolution:
-    """Solve for the catenary through both endpoints with the given arc length.
-
-    Raises LengthTooShort if ``length`` does not exceed the chord (callers
-    should treat that as the taut straight-line limit), and NoConvergence if
-    the scale cannot be bracketed, which includes the degenerate vertical
-    configuration p < EPS_P where no planar catenary exists, or if the
-    scale fails its residual certificate.
+def _catenary(p: float, H: float,
+              length: float) -> tuple[float, float] | None:
+    """(scale, x_a) of the span p, rise H from A to B and arc ``length``
+    (x_b = x_a + p).  Callers guarantee p >= EPS_P and a finite length
+    beyond the chord.  A scale above the bracket is the taut limit and
+    gives None; an unsettled or uncertified scale raises NoConvergence.
     """
-    chord = cfg.chord
-    if not math.isfinite(length):
-        raise ValueError("length must be finite")
-    if length <= chord:
-        raise LengthTooShort(
-            f"cable length {length!r} does not exceed chord {chord!r}")
-    if cfg.p < EPS_P:
-        raise NoConvergence(
-            "horizontal separation below EPS_P: catenary scale unidentifiable")
-    a, x_a = _catenary(cfg.p, cfg.H, length)
-    return CatenarySolution(scale=a,
-                            vertex_tension=props.weight_per_length * a,
-                            x_a=x_a, x_b=x_a + cfg.p, length=length)
-
-
-def _catenary(p: float, H: float, length: float) -> tuple[float, float]:
-    """solve_catenary's (scale, x_a) for p >= EPS_P and a finite length
-    beyond the chord, which the caller ensures."""
     rhs = math.sqrt((length - H) * (length + H))
     # rhs's rounding is a large share of a nearly taut span's excess: add
     # back sqrt(L^2 - H^2) - rhs, to first order (L^2 - H^2 - rhs^2) / (2 rhs)
@@ -239,7 +176,9 @@ def _catenary(p: float, H: float, length: float) -> tuple[float, float]:
     if rhs - p < _TAUT_EXCESS * p:
         minus = [-t for t in _square_parts(H) + _square_parts(rhs)]
         correction = math.fsum(_square_parts(length) + minus) / (2.0 * rhs)
-    a, target = _solve_scale(p, rhs, correction)
+    if (solved := _solve_scale(p, rhs, correction)) is None:
+        return None
+    a, target = solved
     # Certify the root on the scale equation in u = p / (2a), relative to
     # its target: both sides keep their relative digits at any slope and
     # any excess length, and a relative error e in the scale moves the

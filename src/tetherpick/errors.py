@@ -5,10 +5,6 @@ class TetherpickError(Exception):
     """Base class for all toolkit errors."""
 
 
-class LengthTooShort(TetherpickError):
-    """Requested cable length does not exceed the straight-line chord."""
-
-
 class NoConvergence(TetherpickError):
     """An iterative solve exhausted its budget or lost its bracket."""
 

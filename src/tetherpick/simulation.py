@@ -7,7 +7,7 @@ cable applies forces at both ends from one of three regimes:
 
 * slack: a catenary solve gives the exact end tensions,
 * taut: a stiff one-sided spring along the chord, with the cable's own
-  weight split between the ends,
+  weight split between the ends (a slack span at the taut limit too),
 * vertical slack (horizontal separation below ``cable.EPS_P``, the
   corridor's vertical threshold too): the doubled-strand (bight) limit,
   where each end simply carries the strand hanging from it.
@@ -78,7 +78,8 @@ def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
     the payout rate and ``damping`` only matter in the taut regime, where
     the tension follows a one-sided ``TETHER_STIFFNESS`` spring on the
     chord excess plus a damper on its rate.  A slack cable is a solved
-    catenary from |dx| = EPS_P up and the doubled strand below it.
+    catenary from |dx| = EPS_P up, taut at the catenary's taut limit, and
+    the doubled strand below EPS_P.
     Returns ``(droid_x, droid_z, anchor_x, anchor_z, tension, taut)``;
     the end forces have no y component in any regime.
     """
@@ -91,13 +92,15 @@ def _cable_forces(dx: float, dz: float, dvx: float, dvz: float,
             droid_strand = min(max(0.5 * (length - dz), 0.0), length)
             return (0.0, -mu * droid_strand, 0.0,
                     -mu * (length - droid_strand), mu * droid_strand, False)
-        scale, x_a = _catenary(abs(dx), dz, length)
-        vertex_tension = mu * scale
-        horizontal = math.copysign(vertex_tension, dx)
-        vertical = vertex_tension * math.sinh(x_a / scale)
-        return (horizontal, vertical, -horizontal, -vertical - mu * length,
-                vertex_tension * math.cosh(x_a / scale), False)
+        if (span := _catenary(abs(dx), dz, length)) is not None:
+            scale, x_a = span
+            vertex_tension = mu * scale
+            horizontal = math.copysign(vertex_tension, dx)
+            vertical = vertex_tension * math.sinh(x_a / scale)
+            return (horizontal, vertical, -horizontal, -vertical - mu * length,
+                    vertex_tension * math.cosh(x_a / scale), False)
 
+    # taut, or slack at the taut limit (a scale above the bracket)
     ux = dx / chord
     uz = dz / chord
     stretch_rate = -payout_rate + (ux * dvx + uz * dvz)
@@ -304,9 +307,11 @@ def simulate_pickup(traj: Trajectory, scenario,
 
     ``scenario`` provides the anchor, winch schedule, cable properties
     (gravity included), and yaw (a PlanningScenario or anything shaped like
-    one).  Feedback gains
-    live in ``params``; zeroing them gives the open-loop flatness replay.
+    one).  Feedback gains live in ``params``; zeroing them gives the
+    open-loop flatness replay.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValidationError("dt must be positive and finite")
     n_steps = max(int(round(traj.duration / dt)), 1)
     ts = np.minimum(np.arange(n_steps + 1) * dt, traj.duration)
     reference = [traj.evaluate_batch(ts, order).tolist()
@@ -333,6 +338,8 @@ def simulate_retrieval(droid_position, winch: WinchSchedule,
     """
     if not 0.0 < attach_mass < math.inf:
         raise ValidationError("attach mass must be finite and positive")
+    if not (0.0 < dt < math.inf and 0.0 < max_time < math.inf):
+        raise ValidationError("dt and max_time must be positive and finite")
     if winch.initial_length <= stow_length:
         raise ValidationError("winch starts at or below the stow length")
     hold = tuple(np.asarray(droid_position, dtype=float).reshape(3).tolist())

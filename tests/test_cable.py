@@ -8,6 +8,7 @@ residuals below 1e-15 before freezing.
 
 import math
 import warnings
+from typing import NamedTuple
 from unittest import mock
 
 import mpmath
@@ -22,15 +23,14 @@ from tetherpick import cable
 from tetherpick.cable import (
     EPS_P,
     CableProperties,
-    CatenarySolution,
-    PlanarConfiguration,
     corridor_bounds_and_gradient,
     corridor_bounds_batch,
-    solve_catenary,
+    _catenary,
     _sag_solve_batch,
     _solve_scale,
 )
-from tetherpick.errors import LengthTooShort, NoConvergence
+from tetherpick.errors import NoConvergence
+from tetherpick.simulation import _cable_forces
 
 PROPS = CableProperties()
 MU = PROPS.weight_per_length
@@ -65,10 +65,29 @@ def corridor_at(droid, anchor, props=PROPS):
     return float(l_min[0]), float(l_max[0])
 
 
-def sag_length(cfg, props=PROPS):
-    """The corridor's l_max at the planar configuration ``cfg``: the droid
-    at (p, 0, -H) below an anchor at the origin."""
-    return corridor_at((cfg.p, 0.0, -cfg.H), np.zeros(3), props)[1]
+def sag_length(p, H, props=PROPS):
+    """The corridor's l_max for span p and rise H: the droid at (p, 0, -H)
+    below an anchor at the origin."""
+    return corridor_at((p, 0.0, -H), np.zeros(3), props)[1]
+
+
+class Span(NamedTuple):
+    """A solved curve in its vertex-origin frame."""
+
+    scale: float
+    x_a: float
+    x_b: float
+    length: float
+
+    @property
+    def vertex_tension(self):
+        return MU * self.scale
+
+
+def solve(p, H, length):
+    """_catenary's scale and x_a, with x_b = x_a + p."""
+    scale, x_a = _catenary(p, H, length)
+    return Span(scale, x_a, x_a + p, length)
 
 
 def tension(sol, x):
@@ -76,20 +95,15 @@ def tension(sol, x):
     return sol.vertex_tension * math.cosh(x / sol.scale)
 
 
-def raw_residuals(sol, cfg):
+def raw_residuals(sol, H):
     """Residuals of the raw endpoint equations, no sum-to-product rewrite."""
     a = sol.scale
-    h_res = a * (math.cosh(sol.x_b / a) - math.cosh(sol.x_a / a)) - cfg.H
+    h_res = a * (math.cosh(sol.x_b / a) - math.cosh(sol.x_a / a)) - H
     l_res = a * (math.sinh(sol.x_b / a) - math.sinh(sol.x_a / a)) - sol.length
     return h_res, l_res
 
 
 class TestChordAndMinLength:
-    def test_chord_examples(self):
-        assert PlanarConfiguration(2, 0).chord == 2.0
-        assert PlanarConfiguration(0, 3).chord == 3.0
-        assert PlanarConfiguration(2, 1).chord == pytest.approx(math.sqrt(5), rel=1e-12)
-
     def test_min_length_axis_aligned(self):
         assert corridor_at((2, 0, 0), (0, 0, 0))[0] == 2.0
 
@@ -100,17 +114,12 @@ class TestChordAndMinLength:
     def test_min_length_ignores_y(self):
         assert corridor_at((0, 5, 0), (0, 0, 0))[0] == 0.0
 
-    def test_coincident_points_rejected(self):
-        with pytest.raises(ValueError):
-            PlanarConfiguration(0, 0)
-
     def test_from_points_projects_to_xz(self):
         """The corridor reads the x-z plane only: its chord is that of the
-        planar configuration p = |dx|, H = dz."""
+        span p = |dx| and rise H = dz."""
         l_min, l_max = corridor_at((2, 7, 0), (0, -3, 2.5))
-        cfg = PlanarConfiguration(2.0, 2.5)
-        assert l_min == cfg.chord
-        assert l_max == sag_length(cfg)
+        assert l_min == math.hypot(2.0, 2.5)
+        assert l_max == sag_length(2.0, 2.5)
 
 
 class TestCableProperties:
@@ -129,12 +138,12 @@ class TestCableProperties:
 
 class TestSolveCatenary:
     def test_taut_limit_has_negligible_sag(self):
-        sol = solve_catenary(PlanarConfiguration(2, 0), 2.0000001, PROPS)
+        sol = solve(2.0, 0.0, 2.0000001)
         sag = sol.scale * (math.cosh(sol.x_a / sol.scale) - 1.0)
         assert sag < 1e-3
 
     def test_symmetric_slack_case(self):
-        sol = solve_catenary(PlanarConfiguration(2, 0), 2.5, PROPS)
+        sol = solve(2.0, 0.0, 2.5)
         assert sol.scale == pytest.approx(A_SYM_L2P5, rel=1e-12)
         assert sol.scale == pytest.approx(oracle_scale(2, 0, 2.5), rel=1e-12)
         assert sol.x_a == pytest.approx(-1.0, abs=1e-12)
@@ -145,32 +154,20 @@ class TestSolveCatenary:
 
     def test_symmetric_case_quadrature_oracle(self):
         """Arc length by quadrature of sqrt(1 + z'(x)^2) reproduces L."""
-        sol = solve_catenary(PlanarConfiguration(2, 0), 2.5, PROPS)
+        sol = solve(2.0, 0.0, 2.5)
         a = sol.scale
         arc, _ = quad(lambda x: math.sqrt(1.0 + math.sinh(x / a) ** 2),
                       sol.x_a, sol.x_b, epsabs=1e-12, epsrel=1e-12)
         assert arc == pytest.approx(2.5, rel=1e-6)
 
     def test_asymmetric_case_raw_equation_residuals(self):
-        cfg = PlanarConfiguration(2, 1)
-        sol = solve_catenary(cfg, 2.4, PROPS)
+        sol = solve(2.0, 1.0, 2.4)
         assert sol.scale == pytest.approx(A_P2_H1_L2P4, rel=1e-12)
         assert sol.x_a == pytest.approx(XA_P2_H1_L2P4, rel=1e-10)
-        h_res, l_res = raw_residuals(sol, cfg)
+        h_res, l_res = raw_residuals(sol, 1.0)
         assert abs(h_res) < 1e-9
         assert abs(l_res) < 1e-9
         assert sol.x_a < 0.0 < sol.x_b
-
-    def test_length_at_or_below_chord_rejected(self):
-        cfg = PlanarConfiguration(2, 1)
-        with pytest.raises(LengthTooShort):
-            solve_catenary(cfg, cfg.chord, PROPS)
-        with pytest.raises(LengthTooShort):
-            solve_catenary(cfg, 1.0, PROPS)
-
-    def test_degenerate_vertical_raises(self):
-        with pytest.raises(NoConvergence):
-            solve_catenary(PlanarConfiguration(0, 2), 2.5, PROPS)
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.floats(1.5e-4, 1.9e-4), H=st.floats(-3.0, 3.0),
@@ -196,19 +193,21 @@ class TestSolveCatenary:
         rhs is up to 1.4e-10 of rhs - p; the solve adds it back."""
         assert scale_error(p, H, math.hypot(p, H) + excess) <= 1e-10
 
-    def test_ultra_taut_beyond_bracket_raises(self):
-        # Excess length so small the scale root would exceed the bracket.
-        with pytest.raises(NoConvergence):
-            solve_catenary(PlanarConfiguration(2, 0), 2.0 + 1e-14, PROPS)
+    def test_ultra_taut_beyond_bracket_is_the_taut_limit(self):
+        # excess lengths so small the scale root would exceed the bracket
+        for excess in (1e-14, 1e-13, 3e-13):
+            assert _catenary(2.0, 0.0, 2.0 + excess) is None
+        assert _catenary(2.0, 0.0, 2.0 + 1e-12) is not None
 
     def test_vertex_tension_is_exact_product(self):
-        sol = solve_catenary(PlanarConfiguration(2, 0), 2.5, PROPS)
-        assert sol.vertex_tension == MU * sol.scale
+        # the simulator's horizontal pull on a slack span is mu * scale
+        scale = _catenary(2.0, 0.0, 2.5)[0]
+        assert _cable_forces(2.0, 0.0, 0.0, 0.0, 2.5, 0.0, PROPS,
+                             0.0)[0] == MU * scale
 
     def test_taut_state_when_vertex_outside_span(self):
         # Steep geometry, length near the chord: both endpoints on one branch.
-        cfg = PlanarConfiguration(0.5, 3)
-        sol = solve_catenary(cfg, cfg.chord + 1e-4, PROPS)
+        sol = solve(0.5, 3.0, math.hypot(0.5, 3.0) + 1e-4)
         assert sol.x_a > 0
 
     def test_randomized_residual_and_quadrature_invariants(self):
@@ -219,9 +218,8 @@ class TestSolveCatenary:
             H = rng.uniform(-4.0, 4.0)
             chord = math.hypot(p, H)
             L = chord * (1.0 + 10 ** rng.uniform(-6, 0.5))
-            cfg = PlanarConfiguration(p, H)
-            sol = solve_catenary(cfg, L, PROPS)
-            h_res, l_res = raw_residuals(sol, cfg)
+            sol = solve(p, H, L)
+            h_res, l_res = raw_residuals(sol, H)
             assert abs(h_res) <= 1e-9 * max(1.0, abs(H))
             assert abs(l_res) <= 1e-9 * max(1.0, L)
             assert sol.length >= chord
@@ -236,25 +234,23 @@ class TestSolveCatenary:
         for _ in range(60):
             p = rng.uniform(0.2, 5.0)
             H = rng.uniform(-3.0, 3.0)
-            cfg = PlanarConfiguration(p, H)
-            L = cfg.chord * (1.0 + 10 ** rng.uniform(-5, 0.3))
-            sol = solve_catenary(cfg, L, PROPS)
+            L = math.hypot(p, H) * (1.0 + 10 ** rng.uniform(-5, 0.3))
+            sol = solve(p, H, L)
             x_lower = sol.x_a if H >= 0 else sol.x_b
             sag_below_lower = sol.scale * (math.cosh(x_lower / sol.scale) - 1.0)
             if sol.x_a < 0 < sol.x_b:
                 assert sag_below_lower > 0
 
     def test_taut_limit_sag_decreases_monotonically(self):
-        cfg = PlanarConfiguration(2, 1)
         xs = np.linspace(0, 1, 64)
-        chord = cfg.chord
+        chord = math.hypot(2.0, 1.0)
         last = math.inf
         for excess in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
-            sol = solve_catenary(cfg, chord + excess, PROPS)
-            sample_x = sol.x_a + xs * cfg.p
+            sol = solve(2.0, 1.0, chord + excess)
+            sample_x = sol.x_a + xs * 2.0
             curve_z = sol.scale * (np.cosh(sample_x / sol.scale) - 1.0)
             z_a = sol.scale * (math.cosh(sol.x_a / sol.scale) - 1.0)
-            chord_z = z_a + xs * cfg.H
+            chord_z = z_a + xs * 1.0
             sag_below_chord = float(np.max(chord_z - curve_z))
             assert sag_below_chord < last
             last = sag_below_chord
@@ -263,7 +259,7 @@ class TestSolveCatenary:
 
 class TestMaxLength:
     def test_degenerate_vertical_rule(self):
-        assert sag_length(PlanarConfiguration(0, 3)) == pytest.approx(3.2, rel=1e-12)
+        assert sag_length(0.0, 3.0) == pytest.approx(3.2, rel=1e-12)
 
     @settings(max_examples=300, deadline=None)
     @given(H=st.floats(-3.0, 3.0), sag=st.floats(0.0, 3.0))
@@ -271,16 +267,16 @@ class TestMaxLength:
         """At p = EPS_P the vertical rule meets the catenary's p -> 0
         limit |H| + 2 sag, so l_max does not jump there."""
         props = CableProperties(sag_limit=sag)
-        below = sag_length(PlanarConfiguration(EPS_P * (1 - 1e-9), H), props)
-        above = sag_length(PlanarConfiguration(EPS_P * (1 + 1e-9), H), props)
+        below = sag_length(EPS_P * (1 - 1e-9), H, props)
+        above = sag_length(EPS_P * (1 + 1e-9), H, props)
         assert abs(above - below) <= 2e-6
 
     def test_zero_sag_forces_chord(self):
         props = CableProperties(sag_limit=0.0)
-        assert sag_length(PlanarConfiguration(2, 0), props) == 2.0
+        assert sag_length(2.0, 0.0, props) == 2.0
 
     def test_symmetric_sag_case(self):
-        got = sag_length(PlanarConfiguration(2, 0), PROPS)
+        got = sag_length(2.0, 0.0)
         assert got == pytest.approx(MAXLEN_P2_H0_D0P1, rel=1e-10)
         # independent symmetric oracle: a (cosh(1/a) - 1) = d
         def depth_gap(a):
@@ -293,13 +289,13 @@ class TestMaxLength:
         assert got == pytest.approx(2 * a * math.sinh(1.0 / a), rel=1e-10)
 
     def test_tall_asymmetric_case(self):
-        got = sag_length(PlanarConfiguration(2, 3), PROPS)
+        got = sag_length(2.0, 3.0)
         assert got == pytest.approx(MAXLEN_P2_H3_D0P1, rel=1e-10)
 
     def test_sag_case_quadrature_oracle(self):
         """Recover the limiting curve and check its arc length by quadrature."""
-        L = sag_length(PlanarConfiguration(2, 3), PROPS)
-        sol = solve_catenary(PlanarConfiguration(2, 3), L, PROPS)
+        L = sag_length(2.0, 3.0)
+        sol = solve(2.0, 3.0, L)
         # the vertex must sit sag_limit below the lower endpoint
         z_a = sol.scale * (math.cosh(sol.x_a / sol.scale) - 1.0)
         assert z_a == pytest.approx(PROPS.sag_limit, abs=1e-8)
@@ -313,8 +309,7 @@ class TestMaxLength:
         for _ in range(20):
             p = rng.uniform(0.3, 6.0)
             H = rng.uniform(-3.0, 3.0)
-            cfg = PlanarConfiguration(p, H)
-            lengths = [sag_length(cfg, CableProperties(sag_limit=d))
+            lengths = [sag_length(p, H, CableProperties(sag_limit=d))
                        for d in (0.0, 0.05, 0.1, 0.3, 1.0)]
             assert all(b >= a - 1e-12 for a, b in zip(lengths, lengths[1:]))
 
@@ -325,18 +320,17 @@ class TestMaxLength:
             H = rng.uniform(-4.0, 4.0)
             if math.hypot(p, H) < 1e-9:
                 continue
-            cfg = PlanarConfiguration(p, H)
-            assert sag_length(cfg, PROPS) >= cfg.chord - 1e-12
+            assert sag_length(p, H) >= math.hypot(p, H) - 1e-12
 
     def test_mirror_symmetry_in_h(self):
-        up = sag_length(PlanarConfiguration(2, 3), PROPS)
-        down = sag_length(PlanarConfiguration(2, -3), PROPS)
+        up = sag_length(2.0, 3.0)
+        down = sag_length(2.0, -3.0)
         assert up == pytest.approx(down, rel=1e-12)
 
 
 class TestTensionAt:
     def setup_method(self):
-        self.sol = solve_catenary(PlanarConfiguration(2, 0), 2.5, PROPS)
+        self.sol = solve(2.0, 0.0, 2.5)
 
     def test_vertex_tension(self):
         assert tension(self.sol, 0.0) == self.sol.vertex_tension
@@ -410,9 +404,9 @@ class TestBatchedHelpers:
         l_min, l_max = corridor_bounds_batch(attach, anchor, PROPS)
         for i in range(attach.shape[0]):
             assert (l_min[i], l_max[i]) == corridor_at(attach[i], anchor)
-            cfg = PlanarConfiguration(abs(anchor[0] - attach[i, 0]),
-                                      anchor[2] - attach[i, 2])
-            assert l_min[i] == pytest.approx(cfg.chord, rel=1e-12)
+            chord = math.hypot(anchor[0] - attach[i, 0],
+                               anchor[2] - attach[i, 2])
+            assert l_min[i] == pytest.approx(chord, rel=1e-12)
 
     def test_batch_lmax_clamped_to_lmin(self):
         l_min, l_max = corridor_bounds_batch(
@@ -438,13 +432,13 @@ class TestBatchedHelpers:
             [p, np.zeros_like(p), -H]) / l_min[:, None], rtol=1e-15)
         eps = 1e-5
         for i in range(p.size):
-            assert l_max[i] == pytest.approx(
-                sag_length(PlanarConfiguration(p[i], H[i]), PROPS), rel=1e-10)
-            up = sag_length(PlanarConfiguration(p[i] + eps, H[i]), PROPS)
-            dn = sag_length(PlanarConfiguration(p[i] - eps, H[i]), PROPS)
+            assert l_max[i] == pytest.approx(sag_length(p[i], H[i]),
+                                             rel=1e-10)
+            up = sag_length(p[i] + eps, H[i])
+            dn = sag_length(p[i] - eps, H[i])
             assert dl_dp[i] == pytest.approx((up - dn) / (2 * eps), abs=2e-4)
-            up = sag_length(PlanarConfiguration(p[i], H[i] + eps), PROPS)
-            dn = sag_length(PlanarConfiguration(p[i], H[i] - eps), PROPS)
+            up = sag_length(p[i], H[i] + eps)
+            dn = sag_length(p[i], H[i] - eps)
             assert dl_dh[i] == pytest.approx((up - dn) / (2 * eps), abs=2e-4)
 
     def test_gradient_degenerate_vertical(self):
@@ -498,16 +492,16 @@ def _reference_arc_gap(a, p):
 
 
 def scale_error(p, H, length):
-    """solve_catenary's relative scale error against a 50-digit root of
+    """_catenary's relative scale error against a 50-digit root of
     2 a sinh(p/(2a)) = sqrt(L^2 - H^2), with L and H taken exactly."""
-    sol = solve_catenary(PlanarConfiguration(p, H), length, PROPS)
+    scale = _catenary(p, H, length)[0]
     with mpmath.workdps(50):
         rhs = mpmath.sqrt(mpmath.mpf(length) ** 2 - mpmath.mpf(H) ** 2)
         target = mpmath.log(rhs / p)
         u = mpmath.findroot(
             lambda u: mpmath.log(mpmath.sinh(u) / u) - target,
-            mpmath.mpf(0.5 * p / sol.scale))
-        return abs(sol.scale / (0.5 * p / u) - 1)
+            mpmath.mpf(0.5 * p / scale))
+        return abs(scale / (0.5 * p / u) - 1)
 
 
 def reference_solve_scale(p, rhs):
@@ -578,8 +572,7 @@ class TestNewtonScale:
         "Exact" means within 1e-12 of a 40-digit root of the equation the
         scale solve is given.
         """
-        cfg = PlanarConfiguration(p, H)
-        length = cfg.chord + 10.0 ** log_excess
+        length = math.hypot(p, H) + 10.0 ** log_excess
         rhs = math.sqrt(length * length - H * H)
         scale = _solve_scale(p, rhs)[0]
         with mpmath.workdps(40):
@@ -589,7 +582,7 @@ class TestNewtonScale:
                 mpmath.mpf(0.5 * p / scale))
             exact = abs(scale / (0.5 * p / u) - 1) <= 1e-12
         if exact:
-            solve_catenary(cfg, length, PROPS)
+            _catenary(p, H, length)
 
     @settings(max_examples=1000, deadline=None)
     @given(p=st.one_of(st.floats(EPS_P, 1e-4), st.floats(0.3, 5.0)),
@@ -600,9 +593,8 @@ class TestNewtonScale:
         The scale equation's residual relative to its target moves by at
         least the scale's relative error, whatever the slope or excess.
         """
-        cfg = PlanarConfiguration(p, H)
-        length = cfg.chord * (1.0 + 10.0 ** log_excess)
-        solve_catenary(cfg, length, PROPS)
+        length = math.hypot(p, H) * (1.0 + 10.0 ** log_excess)
+        _catenary(p, H, length)
 
         def corrupted(p, rhs, correction):
             scale, target = _solve_scale(p, rhs, correction)
@@ -610,7 +602,7 @@ class TestNewtonScale:
 
         with mock.patch.object(cable, "_solve_scale", corrupted):
             with pytest.raises(NoConvergence, match="residual"):
-                solve_catenary(cfg, length, PROPS)
+                _catenary(p, H, length)
 
     def test_well_conditioned_spans_match_to_1e9(self):
         # excess lengths of a millimetre and up leave the bisection's

@@ -5,9 +5,14 @@ by another module of the package with ``from .<module> import``, or loaded
 by name in its own module.  Being re-exported in ``tetherpick.__all__``
 does not count: ``__init__`` only lists names, so an exported name that
 no other module uses is called only from tests, and is dead weight.
+
+The other way round, every name in ``tetherpick.__all__`` must be an
+attribute of the package, so that deleting a name cannot leave a stale
+export behind.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import tetherpick
@@ -62,6 +67,12 @@ def unused_public_names(package=PACKAGE):
     return sorted(unused)
 
 
+def stale_exports(package):
+    """Sorted names in ``package.__all__`` that the package lacks."""
+    return sorted(name for name in package.__all__
+                  if not hasattr(package, name))
+
+
 def test_every_public_name_has_a_user_outside_the_tests():
     assert unused_public_names() == []
 
@@ -82,3 +93,17 @@ def test_scan_flags_a_name_nothing_uses(tmp_path):
         "from .core import exported, imported\n")
     assert unused_public_names(tmp_path) == ["core.Orphan",
                                              "core.exported_only"]
+
+
+def test_every_exported_name_is_an_attribute_of_the_package():
+    assert stale_exports(tetherpick) == []
+
+
+def test_stale_export_check_flags_a_missing_name(tmp_path):
+    init = tmp_path / "__init__.py"
+    init.write_text("def kept():\n    pass\n\n"
+                    "__all__ = ['kept', 'removed']\n")
+    spec = importlib.util.spec_from_file_location("stale_demo", init)
+    package = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    assert stale_exports(package) == ["removed"]

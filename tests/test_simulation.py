@@ -4,17 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.spatial.transform import Rotation
 
-from tetherpick.cable import (
-    EPS_P,
-    CableProperties,
-    PlanarConfiguration,
-    solve_catenary,
-)
+from tetherpick.cable import EPS_P, CableProperties, _catenary
 from tetherpick.errors import DegenerateThrust, NoConvergence, ValidationError
 from tetherpick.optimizer import (
     Limits,
@@ -88,16 +83,16 @@ class TestTetherForce:
             spring_only - 100.0 * 0.5 + MU * 0.95, rel=1e-9)
 
     def test_slack_symmetric_span(self):
-        sol = solve_catenary(PlanarConfiguration(2.0, 0.0), 2.5, PROPS)
+        vertex_tension = MU * _catenary(2.0, 0.0, 2.5)[0]
         droid_x, droid_z, _, _, _, taut = _cable_forces(
             2.0, 0.0, 0.0, 0.0, 2.5, 0.0, PROPS, 0.0)
         assert not taut
         np.testing.assert_allclose(
-            (droid_x, droid_z), [sol.vertex_tension, -MU * 1.25], rtol=1e-9)
+            (droid_x, droid_z), [vertex_tension, -MU * 1.25], rtol=1e-9)
         # mirrored anchor flips the horizontal pull
         mirrored = _cable_forces(-2.0, 0.0, 0.0, 0.0, 2.5, 0.0, PROPS, 0.0)
         np.testing.assert_allclose(
-            mirrored[:2], [-sol.vertex_tension, -MU * 1.25], rtol=1e-9)
+            mirrored[:2], [-vertex_tension, -MU * 1.25], rtol=1e-9)
 
     def test_slack_lower_end_is_pulled_upward(self):
         # droid well below the anchor on a nearly taut cable: the tangent at
@@ -132,16 +127,15 @@ class TestTetherForce:
         the horizontal tension mu a, the vertical component along the
         tangent at the droid end, and the tension there."""
         dx = p if right else -p
-        cfg = PlanarConfiguration(p, H)
-        length = cfg.chord * (1.0 + 10.0 ** log_excess)
-        sol = solve_catenary(cfg, length, PROPS)
+        length = math.hypot(p, H) * (1.0 + 10.0 ** log_excess)
+        a, x_a = _catenary(p, H, length)
         droid_x, droid_z, anchor_x, anchor_z, tension, taut = _cable_forces(
             dx, H, 0.0, 0.0, length, 0.0, PROPS, 0.0)
         assert not taut
-        horizontal = MU * sol.scale
-        droid_tension = horizontal * math.cosh(sol.x_a / sol.scale)
+        horizontal = MU * a
+        droid_tension = horizontal * math.cosh(x_a / a)
         expected = (math.copysign(horizontal, dx),
-                    horizontal * math.sinh(sol.x_a / sol.scale))
+                    horizontal * math.sinh(x_a / a))
         scale = MU * length + droid_tension
         np.testing.assert_allclose((droid_x, droid_z), expected, rtol=0.0,
                                    atol=1e-12 * scale)
@@ -152,13 +146,16 @@ class TestTetherForce:
 
     @settings(max_examples=1000, deadline=None)
     @given(p=st.one_of(st.just(0.0), st.floats(0.0, 2.0 * EPS_P),
-                       st.floats(0.0, 0.05)),
+                       st.floats(0.0, 0.05), st.floats(0.0, 5.0)),
            right=st.booleans(), H=st.floats(-3.0, 3.0),
-           log_excess=st.floats(-12.0, -1.0))
+           log_excess=st.floats(-16.0, -1.0))
+    # a scale above the catenary's bracket raised instead of going taut
+    @example(p=2.0, right=True, H=0.0, log_excess=-13.0)
     def test_slack_spans_never_raise_and_carry_the_cable_weight(
             self, p, right, H, log_excess):
-        """Near-vertical slack spans, catenary and doubled strand alike,
-        give finite end forces that sum to the cable's weight."""
+        """Slack spans from vertical to 5 m, down to the taut limit
+        (catenary, doubled strand and taut regime alike), give finite end
+        forces that sum to the cable's weight."""
         chord = math.hypot(p, H)
         assume(chord > 0.0)
         length = chord * (1.0 + 10.0 ** log_excess)
@@ -383,6 +380,24 @@ class TestSimulateRetrieval:
         np.testing.assert_array_equal(log.l_now, lengths[:len(log.time)])
 
 
+NOT_POSITIVE_AND_FINITE = (0.0, -1e-3, -math.inf, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("verb, dt, max_time", [
+    *(("pickup", dt, None) for dt in NOT_POSITIVE_AND_FINITE),
+    *(("retrieval", dt, 120.0) for dt in NOT_POSITIVE_AND_FINITE),
+    *(("retrieval", 1e-3, t) for t in NOT_POSITIVE_AND_FINITE)])
+def test_time_step_and_max_time_must_be_positive_and_finite(
+        planned, verb, dt, max_time):
+    scenario, traj = planned
+    with pytest.raises(ValidationError, match="positive and finite"):
+        if verb == "pickup":
+            simulate_pickup(traj, scenario, DroneParams(), dt)
+        else:
+            simulate_retrieval([0.0, 0.0, 3.0], WinchSchedule(2.2, -0.2),
+                               2.0, PROPS, dt=dt, max_time=max_time)
+
+
 def swing_angle(positions, pivot):
     rel = positions - pivot
     return np.arctan2(rel[:, 0], -rel[:, 2])
@@ -489,13 +504,15 @@ def reference_tether_force(attach, anchor, length, props, attach_velocity,
         return (np.array([0.0, 0.0, -mu * droid_strand]),
                 np.array([0.0, 0.0, -mu * (length - droid_strand)]),
                 mu * droid_strand, False)
-    if length > chord:
-        sol = solve_catenary(PlanarConfiguration(abs(dx), dz), length, props)
-        vertical = sol.vertex_tension * math.sinh(sol.x_a / sol.scale)
-        on_droid = np.array([math.copysign(sol.vertex_tension, dx), 0.0,
+    span = _catenary(abs(dx), dz, length) if length > chord else None
+    if span is not None:
+        scale, x_a = span
+        vertex_tension = mu * scale
+        vertical = vertex_tension * math.sinh(x_a / scale)
+        on_droid = np.array([math.copysign(vertex_tension, dx), 0.0,
                              vertical])
         return (on_droid, -on_droid + np.array([0.0, 0.0, -mu * length]),
-                sol.vertex_tension * math.cosh(sol.x_a / sol.scale), False)
+                vertex_tension * math.cosh(x_a / scale), False)
     direction = np.array([dx, 0.0, dz]) / chord
     stretch_rate = -payout_rate + float(
         direction @ (np.asarray(anchor_velocity, dtype=float)
