@@ -58,16 +58,16 @@ coordinates:
   problem is infeasible, and the round before it is returned.  A round
   whose worst hinge is not below the last round's at one of its 25-iteration
   checks is cut short there, and dropped the same way.  The legs, restarts
-  and rounds are plain control flow in ``optimize``'s one loop; a checked
-  round runs L-BFGS in stretches of 25 iterations, each continuing the last
-  with its memory.
+  and rounds are plain control flow in ``optimize``'s one loop, one L-BFGS
+  call per leg; a shift round hands that call a halt test, true at every
+  25th iteration whose worst hinge is not below the last round's.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -300,12 +300,10 @@ def _line_search(phi, f0: float, g0: float, stp: float):
 class Minimum:
     """Where a run of ``minimize`` stopped.
 
-    ``status`` is 0 when a stop test passed, 1 at the iteration limit and
-    2 when no line search could make progress.  ``iterates`` holds, for
-    every iteration, the index among this call's objective evaluations of
-    the one it accepted.  ``pairs`` is the L-BFGS memory, the (s, y,
-    1 / s.y) of each stored step, oldest first, for a later call to
-    continue from.
+    ``status`` is 0 when a stop test passed, 1 at the iteration limit or
+    where ``halt`` stopped the run, and 2 when no line search could make
+    progress.  ``info`` is what the objective returned with its value and
+    gradient at ``x``.
     """
 
     x: np.ndarray
@@ -314,8 +312,7 @@ class Minimum:
     nit: int = 0
     status: int = 0
     message: str = ""
-    iterates: list = field(default_factory=list)
-    pairs: list = field(default_factory=list)
+    info: object = None
 
 
 def _direction(g: np.ndarray, pairs) -> np.ndarray:
@@ -341,42 +338,28 @@ def _largest(g: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(g), initial=0.0))
 
 
-def minimize(fun, start, maxiter: int) -> Minimum:
+def minimize(fun, x0, maxiter: int, halt=None) -> Minimum:
     """Unconstrained L-BFGS with L-BFGS-B's line search and stop tests.
 
-    ``fun(x)`` returns (value, gradient).  ``start`` is the first iterate,
-    or a Minimum from an earlier call on the same ``fun``, which this call
-    then continues with its memory.  Every iteration steps along the
-    two-loop direction over the last _MEMORY steps, with the step
-    Moré & Thuente's search accepts; the first step of a run starts its
-    search at _FIRST_MOVE / |g|, and every later one at 1.  A step whose
-    curvature s.y is not positive beyond rounding is not stored.  The run
-    stops when max |g| <= _STOP_GTOL, when one iteration lowers the value
-    by at most _STOP_FTOL * max(|f_old|, |f|, 1), or after ``maxiter``
-    iterations; the stop tests run first, so a run continued in stretches
-    stops where one long run would.  A failed search drops the memory and
-    tries again from steepest descent; from steepest descent it ends the
-    run.
+    ``fun(x)`` returns (value, gradient, info), where info is anything the
+    caller wants back about x.  Every iteration steps along the two-loop
+    direction over the last _MEMORY steps, with the step Moré & Thuente's
+    search accepts; the first step starts its search at _FIRST_MOVE / |g|,
+    and every later one at 1.  A step whose curvature s.y is not positive
+    beyond rounding is not stored.  The run stops when max |g| <=
+    _STOP_GTOL, when one iteration lowers the value by at most _STOP_FTOL *
+    max(|f_old|, |f|, 1), or after ``maxiter`` iterations; when none of
+    these tests passes, ``halt(iterations, info)``, if given, is asked
+    about the new iterate and stops the run with status 1 when true.  A
+    failed search drops the memory and tries again from steepest descent;
+    from steepest descent it ends the run.
     """
-    evaluations = 0
-
-    def evaluate(x):
-        nonlocal evaluations
-        evaluations += 1
-        f, g = fun(x)
-        return float(f), np.asarray(g, dtype=float)
-
-    if isinstance(start, Minimum):
-        x, f, g, pairs = start.x, start.fun, start.jac, start.pairs
-        first = False
-    else:
-        x = np.array(start, dtype=float)
-        f, g = evaluate(x)
-        pairs = []
-        first = True
-        if not _largest(g) > _STOP_GTOL:
-            return Minimum(x, f, g, 0, 0, "gradient below gtol")
-    iterates = []
+    x = np.array(x0, dtype=float)
+    f, g, info = fun(x)
+    if not _largest(g) > _STOP_GTOL:
+        return Minimum(x, f, g, 0, 0, "gradient below gtol", info)
+    pairs = []
+    nit = 0
     while True:
         d = _direction(g, pairs)
         slope0 = float(d @ g)
@@ -384,13 +367,13 @@ def minimize(fun, start, maxiter: int) -> Minimum:
 
         def phi(stp):
             x_new = x + stp * d
-            f_new, g_new = evaluate(x_new)
-            trial[:] = x_new, f_new, g_new
+            f_new, g_new, info_new = fun(x_new)
+            trial[:] = x_new, f_new, g_new, info_new
             return f_new, float(g_new @ d)
 
         stp = None
         if slope0 < 0.0:
-            start_step = _FIRST_MOVE / math.sqrt(float(d @ d)) if first \
+            start_step = _FIRST_MOVE / math.sqrt(float(d @ d)) if nit == 0 \
                 else 1.0
             stp = _line_search(phi, f, slope0, start_step)
         if stp is None:
@@ -399,10 +382,9 @@ def minimize(fun, start, maxiter: int) -> Minimum:
                 continue
             status, message = 2, "line search cannot make progress"
             break
-        first = False
         x_old, f_old, g_old = x, f, g
-        x, f, g = trial
-        iterates.append(evaluations - 1)
+        x, f, g, info = trial
+        nit += 1
         s = x - x_old
         y = g - g_old
         curvature = float(s @ y)
@@ -412,12 +394,14 @@ def minimize(fun, start, maxiter: int) -> Minimum:
             status, message = 0, "gradient below gtol"
         elif f_old - f <= _STOP_FTOL * max(abs(f_old), abs(f), 1.0):
             status, message = 0, "relative reduction of J below ftol"
-        elif len(iterates) >= maxiter:
+        elif nit >= maxiter:
             status, message = 1, "iteration limit reached"
+        elif halt is not None and halt(nit, info):
+            status, message = 1, "halt test passed"
         else:
             continue
         break
-    return Minimum(x, f, g, len(iterates), status, message, iterates, pairs)
+    return Minimum(x, f, g, nit, status, message, info)
 
 
 @dataclass(frozen=True)
@@ -575,7 +559,6 @@ class OptimizeResult:
     max_violation: float
     evaluations: int = 0
     multiplier_updates: int = 0
-    history: list = field(default_factory=list)
     message: str = ""
 
 
@@ -895,6 +878,8 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
     breakdown and hinge report are unshifted.  Every leg, restart and shift
     round counts its iterations against ``max_iterations``.
     """
+    if not (isinstance(max_iterations, int) and max_iterations >= 1):
+        raise ValidationError("max_iterations must be an integer >= 1")
     if fixed_duration is None:
         waypoints, duration0 = initial_guess(scenario)
     else:
@@ -906,7 +891,6 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
     n_wp = n_seg - 1
     optimize_time = fixed_duration is None
     whitening = _jerk_hessian(n_seg)[1]
-    history = []
     evaluations = 0
     shifts = None
 
@@ -936,17 +920,16 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
 
     def leg(q0, theta0, budget):
         """One L-BFGS run from z = 0, where q = q0 + dT^(5/2) W z per axis
-        and theta = theta0 + s_T z[-1].  Returns (result, iterations, q,
-        theta, final), where final is the (trajectory, breakdown, worst)
-        of the last iterate when this leg evaluated it, or None.
+        and theta = theta0 + s_T z[-1].  Returns (result, q, theta); the
+        result's info is the (trajectory, breakdown, worst) of its last
+        iterate.
 
         A shift round checks every _WORSENING_CHECK_PERIOD iterations that
-        its unshifted worst hinge is below the last round's, and ends there
-        (at the iteration limit of that stretch) if not, to be dropped.
+        its unshifted worst hinge is below the last round's, and halts there
+        if not, to be dropped.
         """
         basis = (duration_at(theta0) / n_seg) ** 2.5 * whitening
         scale = theta_scale(q0, theta0)
-        trail = []
 
         def point(z):
             q = q0 + basis @ z[:3 * n_wp].reshape(n_wp, 3)
@@ -959,25 +942,15 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
             grad[:3 * n_wp] = (basis.T @ dj_dq).ravel()
             if optimize_time:
                 grad[-1] = scale * dj_dtheta
-            trail.append((traj, breakdown, worst))
-            return breakdown.total, grad
+            return breakdown.total, grad, (traj, breakdown, worst)
 
-        stretch = budget if previous is None else _WORSENING_CHECK_PERIOD
-        result = np.zeros(3 * n_wp + optimize_time)
-        taken = 0
-        while True:
-            trail.clear()
-            # a first call evaluates its start, a continuation does not
-            accepted = [] if taken else [0]
-            result = minimize(objective, result,
-                              min(stretch, budget - taken))
-            accepted += result.iterates
-            history.extend(trail[i][1] for i in result.iterates)
-            taken += result.nit
-            final = trail[accepted[-1]] if accepted else None
-            if result.status != 1 or taken >= budget or \
-                    max(final[2].values()) >= previous[2]:
-                return (result, taken, *point(result.x), final)
+        def worsening(iterations, info):
+            return iterations % _WORSENING_CHECK_PERIOD == 0 \
+                and max(info[2].values()) >= previous[2]
+
+        result = minimize(objective, np.zeros(3 * n_wp + optimize_time),
+                          budget, None if previous is None else worsening)
+        return (result, *point(result.x))
 
     theta = _softplus_inverse(duration0 - MIN_DURATION) if optimize_time \
         else 0.0
@@ -986,16 +959,16 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
     while True:
         # each leg starts where the last one ended; a restart runs another
         # leg, anything else ends the shift round
-        result, taken, waypoints, theta, final = leg(
-            waypoints, theta, max_iterations - iterations)
-        iterations += taken
+        result, waypoints, theta = leg(waypoints, theta,
+                                       max_iterations - iterations)
+        iterations += result.nit
         # a stop test can pass on one tiny step far from a minimum, and a
         # search from steepest descent can fail at a stationary point
         large_gradient = np.max(np.abs(result.jac), initial=0.0) > \
             _STOP_GRADIENT_RTOL * max(abs(result.fun), 1.0)
         false_stop = result.status == 0 and large_gradient
         out_of_budget = iterations >= max_iterations
-        if false_stop and taken > 0 and not out_of_budget:
+        if false_stop and result.nit > 0 and not out_of_budget:
             continue
         if result.status != 1 and not large_gradient:
             status = "converged"
@@ -1005,8 +978,8 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
             status = "line_search_failure"
         message = result.message
         # the breakdown and hinge report are unshifted
-        if shifts is None and final is not None:
-            traj, breakdown, violations = final
+        if shifts is None:
+            traj, breakdown, violations = result.info
         else:
             traj, breakdown, _, _, violations = evaluate(
                 waypoints, theta, shifted=False)
@@ -1027,5 +1000,4 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
                           iterations=iterations, status=status,
                           penalties_ok=worst < VIOLATION_TOL,
                           max_violation=worst, evaluations=evaluations,
-                          multiplier_updates=updates, history=history,
-                          message=message)
+                          multiplier_updates=updates, message=message)

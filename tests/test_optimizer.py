@@ -942,14 +942,6 @@ class TestOptimize:
         assert result.breakdown.velocity == 0.0
         assert result.penalties_ok
 
-    def test_history_is_monotone_nonincreasing(self):
-        scenario = self.oracle_scenario()
-        result = optimize(scenario)
-        totals = [b.total for b in result.history]
-        assert len(totals) >= 5
-        diffs = np.diff(totals)
-        assert np.all(diffs <= 1e-8 * max(1.0, totals[0]))
-
     def test_fixed_duration_is_respected(self):
         scenario = self.oracle_scenario()
         result = optimize(scenario, fixed_duration=3.0)
@@ -960,6 +952,11 @@ class TestOptimize:
             <= result.breakdown.smoothness <= 720.0 * 4.0 / 3.0 ** 5
         with pytest.raises(ValidationError):
             optimize(scenario, fixed_duration=-1.0)
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_budget_below_one_iteration_is_rejected(self, max_iterations):
+        with pytest.raises(ValidationError, match="max_iterations"):
+            optimize(make_scenario(), max_iterations=max_iterations)
 
     def test_goal_equals_start_degenerates_gracefully(self):
         scenario = make_scenario(
@@ -1009,15 +1006,28 @@ def minpack_search(phi, f0, g0, stp):
 
 
 def quadratic(scales, target):
-    """0.5 sum scales (x - target)^2 and its gradient, recording every x."""
+    """0.5 sum scales (x - target)^2, its gradient and, as info, the index
+    of the evaluation, recording every x."""
     points = []
 
     def fun(x):
         points.append(x.copy())
         r = x - target
-        return 0.5 * float(np.sum(scales * r * r)), scales * r
+        return 0.5 * float(np.sum(scales * r * r)), scales * r, \
+            len(points) - 1
 
     return fun, points
+
+
+def rosenbrock(x):
+    """The n-dimensional Rosenbrock function, its gradient and, as info,
+    its value."""
+    a, b = x[:-1], x[1:]
+    value = float(np.sum(100.0 * (b - a * a) ** 2 + (1.0 - a) ** 2))
+    grad = np.zeros_like(x)
+    grad[:-1] = -400.0 * a * (b - a * a) - 2.0 * (1.0 - a)
+    grad[1:] += 200.0 * (b - a * a)
+    return value, grad, value
 
 
 class TestMinimize:
@@ -1095,22 +1105,55 @@ class TestMinimize:
         assert result.status == 0 and result.nit < 200
         np.testing.assert_allclose(result.x, target, atol=1e-6)
 
-    def test_stretches_stop_where_one_long_run_does(self):
-        """A run continued from its Minimum in stretches of 3 iterations
-        takes the same steps as one run and stops at the same point."""
+    def test_halt_stops_where_the_iteration_limit_does(self):
+        """A halt test true at iteration 3 gives the trial points, x and
+        status of a run limited to 3 iterations; it is asked once per
+        iteration about the iterate just accepted, and no longer once a
+        stop test has passed."""
         scales = np.array([1.0, 10.0, 100.0, 1000.0])
         target = np.array([1.0, -2.0, 3.0, -4.0])
-        fun, long_points = quadratic(scales, target)
-        whole = minimize(fun, np.zeros(4), 200)
+        fun, limited_points = quadratic(scales, target)
+        limited = minimize(fun, np.zeros(4), 3)
         fun, points = quadratic(scales, target)
-        part = minimize(fun, np.zeros(4), 3)
-        taken = part.nit
-        while part.status == 1:
-            part = minimize(fun, part, 3)
-            taken += part.nit
-        assert part.status == whole.status and taken == whole.nit
-        assert part.x.tobytes() == whole.x.tobytes()
-        assert np.array(points).tobytes() == np.array(long_points).tobytes()
+        asked = []
+
+        def halt(iterations, info):
+            asked.append((iterations, info))
+            return iterations == 3
+
+        halted = minimize(fun, np.zeros(4), 200, halt)
+        assert limited.status == halted.status == 1
+        assert limited.nit == halted.nit == 3
+        assert halted.x.tobytes() == limited.x.tobytes()
+        assert np.array(points).tobytes() == np.array(limited_points).tobytes()
+        # each iteration accepts the last point its search evaluated
+        assert [n for n, _ in asked] == [1, 2, 3]
+        assert asked[-1][1] == halted.info == len(points) - 1
+
+        fun, _ = quadratic(scales, target)
+        asked.clear()
+        converged = minimize(fun, np.zeros(4), 200,
+                             lambda n, info: asked.append(n))
+        assert converged.status == 0 and converged.nit > 3
+        assert asked == list(range(1, converged.nit))
+
+    @pytest.mark.parametrize("start", [[-1.2, 1.0, -1.2, 1.0],
+                                       [0.0, 0.0, 0.0, 0.0],
+                                       [2.0, -1.0, 0.5, 3.0]],
+                             ids=["classic", "origin", "far"])
+    def test_value_at_accepted_iterates_never_rises(self, start):
+        """On Rosenbrock's valley every accepted iterate's value is at most
+        the one before, from the start to the last iterate."""
+        values = [rosenbrock(np.array(start))[0]]
+
+        def halt(iterations, value):
+            values.append(value)
+            return False
+
+        result = minimize(rosenbrock, start, 500, halt)
+        values.append(result.fun)
+        assert result.nit >= 5 and len(values) == result.nit + 1
+        assert np.all(np.diff(values) <= 0.0)
 
 
 class TestFalseStopGuard:
@@ -1126,13 +1169,15 @@ class TestFalseStopGuard:
         calls = []
         legs = iter(legs)
 
-        def minimize(fun, x0, maxiter):
+        def minimize(fun, x0, maxiter, halt=None):
             status, nit, jac = next(legs)
             x = x0 + 0.01
-            calls.append((x0.copy(), maxiter, fun(x0)[0], fun(x)[0]))
+            begin = fun(x0)[0]
+            end, _, info = fun(x)
+            calls.append((x0.copy(), maxiter, begin, end))
             return Minimum(x=x, fun=100.0, jac=np.full(x.shape, jac),
                            nit=nit, status=status, message="scripted",
-                           iterates=[1])
+                           info=info)
 
         monkeypatch.setattr(optimizer, "minimize", minimize)
         return calls
@@ -1204,8 +1249,8 @@ class TestFalseStopGuard:
         legs = []
         real_minimize = optimizer.minimize
 
-        def minimize(fun, start, maxiter):
-            legs.append((maxiter, real_minimize(fun, start, maxiter)))
+        def minimize(fun, x0, maxiter, halt=None):
+            legs.append((maxiter, real_minimize(fun, x0, maxiter, halt)))
             return legs[-1][1]
 
         monkeypatch.setattr(optimizer, "minimize", minimize)
@@ -1216,7 +1261,7 @@ class TestFalseStopGuard:
         assert len(legs) == 1
         maxiter, leg = legs[0]
         assert maxiter == max_iterations
-        assert result.iterations == leg.nit == len(result.history)
+        assert result.iterations == leg.nit
         assert result.breakdown.total == leg.fun
         assert total_cost(result.trajectory, scenario)[0] == result.breakdown
         assert result.status == status
@@ -1272,21 +1317,31 @@ class TestConvergence:
         assert result.penalties_ok
         assert dense_violation(result.trajectory, scenario, 320) < 1e-3
 
-    def test_worsening_shift_round_is_cut_short(self, monkeypatch):
-        """random_scenario(7) is infeasible: its shift round raises the
-        worst hinge, so it ends at its first 25-iteration check and is
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_worsening_shift_round_is_cut_short(self, monkeypatch, seed):
+        """random_scenario(1), (3) and (7) are infeasible: each shift round
+        raises the worst hinge, so it ends at its first worsening check,
+        _WORSENING_CHECK_PERIOD iterations after the first round, and is
         dropped, and the first round's plan comes back."""
         rounds = []
+        calls = []
         real_update = optimizer._shift_update
+        real_minimize = optimizer.minimize
 
         def recorded(traj, scenario, shifts):
             rounds.append(traj)
             return real_update(traj, scenario, shifts)
 
+        def counted(*args, **kwargs):
+            calls.append(real_minimize(*args, **kwargs))
+            return calls[-1]
+
         monkeypatch.setattr(optimizer, "_shift_update", recorded)
-        result = optimize(random_scenario(np.random.default_rng(7)))
+        monkeypatch.setattr(optimizer, "minimize", counted)
+        result = optimize(random_scenario(np.random.default_rng(seed)))
         assert len(rounds) == result.multiplier_updates == 1
-        assert result.iterations <= 150
+        assert result.iterations - calls[0].nit \
+            == optimizer._WORSENING_CHECK_PERIOD
         assert result.trajectory.coefficients.tobytes() \
             == rounds[0].coefficients.tobytes()
         assert result.status == "converged" and not result.penalties_ok
