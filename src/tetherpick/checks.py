@@ -124,9 +124,7 @@ def check_gradients(rng: np.random.Generator, kappa: int = 16) -> CheckResult:
     duration = 4.0
 
     def cost_at(q, t):
-        traj = construct(q, t, scenario.start_state,
-                         scenario.goal_position, scenario.goal_velocity)
-        breakdown, dq, dt, _ = total_cost(traj, scenario)
+        breakdown, dq, dt, _ = total_cost(q, t, scenario)
         return breakdown.total, dq, dt
 
     value, grad_q, grad_t = cost_at(waypoints, duration)

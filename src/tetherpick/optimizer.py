@@ -12,12 +12,15 @@ max(violation, 0)^3 sampled at kappa+1 equally spaced times.  Cubic hinges
 are C2, so a limited-memory quasi-Newton method with Wolfe line search
 handles them well.
 
-``total_cost`` is one pass: it samples the trajectory once, runs the
-corridor's root find once, and returns the weighted breakdown, the exact
-gradient and the worst raw hinge argument of each term from the same
-arrays.  The samples sit at fixed fractions of a segment, so one read-only
-operator per (segment count, kappa) (``_sample_grid``) reads derivative
-orders 0..4 at every sample off the time-normalized coefficients c dT^k.
+``total_cost`` prices a point (waypoints q, duration T) without building a
+trajectory.  It is one pass: it samples once, runs the corridor's root
+find once, and returns the weighted breakdown, the exact gradient and the
+worst raw hinge argument of each term from the same arrays.  The samples
+sit at fixed fractions of a segment, so one read-only operator per
+(segment count, kappa) (``_sample_grid``) reads dT^o times the derivative
+of order 0..4 at every sample off the construction's right-hand side r =
+[q; b(dT)] (trajectory.normalized_rhs), and the jerk energy is dT^-5
+r.H r / 2 with one Hessian H per segment count (``_jerk_hessian``).
 Every hinge argument goes into one table, a row per hinge side and a
 column per sample (``_hinge_table``): the squared velocity, acceleration
 and jerk against their squared limits, the squared thrust against both
@@ -26,11 +29,12 @@ released length against both corridor edges.  One clamp and one cube of
 the table give every hinge, one row sum every term's value and one row
 max every worst argument.  Each term's slope per sample goes to the
 derivative order it was taken against; ``total_cost`` pulls them all
-back onto the coefficient array and the duration with one transposed
-product; the duration also moves the matrix of the trajectory
-construction (see trajectory.propagate_gradients).  The corridor's upper
-bound comes from one Newton solve per sample, and its positional
-derivative from a closed form at the solved scale
+back onto r with one transposed product.  dT enters only as powers (the
+dT^o of each boundary row and sampled derivative, the energy's dT^-5)
+and through the winch's sample times, so dJ/dT is closed-form.  A
+trajectory is built only for the plan ``optimize`` returns.  The
+corridor's upper bound comes from one Newton solve per sample, and its
+positional derivative from a closed form at the solved scale
 (cable.corridor_bounds_and_gradient).
 
 ``minimize`` is an unconstrained L-BFGS (Liu & Nocedal, Math. Prog. 45,
@@ -42,7 +46,7 @@ coordinates:
 
 - *Seed.*  The waypoints start at the minimum of the jerk energy for the
   seed duration.  That energy is quadratic in the waypoints, with one
-  per-axis Hessian H1 * dT^-5 (``_jerk_hessian``, cached per segment count).
+  per-axis Hessian H1 * dT^-5, the waypoint block of ``_jerk_hessian``.
 - *Whitening.*  Each leg runs on z with q = q0 + dT^(5/2) L^-T z per axis,
   where H1 = L L^T and q0, dT are the leg's start, so the jerk part has unit
   curvature there.  The softplus duration variable theta is scaled by
@@ -78,13 +82,15 @@ from .cable import (
 )
 from .errors import ValidationError
 from .trajectory import (
+    _JERK_GRAM,
+    BOUNDARY_ORDERS,
     NCOEF,
     BoundaryState,
     Trajectory,
     basis_rows_upto,
     construct,
-    jerk_energy,
-    propagate_gradients,
+    normalized_rhs,
+    rhs_columns,
     time_powers,
 )
 
@@ -388,7 +394,9 @@ def minimize(fun, x0, maxiter: int, halt=None) -> Minimum:
         s = x - x_old
         y = g - g_old
         curvature = float(s @ y)
-        if curvature > _EPS * -float(s @ g_old):
+        # against the step along d, as L-BFGS-B does: the rounded s can
+        # have s.g >= 0, and a pair of curvature 0 would divide by 0
+        if curvature > _EPS * -stp * slope0:
             pairs = (pairs + [(s, y, 1.0 / curvature)])[-_MEMORY:]
         if not _largest(g) > _STOP_GTOL:
             status, message = 0, "gradient below gtol"
@@ -427,8 +435,10 @@ class Limits:
                     f"limits.{name} must be positive and finite")
         if not self.tau_min < self.tau_max:
             raise ValidationError("limits require tau_min < tau_max")
-        if not self.samples >= 2:
-            raise ValidationError("limits.samples must be at least 2")
+        # type() is int: neither a bool nor a float with an integer value
+        if not (type(self.samples) is int and self.samples >= 2):
+            raise ValidationError(
+                "limits.samples must be an integer of at least 2")
         if not (self.corridor_margin >= 0
                 and math.isfinite(self.corridor_margin)):
             raise ValidationError(
@@ -485,6 +495,9 @@ class WinchSchedule:
             raise ValidationError("winch payout_speed must be finite")
         if not self.capacity > 0:
             raise ValidationError("winch capacity must be positive")
+        if not self.initial_length <= self.capacity:
+            raise ValidationError(
+                "winch initial_length must not exceed its capacity")
 
     def length_at(self, t):
         raw = self.initial_length + self.payout_speed * np.asarray(t, dtype=float)
@@ -520,8 +533,9 @@ class PlanningScenario:
                 raise ValidationError(f"scenario {name} must be finite")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if self.segment_count < 1:
-            raise ValidationError("segment_count must be at least 1")
+        if not (type(self.segment_count) is int and self.segment_count >= 1):
+            raise ValidationError(
+                "segment_count must be an integer of at least 1")
         if not (-math.pi < self.yaw <= math.pi):
             raise ValidationError("yaw must lie in (-pi, pi]")
 
@@ -575,25 +589,26 @@ def _hinge_parts(x: np.ndarray, shift=None) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _sample_grid(n_seg: int, kappa: int):
-    """(operator, fraction, position) of the kappa+1 samples on N segments.
+    """(operator, position) of the kappa+1 samples on N segments.
 
-    Sample i sits i N / kappa segments from the start, ``position``: in
-    segment min(i N // kappa, N - 1), at ``fraction`` of its length.  The
-    operator, shape (5 (kappa+1), 6N), maps the time-normalized coefficients
-    c dT^k, flattened, to dT^o times the order-o derivative at every sample,
-    orders 0..4 stacked in that order.
+    Sample i sits ``position`` = i N / kappa segments from the start: in
+    segment min(i N // kappa, N - 1), at a fixed fraction of its length.
+    The operator, shape (5 (kappa+1), N + 5), maps the right-hand side of
+    ``normalized_rhs`` to dT^o times the order-o derivative at every
+    sample, orders 0..4 stacked in that order: the basis rows at the
+    samples times ``rhs_columns(N)``.
     """
     index = np.arange(kappa + 1)
     seg = np.minimum(index * n_seg // kappa, n_seg - 1)
-    fraction = (index * n_seg - seg * kappa) / kappa
-    operator = np.zeros((5, kappa + 1, n_seg, NCOEF))
-    operator[:, index, seg] = basis_rows_upto(fraction, 4)
-    operator = operator.reshape(5 * (kappa + 1), NCOEF * n_seg)
+    rows = np.zeros((5, kappa + 1, n_seg, NCOEF))
+    rows[:, index, seg] = basis_rows_upto(
+        (index * n_seg - seg * kappa) / kappa, 4)
+    operator = rows.reshape(5 * (kappa + 1), NCOEF * n_seg) \
+        @ rhs_columns(n_seg)
     position = index * n_seg / kappa
     # the cache hands these arrays to every caller
-    for array in (operator, fraction, position):
-        array.flags.writeable = False
-    return operator, fraction, position
+    operator.flags.writeable = position.flags.writeable = False
+    return operator, position
 
 
 # Each term of the hinge table, in row order, and the PenaltyWeights field
@@ -616,8 +631,16 @@ def _term_rows(scenario: PlanningScenario):
     return rows
 
 
-def _hinge_table(traj: Trajectory, scenario: PlanningScenario):
-    """(rows, table, deriv, vectors, corridor) at the samples of ``traj``.
+def _rhs(waypoints, duration: float, scenario: PlanningScenario):
+    """``normalized_rhs`` of the scenario's boundary states."""
+    return normalized_rhs(waypoints, duration, scenario.start_state,
+                          scenario.goal_position, scenario.goal_velocity)
+
+
+def _hinge_table(rhs: np.ndarray, duration: float,
+                 scenario: PlanningScenario):
+    """(rows, table, deriv, vectors, corridor) at the samples of the plan
+    with right-hand side ``rhs`` (``_rhs``) and total ``duration``.
 
     ``table`` holds the raw hinge argument of every penalty, one row per
     hinge side and one column per sample; ``rows`` (``_term_rows``) says
@@ -628,18 +651,18 @@ def _hinge_table(traj: Trajectory, scenario: PlanningScenario):
     squared released length under the squared lower corridor edge and over
     the upper one.  An unweighted obstacle or cable term has no rows, so it
     costs no work.  ``deriv[o]`` is the order-o derivative at every sample,
-    o = 0..4, read off the time-normalized coefficients c dT^k by the
-    operator of ``_sample_grid``; ``vectors`` holds velocity, acceleration,
-    jerk and specific thrust; ``corridor`` holds what the corridor rows'
-    slopes need, or None without them.
+    o = 0..4, read off ``rhs`` by the operator of ``_sample_grid``;
+    ``vectors`` holds velocity, acceleration, jerk and specific thrust;
+    ``corridor`` holds what the corridor rows' slopes need, or None without
+    them.
     """
     limits = scenario.limits
     kappa = limits.samples
-    operator = _sample_grid(traj.segment_count, kappa)[0]
-    powers = time_powers(traj.segment_duration)
-    normalized = traj.coefficients * powers[:, None]
-    deriv = (operator @ normalized.reshape(-1, 3)).reshape(
-        5, kappa + 1, 3) / powers[:5, None, None]
+    n_seg = rhs.shape[0] - 5
+    operator = _sample_grid(n_seg, kappa)[0]
+    powers = time_powers(duration / n_seg)
+    deriv = (operator @ rhs).reshape(5, kappa + 1, 3) \
+        / powers[:5, None, None]
     vectors = np.empty((4, kappa + 1, 3))
     vectors[:3] = deriv[1:4]
     np.subtract(deriv[2], scenario.gravity_vector, out=vectors[3])
@@ -664,7 +687,7 @@ def _hinge_table(traj: Trajectory, scenario: PlanningScenario):
             deriv[0], scenario.anchor_position, scenario.cable)
         l_min_eff = l_min + margin
         l_max_eff = l_max - margin
-        ts = sample_times(0.0, traj.duration, kappa)
+        ts = sample_times(0.0, duration, kappa)
         l_now = scenario.winch.length_at(ts)
         now_sq = l_now ** 2
         np.subtract(l_min_eff ** 2, now_sq, out=table[-2])
@@ -674,8 +697,10 @@ def _hinge_table(traj: Trajectory, scenario: PlanningScenario):
     return rows, table, deriv, vectors, corridor
 
 
-def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
-    """One evaluation of the full objective.
+def total_cost(waypoints, duration: float, scenario: PlanningScenario,
+               shifts=None):
+    """One evaluation of the full objective at the N - 1 ``waypoints`` and
+    the total ``duration``, N = len(waypoints) + 1.
 
     Returns (CostBreakdown, dJ/dq, dJ/dT, worst).  ``worst`` maps each
     penalty term to its largest raw hinge argument over the samples,
@@ -689,21 +714,20 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
 
     Every hinge is w max(g + s, 0)^3 of one entry g of the table.  Each
     term hands its slope per sample to the derivative order it was taken
-    against; the slopes of all terms are pulled back onto the coefficient
-    array and the duration with one transposed product of the sampling
-    operator, and the samples' motion along the grid gives the rest of
-    dJ/ddT.
+    against; the slopes of all terms are pulled back onto the right-hand
+    side r with one transposed product of the sampling operator, and the
+    jerk energy dT^-5 r.H r / 2 adds dT^-5 H r.
     """
     limits = scenario.limits
     weights = scenario.weights
     kappa = limits.samples
-    operator, fraction, position = _sample_grid(traj.segment_count, kappa)
+    rhs = _rhs(waypoints, duration, scenario)
+    n_seg = rhs.shape[0] - 5
+    dt = duration / n_seg
+    operator, position = _sample_grid(n_seg, kappa)
 
-    smooth, grad_c, grad_ddt = jerk_energy(traj)
-    time_cost = limits.time_weight * traj.duration
-    grad_ddt += limits.time_weight * traj.segment_count
-
-    rows, table, deriv, vectors, corridor = _hinge_table(traj, scenario)
+    rows, table, deriv, vectors, corridor = _hinge_table(rhs, duration,
+                                                         scenario)
     hinge, slope = _hinge_parts(table, shifts)
     sums = np.add.reduce(hinge, axis=1).tolist()
     peaks = np.maximum.reduce(table, axis=1).tolist()
@@ -731,6 +755,7 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
         for k, plane in enumerate(scenario.obstacles):
             gvec -= np.outer(slope[first + k], plane.normal)
         slopes[0] += weight * gvec
+    grad_ddt = limits.time_weight * n_seg
     if corridor is not None:
         l_min_eff, l_max_eff, dlmin_dp, dlmax_dp, l_now, rate = corridor
         slope_under, slope_over = slope[-2], slope[-1]
@@ -742,26 +767,34 @@ def total_cost(traj: Trajectory, scenario: PlanningScenario, shifts=None):
         lnow_sens = 2.0 * l_now * rate * (slope_over - slope_under)
         grad_ddt += weights.cable * float(np.add.reduce(lnow_sens * position))
 
-    powers = time_powers(traj.segment_duration)
-    scaled = slopes / powers[:4, None, None]
+    energy_scale = dt ** -5
+    weighted = _jerk_hessian(n_seg)[0] @ rhs
+    smooth = 0.5 * energy_scale * float(np.add.reduce(rhs * weighted,
+                                                      axis=None))
     size = 4 * (kappa + 1)
-    sampled_c = (operator[:size].T @ scaled.reshape(size, 3)).reshape(
-        traj.coefficients.shape) * powers[:, None]
-    # the samples slide along the grid as dT moves: d tau_i / d dT
-    sampled_ddt = float(np.add.reduce(
-        np.einsum("oix,oix->i", slopes, deriv[1:]) * fraction))
+    scaled = slopes / time_powers(dt)[:4, None, None]
+    grad = energy_scale * weighted \
+        + operator[:size].T @ scaled.reshape(size, 3)
+    # d(dT^p)/ddT = p dT^p / dT for the boundary rows (p = o), the sampled
+    # derivatives (p = -o) and the energy (p = -5)
+    grad_ddt += (float(np.add.reduce(
+        BOUNDARY_ORDERS[:, None] * grad[-6:] * rhs[-6:], axis=None))
+        - float(np.add.reduce(np.arange(1.0, 4.0)[:, None, None]
+                              * slopes[1:] * deriv[1:4], axis=None))
+        - 5.0 * smooth) / dt
 
-    breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
-    dj_dq, dj_dt = propagate_gradients(traj, grad_c + sampled_c,
-                                       grad_ddt + sampled_ddt)
-    return breakdown, dj_dq, dj_dt, worst
+    breakdown = CostBreakdown(smoothness=smooth,
+                              time=limits.time_weight * duration, **parts)
+    return breakdown, grad[:-6], grad_ddt / n_seg, worst
 
 
-def _shift_update(traj: Trajectory, scenario: PlanningScenario, shifts):
+def _shift_update(waypoints, duration: float, scenario: PlanningScenario,
+                  shifts):
     """Powell's update s <- max(s + g, 0) of every hinge's shift, from the
-    unshifted hinge table g at ``traj``; the multiplier a shift stands for
+    unshifted hinge table g at the plan; the multiplier a shift stands for
     is 3 w s^2."""
-    table = _hinge_table(traj, scenario)[1]
+    table = _hinge_table(_rhs(waypoints, duration, scenario), duration,
+                         scenario)[1]
     return np.maximum(table if shifts is None else table + shifts, 0.0)
 
 
@@ -802,40 +835,32 @@ def _sigmoid(x: float) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _jerk_hessian(n_seg: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H1, W): the per-axis Hessian of the jerk energy over the waypoints
-    at dT = 1, and the whitening W = L^-T of its factor H1 = L L^T.
+    """(H, W): the per-axis Hessian of the jerk energy over the right-hand
+    side of ``normalized_rhs`` at dT = 1, and the whitening W = L^-T of its
+    waypoint block H_qq = L L^T.
 
-    Jerk energy is quadratic in the waypoints, the axes decouple, and the
-    boundary values only shift its gradient, so one gradient probe per
-    waypoint of the all-zero problem gives H1 exactly.  Time scaling gives
-    H(dT) = H1 * dT^-5, so dT^(5/2) W whitens every duration.
+    Segment s has energy c_s.G c_s, G = _JERK_GRAM, over its normalized
+    coefficients c_s = U_s r (U = ``rhs_columns(N)``), so H = 2 sum_s
+    U_s^T G U_s.  It is dT^-5 H at any dT, so dT^(5/2) W whitens there.
     """
-    n_wp = n_seg - 1
-    rest = BoundaryState.at_rest(np.zeros(3))
-    hessian = np.empty((n_wp, n_wp))
-    for i in range(n_wp):
-        probe = np.zeros((n_wp, 3))
-        probe[i] = 1.0
-        traj = construct(probe, float(n_seg), rest, np.zeros(3), np.zeros(3))
-        slope = propagate_gradients(traj, jerk_energy(traj)[1])[0]
-        hessian[:, i] = slope[:, 0]
+    blocks = rhs_columns(n_seg).reshape(n_seg, NCOEF, n_seg + 5)
+    hessian = 2.0 * np.einsum("skm,kl,sln->mn", blocks, _JERK_GRAM, blocks)
     hessian = 0.5 * (hessian + hessian.T)
-    whitening = np.linalg.solve(np.linalg.cholesky(hessian), np.eye(n_wp)).T
+    n_wp = n_seg - 1
+    whitening = np.linalg.solve(np.linalg.cholesky(hessian[:n_wp, :n_wp]),
+                                np.eye(n_wp)).T
     # the cache hands these arrays to every caller
     hessian.flags.writeable = whitening.flags.writeable = False
     return hessian, whitening
 
 
 def _min_jerk_waypoints(scenario: PlanningScenario, duration: float):
-    """The waypoints of least jerk energy at ``duration``: -H^-1 b, with b
-    the jerk gradient at zero waypoints."""
-    n_seg = scenario.segment_count
-    zero = np.zeros((n_seg - 1, 3))
-    traj = construct(zero, duration, scenario.start_state,
-                     scenario.goal_position, scenario.goal_velocity)
-    slope = propagate_gradients(traj, jerk_energy(traj)[1])[0]
-    whitening = _jerk_hessian(n_seg)[1]
-    return -traj.segment_duration ** 5 * (whitening @ (whitening.T @ slope))
+    """The waypoints of least jerk energy at ``duration``: -H_qq^-1 H_qb b
+    over the boundary rows b of the right-hand side."""
+    n_wp = scenario.segment_count - 1
+    boundary = _rhs(np.zeros((n_wp, 3)), duration, scenario)[n_wp:]
+    hessian, whitening = _jerk_hessian(scenario.segment_count)
+    return -whitening @ (whitening.T @ (hessian[:n_wp, n_wp:] @ boundary))
 
 
 def initial_guess(scenario: PlanningScenario):
@@ -898,22 +923,20 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
         return MIN_DURATION + _softplus(theta) if optimize_time else duration0
 
     def evaluate(q, theta, shifted=True):
-        """(trajectory, breakdown, dJ/dq, dJ/dtheta, worst), under the
-        current shifts unless ``shifted`` is false."""
+        """(breakdown, dJ/dq, dJ/dtheta, worst), under the current shifts
+        unless ``shifted`` is false."""
         nonlocal evaluations
         evaluations += 1
-        traj = construct(q, duration_at(theta), scenario.start_state,
-                         scenario.goal_position, scenario.goal_velocity)
         breakdown, dj_dq, dj_dt, worst = total_cost(
-            traj, scenario, shifts if shifted else None)
-        return traj, breakdown, dj_dq, dj_dt * _sigmoid(theta), worst
+            q, duration_at(theta), scenario, shifts if shifted else None)
+        return breakdown, dj_dq, dj_dt * _sigmoid(theta), worst
 
     def theta_scale(q, theta):
         """|d2J/dtheta2|^(-1/2) from a central difference, clipped."""
         if not optimize_time:
             return 1.0
-        up = evaluate(q, theta + _THETA_STEP)[3]
-        down = evaluate(q, theta - _THETA_STEP)[3]
+        up = evaluate(q, theta + _THETA_STEP)[2]
+        down = evaluate(q, theta - _THETA_STEP)[2]
         curvature = abs(up - down) / (2.0 * _THETA_STEP)
         scale = 1.0 / math.sqrt(curvature) if curvature > 0.0 else math.inf
         return min(max(scale, _THETA_SCALE_CLIP[0]), _THETA_SCALE_CLIP[1])
@@ -921,8 +944,7 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
     def leg(q0, theta0, budget):
         """One L-BFGS run from z = 0, where q = q0 + dT^(5/2) W z per axis
         and theta = theta0 + s_T z[-1].  Returns (result, q, theta); the
-        result's info is the (trajectory, breakdown, worst) of its last
-        iterate.
+        result's info is the (breakdown, worst) of its last iterate.
 
         A shift round checks every _WORSENING_CHECK_PERIOD iterations that
         its unshifted worst hinge is below the last round's, and halts there
@@ -937,16 +959,16 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
                 else theta0
 
         def objective(z):
-            traj, breakdown, dj_dq, dj_dtheta, worst = evaluate(*point(z))
+            breakdown, dj_dq, dj_dtheta, worst = evaluate(*point(z))
             grad = np.empty(z.shape)
             grad[:3 * n_wp] = (basis.T @ dj_dq).ravel()
             if optimize_time:
                 grad[-1] = scale * dj_dtheta
-            return breakdown.total, grad, (traj, breakdown, worst)
+            return breakdown.total, grad, (breakdown, worst)
 
         def worsening(iterations, info):
             return iterations % _WORSENING_CHECK_PERIOD == 0 \
-                and max(info[2].values()) >= previous[2]
+                and max(info[1].values()) >= previous[3]
 
         result = minimize(objective, np.zeros(3 * n_wp + optimize_time),
                           budget, None if previous is None else worsening)
@@ -979,23 +1001,26 @@ def optimize(scenario: PlanningScenario, fixed_duration: float | None = None,
         message = result.message
         # the breakdown and hinge report are unshifted
         if shifts is None:
-            traj, breakdown, violations = result.info
+            breakdown, violations = result.info
         else:
-            traj, breakdown, _, _, violations = evaluate(
-                waypoints, theta, shifted=False)
+            breakdown, _, _, violations = evaluate(waypoints, theta,
+                                                   shifted=False)
         worst = max(violations.values())
         if worst < VIOLATION_TOL:
             break
         # a round cut short for worsening fails this test as well
-        if previous is not None and worst > 0.5 * previous[2]:
-            traj, breakdown, worst, status, message = previous
+        if previous is not None and worst > 0.5 * previous[3]:
+            waypoints, theta, breakdown, worst, status, message = previous
             break
         if status != "converged" or out_of_budget:
             break
-        previous = traj, breakdown, worst, status, message
-        shifts = _shift_update(traj, scenario, shifts)
+        previous = waypoints, theta, breakdown, worst, status, message
+        shifts = _shift_update(waypoints, duration_at(theta), scenario,
+                               shifts)
         updates += 1
 
+    traj = construct(waypoints, duration_at(theta), scenario.start_state,
+                     scenario.goal_position, scenario.goal_velocity)
     return OptimizeResult(trajectory=traj, breakdown=breakdown,
                           iterations=iterations, status=status,
                           penalties_ok=worst < VIOLATION_TOL,

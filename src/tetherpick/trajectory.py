@@ -1,4 +1,4 @@
-"""Uniform piecewise-quintic trajectories and their parameter gradients.
+"""Uniform piecewise-quintic trajectories.
 
 A trajectory with N segments of equal duration dT is described per axis by
 6N polynomial coefficients c.  Construction solves the square linear system
@@ -19,18 +19,19 @@ of the one at dT = 1:
 M(1) depends only on N.  Its dense inverse is formed once per segment
 count and cached, and every construction is one product of it with the
 right-hand side scaled by dT^o, which gives the time-normalized
-coefficients c dT^k.  Gradients of a scalar cost with respect to the
-waypoints and the total duration come from one product with its
-transpose, and the scaling gives the duration's part in closed form.
-This is the time-normalized parameterization of MINCO (Wang et al.,
-"Geometrically Constrained Trajectory Optimization for Multicopters",
-IEEE T-RO 2022).
+coefficients c dT^k.  That right-hand side has N + 5 distinct nonzero rows
+per axis (``normalized_rhs``): the waypoints and the six boundary values,
+each times dT^o.  The planner never builds the coefficients: it composes
+the inverse's columns for those rows (``rhs_columns``) with its sampling
+operator and the jerk energy's Gram matrix once per segment count, and
+works on the N + 5 rows directly.  This is the time-normalized
+parameterization of MINCO (Wang et al., "Geometrically Constrained
+Trajectory Optimization for Multicopters", IEEE T-RO 2022).
 
 The inverse costs memory and time quadratic in N where a banded LU would
 be linear.  That is the cheaper side at the sizes that can be planned:
-plans use N = 6, where the two products take about half the time of two
-banded LAPACK solves, and the banded solve only wins somewhere between
-N = 40 and N = 64, where cond M(1) is already above 1e16.
+plans use N = 6, and the banded solve only wins somewhere between N = 40
+and N = 64, where cond M(1) is already above 1e16.
 """
 
 from __future__ import annotations
@@ -142,6 +143,12 @@ class Trajectory:
         return np.einsum("nk,nkx->nx", rows, self.coefficients[seg])
 
 
+# The derivative order o of each boundary row of the right-hand side: the
+# start's position, velocity, acceleration and jerk, then the goal's
+# position and velocity.
+BOUNDARY_ORDERS = np.array([0, 1, 2, 3, 0, 1])
+
+
 @functools.lru_cache(maxsize=None)
 def _unit_inverse(n_seg: int) -> np.ndarray:
     """The inverse of the system at dT = 1, read-only: the cache hands it
@@ -166,6 +173,49 @@ def _unit_inverse(n_seg: int) -> np.ndarray:
     return inverse
 
 
+def rhs_columns(n_seg: int) -> np.ndarray:
+    """The columns of the inverse at dT = 1 that the rows of
+    ``normalized_rhs`` multiply, shape (6N, N + 5): the time-normalized
+    coefficients c dT^k are this times that right-hand side."""
+    inverse = _unit_inverse(n_seg)
+    size = NCOEF * n_seg
+    return np.hstack([inverse[:, 4:size - 2:NCOEF]
+                      + inverse[:, 5:size - 2:NCOEF],
+                      inverse[:, :4], inverse[:, -2:]])
+
+
+def normalized_rhs(waypoints, total_duration: float, start: BoundaryState,
+                   goal_position, goal_velocity) -> np.ndarray:
+    """The right-hand side at dT = 1, shape (N + 5, 3), with its zero rows
+    dropped and each joint's two position rows, which both hold its
+    waypoint, merged into one.
+
+    Its rows are the N - 1 waypoints, then the start's position, velocity,
+    acceleration and jerk and the goal's position and velocity, each times
+    dT^o for its derivative order o (BOUNDARY_ORDERS).
+    """
+    q = np.asarray(waypoints, dtype=float).reshape(-1, 3)
+    if not (total_duration > 0.0 and math.isfinite(total_duration)):
+        raise SingularSystem(f"total duration must be positive, got {total_duration!r}")
+    if not np.isfinite(q).all():
+        raise ValueError("waypoints must be finite")
+    dt = total_duration / (q.shape[0] + 1)
+    # a dT whose powers overflow is rejected just below, so numpy need not
+    # warn about it
+    with np.errstate(over="ignore"):
+        powers = time_powers(dt)
+    if not np.isfinite(powers).all():
+        raise SingularSystem(f"segment duration {dt!r} overflows dT^5")
+    rhs = np.empty((q.shape[0] + 6, 3))
+    rhs[:-6] = q
+    rhs[-6:] = (start.position, start.velocity, start.acceleration,
+                start.jerk, goal_position, goal_velocity)
+    rhs[-6:] *= powers[BOUNDARY_ORDERS, None]
+    if not np.isfinite(rhs).all():
+        raise SingularSystem("right-hand side must be finite")
+    return rhs
+
+
 def construct(waypoints, total_duration: float, start: BoundaryState,
               goal_position, goal_velocity) -> Trajectory:
     """Build the trajectory through the waypoints in the given total time.
@@ -173,80 +223,22 @@ def construct(waypoints, total_duration: float, start: BoundaryState,
     ``waypoints`` are the N-1 interior positions visited at the segment
     joints; an empty sequence gives a single segment.
     """
-    q = np.asarray(waypoints, dtype=float).reshape(-1, 3)
-    n_seg = q.shape[0] + 1
-    if not (total_duration > 0.0 and math.isfinite(total_duration)):
-        raise SingularSystem(f"total duration must be positive, got {total_duration!r}")
-    dt = total_duration / n_seg
-    goal_position = _as_vec3(goal_position, "goal_position")
-    goal_velocity = _as_vec3(goal_velocity, "goal_velocity")
-    if not np.isfinite(q).all():
-        raise ValueError("waypoints must be finite")
-
-    # the right-hand side scaled by dT^o, row by row; a dT whose powers
-    # overflow is rejected just below, so numpy need not warn about it
-    with np.errstate(over="ignore"):
-        powers = time_powers(dt)
-    if not np.isfinite(powers).all():
-        raise SingularSystem(f"segment duration {dt!r} overflows dT^5")
+    rows = normalized_rhs(waypoints, total_duration, start,
+                          _as_vec3(goal_position, "goal_position"),
+                          _as_vec3(goal_velocity, "goal_velocity"))
+    n_seg = rows.shape[0] - 5
     size = NCOEF * n_seg
     rhs = np.zeros((size, 3))
-    rhs[0] = start.position
-    rhs[1] = start.velocity * powers[1]
-    rhs[2] = start.acceleration * powers[2]
-    rhs[3] = start.jerk * powers[3]
+    rhs[:4] = rows[-6:-2]
     # each joint's left- and right-limit position rows
-    rhs[4:size - 2:NCOEF] = q
-    rhs[5:size - 2:NCOEF] = q
-    rhs[-2] = goal_position
-    rhs[-1] = goal_velocity * powers[1]
-
-    if not np.isfinite(rhs).all():
-        raise SingularSystem("right-hand side must be finite")
-    normalized = _unit_inverse(n_seg) @ rhs
-    sol = normalized.reshape(n_seg, NCOEF, 3) / powers[:, None]
+    rhs[4:size - 2:NCOEF] = rhs[5:size - 2:NCOEF] = rows[:-6]
+    rhs[-2:] = rows[-2:]
+    dt = total_duration / n_seg
+    sol = (_unit_inverse(n_seg) @ rhs).reshape(n_seg, NCOEF, 3) \
+        / time_powers(dt)[:, None]
     if not np.isfinite(sol).all():
         raise SingularSystem("coefficient solve produced non-finite values")
     return Trajectory(coefficients=sol, segment_duration=dt)
-
-
-def propagate_gradients(traj: Trajectory, dj_dcoef: np.ndarray,
-                        dj_ddt: float = 0.0):
-    """Pull a coefficient-space gradient back onto waypoints and duration.
-
-    ``dj_dcoef`` is the partial of the cost with respect to the coefficient
-    array (same shape), holding dT fixed; ``dj_ddt`` is the direct partial
-    with respect to dT holding the coefficients fixed.  Returns (dJ/dq with
-    shape (N-1, 3), dJ/dT) where T is the total duration.
-    """
-    n_seg = traj.segment_count
-    dt = traj.segment_duration
-    size = NCOEF * n_seg
-    powers = time_powers(dt)
-    grad = np.asarray(dj_dcoef, dtype=float).reshape(n_seg, NCOEF, 3)
-
-    # the adjoint lam = M(dT)^-T g is diag(dT^o) times mu below
-    scaled = (grad / powers[:, None]).reshape(size, 3)
-    if not np.isfinite(scaled).all():
-        raise ValueError("coefficient gradient must be finite")
-    mu = _unit_inverse(n_seg).T @ scaled
-
-    # each waypoint feeds the left- and right-limit position rows of its
-    # joint, both of order 0, where lam = mu
-    dj_dq = mu[4:size - 2:NCOEF] + mu[5:size - 2:NCOEF]
-
-    # dM/ddT = (M diag(k) - diag(o) M) / dT, so lam . (dM/ddT) c is
-    # (g . (k c) - sum over rows of o lam b) / dT.  Of the rows of order
-    # o > 0 only the start's velocity, acceleration and jerk and the goal
-    # velocity have b != 0; the coefficients give back their values, and
-    # o lam b is o FALLING[o, o] mu c dT^o in the start's rows.
-    c = traj.coefficients
-    first = c[0] * powers[:, None]
-    last = FALLING[1] @ (c[-1] * powers[:, None])
-    boundary = float(mu[1] @ first[1] + 4.0 * (mu[2] @ first[2])
-                     + 18.0 * (mu[3] @ first[3]) + mu[-1] @ last)
-    moved = float(np.add.reduce(grad * (_EXPONENTS[:, None] * c), axis=None))
-    return dj_dq, (dj_ddt - (moved - boundary) / dt) / n_seg
 
 
 # _JERK_GRAM[m, n] is the integral over s in [0, 1] of the third
@@ -256,21 +248,3 @@ _JERK_GRAM = np.zeros((NCOEF, NCOEF))
 _JERK_GRAM[3:, 3:] = np.outer(FALLING[3, 3:], FALLING[3, 3:]) / (
     np.add.outer(np.arange(3, NCOEF), np.arange(3, NCOEF)) - 5)
 _JERK_GRAM.flags.writeable = False
-
-
-def jerk_energy(traj: Trajectory):
-    """Integral of the squared jerk magnitude over the whole trajectory.
-
-    Returns (value, dJ/dcoefficients, direct dJ/ddT) from the one Gram
-    matrix at dT = 1, on the time-normalized coefficients.
-    """
-    dt = traj.segment_duration
-    powers = time_powers(dt)
-    normalized = traj.coefficients * powers[:, None]
-    weighted = _JERK_GRAM @ normalized
-    scale = dt ** -5
-    value = scale * float(np.add.reduce(normalized * weighted, axis=None))
-    # dT^3 times the jerk at each segment's end
-    end_jerk = FALLING[3] @ normalized
-    return (value, (2.0 * scale) * weighted * powers[:, None],
-            scale / dt * float(np.add.reduce(end_jerk * end_jerk, axis=None)))

@@ -25,8 +25,9 @@ def test_minimal_sample_count_still_runs():
 def test_perturbed_gradient_trips_the_check(monkeypatch):
     # corrupt the analytic gradient by 2 percent; the finite-difference
     # comparison must notice
-    def skewed_total_cost(traj, scenario):
-        breakdown, grad_q, grad_t, worst = total_cost(traj, scenario)
+    def skewed_total_cost(waypoints, duration, scenario):
+        breakdown, grad_q, grad_t, worst = total_cost(waypoints, duration,
+                                                      scenario)
         return breakdown, grad_q * 1.02, grad_t, worst
 
     monkeypatch.setattr(checks, "total_cost", skewed_total_cost)

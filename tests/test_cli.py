@@ -172,6 +172,16 @@ class TestPlan:
                     "--out", str(tmp_path)]) == 2
         assert "scenario.start_position_m[0]" in capsys.readouterr().err
 
+    def test_winch_beyond_its_capacity_exits_two_naming_the_key(
+            self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(FAST_SCENARIO.replace("capacity_m: 10.0",
+                                              "capacity_m: 3.0"))
+        assert run(["plan", "--scenario", str(path),
+                    "--out", str(tmp_path)]) == 2
+        assert "winch initial_length must not exceed its capacity" \
+            in capsys.readouterr().err
+
     def test_non_finite_fixed_duration_exits_two(self, fast_scenario,
                                                  tmp_path, capsys):
         assert run(["plan", "--scenario", str(fast_scenario),

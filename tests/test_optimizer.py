@@ -25,6 +25,7 @@ from tetherpick.optimizer import (
     _hinge_table,
     _jerk_hessian,
     _line_search,
+    _rhs,
     _sample_grid,
     _shift_update,
     corridor_profile,
@@ -36,9 +37,9 @@ from tetherpick.optimizer import (
     total_cost,
 )
 from tetherpick.trajectory import (BoundaryState, Trajectory,
-                                  _JERK_GRAM, _unit_inverse,
-                                  basis_rows_upto, construct, jerk_energy,
-                                  propagate_gradients, time_powers)
+                                  FALLING, NCOEF, _JERK_GRAM,
+                                  _unit_inverse, basis_rows_upto,
+                                  construct, rhs_columns, time_powers)
 
 
 def make_traj(coeffs, dt):
@@ -66,6 +67,39 @@ def make_scenario(**kw):
     return PlanningScenario(**defaults)
 
 
+def one_segment(coeffs, duration=1.0, **kw):
+    """(waypoints, duration, scenario) of the one-segment plan whose quintic
+    has the coefficients ``coeffs`` (power: value): its six boundary rows,
+    the start's position to jerk and the goal's position and velocity, fix
+    it."""
+    traj = make_traj([coeffs], duration)
+    start = [traj.evaluate_batch([0.0], o)[0] for o in range(4)]
+    goal = [traj.evaluate_batch([duration], o)[0] for o in range(2)]
+    scenario = make_scenario(start_state=BoundaryState(*start),
+                             goal_position=goal[0], goal_velocity=goal[1],
+                             segment_count=1, **kw)
+    return np.zeros((0, 3)), duration, scenario
+
+
+def plan_at(point, scenario):
+    """The trajectory of a (waypoints, duration) point of ``scenario``."""
+    return construct(*point, scenario.start_state, scenario.goal_position,
+                     scenario.goal_velocity)
+
+
+def record_construct(monkeypatch):
+    """Every (waypoints, duration) the planner builds a trajectory at."""
+    points = []
+    real_construct = optimizer.construct
+
+    def recorded(waypoints, duration, *boundary):
+        points.append((np.array(waypoints), duration))
+        return real_construct(waypoints, duration, *boundary)
+
+    monkeypatch.setattr(optimizer, "construct", recorded)
+    return points
+
+
 def only(**weights):
     """PenaltyWeights with every weight 0 except the ones named."""
     zero = dict.fromkeys(("velocity", "accel_jerk", "thrust", "cable",
@@ -88,6 +122,21 @@ class TestTypes:
             Limits(v_max=0.0)
         with pytest.raises(ValidationError):
             Limits(corridor_margin=-0.01)
+
+    @pytest.mark.parametrize("samples", [32.5, 16.0, True])
+    def test_samples_must_be_an_integer(self, samples):
+        with pytest.raises(ValidationError, match="limits.samples"):
+            Limits(samples=samples)
+
+    @pytest.mark.parametrize("count", [True, 2.0, 6.5])
+    def test_segment_count_must_be_an_integer(self, count):
+        with pytest.raises(ValidationError, match="segment_count"):
+            make_scenario(segment_count=count)
+
+    def test_winch_cannot_start_beyond_its_capacity(self):
+        with pytest.raises(ValidationError, match="capacity"):
+            WinchSchedule(5.0, -0.2, capacity=3.0)
+        assert WinchSchedule(3.0, -0.2, capacity=3.0).length_at(0.0) == 3.0
 
     def test_weights_validation(self):
         with pytest.raises(ValidationError):
@@ -135,10 +184,9 @@ class TestHingeIdentities:
     def test_velocity_hinge_exact_one(self):
         # v(t) = (2, 1, 0) * (1 - t): only the t = 0 sample exceeds v_max = 2,
         # with |v|^2 - v_max^2 = 5 - 4 = 1 and contribution 1^3.
-        traj = make_traj([{1: [2.0, 1.0, 0.0], 2: [-1.0, -0.5, 0.0]}], 1.0)
-        scenario = make_scenario(limits=Limits(samples=4),
-                                 weights=only(velocity=1.0))
-        breakdown = total_cost(traj, scenario)[0]
+        breakdown = total_cost(*one_segment(
+            {1: [2.0, 1.0, 0.0], 2: [-1.0, -0.5, 0.0]},
+            limits=Limits(samples=4), weights=only(velocity=1.0)))[0]
         assert breakdown.velocity == pytest.approx(1.0, abs=1e-12)
 
     def test_cable_hinge_exact_eight(self):
@@ -148,46 +196,45 @@ class TestHingeIdentities:
         # at t = 0.
         # The droid then descends 0.48 m, which widens the corridor enough
         # to deactivate both hinges at the later samples.
-        traj = make_traj(
-            [{1: [0.0, 0.0, -1.44], 2: [0.0, 0.0, 0.96]}], 1.0)
-        scenario = make_scenario(anchor_position=[0.0, 0.0, 2.0],
-                                 winch=WinchSchedule(math.sqrt(6.84), 0.0),
-                                 limits=Limits(samples=2),
-                                 weights=only(cable=1.0),
-                                 segment_count=1)
-        breakdown = total_cost(traj, scenario)[0]
+        breakdown = total_cost(*one_segment(
+            {1: [0.0, 0.0, -1.44], 2: [0.0, 0.0, 0.96]},
+            anchor_position=[0.0, 0.0, 2.0],
+            winch=WinchSchedule(math.sqrt(6.84), 0.0),
+            limits=Limits(samples=2), weights=only(cable=1.0)))[0]
         assert breakdown.cable == pytest.approx(8.0, abs=1e-12)
 
     def test_obstacle_hinge_exact(self):
         # distance 0.1 against margin 0.3 at the first sample only
-        traj = make_traj([{0: [0.0, 0.0, 0.1], 1: [0.0, 0.0, 3.0]}], 1.0)
         plane = ObstaclePlane(point=[0, 0, 0], normal=[0, 0, 1])
-        scenario = make_scenario(obstacles=(plane,),
-                                 limits=Limits(samples=2, obstacle_margin=0.3),
-                                 weights=only(obstacle=1.0))
-        breakdown = total_cost(traj, scenario)[0]
+        breakdown = total_cost(*one_segment(
+            {0: [0.0, 0.0, 0.1], 1: [0.0, 0.0, 3.0]}, obstacles=(plane,),
+            limits=Limits(samples=2, obstacle_margin=0.3),
+            weights=only(obstacle=1.0)))[0]
         assert breakdown.obstacle == pytest.approx(0.2 ** 3, abs=1e-12)
 
     def test_thrust_free_fall_and_hover(self):
         g_half = np.array([0.0, 0.0, -9.81]) / 2.0
-        falling = make_traj([{2: g_half}], 1.0)
-        scenario = make_scenario(limits=Limits(samples=2),
-                                 weights=only(thrust=1.0))
-        breakdown = total_cost(falling, scenario)[0]
+        kw = dict(limits=Limits(samples=2), weights=only(thrust=1.0))
+        breakdown = total_cost(*one_segment({2: g_half}, **kw))[0]
         assert breakdown.thrust == pytest.approx(3 * (2.0 ** 2) ** 3,
                                                  abs=1e-12)
-        hover = make_traj([{0: [1.0, 0.0, 1.0]}], 1.0)
-        assert total_cost(hover, scenario)[0].thrust == 0.0
+        hover = one_segment({0: [1.0, 0.0, 1.0]}, **kw)
+        assert total_cost(*hover)[0].thrust == 0.0
 
     def test_inactive_hinges_contribute_zero(self):
         # three slow segments: the feasibility hinges leave the value, the
         # gradient and the worst hinge report exactly as without them
-        traj = make_traj([{1: [0.1, 0.0, 0.0]}] * 3, 1.0)
-        weighed = make_scenario(limits=Limits(samples=8),
-                                weights=only(velocity=1.0, accel_jerk=1.0))
-        unweighed = make_scenario(limits=Limits(samples=8), weights=only())
-        breakdown, dj_dq, dj_dt, worst = total_cost(traj, weighed)
-        base, base_dq, base_dt, _ = total_cost(traj, unweighed)
+        cruise = dict(start_state=BoundaryState([0, 0, 0], [0.1, 0, 0],
+                                                [0, 0, 0], [0, 0, 0]),
+                      goal_position=[0.3, 0.0, 0.0],
+                      goal_velocity=[0.1, 0.0, 0.0], segment_count=3,
+                      limits=Limits(samples=8))
+        weighed = make_scenario(weights=only(velocity=1.0, accel_jerk=1.0),
+                                **cruise)
+        unweighed = make_scenario(weights=only(), **cruise)
+        waypoints = [[0.1, 0.0, 0.0], [0.2, 0.0, 0.0]]
+        breakdown, dj_dq, dj_dt, worst = total_cost(waypoints, 3.0, weighed)
+        base, base_dq, base_dt, _ = total_cost(waypoints, 3.0, unweighed)
         assert breakdown.velocity == breakdown.acceleration \
             == breakdown.jerk == 0.0
         assert worst["velocity"] == worst["acceleration"] \
@@ -208,14 +255,12 @@ class TestBreakdown:
     def test_zero_weights_leave_smoothness_plus_time(self):
         scenario = make_scenario(
             weights=PenaltyWeights(0.0, 0.0, 0.0, 0.0, 0.0))
-        traj = construct([[0.5, 0.2, 0.1], [1.0, -0.2, 0.3], [1.5, 0.1, 0.2]],
-                         2.0, scenario.start_state, scenario.goal_position,
-                         scenario.goal_velocity)
-        breakdown = total_cost(traj, scenario)[0]
-        smooth = jerk_energy(traj)[0]
+        waypoints = [[0.5, 0.2, 0.1], [1.0, -0.2, 0.3], [1.5, 0.1, 0.2]]
+        breakdown = total_cost(waypoints, 2.0, scenario)[0]
         assert breakdown.velocity == 0.0 and breakdown.cable == 0.0
         assert breakdown.total == pytest.approx(
-            smooth + scenario.limits.time_weight * traj.duration, rel=1e-12)
+            breakdown.smoothness + scenario.limits.time_weight * 2.0,
+            rel=1e-12)
 
     def test_weights_scale_contributions_linearly(self):
         lim = Limits(v_max=0.3)
@@ -223,11 +268,9 @@ class TestBreakdown:
                              weights=PenaltyWeights(velocity=1.0))
         scaled = make_scenario(limits=lim,
                                weights=PenaltyWeights(velocity=1e4))
-        traj = construct([[0.5, 0.0, 0.4], [1.0, 0.3, 0.0], [1.5, 0.0, 0.1]],
-                         2.0, base.start_state, base.goal_position,
-                         base.goal_velocity)
-        b0 = total_cost(traj, base)[0]
-        b1 = total_cost(traj, scaled)[0]
+        waypoints = [[0.5, 0.0, 0.4], [1.0, 0.3, 0.0], [1.5, 0.0, 0.1]]
+        b0 = total_cost(waypoints, 2.0, base)[0]
+        b1 = total_cost(waypoints, 2.0, scaled)[0]
         assert b0.velocity > 0.0
         assert b1.velocity == pytest.approx(1e4 * b0.velocity, rel=1e-12)
 
@@ -271,19 +314,43 @@ def random_waypoints(scenario, rng):
 
 
 class ReferenceSamples:
-    """The samples as the planner read them before its hinge table: the
+    """The samples as the planner reads them before its hinge table: the
     trajectory, the sample times, derivative orders 0..4 at every sample
-    through the sampling operator, and how each sample moves with dT."""
+    through the sampling operator, each sample's fraction of its segment
+    and its place along the grid in segments."""
 
-    def __init__(self, traj, kappa):
-        self.traj = traj
-        self.ts = np.linspace(0.0, traj.duration, kappa + 1)
-        operator, self.tau_motion, self.time_motion = _sample_grid(
-            traj.segment_count, kappa)
-        powers = time_powers(traj.segment_duration)
-        normalized = traj.coefficients * powers[:, None]
-        self.deriv = (operator @ normalized.reshape(-1, 3)).reshape(
-            5, kappa + 1, 3) / powers[:5, None, None]
+    def __init__(self, waypoints, duration, scenario):
+        kappa = scenario.limits.samples
+        self.traj = plan_at((waypoints, duration), scenario)
+        n_seg = self.traj.segment_count
+        self.ts = np.linspace(0.0, duration, kappa + 1)
+        operator, self.time_motion = _sample_grid(n_seg, kappa)
+        index = np.arange(kappa + 1)
+        seg = np.minimum(index * n_seg // kappa, n_seg - 1)
+        self.tau_motion = (index * n_seg - seg * kappa) / kappa
+        powers = time_powers(duration / n_seg)
+        self.deriv = (operator @ _rhs(waypoints, duration, scenario)
+                      ).reshape(5, kappa + 1, 3) / powers[:5, None, None]
+
+
+def reference_pullback(traj, dj_dcoef, dj_ddt):
+    """(dJ/dq, dJ/dT) from the partials of J over the coefficients at fixed
+    dT and over dT at fixed coefficients, by the adjoint of the
+    construction, as the planner once pulled its slopes back: mu =
+    M(1)^-T (g / dT^k), and the closed-form motion of M(dT) and of the
+    boundary rows with dT."""
+    n_seg = traj.segment_count
+    n_wp = n_seg - 1
+    dt = traj.segment_duration
+    powers = time_powers(dt)
+    mu = rhs_columns(n_seg).T @ (dj_dcoef / powers[:, None]).reshape(-1, 3)
+    c = traj.coefficients
+    first = c[0] * powers[:, None]
+    last = FALLING[1] @ (c[-1] * powers[:, None])
+    boundary = float(mu[n_wp + 1] @ first[1] + 4.0 * (mu[n_wp + 2] @ first[2])
+                     + 18.0 * (mu[n_wp + 3] @ first[3]) + mu[-1] @ last)
+    moved = float(np.sum(dj_dcoef * (np.arange(NCOEF)[:, None] * c)))
+    return mu[:n_wp], (dj_ddt - (moved - boundary) / dt) / n_seg
 
 
 def reference_hinge(args, shift):
@@ -394,23 +461,23 @@ def reference_obstacle_term(samples, obstacles, margin, shift=None):
     return value, grad_c, reference_ddt_from_motion(samples, 0, gvec), worst
 
 
-def reference_total_cost(traj, scenario, shifts=None):
-    """total_cost built from the reference terms above: the planner's plans
-    are pinned to these bits.  ``shifts`` is laid out as the hinge table:
-    velocity, acceleration, jerk, thrust under and over, one row per
-    obstacle plane when obstacles are weighted, corridor under and over
-    when the cable is weighted."""
+def reference_total_cost(waypoints, duration, scenario, shifts=None):
+    """total_cost built from the reference terms above, on the planner's
+    smoothness and time terms (total_cost with every weight 0).
+    ``shifts`` is laid out as the hinge table: velocity, acceleration,
+    jerk, thrust under and over, one row per obstacle plane when obstacles
+    are weighted, corridor under and over when the cable is weighted."""
     weights = scenario.weights
     limits = scenario.limits
 
     def rows(first, count):
         return None if shifts is None else shifts[first:first + count]
 
-    smooth, grad_c, grad_ddt = jerk_energy(traj)
-    time_cost = limits.time_weight * traj.duration
-    grad_ddt += limits.time_weight * traj.segment_count
-
-    samples = ReferenceSamples(traj, limits.samples)
+    base, grad_q, grad_t, _ = total_cost(
+        waypoints, duration, dataclasses.replace(scenario, weights=only()))
+    samples = ReferenceSamples(waypoints, duration, scenario)
+    grad_c = np.zeros_like(samples.traj.coefficients)
+    grad_ddt = 0.0
     terms = [
         ("velocity", weights.velocity,
          reference_window_term(samples, 1, None, limits.v_max ** 2,
@@ -444,12 +511,16 @@ def reference_total_cost(traj, scenario, shifts=None):
             grad_c = grad_c + weight * gc
             grad_ddt += weight * ddt
 
-    breakdown = CostBreakdown(smoothness=smooth, time=time_cost, **parts)
-    dj_dq, dj_dt = propagate_gradients(traj, grad_c, grad_ddt)
+    breakdown = CostBreakdown(smoothness=base.smoothness, time=base.time,
+                              **parts)
+    dj_dq, dj_dt = reference_pullback(samples.traj, grad_c, grad_ddt)
     # the report lists the terms in the breakdown's order
     order = ("velocity", "acceleration", "jerk", "thrust", "obstacle",
              "cable")
-    return breakdown, dj_dq, dj_dt, {name: worst[name] for name in order}
+    # dJ/dT sums the two parts, which can nearly cancel: their size sets
+    # the rounding a comparison of it must allow
+    return breakdown, grad_q + dj_dq, grad_t + dj_dt, \
+        {name: worst[name] for name in order}, abs(grad_t) + abs(dj_dt)
 
 
 def assert_close_gradient(got, want):
@@ -463,7 +534,8 @@ def assert_close_gradient(got, want):
 
 def drawn_plan(seed, kappa, duration, planes=1, **limits):
     """A random_scenario with ``kappa`` samples and ``planes`` obstacle
-    planes (the second one a tilted wall), and a random trajectory on it."""
+    planes (the second one a tilted wall), and random waypoints and the
+    duration on it: (scenario, waypoints, duration)."""
     rng = np.random.default_rng(seed)
     scenario = random_scenario(rng)
     obstacles = scenario.obstacles + (
@@ -472,10 +544,7 @@ def drawn_plan(seed, kappa, duration, planes=1, **limits):
     scenario = dataclasses.replace(
         scenario, obstacles=obstacles[:planes],
         limits=dataclasses.replace(scenario.limits, samples=kappa, **limits))
-    traj = construct(random_waypoints(scenario, rng), duration,
-                     scenario.start_state, scenario.goal_position,
-                     scenario.goal_velocity)
-    return scenario, traj
+    return scenario, random_waypoints(scenario, rng), duration
 
 
 def assert_same_cost(got, want):
@@ -487,19 +556,21 @@ def assert_same_cost(got, want):
 
 
 def assert_close_cost(got, want):
-    """Bit-equal breakdown and worst arguments, gradients to 1e-12."""
+    """Bit-equal breakdown and worst arguments against the reference, dJ/dq
+    to 1e-12 of its largest entry and dJ/dT to 1e-12 of the size of the
+    two parts the reference sums it from."""
     assert repr(dataclasses.astuple(got[0])) == \
         repr(dataclasses.astuple(want[0]))
     assert_close_gradient(got[1], want[1])
-    assert_close_gradient(got[2], want[2])
+    assert abs(got[2] - want[2]) <= 1e-12 * want[4]
     assert repr(got[3]) == repr(want[3])
 
 
-def assert_term_matches_reference(scenario, traj, **weights):
+def assert_term_matches_reference(scenario, waypoints, duration, **weights):
     """total_cost with only the named weights matches the reference."""
     alone = dataclasses.replace(scenario, weights=only(**weights))
-    assert_close_cost(total_cost(traj, alone),
-                      reference_total_cost(traj, alone))
+    assert_close_cost(total_cost(waypoints, duration, alone),
+                      reference_total_cost(waypoints, duration, alone))
 
 
 plans = dict(seed=st.integers(0, 2 ** 32 - 1), kappa=st.integers(2, 64),
@@ -511,10 +582,10 @@ class TestWindowTerms:
     @settings(max_examples=40, deadline=None)
     def test_limit_and_thrust_terms_match_reference(
             self, seed, kappa, duration):
-        scenario, traj = drawn_plan(seed, kappa, duration)
+        plan = drawn_plan(seed, kappa, duration)
         for weights in ({"velocity": 1.0}, {"accel_jerk": 1.0},
                         {"thrust": 1.0}):
-            assert_term_matches_reference(scenario, traj, **weights)
+            assert_term_matches_reference(*plan, **weights)
 
 
 class TestPullback:
@@ -522,16 +593,15 @@ class TestPullback:
     @settings(max_examples=40, deadline=None)
     def test_cable_term_matches_reference(self, seed, kappa, duration,
                                           margin):
-        scenario, traj = drawn_plan(seed, kappa, duration,
-                                    corridor_margin=margin)
-        assert_term_matches_reference(scenario, traj, cable=1.0)
+        plan = drawn_plan(seed, kappa, duration, corridor_margin=margin)
+        assert_term_matches_reference(*plan, cable=1.0)
 
     @given(**plans, planes=st.integers(1, 2))
     @settings(max_examples=40, deadline=None)
     def test_obstacle_term_matches_reference_pullback(self, seed, kappa,
                                                       duration, planes):
-        scenario, traj = drawn_plan(seed, kappa, duration, planes)
-        assert_term_matches_reference(scenario, traj, obstacle=1.0)
+        plan = drawn_plan(seed, kappa, duration, planes)
+        assert_term_matches_reference(*plan, obstacle=1.0)
 
     @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 50))
     @settings(max_examples=60, deadline=None)
@@ -553,12 +623,11 @@ class TestShifts:
     @settings(max_examples=40, deadline=None)
     def test_zero_shifts_leave_total_cost_bit_identical(
             self, seed, kappa, duration, margin):
-        scenario, traj = drawn_plan(seed, kappa, duration,
-                                    corridor_margin=margin)
-        plain = total_cost(traj, scenario)
-        assert_close_cost(plain, reference_total_cost(traj, scenario))
-        zero = np.zeros_like(_shift_update(traj, scenario, None))
-        assert_same_cost(total_cost(traj, scenario, zero), plain)
+        plan = drawn_plan(seed, kappa, duration, corridor_margin=margin)
+        plain = total_cost(*plan[1:], plan[0])
+        assert_close_cost(plain, reference_total_cost(*plan[1:], plan[0]))
+        zero = np.zeros_like(_shift_update(*plan[1:], plan[0], None))
+        assert_same_cost(total_cost(*plan[1:], plan[0], zero), plain)
 
     @given(**plans, planes=st.integers(0, 2),
            zeroed=st.sets(st.sampled_from(WEIGHTS)),
@@ -570,29 +639,31 @@ class TestShifts:
                                             margin):
         """Nonzero shifts, up to two obstacle planes and any set of zeroed
         weights: bit-equal breakdown and worst, gradients to 1e-12."""
-        scenario, traj = drawn_plan(seed, kappa, duration, planes,
-                                    corridor_margin=margin)
+        scenario, waypoints, duration = drawn_plan(
+            seed, kappa, duration, planes, corridor_margin=margin)
         scenario = dataclasses.replace(scenario, weights=dataclasses.replace(
             scenario.weights, **dict.fromkeys(zeroed, 0.0)))
         rng = np.random.default_rng(shift_seed)
-        table = _shift_update(traj, scenario, None)
+        table = _shift_update(waypoints, duration, scenario, None)
         # a spread of shifts, a quarter of them exactly 0, scaled to each
         # row's arguments so that they move hinges in and out
-        scale = np.abs(_hinge_table(traj, scenario)[1]).max(axis=1,
-                                                            keepdims=True)
+        scale = np.abs(_hinge_table(_rhs(waypoints, duration, scenario),
+                                    duration, scenario)[1]).max(
+            axis=1, keepdims=True)
         shifts = scale * rng.uniform(0.0, 1.0, table.shape) \
             * (rng.random(table.shape) > 0.25)
-        assert_close_cost(total_cost(traj, scenario, shifts),
-                          reference_total_cost(traj, scenario, shifts))
+        assert_close_cost(
+            total_cost(waypoints, duration, scenario, shifts),
+            reference_total_cost(waypoints, duration, scenario, shifts))
 
     def test_shift_update_on_one_hinge(self):
         # v(t) = (2, 1, 0) * (1 - t) on 5 samples: the hinge arguments
         # |v|^2 - 4 are 1 at t = 0 and negative after it
-        traj = make_traj([{1: [2.0, 1.0, 0.0], 2: [-1.0, -0.5, 0.0]}], 1.0)
-        scenario = make_scenario(limits=Limits(samples=4),
-                                 weights=only(velocity=2.0))
+        plan = one_segment({1: [2.0, 1.0, 0.0], 2: [-1.0, -0.5, 0.0]},
+                           limits=Limits(samples=4),
+                           weights=only(velocity=2.0))
         args = 5.0 * (1.0 - np.linspace(0.0, 1.0, 5)) ** 2 - 4.0
-        shifts = _shift_update(traj, scenario, None)
+        shifts = _shift_update(*plan, None)
         # velocity, acceleration, jerk, thrust under and over; no obstacle
         # or corridor rows without their weights
         assert shifts.shape == (5, 5)
@@ -600,11 +671,11 @@ class TestShifts:
         # Powell's update adds the arguments to the shifts, floored at 0
         start = np.zeros((5, 5))
         start[0] = 0.5
-        shifts = _shift_update(traj, scenario, start)
+        shifts = _shift_update(*plan, start)
         np.testing.assert_allclose(shifts[0], np.maximum(args + 0.5, 0.0),
                                    rtol=1e-15)
         # the shifted hinge prices max(g + s, 0)^3; worst stays unshifted
-        breakdown, _, _, worst = total_cost(traj, scenario, shifts)
+        breakdown, _, _, worst = total_cost(*plan, shifts)
         assert breakdown.velocity == pytest.approx(
             2.0 * np.sum(np.maximum(args + shifts[0], 0.0) ** 3),
             rel=1e-12)
@@ -616,18 +687,21 @@ class TestJerkHessian:
            seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_scales_as_dt_to_the_minus_five(self, segments, dt, seed):
-        """H1 dT^-5 is the Hessian probed at any boundary values and any
-        base waypoints, on every axis."""
+        """The waypoint block of H dT^-5 is the Hessian probed at any
+        boundary values and any base waypoints, on every axis."""
         rng = np.random.default_rng(seed)
-        start = BoundaryState(*rng.standard_normal((4, 3)))
         goal, goal_velocity = rng.standard_normal((2, 3))
+        scenario = make_scenario(
+            start_state=BoundaryState(*rng.standard_normal((4, 3))),
+            goal_position=goal, goal_velocity=goal_velocity,
+            segment_count=segments, weights=only())
         base = rng.standard_normal((segments - 1, 3))
 
         def gradient(q):
-            traj = construct(q, segments * dt, start, goal, goal_velocity)
-            return propagate_gradients(traj, jerk_energy(traj)[1])[0]
+            return total_cost(q, segments * dt, scenario)[1]
 
-        expected = _jerk_hessian(segments)[0] * dt ** -5
+        n_wp = segments - 1
+        expected = _jerk_hessian(segments)[0][:n_wp, :n_wp] * dt ** -5
         scale = np.max(np.abs(expected))
         at_base = gradient(base)
         for i in range(segments - 1):
@@ -640,15 +714,15 @@ class TestJerkHessian:
     @pytest.mark.parametrize("segments", [1, 2, 6, 10])
     def test_whitening_makes_the_hessian_the_identity(self, segments):
         hessian, whitening = _jerk_hessian(segments)
-        np.testing.assert_allclose(whitening.T @ hessian @ whitening,
-                                   np.eye(segments - 1), atol=1e-6)
+        n_wp = segments - 1
+        np.testing.assert_allclose(
+            whitening.T @ hessian[:n_wp, :n_wp] @ whitening, np.eye(n_wp),
+            atol=1e-6)
 
 
 class TestGradients:
     def evaluate(self, scenario, waypoints, duration):
-        traj = construct(waypoints, duration, scenario.start_state,
-                         scenario.goal_position, scenario.goal_velocity)
-        return total_cost(traj, scenario)
+        return total_cost(waypoints, duration, scenario)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_central_differences(self, seed):
@@ -709,20 +783,17 @@ class TestViolationsAndCorridor:
                                  goal_position=start,
                                  winch=WinchSchedule(3.25, 0.0))
         waypoints = np.tile(start, (3, 1))
-        traj = construct(waypoints, 3.0, scenario.start_state,
-                         scenario.goal_position, scenario.goal_velocity)
-        violations = total_cost(traj, scenario)[3]
+        violations = total_cost(waypoints, 3.0, scenario)[3]
         assert set(violations) == {"velocity", "acceleration", "jerk",
                                    "thrust", "obstacle", "cable"}
         assert all(v == 0.0 for v in violations.values())
-        assert dense_violation(traj, scenario, 320) == 0.0
+        assert dense_violation(plan_at((waypoints, 3.0), scenario),
+                               scenario, 320) == 0.0
 
     def test_violating_speed_is_measured(self):
-        traj = make_traj([{1: [3.0, 0.0, 0.0]}], 1.0)
-        scenario = make_scenario(segment_count=1,
-                                 winch=WinchSchedule(3.2, 0.0),
-                                 limits=Limits(samples=4))
-        violations = total_cost(traj, scenario)[3]
+        violations = total_cost(*one_segment(
+            {1: [3.0, 0.0, 0.0]}, winch=WinchSchedule(3.2, 0.0),
+            limits=Limits(samples=4)))[3]
         assert violations["velocity"] == pytest.approx(9.0 - 4.0, rel=1e-12)
 
     def test_corridor_profile_and_violation(self):
@@ -740,18 +811,15 @@ class TestViolationsAndCorridor:
     def test_margin_tightens_planning_hinges_only(self):
         # l_now sits exactly on the chord: fine for the true corridor,
         # flagged once a margin is requested.
-        scenario = make_scenario(anchor_position=[0.0, 0.0, 0.0],
-                                 winch=WinchSchedule(math.hypot(2, 1), 0.0),
-                                 segment_count=1)
-        tight = make_scenario(anchor_position=[0.0, 0.0, 0.0],
-                              winch=WinchSchedule(math.hypot(2, 1), 0.0),
-                              segment_count=1,
-                              limits=Limits(corridor_margin=0.05))
+        hover = dict(anchor_position=[0.0, 0.0, 0.0],
+                     winch=WinchSchedule(math.hypot(2, 1), 0.0))
+        plan = one_segment({0: [2.0, 0.0, 1.0]}, **hover)
+        tight = one_segment({0: [2.0, 0.0, 1.0]},
+                            limits=Limits(corridor_margin=0.05), **hover)
         traj = make_traj([{0: [2.0, 0.0, 1.0]}], 1.0)
-        assert dense_violation(traj, scenario, 8) == 0.0
-        assert total_cost(traj, scenario)[3]["cable"] == pytest.approx(
-            0.0, abs=1e-9)
-        assert total_cost(traj, tight)[3]["cable"] > 0.0
+        assert dense_violation(traj, plan[2], 8) == 0.0
+        assert total_cost(*plan)[3]["cable"] == pytest.approx(0.0, abs=1e-9)
+        assert total_cost(*tight)[3]["cable"] > 0.0
 
 
 class TestOnePass:
@@ -772,22 +840,18 @@ class TestOnePass:
             winch=scenario.winch, obstacles=scenario.obstacles,
             limits=scenario.limits,
             weights=PenaltyWeights(cable=cable_weight))
-        traj = construct(random_waypoints(scenario, np.random.default_rng(6)),
-                         3.0, scenario.start_state, scenario.goal_position,
-                         scenario.goal_velocity)
-        total_cost(traj, scenario)
+        total_cost(random_waypoints(scenario, np.random.default_rng(6)),
+                   3.0, scenario)
         assert len(calls) == solves
 
     def test_one_inversion_per_segment_count(self, monkeypatch):
         """An evaluation at a segment count seen before inverts nothing: it
-        multiplies by the cached inverse.  A cold cache inverts once."""
+        multiplies by the cached operators.  Cold caches invert once."""
         scenario = random_scenario(np.random.default_rng(5))
         waypoints = random_waypoints(scenario, np.random.default_rng(6))
 
         def evaluate():
-            traj = construct(waypoints, 3.0, scenario.start_state,
-                             scenario.goal_position, scenario.goal_velocity)
-            total_cost(traj, scenario)
+            total_cost(waypoints, 3.0, scenario)
 
         evaluate()
         calls = []
@@ -800,14 +864,21 @@ class TestOnePass:
         monkeypatch.setattr(np.linalg, "inv", counted)
         evaluate()
         assert calls == []
-        _unit_inverse.cache_clear()
+        for cache in (_unit_inverse, _sample_grid, _jerk_hessian):
+            cache.cache_clear()
         evaluate()
         assert calls == [(6 * scenario.segment_count,) * 2]
 
-    def test_optimize_reports_its_final_evaluation(self):
+    def test_optimize_reports_its_final_evaluation(self, monkeypatch):
+        """The plan is built once, at the point whose evaluation the
+        result reports."""
         scenario = random_scenario(np.random.default_rng(11))
+        points = record_construct(monkeypatch)
         result = optimize(scenario, max_iterations=15)
-        breakdown, _, _, worst = total_cost(result.trajectory, scenario)
+        assert len(points) == 1
+        assert result.trajectory.coefficients.tobytes() \
+            == plan_at(points[0], scenario).coefficients.tobytes()
+        breakdown, _, _, worst = total_cost(*points[0], scenario)
         assert result.breakdown == breakdown
         assert result.max_violation == max(worst.values())
         assert result.penalties_ok == (result.max_violation
@@ -823,13 +894,16 @@ class TestSampleGrid:
         """Orders 0..4 at the sample times, to 1e-10 of the largest sum of
         absolute terms; at a joint the two read either side's limit."""
         rng = np.random.default_rng(seed)
-        traj = construct(rng.standard_normal((segments - 1, 3)), duration,
-                         BoundaryState(*rng.standard_normal((4, 3))),
-                         *rng.standard_normal((2, 3)))
-        scenario = make_scenario(segment_count=segments,
-                                 limits=Limits(samples=kappa),
-                                 weights=only())
-        deriv = _hinge_table(traj, scenario)[2]
+        waypoints = rng.standard_normal((segments - 1, 3))
+        goal, goal_velocity = rng.standard_normal((2, 3))
+        scenario = make_scenario(
+            start_state=BoundaryState(*rng.standard_normal((4, 3))),
+            goal_position=goal, goal_velocity=goal_velocity,
+            segment_count=segments, limits=Limits(samples=kappa),
+            weights=only())
+        traj = plan_at((waypoints, duration), scenario)
+        deriv = _hinge_table(_rhs(waypoints, duration, scenario), duration,
+                             scenario)[2]
         ts = sample_times(0.0, traj.duration, kappa)
         bound = Trajectory(np.abs(traj.coefficients), traj.segment_duration)
         for order in range(5):
@@ -874,10 +948,10 @@ class TestInitialGuess:
         waypoints, duration = initial_guess(scenario)
         assert duration > 0.0
 
+        unweighted = dataclasses.replace(scenario, weights=only())
+
         def jerk_gradient(q):
-            traj = construct(q, duration, scenario.start_state,
-                             scenario.goal_position, scenario.goal_velocity)
-            return propagate_gradients(traj, jerk_energy(traj)[1])[0]
+            return total_cost(q, duration, unweighted)[1]
 
         # the gradient at the seed is rounding noise next to the one at
         # the straight line through start and goal
@@ -1137,6 +1211,22 @@ class TestMinimize:
         assert converged.status == 0 and converged.nit > 3
         assert asked == list(range(1, converged.nit))
 
+    def test_step_without_curvature_is_not_stored(self, monkeypatch):
+        """On a plane the gradient does not change, so a step stores no
+        pair, even where rounding gives the step s.g > 0: from x0 = 1e16
+        a move of 0.5 along d = (-1, 1e-3) keeps only its second part."""
+        def line_search(phi, f0, slope0, stp):
+            phi(0.5)
+            return 0.5
+
+        monkeypatch.setattr(optimizer, "_direction",
+                            lambda g, pairs: np.array([-1.0, 1e-3]))
+        monkeypatch.setattr(optimizer, "_line_search", line_search)
+        result = minimize(lambda x: (float(x[0] + x[1]), np.ones(2), None),
+                          [1e16, 0.0], 10)
+        assert result.x.tolist() == [1e16, 5e-4]
+        assert (result.nit, result.status) == (1, 0)
+
     @pytest.mark.parametrize("start", [[-1.2, 1.0, -1.2, 1.0],
                                        [0.0, 0.0, 0.0, 0.0],
                                        [2.0, -1.0, 0.5, 3.0]],
@@ -1257,13 +1347,14 @@ class TestFalseStopGuard:
         scenario = make_scenario(
             segment_count=segments,
             weights=PenaltyWeights(cable=0.0, obstacle=0.0))
+        points = record_construct(monkeypatch)
         result = optimize(scenario, max_iterations=max_iterations)
         assert len(legs) == 1
         maxiter, leg = legs[0]
         assert maxiter == max_iterations
         assert result.iterations == leg.nit
         assert result.breakdown.total == leg.fun
-        assert total_cost(result.trajectory, scenario)[0] == result.breakdown
+        assert total_cost(*points[0], scenario)[0] == result.breakdown
         assert result.status == status
 
     def test_known_false_stop_no_longer_reports_converged(
@@ -1305,8 +1396,9 @@ class TestConvergence:
         rng = np.random.default_rng(seed)
         real_cost = optimizer.total_cost
 
-        def rounded(traj, scenario, shifts=None):
-            breakdown, dj_dq, dj_dt, worst = real_cost(traj, scenario, shifts)
+        def rounded(waypoints, duration, scenario, shifts=None):
+            breakdown, dj_dq, dj_dt, worst = real_cost(waypoints, duration,
+                                                       scenario, shifts)
             return (breakdown, moved_by_ulps(dj_dq, rng),
                     float(moved_by_ulps(dj_dt, rng)), worst)
 
@@ -1328,9 +1420,9 @@ class TestConvergence:
         real_update = optimizer._shift_update
         real_minimize = optimizer.minimize
 
-        def recorded(traj, scenario, shifts):
-            rounds.append(traj)
-            return real_update(traj, scenario, shifts)
+        def recorded(waypoints, duration, scenario, shifts):
+            rounds.append((waypoints, duration))
+            return real_update(waypoints, duration, scenario, shifts)
 
         def counted(*args, **kwargs):
             calls.append(real_minimize(*args, **kwargs))
@@ -1338,12 +1430,13 @@ class TestConvergence:
 
         monkeypatch.setattr(optimizer, "_shift_update", recorded)
         monkeypatch.setattr(optimizer, "minimize", counted)
-        result = optimize(random_scenario(np.random.default_rng(seed)))
+        scenario = random_scenario(np.random.default_rng(seed))
+        result = optimize(scenario)
         assert len(rounds) == result.multiplier_updates == 1
         assert result.iterations - calls[0].nit \
             == optimizer._WORSENING_CHECK_PERIOD
         assert result.trajectory.coefficients.tobytes() \
-            == rounds[0].coefficients.tobytes()
+            == plan_at(rounds[0], scenario).coefficients.tobytes()
         assert result.status == "converged" and not result.penalties_ok
 
     def test_infeasible_problem_keeps_its_penalty_minimum(self):
@@ -1360,9 +1453,9 @@ class TestConvergence:
         rounds = []
         real_update = optimizer._shift_update
 
-        def recorded(traj, scenario, shifts):
-            rounds.append(traj)
-            return real_update(traj, scenario, shifts)
+        def recorded(waypoints, duration, scenario, shifts):
+            rounds.append((waypoints, duration))
+            return real_update(waypoints, duration, scenario, shifts)
 
         monkeypatch.setattr(optimizer, "_shift_update", recorded)
         return optimize(scenario), rounds
@@ -1376,10 +1469,10 @@ class TestConvergence:
         assert len(rounds) == result.multiplier_updates
         if not rounds:
             return False
-        breakdown, _, _, worst = total_cost(rounds[-1], scenario)
+        breakdown, _, _, worst = total_cost(*rounds[-1], scenario)
         start_worst = max(worst.values())
         dropped = result.trajectory.coefficients.tobytes() \
-            == rounds[-1].coefficients.tobytes()
+            == plan_at(rounds[-1], scenario).coefficients.tobytes()
         if dropped:
             assert result.breakdown.total == breakdown.total
             assert result.max_violation == start_worst
@@ -1426,13 +1519,13 @@ class TestHingeSmoothness:
     def test_penalty_is_c2_across_activation(self):
         # sweep a trajectory family through hinge activation and check the
         # second difference of the penalty stays continuous
-        scenario = make_scenario(limits=Limits(v_max=1.0, samples=2),
-                                 weights=only(velocity=1.0))
         scales = np.linspace(0.9, 1.1, 81)
         values = []
         for s in scales:
-            traj = make_traj([{1: [float(s), 0.0, 0.0]}], 1.0)
-            values.append(total_cost(traj, scenario)[0].velocity)
+            values.append(total_cost(*one_segment(
+                {1: [float(s), 0.0, 0.0]},
+                limits=Limits(v_max=1.0, samples=2),
+                weights=only(velocity=1.0)))[0].velocity)
         values = np.array(values)
         h = scales[1] - scales[0]
         second = np.diff(values, 2) / h ** 2

@@ -693,6 +693,7 @@ class TestScalarKernels:
                                                     capacity, dt):
         # the simulators evaluate the schedule once on i * dt; each entry
         # must be the very float the per-step call would give
+        assume(initial <= capacity)
         winch = WinchSchedule(initial, speed, capacity)
         ts = np.arange(2001) * dt
         lengths = winch.length_at(ts).tolist()

@@ -1,11 +1,15 @@
-"""Trajectory construction, evaluation, and gradient-propagation tests.
+"""Trajectory construction, evaluation and jerk-energy tests.
 
 The oracle here is a dense brute-force assembly of every constraint row
 (including all structurally zero entries) solved with generic LU, plus
 exact polynomial algebra for energies.  The rest-to-rest literals below
 (5/16, -1/8, 3/16, 60) were derived by hand from the boundary conditions.
+The planner prices the jerk energy on the right-hand side of the
+construction (``total_cost`` with every penalty weight 0); its gradients
+are checked against central differences in test_optimizer.py.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -16,8 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from test_optimizer import (make_scenario, only, random_scenario,
+                            random_waypoints)
+
 from tetherpick.errors import OutOfDomain, SingularSystem
-from tetherpick.optimizer import _sample_grid
+from tetherpick.optimizer import Limits, _sample_grid, total_cost
 from tetherpick.trajectory import (
     BoundaryState,
     Trajectory,
@@ -26,8 +33,7 @@ from tetherpick.trajectory import (
     _JERK_GRAM,
     basis_rows_upto,
     construct,
-    jerk_energy,
-    propagate_gradients,
+    rhs_columns,
     time_powers,
 )
 
@@ -139,6 +145,41 @@ def planner_like_problem(rng, max_segments=8):
                  + 0.3 * rng.normal(size=(n_seg - 1, 3)))
     goal_vel = 0.5 * rng.normal(size=3)
     return waypoints, total_time, start, goal_pos, goal_vel
+
+
+def priced(start, goal_pos, goal_vel, segments, **kw):
+    """A planning scenario on a construction problem's boundary states,
+    with every penalty weight 0 unless ``kw`` gives weights."""
+    kw.setdefault("weights", only())
+    return make_scenario(start_state=start, goal_position=goal_pos,
+                         goal_velocity=goal_vel, segment_count=segments, **kw)
+
+
+def jerk_energy(waypoints, total_time, start, goal_pos, goal_vel):
+    """The planner's jerk energy of a construction problem: the smoothness
+    term of total_cost with every penalty weight 0."""
+    scenario = priced(start, goal_pos, goal_vel, len(waypoints) + 1)
+    return total_cost(waypoints, total_time, scenario)[0].smoothness
+
+
+def assert_gradient_matches_central_differences(cost, waypoints, duration,
+                                                rel, abs_scale, step=1e-6):
+    """cost(q, T) -> total_cost's tuple: dJ/dq and dJ/dT against central
+    differences of J, each to ``rel`` of itself or ``abs_scale`` times
+    max(1, |J|)."""
+    breakdown, dj_dq, dj_dt, _ = cost(waypoints, duration)
+    tol = abs_scale * max(1.0, abs(breakdown.total))
+    flat = np.asarray(waypoints, dtype=float).reshape(-1)
+    for i in range(flat.size):
+        up, down = flat.copy(), flat.copy()
+        up[i] += step
+        down[i] -= step
+        fd = (cost(up.reshape(-1, 3), duration)[0].total
+              - cost(down.reshape(-1, 3), duration)[0].total) / (2 * step)
+        assert dj_dq.reshape(-1)[i] == pytest.approx(fd, rel=rel, abs=tol)
+    fd = (cost(waypoints, duration + step)[0].total
+          - cost(waypoints, duration - step)[0].total) / (2 * step)
+    assert dj_dt == pytest.approx(fd, rel=rel, abs=tol)
 
 
 def rest_to_rest():
@@ -265,10 +306,10 @@ def drawn_problem(rng, segments, per_segment):
 class TestUnitInverse:
     """The planner inverts the system at dT = 1 once per segment count.
     construct multiplies the inverse into the right-hand side scaled by
-    dT^o, and propagate_gradients multiplies its transpose into the
-    gradient scaled by dT^-k.  Both must agree with a 40-digit solve of
-    the oracle's matrix at dT = 1, to 1e-12 of the solution's largest
-    entry."""
+    dT^o, and the planner's operators read the columns of it that the
+    compact right-hand side reaches.  Both must agree with a 40-digit
+    solve of the oracle's matrix at dT = 1, to 1e-12 of the solution's
+    largest entry."""
 
     @pytest.mark.parametrize("segments", range(1, 11))
     def test_matches_a_40_digit_solve(self, segments):
@@ -285,30 +326,15 @@ class TestUnitInverse:
         got = (traj.coefficients * powers[:, None]).reshape(want.shape)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-        # adjoint: mu = M(1)^-T (g / dT^k), summed over each joint's two
-        # position rows for the waypoint gradient
-        grad = rng.normal(size=(n, 6, 3))
-        mu = solve_40_digits(unit.T,
-                             (grad / powers[:, None]).reshape(6 * n, 3))
-        dq, d_t = propagate_gradients(traj, grad, 0.3)
-        assert np.max(np.abs(dq - (mu[4:-2:6] + mu[5:-2:6])), initial=0.0) \
-            <= 1e-12 * np.max(np.abs(mu))
-
-        # the dT term against a dense transposed solve at dT and the rows
-        # that move with dT, row by row as they were once written
-        lam = np.linalg.solve(mat.T, grad.reshape(6 * n, 3))
-        moved = np.zeros((6 * n, 3))
-        for i in range(1, n):
-            r = 4 + 6 * (i - 1)
-            moved[r] = basis_row(dt, 1) @ traj.coefficients[i - 1]
-            for o in range(1, 5):
-                moved[r + 1 + o] = \
-                    basis_row(dt, o + 1) @ traj.coefficients[i - 1]
-        for o in range(2):
-            moved[6 * n - 2 + o] = basis_row(dt, o + 1) @ traj.coefficients[-1]
-        chain = float(np.sum(lam * moved))
-        assert d_t == pytest.approx((0.3 - chain) / n, rel=1e-9,
-                                    abs=1e-9 * float(np.sum(np.abs(lam * moved))))
+        # the columns: each joint's two position rows, then the start's
+        # four rows and the goal's two
+        picks = np.zeros((6 * n, n + 5))
+        for j in range(n - 1):
+            picks[4 + 6 * j:6 + 6 * j, j] = 1.0
+        picks[[0, 1, 2, 3, 6 * n - 2, 6 * n - 1], range(n - 1, n + 5)] = 1.0
+        want = solve_40_digits(unit, picks)
+        assert np.max(np.abs(rhs_columns(n) - want)) \
+            <= 1e-12 * np.max(np.abs(want))
 
     def test_non_finite_rhs_rejected(self):
         start = BoundaryState(position=[0, 0, 0], velocity=[0, 0, 0],
@@ -317,12 +343,6 @@ class TestUnitInverse:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(SingularSystem):
             construct([[1, 0, 0]], 1e300, start, [2, 0, 0], [0, 0, 0])
-        traj = construct([[1, 0, 0]], 2.0, start, [2, 0, 0], [0, 0, 0])
-        for bad in (np.nan, np.inf):
-            grad = np.zeros(traj.coefficients.shape)
-            grad[1, 3, 1] = bad
-            with pytest.raises(ValueError):
-                propagate_gradients(traj, grad)
 
     def test_overflowing_duration_raises_without_a_warning(self):
         # dT^5 overflows at dT = 2e70; the SingularSystem says so alone
@@ -380,21 +400,20 @@ class TestTimeNormalized:
     @settings(max_examples=40, deadline=None)
     def test_duration_term_matches_central_differences(self, segments,
                                                        per_segment, seed):
-        """The closed-form dT term of the adjoint, on J = g . c."""
+        """The closed-form dT term of total_cost, on the jerk energy plus
+        the time term: the boundary rows' dT^o and the energy's dT^-5."""
         rng = np.random.default_rng(seed)
         wp, total, start, gp, gv = drawn_problem(rng, segments, per_segment)
-        traj = construct(wp, total, start, gp, gv)
-        grad = rng.normal(size=traj.coefficients.shape)
+        scenario = priced(start, gp, gv, segments)
 
         def cost(duration):
-            return float(np.sum(grad * construct(wp, duration, start, gp,
-                                                 gv).coefficients))
+            return total_cost(wp, duration, scenario)[0].total
 
         step = 1e-5 * total
         fd = (cost(total + step) - cost(total - step)) / (2 * step)
         # the size of the terms the difference cancels
-        size = float(np.sum(np.abs(grad * traj.coefficients))) / total
-        assert propagate_gradients(traj, grad)[1] == pytest.approx(
+        size = cost(total) / total
+        assert total_cost(wp, total, scenario)[2] == pytest.approx(
             fd, rel=1e-5, abs=1e-6 * size)
 
 
@@ -412,23 +431,25 @@ class TestBasisRows:
     @given(segments=st.integers(1, 10), kappa=st.integers(2, 64))
     @settings(max_examples=60, deadline=None)
     def test_table_rows_match_basis_row(self, segments, kappa):
-        """The sampling operator holds, for every sample and order 0..4,
-        the basis row at the sample's fraction of its segment, and zeros
-        on every other segment."""
-        operator, fraction, position = _sample_grid(segments, kappa)
-        table = operator.reshape(5, kappa + 1, segments, 6)
+        """The sampling operator is the table holding, for every sample and
+        order 0..4, the basis row at the sample's fraction of its segment
+        (zeros on every other segment), times the inverse's columns; the
+        sample's position is its segment plus that fraction."""
+        operator, position = _sample_grid(segments, kappa)
+        table = np.zeros((5, kappa + 1, segments, 6))
         for i in range(kappa + 1):
             seg = min(i * segments // kappa, segments - 1)
-            assert position[i] == pytest.approx(seg + fraction[i],
+            fraction = (i * segments - seg * kappa) / kappa
+            assert position[i] == pytest.approx(seg + fraction,
                                                 rel=1e-15, abs=1e-15)
-            assert 0.0 <= fraction[i] <= 1.0
+            assert 0.0 <= fraction <= 1.0
             for order in range(5):
-                # array and scalar powers may round apart by an ulp
-                np.testing.assert_allclose(
-                    table[order, i, seg],
-                    basis_row(float(fraction[i]), order), rtol=1e-15, atol=0)
-                others = np.delete(table[order, i], seg, axis=0)
-                assert not others.any()
+                table[order, i, seg] = basis_row(fraction, order)
+        table = table.reshape(5 * (kappa + 1), 6 * segments)
+        columns = rhs_columns(segments)
+        # the products may round apart by a few ulps of their terms
+        assert np.all(np.abs(operator - table @ columns)
+                      <= 1e-14 * (np.abs(table) @ np.abs(columns)))
 
     def test_orders_beyond_degree_are_zero(self):
         assert np.array_equal(basis_rows_upto(np.array([0.5, 2.0]), 6)[6],
@@ -436,27 +457,13 @@ class TestBasisRows:
 
 
 class TestJerkGram:
-    @given(dt=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_matches_the_entry_loop(self, dt, seed):
-        """The fixed Gram matrix is the entry loop at dT = 1, bit for bit,
-        and jerk_energy at dT prices c with the entry loop at dT."""
-        want = np.zeros((6, 6))
+    def test_matches_the_entry_loop(self):
+        """The fixed Gram matrix is the entry loop at dT = 1, bit for bit."""
         for m in range(3, 6):
             for k in range(3, 6):
-                want[m, k] = (FALLING[3, m] * FALLING[3, k]
-                              * dt ** (m + k - 5) / (m + k - 5))
                 assert _JERK_GRAM[m, k] == (FALLING[3, m] * FALLING[3, k]
                                             / (m + k - 5))
         assert not _JERK_GRAM[:3].any() and not _JERK_GRAM[:, :3].any()
-        coefficients = np.random.default_rng(seed).normal(size=(3, 6, 3))
-        value, grad, _ = jerk_energy(Trajectory(coefficients, dt))
-        assert value == pytest.approx(
-            np.einsum("skx,km,smx->", coefficients, want, coefficients),
-            rel=1e-13)
-        want_grad = 2.0 * np.einsum("km,smx->skx", want, coefficients)
-        assert np.max(np.abs(grad - want_grad)) \
-            <= 1e-13 * np.max(np.abs(want_grad))
 
 
 class TestEvaluate:
@@ -499,44 +506,31 @@ class TestEvaluate:
 
 class TestJerkEnergy:
     def test_rest_to_rest_energy(self):
-        assert jerk_energy(rest_to_rest())[0] == pytest.approx(60.0, rel=1e-12)
+        assert jerk_energy([], 2.0, BoundaryState.at_rest([0.0, 0.0, 0.0]),
+                           [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]) \
+            == pytest.approx(60.0, rel=1e-12)
 
-    def test_matches_polynomial_quadrature(self):
-        """Exact polynomial integration of the squared third derivative."""
-        rng = np.random.default_rng(21)
-        wp, total_time, start, gp, gv = random_problem(rng, max_segments=5)
-        traj = construct(wp, total_time, start, gp, gv)
-        dt = traj.segment_duration
-        total = 0.0
-        for seg in range(traj.segment_count):
-            for ax in range(3):
-                c = traj.coefficients[seg, :, ax]
-                third = np.polynomial.polynomial.polyder(c, 3)
-                sq = np.polynomial.polynomial.polymul(third, third)
-                integ = np.polynomial.polynomial.polyint(sq)
-                total += np.polynomial.polynomial.polyval(dt, integ)
-        assert jerk_energy(traj)[0] == pytest.approx(total, rel=1e-10)
+    @given(segments=st.integers(1, 8), log_dt=st.floats(-2.0, 2.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(segments=5, log_dt=0.0, seed=21)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_polynomial_quadrature(self, segments, log_dt, seed):
+        """Exact polynomial integration of the squared third derivative of
+        the oracle's coefficients, dT from 1e-2 to 1e2 s."""
+        problem = drawn_problem(np.random.default_rng(seed), segments,
+                                10.0 ** log_dt)
+        expected, dt = dense_construct(*problem)
+        total = poly_jerk_energy(expected, dt)
+        assert jerk_energy(*problem) == pytest.approx(total, rel=1e-10)
 
     def test_gradient_matches_finite_differences(self):
+        """dJ/dq and dJ/dT of the energy plus the time term."""
         rng = np.random.default_rng(31)
         wp, total_time, start, gp, gv = random_problem(rng, max_segments=3)
-        traj = construct(wp, total_time, start, gp, gv)
-        _, grad_c, ddt_direct = jerk_energy(traj)
-        h = 1e-6
-        for _ in range(10):
-            seg = rng.integers(traj.segment_count)
-            k = rng.integers(6)
-            ax = rng.integers(3)
-            up = traj.coefficients.copy()
-            dn = traj.coefficients.copy()
-            up[seg, k, ax] += h
-            dn[seg, k, ax] -= h
-            fd = (jerk_energy(Trajectory(up, traj.segment_duration))[0]
-                  - jerk_energy(Trajectory(dn, traj.segment_duration))[0]) / (2 * h)
-            assert grad_c[seg, k, ax] == pytest.approx(fd, rel=1e-5, abs=1e-5)
-        fd_dt = (jerk_energy(Trajectory(traj.coefficients, traj.segment_duration + h))[0]
-                 - jerk_energy(Trajectory(traj.coefficients, traj.segment_duration - h))[0]) / (2 * h)
-        assert ddt_direct == pytest.approx(fd_dt, rel=1e-5)
+        scenario = priced(start, gp, gv, len(wp) + 1)
+        assert_gradient_matches_central_differences(
+            lambda q, t: total_cost(q, t, scenario), wp, total_time,
+            rel=1e-5, abs_scale=1e-8)
 
 
 def build_orthogonal_perturbation(traj, rng, scale=0.3):
@@ -651,126 +645,74 @@ class TestEnergyMinimality:
                                        0.0, atol=1e-9)
 
 
-def midpoint_cost_and_gradients(traj):
-    """J = |p(T/2)|^2 with its coefficient-space and dT partials."""
-    n_seg = traj.segment_count
-    dt = traj.segment_duration
-    t_mid = 0.5 * n_seg * dt
-    seg = min(int(t_mid / dt), n_seg - 1)
-    tau = t_mid - seg * dt
-    p = evaluate_segment(traj, seg, tau, 0)
-    v = evaluate_segment(traj, seg, tau, 1)
-    cost = float(p @ p)
-    dj_dc = np.zeros_like(traj.coefficients)
-    dj_dc[seg] = np.outer(basis_row(tau, 0), 2.0 * p)
-    # the sample time t = T/2 itself moves with dT
-    dj_ddt = float(2.0 * (p @ v) * (0.5 * n_seg - seg))
-    return cost, dj_dc, dj_ddt
-
-
 class TestPropagateGradients:
+    """total_cost's gradients, propagated from the sampled and integrated
+    costs onto the waypoints and the total duration."""
+
     def test_midpoint_cost_waypoint_gradient(self):
+        """A velocity hinge that binds at the samples t = 0, T/2 and T, of
+        which only the midpoint moves with the waypoints."""
         rng = np.random.default_rng(101)
         wp, total_time, start, gp, gv = random_problem(rng, max_segments=5)
         if len(wp) == 0:
             wp = rng.normal(size=(2, 3))
-        traj = construct(wp, total_time, start, gp, gv)
-        _, dj_dc, dj_ddt = midpoint_cost_and_gradients(traj)
-        dj_dq, dj_dtime = propagate_gradients(traj, dj_dc, dj_ddt)
-        h = 1e-6
-        wp = np.asarray(wp, dtype=float)
-        for i in range(wp.shape[0]):
-            for ax in range(3):
-                up = wp.copy(); up[i, ax] += h
-                dn = wp.copy(); dn[i, ax] -= h
-                ju = midpoint_cost_and_gradients(construct(up, total_time, start, gp, gv))[0]
-                jd = midpoint_cost_and_gradients(construct(dn, total_time, start, gp, gv))[0]
-                fd = (ju - jd) / (2 * h)
-                assert dj_dq[i, ax] == pytest.approx(fd, rel=1e-4, abs=1e-6)
-        ju = midpoint_cost_and_gradients(construct(wp, total_time + h, start, gp, gv))[0]
-        jd = midpoint_cost_and_gradients(construct(wp, total_time - h, start, gp, gv))[0]
-        assert dj_dtime == pytest.approx((ju - jd) / (2 * h), rel=1e-4, abs=1e-6)
+        scenario = priced(start, gp, gv, len(wp) + 1,
+                          weights=only(velocity=1.0),
+                          limits=Limits(v_max=1e-3, samples=2))
+        assert_gradient_matches_central_differences(
+            lambda q, t: total_cost(q, t, scenario), wp, total_time,
+            rel=1e-4, abs_scale=1e-8)
 
     def test_cost_independent_of_waypoints(self):
-        traj = construct(np.zeros((3, 3)), 2.0, BoundaryState.at_rest([0, 0, 0]),
-                         [1, 0, 0], [0, 0, 0])
-        dj_dq, dj_dtime = propagate_gradients(traj, np.zeros_like(traj.coefficients),
-                                              dj_ddt=float(traj.segment_count))
-        np.testing.assert_array_equal(dj_dq, 0.0)
-        assert dj_dtime == pytest.approx(1.0, rel=1e-12)
+        """The time term adds nothing to dJ/dq and its weight to dJ/dT."""
+        start = BoundaryState.at_rest([0, 0, 0])
+        base = priced(start, [1, 0, 0], [0, 0, 0], 4)
+        heavier = dataclasses.replace(
+            base, limits=dataclasses.replace(base.limits, time_weight=21.0))
+        waypoints = np.zeros((3, 3))
+        _, dj_dq, dj_dt, _ = total_cost(waypoints, 2.0, base)
+        _, heavier_dq, heavier_dt, _ = total_cost(waypoints, 2.0, heavier)
+        assert heavier_dq.tobytes() == dj_dq.tobytes()
+        assert heavier_dt - dj_dt == pytest.approx(
+            21.0 - base.limits.time_weight, abs=1e-9)
 
     def test_stationary_at_inner_optimum(self):
-        """After optimizing waypoints, the propagated gradient vanishes."""
+        """At the waypoints scipy finds for the least energy, the
+        propagated gradient vanishes."""
         start = BoundaryState.at_rest([0.0, 0.0, 0.0])
         goal = np.array([2.0, 0.0, 1.0])
         total_time = 3.0
         n_wp = 2
+        scenario = priced(start, goal, [0, 0, 0], n_wp + 1)
 
         def cost(flat):
-            traj = construct(flat.reshape(n_wp, 3), total_time, start, goal,
-                             [0, 0, 0])
-            return jerk_energy(traj)[0]
+            return total_cost(flat.reshape(n_wp, 3), total_time,
+                              scenario)[0].smoothness
 
         guess = np.linspace(0, 1, n_wp + 2)[1:-1, None] * goal
         res = minimize(cost, guess.ravel(), method="L-BFGS-B",
                        options={"ftol": 1e-15, "gtol": 1e-12})
-        traj = construct(res.x.reshape(n_wp, 3), total_time, start, goal, [0, 0, 0])
-        _, grad_c, ddt = jerk_energy(traj)
-        dj_dq, _ = propagate_gradients(traj, grad_c, ddt)
+        dj_dq = total_cost(res.x.reshape(n_wp, 3), total_time, scenario)[1]
         # compare against the gradient magnitude away from the optimum
-        off = construct(res.x.reshape(n_wp, 3) + 0.5, total_time, start, goal,
-                        [0, 0, 0])
-        _, grad_off, ddt_off = jerk_energy(off)
-        dj_dq_off, _ = propagate_gradients(off, grad_off, ddt_off)
+        dj_dq_off = total_cost(res.x.reshape(n_wp, 3) + 0.5, total_time,
+                               scenario)[1]
         assert np.max(np.abs(dj_dq)) < 1e-3
         assert np.max(np.abs(dj_dq)) < 1e-4 * np.max(np.abs(dj_dq_off))
 
-    def test_fifty_randomized_sampled_costs(self):
-        """Sampled quadratic costs: propagated gradients match central FD."""
-        rng = np.random.default_rng(650)
-        for _ in range(50):
-            wp, total_time, start, gp, gv = random_problem(rng, max_segments=6)
-            n_seg = len(wp) + 1
-
-            draws = []
-            for _ in range(3):
-                frac = float(rng.uniform(0.05, 0.95))
-                if abs(frac * n_seg - round(frac * n_seg)) < 0.05:
-                    frac = min(frac + 0.1 / n_seg, 0.97)
-                draws.append((frac, int(rng.integers(0, 4))))
-
-            def cost_terms(traj):
-                dt = traj.segment_duration
-                n = traj.segment_count
-                total = 0.0
-                dj_dc = np.zeros_like(traj.coefficients)
-                dj_ddt = 0.0
-                for frac, order in draws:
-                    t = frac * n * dt
-                    seg = min(int(t / dt), n - 1)
-                    tau = t - seg * dt
-                    d = evaluate_segment(traj, seg, tau, order)
-                    d_next = evaluate_segment(traj, seg, tau, order + 1)
-                    total += float(d @ d)
-                    dj_dc[seg] += np.outer(basis_row(tau, order), 2.0 * d)
-                    dj_ddt += float(2.0 * (d @ d_next) * (frac * n - seg))
-                return total, dj_dc, dj_ddt
-
-            traj = construct(wp, total_time, start, gp, gv)
-            _, dj_dc, dj_ddt = cost_terms(traj)
-            dj_dq, dj_dtime = propagate_gradients(traj, dj_dc, dj_ddt)
-
-            h = 1e-6
-            wp_arr = np.asarray(wp, dtype=float).reshape(-1, 3)
-            if wp_arr.shape[0]:
-                i = int(rng.integers(wp_arr.shape[0]))
-                ax = int(rng.integers(3))
-                up = wp_arr.copy(); up[i, ax] += h
-                dn = wp_arr.copy(); dn[i, ax] -= h
-                fd = (cost_terms(construct(up, total_time, start, gp, gv))[0]
-                      - cost_terms(construct(dn, total_time, start, gp, gv))[0]) / (2 * h)
-                assert dj_dq[i, ax] == pytest.approx(fd, rel=1e-4, abs=1e-5)
-            fd_t = (cost_terms(construct(wp_arr, total_time + h, start, gp, gv))[0]
-                    - cost_terms(construct(wp_arr, total_time - h, start, gp, gv))[0]) / (2 * h)
-            assert dj_dtime == pytest.approx(fd_t, rel=1e-4, abs=1e-5)
-
+    @given(seed=st.integers(0, 2 ** 32 - 1), segments=st.integers(1, 7),
+           kappa=st.integers(2, 40), duration=st.floats(1.5, 6.0))
+    @settings(max_examples=50, deadline=None)
+    def test_fifty_randomized_sampled_costs(self, seed, segments, kappa,
+                                            duration):
+        """Every sampled cost at once, on random_scenario's tight limits,
+        obstacle plane and corridor: total_cost's dJ/dq and dJ/dT match
+        central differences."""
+        rng = np.random.default_rng(seed)
+        scenario = random_scenario(rng)
+        scenario = dataclasses.replace(
+            scenario, segment_count=segments,
+            limits=dataclasses.replace(scenario.limits, samples=kappa))
+        assert_gradient_matches_central_differences(
+            lambda q, t: total_cost(q, t, scenario),
+            random_waypoints(scenario, rng), duration, rel=1e-4,
+            abs_scale=1e-6)
